@@ -3,9 +3,10 @@
 //!
 //! [`Simulator::try_profile`] drives the core cycle by cycle instead of
 //! through [`Core::try_run`](cpe_cpu::Core), snapshotting counter deltas
-//! every `interval` cycles into a [`MetricsSeries`] and (when the `trace`
-//! feature is on) collecting the retained [`TraceEvent`] window from the
-//! ring buffer. The stepping order and per-cycle work are identical to a
+//! every `interval` cycles into a [`MetricsSeries`] and — only when the
+//! caller asks for a ring ([`ProfileOptions::ring_capacity`] > 0) and the
+//! `trace` feature is on — collecting the retained [`TraceEvent`] window
+//! from it. The stepping order and per-cycle work are identical to a
 //! plain run, so a profiled run's timing and counters match the
 //! unprofiled run exactly — observation never perturbs the machine.
 
@@ -27,17 +28,24 @@ use crate::simulator::Simulator;
 pub struct ProfileOptions {
     /// Cycles per metrics epoch (0 is clamped to 1).
     pub interval: u64,
-    /// Trace ring capacity in events; the ring retains the newest
-    /// `ring_capacity` events and counts what it drops. Ignored when the
-    /// `trace` feature is off.
+    /// Trace ring capacity in events. 0 (the default) attaches no ring:
+    /// nothing is captured and the run pays nothing for capture. Above 0
+    /// the ring retains the newest `ring_capacity` events and counts what
+    /// it drops. Ignored when the `trace` feature is off.
     pub ring_capacity: usize,
+}
+
+impl ProfileOptions {
+    /// The ring the event-reading callers (`cpe profile`, `cpe pipeview`)
+    /// attach when not told otherwise.
+    pub const CAPTURE_RING: usize = 65_536;
 }
 
 impl Default for ProfileOptions {
     fn default() -> ProfileOptions {
         ProfileOptions {
             interval: 1_000,
-            ring_capacity: 65_536,
+            ring_capacity: 0,
         }
     }
 }
@@ -230,7 +238,8 @@ pub struct SelfProfile {
     pub insts: u64,
     /// Simulated cycles per host second.
     pub cycles_per_sec: f64,
-    /// Whether event capture was compiled in and attached.
+    /// Whether this run had an event ring attached (needs the `trace`
+    /// feature and a nonzero [`ProfileOptions::ring_capacity`]).
     pub capture_enabled: bool,
     /// Ring-buffer accounting (`None` when capture is off).
     pub ring: Option<RingStats>,
@@ -268,7 +277,8 @@ pub struct ProfiledRun {
 
 impl Simulator {
     /// Profile a named workload: run it to completion (or `max_insts`)
-    /// while capturing trace events and interval metrics.
+    /// while collecting interval metrics, and trace events when
+    /// `options` asks for a ring.
     ///
     /// # Errors
     ///
@@ -301,6 +311,7 @@ impl Simulator {
         let interval = options.interval.max(1);
         let mem = MemSystem::new(self.config().mem);
         let mut core = Core::new(self.config().cpu, mem, trace);
+        // A zero capacity attaches no ring: the handle stays detached.
         let handle = TraceHandle::attached(options.ring_capacity);
         core.set_trace(handle.clone());
         // Epoch snapshots fire on multiples of the interval; bound the
@@ -346,7 +357,7 @@ impl Simulator {
             } else {
                 0.0
             },
-            capture_enabled: TraceHandle::CAPTURE,
+            capture_enabled: handle.is_active(),
             ring,
         };
         Ok(ProfiledRun {
@@ -364,6 +375,10 @@ mod tests {
     use crate::config::SimConfig;
 
     fn profile(interval: u64) -> ProfiledRun {
+        profile_with_ring(interval, 0)
+    }
+
+    fn profile_with_ring(interval: u64, ring_capacity: usize) -> ProfiledRun {
         Simulator::new(SimConfig::combined_single_port())
             .try_profile(
                 Workload::Compress,
@@ -371,7 +386,7 @@ mod tests {
                 Some(10_000),
                 ProfileOptions {
                     interval,
-                    ..ProfileOptions::default()
+                    ring_capacity,
                 },
             )
             .expect("profiled run completes")
@@ -480,15 +495,23 @@ mod tests {
         assert!(run.self_profile.wall_seconds >= 0.0);
         assert_eq!(run.self_profile.cycles, run.summary.cycles);
         assert_eq!(run.self_profile.insts, run.summary.insts);
-        assert_eq!(run.self_profile.capture_enabled, TraceHandle::CAPTURE);
+        // The default attaches no ring, whatever the build.
+        assert!(!run.self_profile.capture_enabled);
+        assert_eq!(run.self_profile.ring, None);
+        assert!(run.events.is_empty());
         let line = run.self_profile.one_liner();
         assert!(line.contains("sim cycles/sec"), "{line}");
+        assert!(!line.contains("ring"), "{line}");
+
+        let captured = profile_with_ring(1_000, 16);
+        assert_eq!(captured.self_profile.capture_enabled, TraceHandle::CAPTURE);
+        assert_eq!(captured.self_profile.ring.is_some(), TraceHandle::CAPTURE);
     }
 
     #[cfg(feature = "trace")]
     #[test]
     fn capture_collects_events_and_ring_stats() {
-        let run = profile(1_000);
+        let run = profile_with_ring(1_000, ProfileOptions::CAPTURE_RING);
         assert!(!run.events.is_empty());
         let ring = run.self_profile.ring.expect("capture is on");
         assert!(ring.emitted > 0);

@@ -387,6 +387,21 @@ mod tests {
     }
 
     #[test]
+    fn cells_attach_no_event_ring() {
+        let mut jobs = tiny_jobs();
+        jobs[1].backend = BackendKind::Replay;
+        let (outcomes, _) = execute_jobs(&jobs, 1, None);
+        for outcome in outcomes {
+            let document = outcome.document.expect("cell completes");
+            assert!(
+                document.contains("\"capture_enabled\":false,\"ring\":null}"),
+                "cell {}: {document}",
+                outcome.index
+            );
+        }
+    }
+
+    #[test]
     fn cache_turns_the_second_run_into_pure_hits() {
         let dir = std::env::temp_dir().join(format!("cpe-exec-hits-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,7 +1,7 @@
 //! The set-associative tag array used by every cache level.
 
 use crate::config::CacheGeometry;
-use crate::replacement::SetReplacement;
+use crate::replacement::Replacement;
 use crate::Addr;
 
 /// Outcome of probing a cache for an address.
@@ -49,7 +49,7 @@ struct Way {
 pub struct Cache {
     geometry: CacheGeometry,
     ways: Vec<Way>,
-    replacement: Vec<SetReplacement>,
+    replacement: Replacement,
 }
 
 impl Cache {
@@ -60,16 +60,7 @@ impl Cache {
         Cache {
             geometry,
             ways: vec![Way::default(); sets * ways_per_set],
-            replacement: (0..sets)
-                .map(|set| {
-                    SetReplacement::new(
-                        geometry.replacement,
-                        ways_per_set,
-                        // Distinct deterministic seed per set.
-                        0x9e37_79b9_7f4a_7c15u64.wrapping_mul(set as u64 + 1),
-                    )
-                })
-                .collect(),
+            replacement: Replacement::new(geometry.replacement, sets, ways_per_set),
         }
     }
 
@@ -94,7 +85,7 @@ impl Cache {
         for (i, way) in self.ways[range.clone()].iter_mut().enumerate() {
             if way.valid && way.tag == tag {
                 way.dirty |= is_write;
-                self.replacement[set].on_hit(i);
+                self.replacement.on_hit(set, i);
                 return ProbeResult::Hit;
             }
         }
@@ -125,7 +116,7 @@ impl Cache {
         for (i, way) in self.ways[range.clone()].iter_mut().enumerate() {
             if way.valid && way.tag == tag {
                 way.dirty |= dirty;
-                self.replacement[set].on_hit(i);
+                self.replacement.on_hit(set, i);
                 return None;
             }
         }
@@ -137,12 +128,12 @@ impl Cache {
                     valid: true,
                     dirty,
                 };
-                self.replacement[set].on_fill(i);
+                self.replacement.on_fill(set, i);
                 return None;
             }
         }
         // Evict.
-        let victim_way = self.replacement[set].victim();
+        let victim_way = self.replacement.victim(set);
         let slot = &mut self.ways[range.start + victim_way];
         let victim = Victim {
             line_addr: slot.tag,
@@ -153,7 +144,7 @@ impl Cache {
             valid: true,
             dirty,
         };
-        self.replacement[set].on_fill(victim_way);
+        self.replacement.on_fill(set, victim_way);
         Some(victim)
     }
 

@@ -25,47 +25,60 @@ impl fmt::Display for ReplacementPolicy {
     }
 }
 
-/// Per-set replacement state: a priority stamp per way plus the policy's
-/// clock.
+/// Replacement state for a whole cache: one priority stamp per way, in
+/// one flat `sets × ways` array indexed like the cache's tag array, plus
+/// the policy's clock and (for [`ReplacementPolicy::Random`]) one
+/// xorshift state per set.
 #[derive(Debug, Clone)]
-pub(crate) struct SetReplacement {
+pub(crate) struct Replacement {
     policy: ReplacementPolicy,
-    /// Monotone stamps; smaller = evict earlier (for LRU/FIFO).
+    ways: usize,
+    /// Monotone stamps; smaller = evict earlier (for LRU/FIFO). One clock
+    /// serves every set: only the order of stamps within a set matters.
     stamps: Vec<u64>,
     clock: u64,
-    rng: u64,
+    /// Per-set xorshift states; empty unless the policy is Random.
+    rng: Vec<u64>,
 }
 
-impl SetReplacement {
-    pub(crate) fn new(policy: ReplacementPolicy, ways: usize, seed: u64) -> SetReplacement {
-        SetReplacement {
+impl Replacement {
+    pub(crate) fn new(policy: ReplacementPolicy, sets: usize, ways: usize) -> Replacement {
+        let rng = if policy == ReplacementPolicy::Random {
+            (0..sets as u64)
+                // Distinct deterministic seed per set; xorshift state
+                // must be nonzero.
+                .map(|set| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(set + 1) | 1)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Replacement {
             policy,
-            stamps: vec![0; ways],
+            ways,
+            stamps: vec![0; sets * ways],
             clock: 0,
-            // xorshift state must be nonzero.
-            rng: seed | 1,
+            rng,
         }
     }
 
-    /// Record an allocation into `way`.
-    pub(crate) fn on_fill(&mut self, way: usize) {
+    /// Record an allocation into `way` of `set`.
+    pub(crate) fn on_fill(&mut self, set: usize, way: usize) {
         self.clock += 1;
-        self.stamps[way] = self.clock;
+        self.stamps[set * self.ways + way] = self.clock;
     }
 
-    /// Record a hit on `way`.
-    pub(crate) fn on_hit(&mut self, way: usize) {
+    /// Record a hit on `way` of `set`.
+    pub(crate) fn on_hit(&mut self, set: usize, way: usize) {
         if self.policy == ReplacementPolicy::Lru {
-            self.clock += 1;
-            self.stamps[way] = self.clock;
+            self.on_fill(set, way);
         }
     }
 
-    /// Choose a victim among the valid ways (all ways full).
-    pub(crate) fn victim(&mut self) -> usize {
+    /// Choose a victim way in `set` (all ways full).
+    pub(crate) fn victim(&mut self, set: usize) -> usize {
         match self.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => self
-                .stamps
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => self.stamps
+                [set * self.ways..(set + 1) * self.ways]
                 .iter()
                 .enumerate()
                 .min_by_key(|&(_, stamp)| *stamp)
@@ -73,10 +86,11 @@ impl SetReplacement {
                 .expect("sets have at least one way"),
             ReplacementPolicy::Random => {
                 // xorshift64
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                (self.rng % self.stamps.len() as u64) as usize
+                let rng = &mut self.rng[set];
+                *rng ^= *rng << 13;
+                *rng ^= *rng >> 7;
+                *rng ^= *rng << 17;
+                (*rng % self.ways as u64) as usize
             }
         }
     }
@@ -88,26 +102,29 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_touched() {
-        let mut set = SetReplacement::new(ReplacementPolicy::Lru, 4, 1);
+        let mut r = Replacement::new(ReplacementPolicy::Lru, 2, 4);
         for way in 0..4 {
-            set.on_fill(way);
+            r.on_fill(1, way);
         }
-        set.on_hit(0); // way 0 becomes most recent; way 1 is now oldest
-        assert_eq!(set.victim(), 1);
-        set.on_hit(1);
-        assert_eq!(set.victim(), 2);
+        r.on_hit(1, 0); // way 0 becomes most recent; way 1 is now oldest
+        assert_eq!(r.victim(1), 1);
+        r.on_hit(1, 1);
+        assert_eq!(r.victim(1), 2);
+        // Set 0 is untouched by set 1's traffic: all stamps tie at 0 and
+        // the first way wins.
+        assert_eq!(r.victim(0), 0);
     }
 
     #[test]
     fn fifo_ignores_hits() {
-        let mut set = SetReplacement::new(ReplacementPolicy::Fifo, 4, 1);
+        let mut r = Replacement::new(ReplacementPolicy::Fifo, 1, 4);
         for way in 0..4 {
-            set.on_fill(way);
+            r.on_fill(0, way);
         }
-        set.on_hit(0);
-        set.on_hit(0);
+        r.on_hit(0, 0);
+        r.on_hit(0, 0);
         assert_eq!(
-            set.victim(),
+            r.victim(0),
             0,
             "FIFO must evict the oldest fill despite hits"
         );
@@ -115,21 +132,30 @@ mod tests {
 
     #[test]
     fn random_is_deterministic_per_seed_and_in_range() {
-        let mut a = SetReplacement::new(ReplacementPolicy::Random, 4, 42);
-        let mut b = SetReplacement::new(ReplacementPolicy::Random, 4, 42);
-        for _ in 0..100 {
-            let (va, vb) = (a.victim(), b.victim());
+        let mut a = Replacement::new(ReplacementPolicy::Random, 8, 4);
+        let mut b = Replacement::new(ReplacementPolicy::Random, 8, 4);
+        for round in 0..100 {
+            let set = round % 8;
+            let (va, vb) = (a.victim(set), b.victim(set));
             assert_eq!(va, vb);
             assert!(va < 4);
         }
+        // Each set draws from its own seed.
+        let streams: Vec<Vec<usize>> = (0..2)
+            .map(|set| {
+                let mut r = Replacement::new(ReplacementPolicy::Random, 2, 4);
+                (0..16).map(|_| r.victim(set)).collect()
+            })
+            .collect();
+        assert_ne!(streams[0], streams[1]);
     }
 
     #[test]
     fn random_eventually_covers_all_ways() {
-        let mut set = SetReplacement::new(ReplacementPolicy::Random, 4, 7);
+        let mut r = Replacement::new(ReplacementPolicy::Random, 4, 4);
         let mut seen = [false; 4];
         for _ in 0..200 {
-            seen[set.victim()] = true;
+            seen[r.victim(3)] = true;
         }
         assert!(
             seen.iter().all(|&s| s),

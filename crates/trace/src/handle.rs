@@ -43,17 +43,21 @@ impl TraceHandle {
         TraceHandle::default()
     }
 
-    /// A handle backed by a fresh ring of `capacity` events. Without the
-    /// `capture` feature this is indistinguishable from [`TraceHandle::off`].
+    /// A handle backed by a fresh ring of `capacity` events; a capacity
+    /// of 0 attaches no ring and is [`TraceHandle::off`]. Without the
+    /// `capture` feature this is always indistinguishable from
+    /// [`TraceHandle::off`].
     #[cfg(feature = "capture")]
     pub fn attached(capacity: usize) -> TraceHandle {
         TraceHandle {
-            tracer: Some(Rc::new(RefCell::new(Tracer::new(capacity)))),
+            tracer: (capacity > 0).then(|| Rc::new(RefCell::new(Tracer::new(capacity)))),
         }
     }
 
-    /// A handle backed by a fresh ring of `capacity` events. Without the
-    /// `capture` feature this is indistinguishable from [`TraceHandle::off`].
+    /// A handle backed by a fresh ring of `capacity` events; a capacity
+    /// of 0 attaches no ring and is [`TraceHandle::off`]. Without the
+    /// `capture` feature this is always indistinguishable from
+    /// [`TraceHandle::off`].
     #[cfg(not(feature = "capture"))]
     pub fn attached(_capacity: usize) -> TraceHandle {
         TraceHandle::default()
@@ -121,6 +125,15 @@ mod tests {
     #[test]
     fn detached_handles_swallow_events() {
         let h = TraceHandle::off();
+        h.emit(1, EventKind::Fetch, 0x40, 0);
+        assert!(!h.is_active());
+        assert!(h.snapshot().is_none());
+        assert!(h.ring_stats().is_none());
+    }
+
+    #[test]
+    fn zero_capacity_attaches_no_ring() {
+        let h = TraceHandle::attached(0);
         h.emit(1, EventKind::Fetch, 0x40, 0);
         assert!(!h.is_active());
         assert!(h.snapshot().is_none());

@@ -36,9 +36,14 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A ring holding up to `capacity` events (0 keeps nothing but still
-    /// counts emissions).
+    /// A ring holding up to `capacity` events.
+    ///
+    /// # Panics
+    ///
+    /// When `capacity` is 0 — a run that keeps no events attaches no ring
+    /// ([`TraceHandle::attached`](crate::TraceHandle::attached)).
     pub fn new(capacity: usize) -> Tracer {
+        assert!(capacity > 0, "a trace ring needs room for one event");
         Tracer {
             ring: Vec::with_capacity(capacity),
             capacity,
@@ -54,10 +59,6 @@ impl Tracer {
     #[inline]
     pub fn emit(&mut self, event: TraceEvent) {
         self.emitted += 1;
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
         if self.ring.len() < self.capacity {
             self.ring.push(event);
             self.peak = self.peak.max(self.ring.len());
@@ -133,16 +134,5 @@ mod tests {
         assert_eq!(events, vec![6, 7, 8, 9], "oldest overwritten first");
         let s = t.stats();
         assert_eq!((s.emitted, s.dropped, s.peak), (10, 6, 4));
-    }
-
-    #[test]
-    fn zero_capacity_counts_without_keeping() {
-        let mut t = Tracer::new(0);
-        for c in 0..3 {
-            t.emit(ev(c));
-        }
-        assert!(t.is_empty());
-        assert_eq!(t.stats().emitted, 3);
-        assert_eq!(t.stats().dropped, 3);
     }
 }

@@ -20,6 +20,13 @@ echo "== tier-1: cargo build --release && cargo test" >&2
 cargo build --release
 cargo test -q
 
+# The benchmark package (its own workspace, see perfbench/README.md)
+# carries correctness tests of its own — GOLDEN equality at zero
+# tolerance and a replay cell equal to its direct twin among them — so
+# every simulator change is gated by them too.
+echo "== benchmark tests: cargo test --manifest-path perfbench/Cargo.toml" >&2
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # The trace feature gates every emission site; both halves of the cfg
 # must keep building. The feature-on release build is covered above.
 echo "== trace feature off: cargo build --release --no-default-features" >&2

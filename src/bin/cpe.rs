@@ -263,10 +263,9 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     };
     let config = resolve_config(parse_flag(args, "--config"))?;
     let max = parse_number(args, "--max")?;
-    let defaults = ProfileOptions::default();
     let options = ProfileOptions {
-        interval: parse_number(args, "--interval")?.unwrap_or(defaults.interval),
-        ring_capacity: parse_number(args, "--ring")?.unwrap_or(defaults.ring_capacity),
+        interval: parse_number(args, "--interval")?.unwrap_or(ProfileOptions::default().interval),
+        ring_capacity: parse_number(args, "--ring")?.unwrap_or(ProfileOptions::CAPTURE_RING),
     };
     let trace_format = parse_flag(args, "--trace-format").unwrap_or_else(|| "chrome".to_string());
     if trace_format != "chrome" && trace_format != "jsonl" {
@@ -427,10 +426,9 @@ fn cmd_pipeview(args: &[String]) -> Result<(), String> {
     let scale = parse_scale(args)?;
     let config = resolve_config(parse_flag(args, "--config"))?;
     let max = parse_number(args, "--max")?;
-    let defaults = ProfileOptions::default();
     let options = ProfileOptions {
-        ring_capacity: parse_number(args, "--ring")?.unwrap_or(defaults.ring_capacity),
-        ..defaults
+        ring_capacity: parse_number(args, "--ring")?.unwrap_or(ProfileOptions::CAPTURE_RING),
+        ..ProfileOptions::default()
     };
     let out = parse_flag(args, "-o").unwrap_or_else(|| "pipeview.kanata".to_string());
     let sim = Simulator::new(config);

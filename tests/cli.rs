@@ -3,6 +3,7 @@
 
 use std::io::Write;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn cpe() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cpe"))
@@ -21,8 +22,15 @@ fn write_program(dir: &std::path::Path) -> std::path::PathBuf {
     path
 }
 
+/// A fresh directory per call: tests run in parallel, and a shared one
+/// lets one test rewrite `prog.s` while another is reading it.
 fn tempdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("cpe-cli-test-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "cpe-cli-test-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

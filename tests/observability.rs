@@ -9,7 +9,10 @@
 //! 2. observation never perturbs — a profiled run with a (deliberately
 //!    tiny, wrapping) capture ring attached produces bit-identical
 //!    counters to the same run without any tracer, across randomly
-//!    generated synthetic workloads.
+//!    generated synthetic workloads;
+//! 3. capture is side-channel in the metrics document too — every preset
+//!    profiled with the capturing verbs' ring and with no ring at all
+//!    produces the same document outside the host-timing `self_profile`.
 //!
 //! These run with the default feature set, where `trace` is enabled and
 //! `TraceHandle::CAPTURE` is true.
@@ -19,7 +22,8 @@ use cpe::trace::{
     chrome_trace_json, EventKind, TraceHandle, PORT_GRANT_MISS, PORT_GRANT_MISS_MERGED,
 };
 use cpe::workloads::synth::{AddressPattern, SynthConfig, SyntheticTrace};
-use cpe::{ProfileOptions, SimConfig, Simulator};
+use cpe::workloads::{Scale, Workload};
+use cpe::{parse_json, profile_json, JsonValue, ProfileOptions, SimConfig, Simulator};
 use proptest::prelude::*;
 
 /// The canonical micro-trace from the issue: a load that port-conflicts,
@@ -134,6 +138,62 @@ fn counter_fingerprint(summary: &cpe::RunSummary) -> Vec<(&'static str, u64)> {
         fingerprint.push((cause.name(), slots));
     }
     fingerprint
+}
+
+/// The members of a metrics document outside the host-timing
+/// `self_profile`.
+fn deterministic(document: &str) -> Vec<(String, JsonValue)> {
+    let JsonValue::Object(members) = parse_json(document).expect("document parses") else {
+        panic!("metrics document is an object");
+    };
+    members
+        .into_iter()
+        .filter(|(key, _)| key != "self_profile")
+        .collect()
+}
+
+#[test]
+fn attaching_a_ring_never_changes_the_document() {
+    let presets = [
+        SimConfig::naive_single_port(),
+        SimConfig::single_port(),
+        SimConfig::dual_port(),
+        SimConfig::banked(2),
+        SimConfig::quad_port(),
+        SimConfig::ideal_ports(),
+        SimConfig::combined_single_port(),
+        SimConfig::big_window(),
+    ];
+    for config in presets {
+        let sim = Simulator::new(config);
+        for workload in [Workload::Compress, Workload::Sort] {
+            let profile = |ring_capacity| {
+                sim.try_profile(
+                    workload,
+                    Scale::Test,
+                    Some(5_000),
+                    ProfileOptions {
+                        ring_capacity,
+                        ..ProfileOptions::default()
+                    },
+                )
+                .expect("profiled run completes")
+            };
+            let captured = profile(ProfileOptions::CAPTURE_RING);
+            let uncaptured = profile(0);
+            let label = format!("{} / {}", sim.config().name, workload.name());
+            assert_eq!(!captured.events.is_empty(), TraceHandle::CAPTURE, "{label}");
+            assert_eq!(captured.self_profile.capture_enabled, TraceHandle::CAPTURE);
+            assert!(uncaptured.events.is_empty(), "{label}: no ring, no events");
+            assert!(!uncaptured.self_profile.capture_enabled, "{label}");
+            assert_eq!(uncaptured.self_profile.ring, None, "{label}");
+            assert_eq!(
+                deterministic(&profile_json(&captured, sim.config())),
+                deterministic(&profile_json(&uncaptured, sim.config())),
+                "{label}: capture must not change the document"
+            );
+        }
+    }
 }
 
 proptest! {
