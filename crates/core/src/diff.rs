@@ -30,10 +30,17 @@ pub enum JsonValue {
     Object(Vec<(String, JsonValue)>),
 }
 
+/// Deepest array/object nesting the reader accepts. The documents `cpe`
+/// writes nest a handful of levels; the cap only keeps hostile input
+/// (say, 200,000 `[`) from exhausting the stack of the recursive reader.
+const MAX_JSON_DEPTH: usize = 512;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -42,6 +49,7 @@ impl<'a> Parser<'a> {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -84,8 +92,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonValue::Text(self.parse_string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -94,6 +102,21 @@ impl<'a> Parser<'a> {
             Some(other) => Err(self.error(&format!("unexpected `{}`", other as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to go past
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_object(&mut self) -> Result<JsonValue, String> {
@@ -221,7 +244,8 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// A one-line message naming the byte offset of the first syntax error.
+/// A one-line message naming the byte offset of the first syntax error,
+/// or of the container that nests deeper than 512 levels.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut parser = Parser::new(text);
     let value = parser.parse_value()?;
@@ -459,6 +483,31 @@ mod tests {
     fn parser_rejects_malformed_documents() {
         for bad in ["{", "{\"a\":}", "[1,]", "tru", "\"unterminated", "{} x", ""] {
             assert!(parse_json(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let at_cap = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(parse_json(&at_cap).is_ok());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_JSON_DEPTH),
+            "}".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(parse_json(&objects).is_ok());
+        for hostile in [
+            "[".repeat(MAX_JSON_DEPTH + 1),
+            "[".repeat(200_000),
+            "{\"a\":".repeat(200_000),
+        ] {
+            let error = parse_json(&hostile).expect_err("too deep");
+            assert!(error.contains("nesting deeper than 512 levels"), "{error}");
+            assert!(diff_json(&hostile, "{}", 0.0).is_err());
         }
     }
 

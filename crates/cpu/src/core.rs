@@ -136,8 +136,13 @@ pub struct Core<B: ExecBackend> {
     /// Deadlock detector: cycles since the last commit or dispatch.
     stuck_cycles: u64,
     /// Event-driven wakeup/select state: issue candidates, completion
-    /// wakeups, and the store-address index for disambiguation.
+    /// wakeups, and the in-flight store queue for disambiguation.
     sched: Scheduler,
+    /// The last stepped cycle when it was *parked* — nothing moved
+    /// except loads bouncing off the memory system — with the candidate
+    /// add count read when its issue walk began; see
+    /// [`Core::try_skip_idle`].
+    parked: Option<(Cycle, u64)>,
     /// Spare waiter-list allocations, recycled between ROB entries so
     /// wakeup registration stays allocation-free in steady state.
     waiter_pool: Vec<Vec<u64>>,
@@ -158,6 +163,9 @@ pub struct Core<B: ExecBackend> {
     /// Every `(cycle, seq)` commit, in order — for oracle comparison.
     #[cfg(test)]
     commit_log: Vec<(Cycle, u64)>,
+    /// Skips taken over a non-empty candidate set or store buffer.
+    #[cfg(test)]
+    parked_skips: u64,
 }
 
 impl<B: ExecBackend> Core<B> {
@@ -198,6 +206,7 @@ impl<B: ExecBackend> Core<B> {
             last_mode: Mode::User,
             stuck_cycles: 0,
             sched,
+            parked: None,
             waiter_pool: Vec::new(),
             step_quantum: 0,
             tracer: TraceHandle::off(),
@@ -207,6 +216,8 @@ impl<B: ExecBackend> Core<B> {
             issue_log: Vec::new(),
             #[cfg(test)]
             commit_log: Vec::new(),
+            #[cfg(test)]
+            parked_skips: 0,
         }
     }
 
@@ -338,10 +349,15 @@ impl<B: ExecBackend> Core<B> {
 
         let committed_before = self.stats.committed.get();
         self.commit(now);
-        self.issue(now);
+        let adds_at_walk = self.sched.candidate_adds();
+        let walk_parked = self.issue(now);
         self.dispatch(now);
         self.fetch(now);
         self.mem.end_cycle(now);
+        let parked = walk_parked
+            && self.stats.committed.get() == committed_before
+            && self.mem.last_cycle_parked();
+        self.parked = parked.then_some((now, adds_at_walk));
 
         // Bookkeeping.
         self.stats.cycles.inc();
@@ -536,8 +552,22 @@ impl<B: ExecBackend> Core<B> {
     /// is bounded by every externally scheduled event: completion
     /// wakeups, MSHR fills, the fetch-resume cycle, fetch-buffer
     /// availability, the profiler's step quantum, and the watchdog.
+    ///
+    /// Candidates and buffered stores are also admitted when the previous
+    /// cycle was *parked*: it committed nothing, its issue walk issued
+    /// nothing and saw every candidate refused by the data cache
+    /// (`MshrFull`, `NoPort`, `Conflict`), no candidate has joined the set
+    /// since that walk began, and the data cache accepted, drained and
+    /// rejected no store and accepted no load. Such a cycle changes no
+    /// state, so each cycle up to the next scheduled event repeats it
+    /// exactly, memory-side tally included. Not while tracing: the
+    /// repeats would each emit their retry events.
     fn try_skip_idle(&mut self, now: Cycle) -> Result<bool, Box<WatchdogReport>> {
-        if self.sched.has_candidates() || self.mem.store_buffer_len() != 0 {
+        let parked = self
+            .parked
+            .is_some_and(|(at, adds)| at + 1 == now && adds == self.sched.candidate_adds())
+            && !self.tracer.is_active();
+        if !parked && (self.sched.has_candidates() || self.mem.store_buffer_len() != 0) {
             return Ok(false);
         }
         if self.rob.front().is_some_and(|head| head.done(now)) {
@@ -671,7 +701,16 @@ impl<B: ExecBackend> Core<B> {
             DispatchIdle::LsqFull => self.stats.dispatch_lsq_full.add(n),
             _ => {}
         }
-        self.mem.record_idle_cycles(n);
+        self.mem.record_skipped_cycles(n, parked);
+        if parked {
+            // The skipped cycles repeated the parked one; the last of them
+            // is just as parked.
+            self.parked = self.parked.map(|(_, adds)| (now + n - 1, adds));
+            #[cfg(test)]
+            {
+                self.parked_skips += 1;
+            }
+        }
         self.stuck_cycles += n;
         self.stats.max_commit_gap.record_max(self.stuck_cycles);
         if limit > 0 && self.stuck_cycles >= limit {
@@ -730,12 +769,12 @@ impl<B: ExecBackend> Core<B> {
     /// May the load `seq` at ROB index `load_idx` leave for the cache?
     ///
     /// Same decision as the backwards window walk, answered from the
-    /// store-address index: the conservative pre-check is an age-range
-    /// probe of the unresolved-store set, and the youngest older
-    /// overlapping store comes from the chunk index (highest sequence
-    /// number = first hit of the backwards walk). Stores examined earlier
-    /// this cycle have already resolved in both structures, so
-    /// within-cycle ordering matches the scan exactly.
+    /// in-flight store queue, which holds only the stores of the window:
+    /// the conservative pre-check looks for an unresolved entry older
+    /// than the load, and the youngest older overlapping store is the
+    /// first hit of a backwards scan, as in the window walk. Stores
+    /// examined earlier this cycle have already resolved in the queue,
+    /// so within-cycle ordering matches the scan exactly.
     fn gate_load_indexed(&self, load_idx: usize, seq: u64, now: Cycle) -> LoadGate {
         let policy = self.config.disambiguation;
         if policy == Disambiguation::None {
@@ -798,8 +837,7 @@ impl<B: ExecBackend> Core<B> {
             if op.is_store() {
                 self.lsq.retire_store();
                 self.stats.stores.inc();
-                self.sched
-                    .retire_store(entry.seq, entry.mem_range().expect("stores have addresses"));
+                self.sched.retire_store(entry.seq);
             }
             // In the event-driven path a committed instruction has issued,
             // which already removed it from the candidate set; only the
@@ -931,25 +969,31 @@ impl<B: ExecBackend> Core<B> {
     /// comes up empty (gated load, busy functional unit, rejected cache
     /// access) linger and are re-examined next cycle, replaying the
     /// scan's per-cycle retries and statistics exactly.
-    fn issue(&mut self, now: Cycle) {
+    ///
+    /// Returns `true` when the walk issued nothing and the data cache
+    /// refused every candidate it examined — the issue half of a parked
+    /// cycle (see [`Core::try_skip_idle`]).
+    fn issue(&mut self, now: Cycle) -> bool {
         #[cfg(test)]
         if self.oracle {
             self.issue_broadcast(now);
-            return;
+            return false;
         }
         let Some(front_seq) = self.rob.front().map(|e| e.seq) else {
-            return;
+            return true;
         };
         // The walk's live bounds are fixed for the whole cycle: dispatch
         // runs after issue, and commit ran before it.
         let end_seq = front_seq + self.rob.len() as u64;
         let mut issued = 0u32;
+        let (mut examined, mut refused_by_memory) = (0u32, 0u32);
         let mut cursor = front_seq;
         while issued < self.config.issue_width {
             let Some(seq) = self.sched.next_candidate_in(cursor, end_seq) else {
                 break;
             };
             cursor = seq + 1;
+            examined += 1;
             let i = self.rob_index(seq);
             debug_assert_eq!(self.rob[i].seq, seq);
             debug_assert_eq!(self.rob[i].state, EntryState::Waiting);
@@ -1015,6 +1059,7 @@ impl<B: ExecBackend> Core<B> {
                                         self.rob[i].di.pc,
                                         seq as u32,
                                     );
+                                    refused_by_memory += 1;
                                     continue;
                                 }
                                 LoadOutcome::NoPort | LoadOutcome::Conflict => {
@@ -1025,6 +1070,7 @@ impl<B: ExecBackend> Core<B> {
                                         self.rob[i].di.pc,
                                         seq as u32,
                                     );
+                                    refused_by_memory += 1;
                                     continue;
                                 }
                             }
@@ -1097,6 +1143,7 @@ impl<B: ExecBackend> Core<B> {
                 }
             }
         }
+        issued == 0 && refused_by_memory == examined
     }
 
     /// The in-flight service class a just-issued load settles into,
@@ -1313,6 +1360,7 @@ impl<B: ExecBackend> Core<B> {
                 self.lsq.add_store();
                 self.sched
                     .add_store(seq, entry.mem_range().expect("stores have addresses"));
+                debug_assert!(self.sched.stores_in_flight() <= self.config.store_queue);
             }
             if serializing {
                 self.serialize = true;
@@ -2162,7 +2210,7 @@ mod oracle_props {
     /// A random instruction: ALU traffic for dependency chains, a rare
     /// long-latency divide to stretch the event queue, and loads/stores
     /// of every width packed into 64 bytes so partial overlaps (the
-    /// store-index chunk walk) are common.
+    /// store queue's range checks) are common.
     pub(super) fn arb_inst() -> impl Strategy<Value = GenInst> {
         let reg = 0u8..POOL.len() as u8;
         prop_oneof![
@@ -2190,7 +2238,7 @@ mod oracle_props {
     /// and re-dispatch exercise candidate-set teardown across the loop).
     pub(super) fn program_text(seeds: &[i64], body: &[GenInst]) -> String {
         use std::fmt::Write;
-        let mut src = String::from(".data\nbuf: .space 256\n.text\nmain:\n    la t0, buf\n");
+        let mut src = String::from(".data\nbuf: .space 4096\n.text\nmain:\n    la t0, buf\n");
         for (slot, &seed) in seeds.iter().enumerate() {
             writeln!(src, "    li {}, {seed}", POOL[slot]).expect("infallible");
         }
@@ -2202,10 +2250,38 @@ mod oracle_props {
         src
     }
 
-    /// Everything the two paths must agree on. The CPI stack rides
-    /// along: the oracle path never cycle-skips while the event path
-    /// does, so stack equality proves the bulk-record attribution is
-    /// exactly what per-cycle stepping would have produced.
+    /// The same instruction mix with its loads and stores spread 64
+    /// bytes apart per slot, so they touch many cache lines and a small
+    /// MSHR file fills up.
+    fn arb_spread_inst() -> impl Strategy<Value = GenInst> {
+        arb_inst().prop_map(|inst| match inst {
+            GenInst::Load(op, rd, offset) => GenInst::Load(op, rd, offset * 64),
+            GenInst::Store(op, rs, offset) => GenInst::Store(op, rs, offset * 64),
+            other => other,
+        })
+    }
+
+    /// Memory systems small enough that loads park on a full MSHR file
+    /// while stores wait in the store buffer.
+    #[allow(clippy::field_reassign_with_default)]
+    fn parking_mems() -> [MemConfig; 3] {
+        let mut one = MemConfig::default();
+        one.mshrs = 1;
+        one.store_buffer.entries = 4;
+        let mut two = MemConfig::default();
+        two.mshrs = 2;
+        two.store_buffer.entries = 8;
+        two.ports.count = 2;
+        let mut banked = two;
+        banked.ports.banks = 2;
+        [one, two, banked]
+    }
+
+    /// Everything the two paths must agree on. The CPI stack and the
+    /// memory-side counters ride along: the oracle path never
+    /// cycle-skips while the event path does, so their equality proves
+    /// the bulk-record attribution is exactly what per-cycle stepping
+    /// would have produced.
     #[derive(Debug, PartialEq, Eq)]
     pub(super) struct RunLog {
         issues: Vec<(Cycle, u64)>,
@@ -2215,6 +2291,8 @@ mod oracle_props {
         order_stalls: u64,
         forwards: u64,
         cpi: crate::cpi::CpiStack,
+        /// `Debug` of the full `MemStats`.
+        mem: String,
     }
 
     fn run_mode(src: &str, window: usize, policy: Disambiguation, oracle: bool) -> RunLog {
@@ -2231,12 +2309,24 @@ mod oracle_props {
         policy: Disambiguation,
         oracle: bool,
     ) -> RunLog {
+        run_core(trace, window, policy, MemConfig::default(), oracle).0
+    }
+
+    /// [`run_stream`] over any memory system; also returns how many
+    /// skips the run took over parked cycles.
+    fn run_core<B: crate::ExecBackend>(
+        trace: B,
+        window: usize,
+        policy: Disambiguation,
+        mem: MemConfig,
+        oracle: bool,
+    ) -> (RunLog, u64) {
         let cpu = CpuConfig {
             rob_entries: window,
             disambiguation: policy,
             ..CpuConfig::default()
         };
-        let mut core = Core::new(cpu, MemSystem::new(MemConfig::default()), trace);
+        let mut core = Core::new(cpu, MemSystem::new(mem), trace);
         core.oracle = oracle;
         while core.step() {}
         // The conservation invariant, on every generated program.
@@ -2250,7 +2340,7 @@ mod oracle_props {
             core.stats.committed.get(),
             "every committed instruction is one Base slot"
         );
-        RunLog {
+        let log = RunLog {
             issues: core.issue_log,
             commits: core.commit_log,
             cycles: core.stats.cycles.get(),
@@ -2258,6 +2348,46 @@ mod oracle_props {
             order_stalls: core.stats.lsq_order_stalls.get(),
             forwards: core.stats.lsq_forwards.get(),
             cpi: core.stats.cpi_stack.clone(),
+            mem: format!("{:?}", core.mem.stats()),
+        };
+        (log, core.parked_skips)
+    }
+
+    #[test]
+    fn parked_cycles_are_skipped_and_match_the_stepped_oracle() {
+        // Independent loads to distinct lines behind one MSHR, with
+        // stores queued in the store buffer: most cycles wait on the
+        // fill with loads bouncing off the full MSHR file.
+        let mut src = String::from(".data\nbuf: .space 8192\n.text\nmain:\n    la t0, buf\n");
+        for line in 0..24 {
+            src.push_str(&format!("    ld a{}, {}(t0)\n", line % 6, line * 256));
+            if line % 3 == 0 {
+                src.push_str(&format!(
+                    "    sd a{}, {}(t0)\n",
+                    line % 6,
+                    line * 256 + 4096
+                ));
+            }
+        }
+        src.push_str("    halt\n");
+        let program = assemble(&src).expect("assembles");
+        for mem in parking_mems() {
+            let (event, parked) = run_core(
+                Emulator::new(program.clone()),
+                32,
+                Disambiguation::Perfect,
+                mem,
+                false,
+            );
+            let (oracle, _) = run_core(
+                Emulator::new(program.clone()),
+                32,
+                Disambiguation::Perfect,
+                mem,
+                true,
+            );
+            assert!(parked > 0, "no parked skip with {} MSHR(s)", mem.mshrs);
+            assert_eq!(event, oracle, "{} MSHR(s)", mem.mshrs);
         }
     }
 
@@ -2284,6 +2414,31 @@ mod oracle_props {
                     prop_assert_eq!(
                         &event, &oracle,
                         "window {} under {:?}", window, policy
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn parked_skips_match_the_broadcast_oracle(
+            seeds in prop::collection::vec(-1000i64..1000, 12),
+            body in prop::collection::vec(arb_spread_inst(), 1..40),
+        ) {
+            let src = program_text(&seeds, &body);
+            let program = assemble(&src).expect("generated programs assemble");
+            for mem in parking_mems() {
+                for (window, policy) in [
+                    (32usize, Disambiguation::Conservative),
+                    (128, Disambiguation::Perfect),
+                    (8, Disambiguation::None),
+                ] {
+                    let (event, _) =
+                        run_core(Emulator::new(program.clone()), window, policy, mem, false);
+                    let (oracle, _) =
+                        run_core(Emulator::new(program.clone()), window, policy, mem, true);
+                    prop_assert_eq!(
+                        &event, &oracle,
+                        "{} MSHR(s), window {} under {:?}", mem.mshrs, window, policy
                     );
                 }
             }

@@ -11,14 +11,16 @@
 //! * a **candidate set** — the sequence numbers of instructions whose
 //!   operands (address operand, for memory ops) are ready, kept in age
 //!   order so select examines exactly what the broadcast scan would have
-//!   examined, in the same order;
+//!   examined, in the same order, and counting its additions so the
+//!   cycle skipper can tell whether anything joined it since a cycle's
+//!   walk began;
 //! * a **completion event queue** — each issued instruction schedules one
 //!   wakeup at its `ready_at` cycle, at which point its waiters (recorded
 //!   on the producer's ROB entry) are re-evaluated;
-//! * a **store-address index** — in-flight stores bucketed by 8-byte
-//!   address chunk, plus the set of stores whose effective address is
-//!   still unknown, so load/store disambiguation is a point query instead
-//!   of a backwards walk over the window.
+//! * an **in-flight store queue** — every dispatched, uncommitted store
+//!   as `(seq, byte range, address resolved?)` in age order, so
+//!   load/store disambiguation is a short backwards scan of at most
+//!   `store_queue` entries instead of a walk over the whole window.
 //!
 //! The invariant throughout: the candidate set *over-approximates* the
 //! instructions the broadcast scan would have acted on, and every entry
@@ -30,47 +32,21 @@
 //! only the host work changes.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::BuildHasherDefault;
+use std::collections::{BinaryHeap, VecDeque};
 
 use cpe_mem::Cycle;
 
 use crate::lsq::ranges_overlap;
 
-/// log2 of the store-index chunk width. Chunks are 8 bytes — the widest
-/// access — so any byte overlap between two accesses implies they share
-/// at least one chunk, which makes the index complete: a chunk query can
-/// over-report (same chunk, disjoint bytes — filtered by an exact range
-/// check) but never miss an overlap.
-const CHUNK_SHIFT: u64 = 3;
-
-/// Multiplicative hasher for chunk numbers: one Fibonacci multiply per
-/// lookup on the disambiguation fast path, where the default SipHash
-/// would dominate the query cost.
-#[derive(Debug, Clone, Default)]
-struct ChunkHasher(u64);
-
-impl std::hash::Hasher for ChunkHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 keys (unused by the chunk map).
-        for &byte in bytes {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
+/// One dispatched, not yet committed store.
+#[derive(Debug, Clone, Copy)]
+struct InFlightStore {
+    seq: u64,
+    /// The (oracle) byte range the store writes.
+    range: (u64, u64),
+    /// Address generation has fired.
+    resolved: bool,
 }
-
-/// The stores indexed under one address chunk: `(seq, byte range)`.
-type ChunkStores = Vec<(u64, (u64, u64))>;
-/// Chunk number → the in-flight stores touching that chunk.
-type ChunkMap = HashMap<u64, ChunkStores, BuildHasherDefault<ChunkHasher>>;
 
 /// The scheduler state riding alongside the reorder buffer.
 ///
@@ -90,19 +66,15 @@ pub(crate) struct Scheduler {
     cand_mask: u64,
     /// Number of set bits, so emptiness checks are O(1).
     cand_count: u32,
+    /// Calls to [`Scheduler::add_candidate`] so far; the cycle skipper
+    /// compares two readings to learn whether anything joined the set.
+    cand_adds: u64,
     /// Pending completion wakeups as `(ready_at, producer seq)`.
     events: BinaryHeap<Reverse<(Cycle, u64)>>,
-    /// In-flight stores by address chunk: `(seq, byte range)` per entry.
-    store_chunks: ChunkMap,
-    /// In-flight stores whose effective address is not yet known, in
-    /// dispatch (= age) order, so the conservative gate's "any
-    /// unresolved store older than this load?" is a front probe.
-    unresolved_stores: Vec<u64>,
-}
-
-fn chunks(range: (u64, u64)) -> std::ops::RangeInclusive<u64> {
-    debug_assert!(range.1 > range.0, "memory accesses cover at least a byte");
-    (range.0 >> CHUNK_SHIFT)..=((range.1 - 1) >> CHUNK_SHIFT)
+    /// In-flight stores, oldest first. Stores enter at dispatch and leave
+    /// at commit, both in program order, so this is a FIFO no longer than
+    /// the store queue.
+    stores: VecDeque<InFlightStore>,
 }
 
 impl Scheduler {
@@ -113,9 +85,9 @@ impl Scheduler {
             cand_words: vec![0; (capacity / 64) as usize],
             cand_mask: capacity - 1,
             cand_count: 0,
+            cand_adds: 0,
             events: BinaryHeap::new(),
-            store_chunks: HashMap::default(),
-            unresolved_stores: Vec::new(),
+            stores: VecDeque::new(),
         }
     }
 
@@ -127,6 +99,7 @@ impl Scheduler {
         let bit = 1u64 << (pos & 63);
         self.cand_count += u32::from(*word & bit == 0);
         *word |= bit;
+        self.cand_adds += 1;
     }
 
     pub(crate) fn remove_candidate(&mut self, seq: u64) {
@@ -139,6 +112,12 @@ impl Scheduler {
 
     pub(crate) fn has_candidates(&self) -> bool {
         self.cand_count != 0
+    }
+
+    /// How many candidate additions have happened so far. Two equal
+    /// readings mean no instruction joined the set in between.
+    pub(crate) fn candidate_adds(&self) -> u64 {
+        self.cand_adds
     }
 
     /// The oldest candidate in `start..end` (sequence numbers), letting
@@ -191,48 +170,47 @@ impl Scheduler {
         self.events.len()
     }
 
-    // --- store-address index ----------------------------------------------
+    // --- in-flight store queue ----------------------------------------------
 
-    /// Track a dispatched store: index its (oracle) byte range by chunk
-    /// and mark its address unresolved until address generation fires.
+    /// Track a dispatched store (the youngest in flight): its (oracle)
+    /// byte range, with its address unresolved until address generation
+    /// fires.
     pub(crate) fn add_store(&mut self, seq: u64, range: (u64, u64)) {
-        for chunk in chunks(range) {
-            self.store_chunks
-                .entry(chunk)
-                .or_default()
-                .push((seq, range));
-        }
-        debug_assert!(self.unresolved_stores.last().is_none_or(|&s| s < seq));
-        self.unresolved_stores.push(seq);
+        debug_assert!(range.1 > range.0, "memory accesses cover at least a byte");
+        debug_assert!(self.stores.back().is_none_or(|s| s.seq < seq));
+        self.stores.push_back(InFlightStore {
+            seq,
+            range,
+            resolved: false,
+        });
     }
 
     /// Address generation fired for store `seq`.
     pub(crate) fn resolve_store(&mut self, seq: u64) {
-        if let Ok(at) = self.unresolved_stores.binary_search(&seq) {
-            self.unresolved_stores.remove(at);
+        if let Ok(at) = self.stores.binary_search_by_key(&seq, |s| s.seq) {
+            self.stores[at].resolved = true;
         }
     }
 
-    /// Remove a committing store from the index. Emptied chunk buckets are
-    /// deliberately kept: workloads hammer the same chunks, and retaining
-    /// the bucket (and its `Vec` capacity) avoids a tree-node and
-    /// allocation churn cycle on every store commit.
-    pub(crate) fn retire_store(&mut self, seq: u64, range: (u64, u64)) {
-        for chunk in chunks(range) {
-            if let Some(stores) = self.store_chunks.get_mut(&chunk) {
-                stores.retain(|&(s, _)| s != seq);
-            }
-        }
-        self.resolve_store(seq);
+    /// Remove a committing store. Stores commit in order, so it is the
+    /// oldest entry.
+    pub(crate) fn retire_store(&mut self, seq: u64) {
+        let oldest = self.stores.pop_front();
+        debug_assert_eq!(oldest.map(|s| s.seq), Some(seq), "stores commit in order");
+    }
+
+    /// In-flight stores tracked (never more than the store queue holds).
+    pub(crate) fn stores_in_flight(&self) -> usize {
+        self.stores.len()
     }
 
     /// Is any store older than `load_seq` still awaiting its address?
-    /// (The conservative disambiguation gate.) The list is age-ordered,
-    /// so this is a probe of its oldest element.
+    /// (The conservative disambiguation gate.)
     pub(crate) fn has_unresolved_store_before(&self, load_seq: u64) -> bool {
-        self.unresolved_stores
-            .first()
-            .is_some_and(|&s| s < load_seq)
+        self.stores
+            .iter()
+            .take_while(|s| s.seq < load_seq)
+            .any(|s| !s.resolved)
     }
 
     /// The youngest store older than `load_seq` whose byte range overlaps
@@ -242,17 +220,12 @@ impl Scheduler {
         load_seq: u64,
         load_range: (u64, u64),
     ) -> Option<u64> {
-        let mut youngest: Option<u64> = None;
-        for chunk in chunks(load_range) {
-            if let Some(stores) = self.store_chunks.get(&chunk) {
-                for &(seq, range) in stores {
-                    if seq < load_seq && ranges_overlap(range, load_range) {
-                        youngest = Some(youngest.map_or(seq, |y| y.max(seq)));
-                    }
-                }
-            }
-        }
-        youngest
+        self.stores
+            .iter()
+            .rev()
+            .skip_while(|s| s.seq >= load_seq)
+            .find(|s| ranges_overlap(s.range, load_range))
+            .map(|s| s.seq)
     }
 
     /// Drop any bookkeeping for a committed instruction. The event-driven
@@ -341,20 +314,20 @@ mod tests {
             s.youngest_overlapping_store_before(2, (0x104, 0x108)),
             Some(1)
         );
-        // Same chunk, disjoint bytes: the exact range check filters it.
+        // Neighbouring but disjoint bytes: store 3 does not count.
         assert_eq!(
             s.youngest_overlapping_store_before(4, (0x106, 0x108)),
             Some(1)
         );
         assert_eq!(s.youngest_overlapping_store_before(6, (0x300, 0x308)), None);
-        s.retire_store(1, (0x100, 0x108));
+        s.retire_store(1);
         assert_eq!(s.youngest_overlapping_store_before(2, (0x104, 0x108)), None);
     }
 
     #[test]
     fn unaligned_ranges_index_across_chunk_boundaries() {
         let mut s = Scheduler::new(8);
-        // Bytes [0x106, 0x10a) straddle chunks 0x20 and 0x21.
+        // Bytes [0x106, 0x10a) straddle an 8-byte boundary.
         s.add_store(1, (0x106, 0x10a));
         assert_eq!(
             s.youngest_overlapping_store_before(9, (0x108, 0x110)),
@@ -364,7 +337,7 @@ mod tests {
             s.youngest_overlapping_store_before(9, (0x100, 0x107)),
             Some(1)
         );
-        s.retire_store(1, (0x106, 0x10a));
+        s.retire_store(1);
         assert_eq!(s.youngest_overlapping_store_before(9, (0x108, 0x110)), None);
     }
 
@@ -376,5 +349,67 @@ mod tests {
         assert!(!s.has_unresolved_store_before(4));
         s.resolve_store(4);
         assert!(!s.has_unresolved_store_before(5));
+        // A resolved older store does not hide an unresolved one behind it.
+        s.add_store(6, (0x200, 0x208));
+        assert!(!s.has_unresolved_store_before(6));
+        assert!(s.has_unresolved_store_before(7));
+        s.retire_store(4);
+        assert!(s.has_unresolved_store_before(7));
+    }
+
+    #[test]
+    fn store_queue_stays_bounded_by_the_stores_in_flight() {
+        // A long random stream of dispatches, address resolutions and
+        // in-order commits, checked against a plain list of the stores in
+        // flight: the queue answers every query the same way and never
+        // holds more entries than there are stores in flight.
+        let mut s = Scheduler::new(64);
+        let mut model: Vec<(u64, (u64, u64), bool)> = Vec::new();
+        let mut next_seq = 0u64;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..100_000 {
+            let r = rand();
+            match r % 4 {
+                0 | 1 if model.len() < 16 => {
+                    let size = 1u64 << ((r >> 8) % 4);
+                    let start = 0x1000 + ((r >> 16) % 64) * size;
+                    next_seq += 1 + (r >> 32) % 3;
+                    s.add_store(next_seq, (start, start + size));
+                    model.push((next_seq, (start, start + size), false));
+                }
+                2 if !model.is_empty() => {
+                    let at = (r >> 8) as usize % model.len();
+                    model[at].2 = true;
+                    s.resolve_store(model[at].0);
+                }
+                _ if !model.is_empty() => {
+                    s.retire_store(model.remove(0).0);
+                }
+                _ => {}
+            }
+            assert_eq!(s.stores_in_flight(), model.len());
+            let load_seq = model.first().map_or(0, |m| m.0) + (r >> 40) % 24;
+            let start = 0x1000 + (r >> 48) % 64 * 8;
+            let load = (start, start + 8);
+            let expected = model
+                .iter()
+                .rev()
+                .find(|m| m.0 < load_seq && ranges_overlap(m.1, load))
+                .map(|m| m.0);
+            assert_eq!(
+                s.youngest_overlapping_store_before(load_seq, load),
+                expected
+            );
+            assert_eq!(
+                s.has_unresolved_store_before(load_seq),
+                model.iter().any(|m| m.0 < load_seq && !m.2)
+            );
+        }
     }
 }

@@ -146,6 +146,49 @@ impl ChunkSlotMap {
     }
 }
 
+/// What one cycle did at the data-cache ports without changing any
+/// state: the slots its MSHR-full probes took, the requests turned away,
+/// and the rejection counters they bumped. A parked cycle's tally is
+/// what each of its exact repeats would record again.
+#[derive(Debug, Clone, Copy, Default)]
+struct ParkedTally {
+    slots_used: u32,
+    port_rejects: u32,
+    mshr_full: u64,
+    no_port: u64,
+    bank_conflicts: u64,
+    sb_conflicts: u64,
+}
+
+/// Counter readings taken at `begin_cycle`, so `end_cycle` can tell what
+/// the cycle did from the differences.
+#[derive(Debug, Clone, Copy, Default)]
+struct CycleMarks {
+    /// Loads accepted + stores accepted + stores drained + stores
+    /// rejected: any change means the cycle moved state (or, for a
+    /// rejected committed store, retries on the CPU side).
+    activity: u64,
+    mshr_full: u64,
+    no_port: u64,
+    bank_conflicts: u64,
+    sb_conflicts: u64,
+}
+
+impl CycleMarks {
+    fn read(stats: &MemStats) -> CycleMarks {
+        CycleMarks {
+            activity: stats.loads.get()
+                + stats.stores.get()
+                + stats.store_drains.get()
+                + stats.store_rejected.get(),
+            mshr_full: stats.load_mshr_full.get(),
+            no_port: stats.load_no_port.get(),
+            bank_conflicts: stats.bank_conflicts.get(),
+            sb_conflicts: stats.load_sb_conflicts.get(),
+        }
+    }
+}
+
 /// The L1 data cache and its port-efficiency structures.
 #[derive(Debug, Clone)]
 pub struct DCache {
@@ -165,6 +208,11 @@ pub struct DCache {
     /// the CPU holds these in its queues and retries, so the count is the
     /// depth of the implicit port request queue.
     cycle_port_rejects: u32,
+    /// Counter readings at the start of this cycle.
+    cycle_marks: CycleMarks,
+    /// The last closed cycle's tally, when that cycle accepted, drained
+    /// and rejected nothing (it was parked on the memory system).
+    parked: Option<ParkedTally>,
     /// Tagged next-line prefetching on demand misses.
     next_line_prefetch: bool,
     /// Prefetched lines not yet touched by a demand access.
@@ -199,6 +247,8 @@ impl DCache {
             cycle_chunks: ChunkSlotMap::new(config.ports.count),
             cycle_banks: Vec::with_capacity(config.ports.count as usize),
             cycle_port_rejects: 0,
+            cycle_marks: CycleMarks::default(),
+            parked: None,
             next_line_prefetch: config.next_line_prefetch,
             prefetched_pending: HashSet::new(),
             victims: VictimCache::new(config.victim_cache),
@@ -250,7 +300,7 @@ impl DCache {
             let line_bytes = self.line_bytes();
             self.line_buffers
                 .invalidate_overlapping(Addr::new(evicted.line_addr), line_bytes);
-            self.prefetched_pending.remove(&evicted.line_addr);
+            self.forget_prefetch(evicted.line_addr);
             self.retire_victim(now, evicted.line_addr, evicted.dirty, backside, stats);
         }
         Some(now + self.latencies.l1_hit + VictimCache::SWAP_LATENCY)
@@ -284,9 +334,19 @@ impl DCache {
     }
 
     /// A demand access touched `line`; if a prefetch brought it, credit it.
+    /// The set is empty unless prefetching is on, so the hash is skipped
+    /// on the common path.
     fn credit_prefetch(&mut self, line: u64, stats: &mut MemStats) {
-        if self.prefetched_pending.remove(&line) {
+        if !self.prefetched_pending.is_empty() && self.prefetched_pending.remove(&line) {
             stats.prefetch_useful.inc();
+        }
+    }
+
+    /// `line` left the L1: if a prefetch brought it and no demand access
+    /// touched it, it can no longer earn credit.
+    fn forget_prefetch(&mut self, line: u64) {
+        if !self.prefetched_pending.is_empty() {
+            self.prefetched_pending.remove(&line);
         }
     }
 
@@ -300,6 +360,7 @@ impl DCache {
         self.cycle_chunks.clear();
         self.cycle_banks.clear();
         self.cycle_port_rejects = 0;
+        self.cycle_marks = CycleMarks::read(stats);
         let line_bytes = self.line_bytes();
         for (line_addr, dirty, allocated_at) in self.mshr.take_completed(now) {
             stats
@@ -311,7 +372,7 @@ impl DCache {
                 // an unused prefetched victim can no longer earn credit.
                 self.line_buffers
                     .invalidate_overlapping(Addr::new(victim.line_addr), line_bytes);
-                self.prefetched_pending.remove(&victim.line_addr);
+                self.forget_prefetch(victim.line_addr);
                 self.retire_victim(now, victim.line_addr, victim.dirty, backside, stats);
             }
         }
@@ -566,6 +627,15 @@ impl DCache {
         stats
             .port_queue_depth
             .record(u64::from(self.cycle_port_rejects));
+        let (start, end) = (self.cycle_marks, CycleMarks::read(stats));
+        self.parked = (start.activity == end.activity).then_some(ParkedTally {
+            slots_used: self.slots_used,
+            port_rejects: self.cycle_port_rejects,
+            mshr_full: end.mshr_full - start.mshr_full,
+            no_port: end.no_port - start.no_port,
+            bank_conflicts: end.bank_conflicts - start.bank_conflicts,
+            sb_conflicts: end.sb_conflicts - start.sb_conflicts,
+        });
     }
 
     /// Write `addr`'s line in the cache (hit) or route it through the MSHR
@@ -621,22 +691,51 @@ impl DCache {
         }
     }
 
-    /// Account `n` cycles the CPU skipped while the memory system had no
-    /// work: no access was presented, the store buffer stayed empty, and
-    /// no fill arrived. Mirrors the per-cycle accounting [`end_cycle`]
-    /// would have performed on each of those cycles (zero slots used,
-    /// zero rejects, an empty store buffer), so skipping leaves every
-    /// statistic bit-identical to stepping.
+    /// `true` when the last closed cycle accepted no load, accepted,
+    /// drained and rejected no store — so, absent a fill, the next cycle
+    /// presented with the same requests repeats it exactly.
+    pub fn last_cycle_parked(&self) -> bool {
+        self.parked.is_some()
+    }
+
+    /// Account `n` cycles the CPU skipped. Idle cycles (`parked` false)
+    /// saw no access, an empty store buffer and no fill; parked cycles
+    /// repeated the last closed cycle, which [`DCache::last_cycle_parked`]
+    /// reported. Either way this mirrors the accounting
+    /// [`end_cycle`] would have performed on each of those cycles, so
+    /// skipping leaves every statistic bit-identical to stepping.
     ///
     /// [`end_cycle`]: DCache::end_cycle
-    pub fn record_idle_cycles(&self, n: u64, stats: &mut MemStats) {
+    pub fn record_skipped_cycles(&self, n: u64, parked: bool, stats: &mut MemStats) {
+        let tally = if parked {
+            self.parked.expect("the last closed cycle was parked")
+        } else {
+            ParkedTally::default()
+        };
+        stats
+            .port_slots_used
+            .add(u64::from(tally.slots_used).saturating_mul(n));
         stats
             .port_slots_offered
             .add(u64::from(self.ports.count).saturating_mul(n));
-        stats.slots_per_cycle.record_n(0, n);
+        stats
+            .slots_per_cycle
+            .record_n(u64::from(tally.slots_used), n);
         stats.mshr_occupancy.record_n(self.mshr.len() as u64, n);
-        stats.store_buffer_occupancy.record_n(0, n);
-        stats.port_queue_depth.record_n(0, n);
+        stats
+            .store_buffer_occupancy
+            .record_n(self.store_buffer.len() as u64, n);
+        stats
+            .port_queue_depth
+            .record_n(u64::from(tally.port_rejects), n);
+        stats.load_mshr_full.add(tally.mshr_full.saturating_mul(n));
+        stats.load_no_port.add(tally.no_port.saturating_mul(n));
+        stats
+            .bank_conflicts
+            .add(tally.bank_conflicts.saturating_mul(n));
+        stats
+            .load_sb_conflicts
+            .add(tally.sb_conflicts.saturating_mul(n));
     }
 
     /// Earliest cycle an outstanding fill arrives, if any — the bound the

@@ -137,11 +137,19 @@ impl MemSystem {
         self.dcache.next_fill_at()
     }
 
-    /// Account `n` skipped cycles during which the CPU presented no
-    /// access and the store buffer was empty. Keeps the per-cycle memory
-    /// statistics bit-identical to having stepped those cycles.
-    pub fn record_idle_cycles(&mut self, n: u64) {
-        self.dcache.record_idle_cycles(n, &mut self.stats);
+    /// `true` when the last closed cycle changed no data-cache state and
+    /// rejected no committed store (see [`DCache::last_cycle_parked`]).
+    pub fn last_cycle_parked(&self) -> bool {
+        self.dcache.last_cycle_parked()
+    }
+
+    /// Account `n` skipped cycles: idle ones (no access presented, an
+    /// empty store buffer) or, with `parked`, exact repeats of the last
+    /// closed cycle. Keeps the per-cycle memory statistics bit-identical
+    /// to having stepped those cycles.
+    pub fn record_skipped_cycles(&mut self, n: u64, parked: bool) {
+        self.dcache
+            .record_skipped_cycles(n, parked, &mut self.stats);
     }
 
     /// Accumulated statistics.

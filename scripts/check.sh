@@ -255,6 +255,25 @@ grep -q '"kind":"fabric"' "$scratch/fabric_metrics.json"
 grep -q '"status_queries":1' "$scratch/fabric_metrics.json"
 grep -q '"thread_name"' "$scratch/fabric_trace.json"
 
+# Hostile-input gate: no input may abort the process. A file of 200,000
+# `[` once overflowed the JSON reader's stack (exit 134); `cpe validate`
+# and `cpe diff` must now refuse it as a user error — exit 2 with a
+# message on stderr.
+echo "== hostile input: deeply nested JSON exits 2, not abort" >&2
+head -c 200000 /dev/zero | tr '\0' '[' > "$scratch/deep.json"
+echo '{"x":1}' > "$scratch/shallow.json"
+for args in "validate $scratch/deep.json" \
+    "diff $scratch/deep.json $scratch/shallow.json"; do
+    status=0
+    # shellcheck disable=SC2086 # the paths contain no spaces
+    "$cpe_bin" $args > /dev/null 2> "$scratch/deep.err" || status=$?
+    [ "$status" = 2 ] && grep -q "nesting deeper than" "$scratch/deep.err" || {
+        echo "hostile-input gate: \`cpe $args\` exited $status:" >&2
+        cat "$scratch/deep.err" >&2
+        exit 1
+    }
+done
+
 echo "== fabric chaos: seeded fuzz cases" >&2
 cargo run --release --bin cpe -q -- fuzz-fabric --cases 2 --seed "$$" \
     >/dev/null

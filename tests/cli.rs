@@ -638,6 +638,51 @@ fn serve_stdin_answers_requests_and_reports_cache_status() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_user_error_not_an_abort() {
+    use std::process::Stdio;
+    let dir = tempdir();
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let shallow = dir.join("shallow.json");
+    std::fs::write(&shallow, "{\"x\":1}").unwrap();
+    for args in [
+        vec!["validate".into(), deep.clone()],
+        vec!["diff".into(), deep.clone(), shallow.clone()],
+        vec!["diff".into(), shallow.clone(), deep.clone()],
+    ] {
+        let output = cpe().args(&args as &[std::path::PathBuf]).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("nesting deeper than"), "{stderr}");
+    }
+
+    // On the wire: one 60,000-byte request line (inside the request cap)
+    // gets an error reply and the server answers the next request.
+    let mut child = cpe()
+        .args(["serve", "--stdin", "--no-cache", "--max", "2000"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut requests = "[".repeat(60_000).into_bytes();
+    requests.extend_from_slice(b"\n{\"cmd\":\"stats\"}\n");
+    child.stdin.take().unwrap().write_all(&requests).unwrap();
+    let output = child.wait_with_output().unwrap();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(lines[0].contains("\"error\""), "{}", lines[0]);
+    assert!(lines[0].contains("nesting deeper than"), "{}", lines[0]);
+    assert!(lines[1].contains("\"jobs\":0"), "{}", lines[1]);
+}
+
+#[test]
 fn serve_requires_exactly_one_transport() {
     for args in [
         vec!["serve"],
