@@ -112,6 +112,50 @@ impl RecordedWorkload {
     }
 }
 
+/// Admit a recording read from outside bytes to a timed run of at most
+/// `max_insts` committed instructions. [`cpe_isa::replay::parse_recorded`]
+/// has checked the format; this checks what the timing model assumes of
+/// the stream:
+///
+/// * a capped recording covers the window plus [`RECORD_HEADROOM`], so
+///   the run never reaches the cut and never times a truncated stream;
+/// * every load and store carries an effective address whose access does
+///   not wrap the address space, and no other instruction carries one.
+///   The emulator only produces such records; a file may not.
+///
+/// # Errors
+///
+/// [`SimError::Trace`] naming the record the run cannot get past.
+pub fn check_replayable(trace: &RecordedTrace, max_insts: Option<u64>) -> Result<(), SimError> {
+    let records = trace.records();
+    if !trace.complete()
+        && max_insts.is_none_or(|max| max.saturating_add(RECORD_HEADROOM) > records)
+    {
+        return Err(SimError::Trace {
+            index: records,
+            message: format!(
+                "the recording was capped at {records} record(s), so it can time at most {} \
+                 instruction(s)",
+                records.saturating_sub(RECORD_HEADROOM)
+            ),
+        });
+    }
+    let malformed = trace.iter().enumerate().find(|(_, di)| match di.mem_addr {
+        Some(addr) => !di.inst.op.is_mem() || addr.checked_add(di.mem_bytes()).is_none(),
+        None => di.inst.op.is_mem(),
+    });
+    match malformed {
+        None => Ok(()),
+        Some((index, di)) => Err(SimError::Trace {
+            index: index as u64,
+            message: format!(
+                "`{}` at pc {:#x} has a malformed memory reference ({:?})",
+                di.inst, di.pc, di.mem_addr
+            ),
+        }),
+    }
+}
+
 impl Simulator {
     /// [`Simulator::try_profile`] over a shared recording instead of live
     /// functional execution — the replay backend's run path. Produces a
@@ -149,6 +193,32 @@ mod tests {
         assert_eq!(BackendKind::Direct.trace_format(), 0);
         assert_eq!(BackendKind::Replay.trace_format(), REPLAY_FORMAT);
         assert_ne!(REPLAY_FORMAT, 0);
+    }
+
+    #[test]
+    fn a_capped_recording_refuses_runs_past_its_window() {
+        let recorded = RecordedWorkload::record(Workload::Sort, Scale::Test, Some(2_000));
+        assert!(check_replayable(recorded.trace(), Some(2_000)).is_ok());
+        for max in [None, Some(2_001)] {
+            let error = check_replayable(recorded.trace(), max).expect_err("past the window");
+            assert!(error.to_string().contains("at most 2000"), "{error}");
+        }
+    }
+
+    #[test]
+    fn malformed_memory_references_become_typed_errors() {
+        let trace: Vec<_> = Workload::Sort.trace(Scale::Test).take(5_000).collect();
+        let load = trace.iter().position(|di| di.inst.op.is_load()).unwrap();
+        let alu = trace.iter().position(|di| !di.inst.op.is_mem()).unwrap();
+        assert!(check_replayable(&RecordedTrace::record(trace.clone(), None), None).is_ok());
+        for (at, mem_addr) in [(load, None), (load, Some(u64::MAX)), (alu, Some(0x1000))] {
+            let mut bad = trace.clone();
+            bad[at].mem_addr = mem_addr;
+            match check_replayable(&RecordedTrace::record(bad, None), None) {
+                Err(SimError::Trace { index, .. }) => assert_eq!(index, at as u64),
+                other => panic!("record {at} with {mem_addr:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

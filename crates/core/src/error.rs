@@ -37,8 +37,8 @@ pub enum SimError {
     InvalidConfig(ConfigError),
     /// The input trace was unreadable or corrupt.
     Trace {
-        /// Zero-based index of the first bad record (records successfully
-        /// decoded before it were simulated).
+        /// Zero-based index of the first bad record; 0 when the trace was
+        /// rejected whole, before any record ran.
         index: u64,
         /// The decoder's diagnosis.
         message: String,

@@ -3,23 +3,24 @@
 //! The robustness contract of the pipeline is simple to state: **no
 //! input may panic or hang the simulator — every failure is a typed
 //! [`SimError`]**. This module is the harness that pounds on that
-//! contract: it records a pristine trace, applies deterministic
+//! contract: it records a pristine CPER trace, applies deterministic
 //! corruptions (bit flips, overwritten bytes, truncations), replays each
 //! mutant through the full timing model, and classifies what comes back.
 //! A panic caught at the boundary is a harness *failure*, not a
 //! statistic.
 //!
 //! Everything is reproducible from `(seed, case index)` — the generator
-//! is a self-contained SplitMix64, so a CI failure names the exact
-//! mutant to replay locally with `cpe fuzz-trace --seed <s>`.
+//! is a self-contained SplitMix64, so a failing campaign names the exact
+//! mutant to replay locally with [`fuzz_traces`] and the same seed.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cpe_isa::trace_io::{write_trace, TraceReader};
+use cpe_isa::replay::{parse_recorded, write_recorded, RecordedTrace};
 use cpe_workloads::synth::{SynthConfig, SyntheticTrace};
 
+use crate::backend::check_replayable;
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::metrics::RunSummary;
@@ -104,9 +105,10 @@ impl Mutation {
     }
 }
 
-/// Run a serialized trace (as produced by
-/// [`cpe_isa::trace_io::write_trace`]) through the timing model,
-/// surfacing header and record corruption as [`SimError::Trace`].
+/// Run a serialised CPER trace (as produced by
+/// [`cpe_isa::replay::write_recorded`]) through the timing model,
+/// surfacing header and record corruption as [`SimError::Trace`] with
+/// the byte offset in its message.
 ///
 /// # Errors
 ///
@@ -120,11 +122,12 @@ pub fn run_trace_bytes(
     max_insts: Option<u64>,
 ) -> Result<RunSummary, SimError> {
     let simulator = Simulator::try_new(config.clone())?;
-    let reader = TraceReader::new(bytes).map_err(|error| SimError::Trace {
+    let trace = parse_recorded(bytes).map_err(|error| SimError::Trace {
         index: 0,
         message: error.to_string(),
     })?;
-    simulator.try_run_trace_results(label, reader, max_insts)
+    check_replayable(&trace, max_insts)?;
+    simulator.try_run_trace(label, trace.iter(), max_insts)
 }
 
 /// The tally of a fuzzing campaign.
@@ -179,7 +182,11 @@ pub fn pristine_trace_bytes() -> Vec<u8> {
         ..SynthConfig::default()
     };
     let mut bytes = Vec::new();
-    write_trace(&mut bytes, SyntheticTrace::new(synth)).expect("in-memory write cannot fail");
+    write_recorded(
+        &mut bytes,
+        &RecordedTrace::record(SyntheticTrace::new(synth), None),
+    )
+    .expect("in-memory write cannot fail");
     bytes
 }
 

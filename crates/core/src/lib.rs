@@ -56,7 +56,7 @@ mod report;
 mod simulator;
 mod validate;
 
-pub use backend::{BackendKind, RecordedWorkload, RECORD_HEADROOM};
+pub use backend::{check_replayable, BackendKind, RecordedWorkload, RECORD_HEADROOM};
 pub use bench::{peak_rss_bytes, BenchEntry, BenchReport};
 pub use config::SimConfig;
 pub use diff::{diff_json, parse_json, DiffEntry, DiffReport, JsonValue};

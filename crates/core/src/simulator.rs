@@ -1,9 +1,5 @@
 //! Binding a configuration to a workload and running it.
 
-use std::cell::RefCell;
-use std::fmt;
-use std::rc::Rc;
-
 use cpe_cpu::Core;
 use cpe_isa::DynInst;
 use cpe_mem::MemSystem;
@@ -127,41 +123,6 @@ impl Simulator {
         Ok(RunSummary::new(&self.config.name, label, result))
     }
 
-    /// Run a stream whose records may themselves fail to decode — e.g. a
-    /// [`cpe_isa::trace_io::TraceReader`] over an untrusted file. Records
-    /// before the first bad one are simulated; the bad record aborts the
-    /// run with its index and diagnosis instead of a partial, silently
-    /// truncated summary.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Trace`] on the first undecodable record,
-    /// [`SimError::Watchdog`] when the pipeline stops making progress.
-    pub fn try_run_trace_results<I, E>(
-        &self,
-        label: &str,
-        trace: I,
-        max_insts: Option<u64>,
-    ) -> Result<RunSummary, SimError>
-    where
-        I: Iterator<Item = Result<DynInst, E>>,
-        E: fmt::Display,
-    {
-        let first_error: Rc<RefCell<Option<(u64, String)>>> = Rc::new(RefCell::new(None));
-        let adapter = FallibleTrace {
-            inner: trace,
-            index: 0,
-            first_error: Rc::clone(&first_error),
-        };
-        let outcome = self.try_run_trace(label, adapter, max_insts);
-        // A corrupt record truncates the stream the core saw, so the trace
-        // error outranks whatever the run made of the shortened tail.
-        if let Some((index, message)) = first_error.borrow_mut().take() {
-            return Err(SimError::Trace { index, message });
-        }
-        outcome
-    }
-
     /// Run with a warm-up window: statistics reset after `warmup_insts`
     /// committed instructions (structures stay warm), and `max_insts`
     /// bounds the measured window — the standard sampled-simulation
@@ -199,35 +160,6 @@ impl Simulator {
         let core = Core::new(self.config.cpu, mem, workload.trace(scale));
         let result = core.try_run_warmed(warmup_insts, max_insts)?;
         Ok(RunSummary::new(&self.config.name, workload.name(), result))
-    }
-}
-
-/// Feeds the core from a fallible record stream, parking the first error
-/// (with its record index) where the caller can retrieve it after the run.
-struct FallibleTrace<I> {
-    inner: I,
-    index: u64,
-    first_error: Rc<RefCell<Option<(u64, String)>>>,
-}
-
-impl<I, E> Iterator for FallibleTrace<I>
-where
-    I: Iterator<Item = Result<DynInst, E>>,
-    E: fmt::Display,
-{
-    type Item = DynInst;
-
-    fn next(&mut self) -> Option<DynInst> {
-        match self.inner.next()? {
-            Ok(di) => {
-                self.index += 1;
-                Some(di)
-            }
-            Err(error) => {
-                *self.first_error.borrow_mut() = Some((self.index, error.to_string()));
-                None
-            }
-        }
     }
 }
 
@@ -278,48 +210,6 @@ mod tests {
         config.cpu.issue_width = 0;
         let error = Simulator::try_new(config).expect_err("zero issue width");
         assert!(error.message.contains("issue width"), "{}", error.message);
-    }
-
-    #[test]
-    fn corrupt_trace_records_become_typed_errors() {
-        use cpe_isa::trace_io::{write_trace, TraceReader};
-
-        let mut synth = SynthConfig::default();
-        synth.insts = 200;
-        let trace: Vec<_> = SyntheticTrace::new(synth).collect();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, trace).expect("in-memory write");
-        bytes.truncate(bytes.len() - 5);
-
-        let sim = Simulator::new(SimConfig::naive_single_port());
-        let reader = TraceReader::new(bytes.as_slice()).expect("header survives");
-        let error = sim
-            .try_run_trace_results("synth", reader, None)
-            .expect_err("truncated record must not pass silently");
-        match &error {
-            SimError::Trace { index, message } => {
-                assert_eq!(*index, 199);
-                assert!(!message.is_empty());
-            }
-            other => panic!("expected a trace error, got {other:?}"),
-        }
-        assert_eq!(error.kind(), "trace");
-    }
-
-    #[test]
-    fn clean_fallible_traces_run_to_completion() {
-        let mut synth = SynthConfig::default();
-        synth.insts = 5_000;
-        let trace: Vec<_> = SyntheticTrace::new(synth).collect();
-        let sim = Simulator::new(SimConfig::naive_single_port());
-        let summary = sim
-            .try_run_trace_results(
-                "synth",
-                trace.into_iter().map(Ok::<_, std::io::Error>),
-                None,
-            )
-            .expect("clean stream");
-        assert_eq!(summary.insts, 5_000);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use cpe_core::faultinject::{
     adversarial_configs, fuzz_traces, pristine_trace_bytes, run_trace_bytes, Mutation, SplitMix64,
 };
 use cpe_core::{SimConfig, SimError};
+use cpe_isa::replay::{REPLAY_FORMAT, REPLAY_MAGIC};
 
 /// The window every property runs under: small enough that thousands of
 /// replays stay cheap, large enough to cover the whole pristine trace.
@@ -63,9 +64,11 @@ proptest! {
     fn valid_header_hostile_body_never_panics(
         body in prop::collection::vec(any::<u8>(), 0..256),
     ) {
-        // A correct magic/version gets the bytes past the gate and into
-        // the record decoder, which is where panics would hide.
-        let mut bytes = b"CPET\x01\x00\x00\x00".to_vec();
+        // A correct magic/format gets the bytes past the gate and into
+        // the header, dictionary and record decoders, which is where
+        // panics and runaway allocations would hide.
+        let mut bytes = REPLAY_MAGIC.to_vec();
+        bytes.extend_from_slice(&REPLAY_FORMAT.to_le_bytes());
         bytes.extend_from_slice(&body);
         let _ = run_trace_bytes(&SimConfig::combined_single_port(), "hostile", &bytes, WINDOW);
     }

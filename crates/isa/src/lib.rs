@@ -57,7 +57,6 @@ mod program;
 mod reg;
 pub mod replay;
 mod trace;
-pub mod trace_io;
 
 pub use emu::{syscalls, EmuError, Emulator, SparseMem};
 pub use encode::{decode, encode, DecodeError};

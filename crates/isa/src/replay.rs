@@ -1,11 +1,12 @@
 //! Record-once / replay-many trace storage ("CPER").
 //!
-//! [`trace_io`](crate::trace_io) serialises [`DynInst`] streams as fixed
-//! 25–33 byte records — simple, but too fat to hold a whole sweep's
-//! functional execution in memory. This module is the compact sibling
-//! behind the replay execution backend: the committed path is recorded
-//! **once** per workload into a [`RecordedTrace`] and replayed through
-//! every timing configuration of a sweep without re-executing semantics.
+//! The one on-disk and in-memory form of a committed path: `cpe trace
+//! record` writes it, `cpe run` replays it, and the replay execution
+//! backend records each workload **once** into a [`RecordedTrace`] and
+//! replays it through every timing configuration of a sweep without
+//! re-executing semantics. A fixed-width record (`pc`, `next_pc` and the
+//! instruction word at 8 bytes each) would spend at least 25 bytes per
+//! instruction; this one averages under 5.
 //!
 //! The encoding exploits the shape of a committed path:
 //!
@@ -490,8 +491,8 @@ pub fn write_recorded<W: Write>(mut writer: W, trace: &RecordedTrace) -> io::Res
 /// offset where one applies.
 pub fn parse_recorded(bytes: &[u8]) -> Result<RecordedTrace, ReplayError> {
     let need = |at: usize, len: usize| -> Result<&[u8], ReplayError> {
-        bytes
-            .get(at..at + len)
+        at.checked_add(len)
+            .and_then(|end| bytes.get(at..end))
             .ok_or(ReplayError::Truncated { offset: at as u64 })
     };
     let magic = need(0, 4)?;
@@ -509,8 +510,10 @@ pub fn parse_recorded(bytes: &[u8]) -> Result<RecordedTrace, ReplayError> {
         cap => Some(cap),
     };
     let dict_len = u32::from_le_bytes(need(25, 4)?.try_into().expect("4 bytes"));
-    let mut dict = Vec::with_capacity(dict_len as usize);
     let mut at = 29usize;
+    // Each entry takes 8 bytes, so the input bounds the reservation: a
+    // hostile count cannot ask for more memory than the file holds.
+    let mut dict = Vec::with_capacity((dict_len as usize).min((bytes.len() - at) / 8));
     for slot in 0..dict_len {
         let word = u64::from_le_bytes(need(at, 8)?.try_into().expect("8 bytes"));
         dict.push(decode(word).map_err(|error| ReplayError::BadInst { slot, error })?);
@@ -614,15 +617,9 @@ mod tests {
     fn compact_beats_the_fixed_record_format() {
         let trace = sample_trace();
         let recorded = RecordedTrace::record(trace.iter().copied(), None);
-        let mut fixed = Vec::new();
-        crate::trace_io::write_trace(&mut fixed, trace.iter().copied()).unwrap();
         let info = recorded.info();
-        assert!(
-            info.payload_bytes * 4 < fixed.len(),
-            "delta encoding should be ≥4× smaller: {} vs {}",
-            info.payload_bytes,
-            fixed.len()
-        );
+        // A fixed record spends at least flags + pc + word + next_pc =
+        // 25 bytes; delta encoding must come in under a fifth of that.
         assert!(info.bytes_per_record() < 5.0, "{}", info.bytes_per_record());
         assert!(info.dict_entries < trace.len());
     }
@@ -733,6 +730,38 @@ mod tests {
         assert!(matches!(
             parse_recorded(&bytes),
             Err(ReplayError::BadDictIndex { .. })
+        ));
+    }
+
+    /// A 29-byte header: magic, format, zero records, complete, no
+    /// window, then `dict_len`.
+    fn hostile_header(dict_len: u32) -> Vec<u8> {
+        let mut bytes = REPLAY_MAGIC.to_vec();
+        bytes.extend_from_slice(&REPLAY_FORMAT.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.push(1);
+        bytes.extend_from_slice(&WINDOW_NONE.to_le_bytes());
+        bytes.extend_from_slice(&dict_len.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_huge_dictionary_count_is_truncation_not_an_allocation() {
+        let bytes = hostile_header(u32::MAX);
+        assert_eq!(bytes.len(), 29);
+        assert!(matches!(
+            parse_recorded(&bytes),
+            Err(ReplayError::Truncated { offset: 29 })
+        ));
+    }
+
+    #[test]
+    fn a_huge_payload_length_is_truncation_not_an_overflow() {
+        let mut bytes = hostile_header(0);
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            parse_recorded(&bytes),
+            Err(ReplayError::Truncated { offset: 37 })
         ));
     }
 

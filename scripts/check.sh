@@ -274,6 +274,32 @@ for args in "validate $scratch/deep.json" \
     }
 done
 
+# The CPER reader once trusted its header's counts: a dictionary length
+# of 0xFFFF_FFFF made it reserve 64 GiB (exit 134), and a payload length
+# of u64::MAX overflowed its bounds check. Both 29/37-byte files must be
+# refused as user errors by every verb that reads a trace.
+echo "== hostile input: CPER headers with huge counts exit 2, not abort" >&2
+header='CPER\001\000\000\000\000\000\000\000\000\000\000\000\001'
+header="$header"'\377\377\377\377\377\377\377\377'
+printf "$header"'\377\377\377\377' > "$scratch/huge_dict.cper"
+printf "$header"'\000\000\000\000\377\377\377\377\377\377\377\377' \
+    > "$scratch/huge_payload.cper"
+for file in huge_dict huge_payload; do
+    for verb in validate "trace info"; do
+        status=0
+        # shellcheck disable=SC2086 # `trace info` is two words on purpose
+        "$cpe_bin" $verb "$scratch/$file.cper" > /dev/null \
+            2> "$scratch/cper.err" || status=$?
+        [ "$status" = 2 ] && grep -q "truncated at byte offset" \
+            "$scratch/cper.err" || {
+            echo "hostile-input gate: \`cpe $verb $file.cper\` exited" \
+                 "$status:" >&2
+            cat "$scratch/cper.err" >&2
+            exit 1
+        }
+    done
+done
+
 echo "== fabric chaos: seeded fuzz cases" >&2
 cargo run --release --bin cpe -q -- fuzz-fabric --cases 2 --seed "$$" \
     >/dev/null

@@ -3,12 +3,15 @@
 //! ```text
 //! cpe asm <file.s>                  assemble and print the listing
 //! cpe trace <file.s> [-n N]         print the first N executed instructions
-//! cpe trace record --workload NAME [--scale S] [--max N] [-o FILE]
-//!                                   record a workload's committed path to a
-//!                                   compact replay trace (CPER format)
+//! cpe trace record (<file.s> | --workload NAME [--scale S]) [--max N] [-o FILE]
+//!                                   record a program's or workload's
+//!                                   committed path to a compact replay
+//!                                   trace (CPER format)
 //! cpe trace info <file.cper>        describe a recorded replay trace
-//! cpe run <file.s> [--config NAME] [--max N] [--detail] [--metrics-json FILE]
-//!                                   run the timing model, print the metrics
+//! cpe run (<file.s> | <file.cper>) [--config NAME] [--max N] [--detail]
+//!         [--metrics-json FILE]
+//!                                   run the timing model over a program or
+//!                                   a recorded trace, print the metrics
 //! cpe profile --workload NAME [--config NAME] [--scale S] [--max N]
 //!             [--interval N] [--ring N] [--trace-out FILE]
 //!             [--trace-format chrome|jsonl] [--metrics-json FILE]
@@ -23,11 +26,6 @@
 //!              [--ring N] [-o FILE]
 //!                                   per-instruction pipeline view of the
 //!                                   newest retained window, Konata format
-//! cpe record <file.s> -o <trace>    record the executed path to a trace file
-//! cpe replay <trace> [--config NAME] [--max N]
-//!                                   run the timing model over a recorded trace
-//! cpe fuzz-trace [--cases N] [--seed S] [--config NAME]
-//!                                   replay corrupted traces; fail on any panic
 //! cpe bench [--name N] [--config NAME] [--max N] [--out FILE] [--jobs N]
 //!                                   benchmark the simulator itself over the
 //!                                   standard workloads; write BENCH_<name>.json
@@ -82,15 +80,14 @@ use cpe::exec::{
     FabricOptions, ResultCache, ServeDefaults, Server, SweepPlan, SweepProgress, SweepResults,
     WorkerOptions, DEFAULT_CACHE_DIR, DEFAULT_EVENT_CAPACITY, FABRIC_SCHEMA,
 };
-use cpe::isa::replay::{parse_recorded, write_recorded, ReplayError, REPLAY_MAGIC};
-use cpe::isa::trace_io::{write_trace, TraceReader};
-use cpe::isa::{asm::assemble, Emulator, Program};
+use cpe::isa::replay::{parse_recorded, write_recorded, RecordedTrace, ReplayError, REPLAY_MAGIC};
+use cpe::isa::{asm::assemble, DynInst, Emulator, Program};
 use cpe::stats::Table;
 use cpe::trace::{build_records, chrome_trace_json, jsonl_record, konata_text, TraceHandle};
 use cpe::workloads::{Scale, Workload};
 use cpe::{
-    diff_json, faultinject, profile_json, BackendKind, BenchReport, ProfileOptions, ProfiledRun,
-    RecordedWorkload, SimConfig, SimError, Simulator,
+    check_replayable, diff_json, profile_json, BackendKind, BenchReport, ProfileOptions,
+    ProfiledRun, SimConfig, Simulator, RECORD_HEADROOM,
 };
 
 fn all_configs() -> Vec<SimConfig> {
@@ -218,6 +215,9 @@ fn print_summary(summary: &cpe::RunSummary) {
     );
 }
 
+/// `cpe run`: time a program, or a CPER trace recognised by its magic.
+/// A trace is fully validated before the first cycle, so a corrupt one
+/// is a `file:offset` diagnosis, never a partial run.
 fn cmd_run(
     path: &str,
     config_name: Option<String>,
@@ -226,13 +226,31 @@ fn cmd_run(
     metrics_json: Option<String>,
 ) -> Result<(), String> {
     let config = resolve_config(config_name)?;
-    let program = load_program(path)?;
+    let bytes = std::fs::read(path).map_err(|error| format!("cannot read `{path}`: {error}"))?;
+    if bytes.starts_with(&REPLAY_MAGIC) {
+        let trace = parse_recorded(&bytes).map_err(|error| replay_diagnosis(path, &error))?;
+        check_replayable(&trace, max).map_err(|error| format!("{path}: {error}"))?;
+        time_stream(config, path, trace.iter(), max, detail, metrics_json)
+    } else {
+        let program = Emulator::new(load_program(path)?);
+        time_stream(config, path, program, max, detail, metrics_json)
+    }
+}
+
+fn time_stream(
+    config: SimConfig,
+    path: &str,
+    trace: impl Iterator<Item = DynInst>,
+    max: Option<u64>,
+    detail: bool,
+    metrics_json: Option<String>,
+) -> Result<(), String> {
     let sim = Simulator::new(config);
     // Plain runs keep the direct path; --detail and --metrics-json go
     // through the profiling driver (identical timing, richer output).
     if detail || metrics_json.is_some() {
         let run = sim
-            .try_profile_trace(path, Emulator::new(program), max, ProfileOptions::default())
+            .try_profile_trace(path, trace, max, ProfileOptions::default())
             .map_err(|error| format!("{path}: {error}"))?;
         if let Some(out) = &metrics_json {
             write_file(out, &profile_json(&run, sim.config()))?;
@@ -244,7 +262,9 @@ fn cmd_run(
             print_summary(&run.summary);
         }
     } else {
-        let summary = sim.run_trace(path, Emulator::new(program), max);
+        let summary = sim
+            .try_run_trace(path, trace, max)
+            .map_err(|error| format!("{path}: {error}"))?;
         print_summary(&summary);
     }
     Ok(())
@@ -466,26 +486,44 @@ fn replay_diagnosis(path: &str, error: &ReplayError) -> String {
     }
 }
 
-/// `cpe trace record`: run a workload functionally and save its
-/// committed path as a compact CPER replay trace. With `--max N` the
+/// `cpe trace record`: run a program or a workload functionally and save
+/// its committed path as a compact CPER replay trace. With `--max N` the
 /// recording keeps the same headroom past the window the replay backend
 /// records, so replaying it reproduces a direct `--max N` run exactly.
 fn cmd_trace_record(args: &[String]) -> Result<(), String> {
-    let workload_name = parse_flag(args, "--workload")
-        .ok_or_else(|| format!("trace record needs --workload NAME\n\n{}", usage()))?;
-    let workload = workload_by_name(&workload_name)
-        .ok_or_else(|| format!("unknown workload `{workload_name}` (see `cpe workloads`)"))?;
-    let scale = parse_scale(args)?;
-    let max = parse_number(args, "--max")?;
-    let out = parse_flag(args, "-o").unwrap_or_else(|| format!("{workload_name}.cper"));
-    let recorded = RecordedWorkload::record(workload, scale, max);
+    let cap = parse_number::<u64>(args, "--max")?.map(|max| max.saturating_add(RECORD_HEADROOM));
+    let sources = (
+        parse_flag(args, "--workload"),
+        &positionals(args, &["--workload", "--scale", "--max", "-o"])[..],
+    );
+    let (name, trace, default_out) = match sources {
+        (Some(name), []) => {
+            let workload = workload_by_name(&name)
+                .ok_or_else(|| format!("unknown workload `{name}` (see `cpe workloads`)"))?;
+            let trace = RecordedTrace::record(workload.trace(parse_scale(args)?), cap);
+            let out = format!("{name}.cper");
+            (name, trace, out)
+        }
+        (None, [path]) => {
+            let trace = RecordedTrace::record(Emulator::new(load_program(path)?), cap);
+            let out = std::path::Path::new(path).with_extension("cper");
+            (path.to_string(), trace, out.display().to_string())
+        }
+        _ => {
+            return Err(format!(
+                "trace record needs a <file.s> or --workload NAME\n\n{}",
+                usage()
+            ))
+        }
+    };
+    let out = parse_flag(args, "-o").unwrap_or(default_out);
     let file =
         std::fs::File::create(&out).map_err(|error| format!("cannot create `{out}`: {error}"))?;
-    let bytes = write_recorded(std::io::BufWriter::new(file), recorded.trace())
+    let bytes = write_recorded(std::io::BufWriter::new(file), &trace)
         .map_err(|error| format!("cannot write `{out}`: {error}"))?;
-    let info = recorded.trace().info();
+    let info = trace.info();
     println!(
-        "recorded {} instruction(s) of {workload_name} to {out}: {bytes} bytes \
+        "recorded {} instruction(s) of {name} to {out}: {bytes} bytes \
          ({:.2} bytes/record, {} dict entries{})",
         info.records,
         info.bytes_per_record(),
@@ -524,59 +562,6 @@ fn cmd_trace_info(path: &str) -> Result<(), String> {
         info.bytes_per_record()
     );
     Ok(())
-}
-
-fn cmd_record(path: &str, output: &str) -> Result<(), String> {
-    let program = load_program(path)?;
-    let file = std::fs::File::create(output)
-        .map_err(|error| format!("cannot create `{output}`: {error}"))?;
-    let written = write_trace(std::io::BufWriter::new(file), Emulator::new(program))
-        .map_err(|error| error.to_string())?;
-    println!("recorded {written} instructions to {output}");
-    Ok(())
-}
-
-fn cmd_replay(path: &str, config_name: Option<String>, max: Option<u64>) -> Result<(), String> {
-    let name = config_name.unwrap_or_else(|| "combined_single_port".to_string());
-    let config = match name.as_str() {
-        "combined_single_port" => SimConfig::combined_single_port(),
-        other => config_by_name(other)
-            .ok_or_else(|| format!("unknown config `{other}` (see `cpe configs`)"))?,
-    };
-    let file =
-        std::fs::File::open(path).map_err(|error| format!("cannot open `{path}`: {error}"))?;
-    let reader = TraceReader::new(std::io::BufReader::new(file))
-        .map_err(|error| format!("{path}: {error}"))?;
-    match Simulator::new(config).try_run_trace_results(path, reader, max) {
-        Ok(summary) => {
-            println!("{summary}");
-            Ok(())
-        }
-        Err(SimError::Trace { index, message }) => Err(format!(
-            "{path}: replay stopped at record {index}: {message}"
-        )),
-        Err(error) => Err(format!("{path}: {error}")),
-    }
-}
-
-fn cmd_fuzz_trace(config_name: Option<String>, cases: u64, seed: u64) -> Result<(), String> {
-    let config = match config_name.as_deref() {
-        None | Some("combined_single_port") => SimConfig::combined_single_port(),
-        Some(other) => config_by_name(other)
-            .ok_or_else(|| format!("unknown config `{other}` (see `cpe configs`)"))?,
-    };
-    println!("config: {config}");
-    println!("seed: {seed:#x}");
-    let report = faultinject::fuzz_traces(&config, cases, seed);
-    println!("{report}");
-    if report.passed() {
-        Ok(())
-    } else {
-        Err(format!(
-            "fuzzing violated the no-panic contract in {} case(s)",
-            report.panics.len()
-        ))
-    }
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
@@ -1080,8 +1065,8 @@ fn cmd_configs() {
 
 fn usage() -> &'static str {
     "usage:\n  cpe asm <file.s>\n  cpe trace <file.s> [-n N]\n  \
-     cpe trace record --workload NAME [--scale S] [--max N] [-o FILE]\n  \
-     cpe trace info <file.cper>\n  cpe run <file.s> \
+     cpe trace record (<file.s> | --workload NAME [--scale S]) [--max N] [-o FILE]\n  \
+     cpe trace info <file.cper>\n  cpe run (<file.s> | <file.cper>) \
      [--config NAME] [--max N] [--detail] [--metrics-json FILE]\n  cpe profile \
      --workload NAME [--config NAME] [--scale test|small|full] [--max N]\n              \
      [--interval N] [--ring N] [--trace-out FILE] [--trace-format chrome|jsonl]\n              \
@@ -1089,8 +1074,6 @@ fn usage() -> &'static str {
      cpe explain <CONFIG_A> <CONFIG_B> [--workload NAME] [--scale S] [--max N]\n  \
      cpe pipeview --workload NAME [--config NAME] [--scale S] [--max N]\n               \
      [--ring N] [-o FILE]\n  \
-     cpe record <file.s> -o <trace>\n  cpe replay <trace> [--config NAME] [--max N]\n  \
-     cpe fuzz-trace [--cases N] [--seed S] [--config NAME]\n  \
      cpe bench [--name N] [--config NAME] [--max N] [--out FILE] [--jobs N]\n  \
      cpe sweep [--jobs N] [--scale test|small|full] [--max N] [--configs a,b]\n            \
      [--workloads x,y] [--backend direct|replay] [--no-cache] [--cache-dir DIR]\n            \
@@ -1191,22 +1174,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                 &[],
             )?;
             done(cmd_pipeview(&args[1..]))
-        }
-        Some("record") if args.len() >= 2 => {
-            reject_unknown_flags(&args[1..], &["-o"], &[])?;
-            let output = parse_flag(args, "-o").unwrap_or_else(|| "trace.cpet".to_string());
-            done(cmd_record(&args[1], &output))
-        }
-        Some("replay") if args.len() >= 2 => {
-            reject_unknown_flags(&args[1..], &["--config", "--max"], &[])?;
-            let max = parse_number(args, "--max")?;
-            done(cmd_replay(&args[1], parse_flag(args, "--config"), max))
-        }
-        Some("fuzz-trace") => {
-            reject_unknown_flags(&args[1..], &["--config", "--cases", "--seed"], &[])?;
-            let cases = parse_number(args, "--cases")?.unwrap_or(500);
-            let seed = parse_number(args, "--seed")?.unwrap_or(0xC0FFEE);
-            done(cmd_fuzz_trace(parse_flag(args, "--config"), cases, seed))
         }
         Some("bench") => {
             reject_unknown_flags(

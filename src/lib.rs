@@ -37,12 +37,12 @@
 //! ```
 
 pub use cpe_core::{
-    config_json, detailed_report, diff_json, explain_report, faultinject, parse_json,
-    peak_rss_bytes, profile_json, summary_json, validate_cpi_stacks, BackendKind, BenchEntry,
-    BenchReport, ConfigError, CpiStack, DiffEntry, DiffReport, EpochMetrics, ExecBackend,
-    Experiment, JsonValue, MetricsSeries, ProfileOptions, ProfiledRun, RecordedWorkload, ResultRow,
-    RunSummary, SelfProfile, SimConfig, SimError, Simulator, StallCause, METRICS_SCHEMA,
-    RECORD_HEADROOM,
+    check_replayable, config_json, detailed_report, diff_json, explain_report, faultinject,
+    parse_json, peak_rss_bytes, profile_json, summary_json, validate_cpi_stacks, BackendKind,
+    BenchEntry, BenchReport, ConfigError, CpiStack, DiffEntry, DiffReport, EpochMetrics,
+    ExecBackend, Experiment, JsonValue, MetricsSeries, ProfileOptions, ProfiledRun,
+    RecordedWorkload, ResultRow, RunSummary, SelfProfile, SimConfig, SimError, Simulator,
+    StallCause, METRICS_SCHEMA, RECORD_HEADROOM,
 };
 
 /// The miniature RISC ISA: instructions, assembler, functional emulator.

@@ -53,9 +53,6 @@ fn usage_covers_every_subcommand() {
         "cpe run",
         "cpe profile",
         "cpe compare",
-        "cpe record",
-        "cpe replay",
-        "cpe fuzz-trace",
         "cpe bench",
         "cpe sweep",
         "cpe cache",
@@ -151,24 +148,31 @@ fn unknown_config_is_a_clean_error() {
     assert!(stderr.contains("unknown config"), "{stderr}");
 }
 
+/// Record `prog.s` to `prog.cper` next to it.
+fn record_program(program: &std::path::Path) -> std::path::PathBuf {
+    let recorded = cpe()
+        .args(["trace", "record"])
+        .arg(program)
+        .output()
+        .unwrap();
+    assert!(
+        recorded.status.success(),
+        "{}",
+        String::from_utf8_lossy(&recorded.stderr)
+    );
+    let trace = program.with_extension("cper");
+    assert!(trace.exists());
+    trace
+}
+
 #[test]
 fn record_then_replay_matches_run() {
     let dir = tempdir();
     let program = write_program(&dir);
-    let trace = dir.join("prog.cpet");
-
-    let recorded = cpe()
-        .args(["record"])
-        .arg(&program)
-        .arg("-o")
-        .arg(&trace)
-        .output()
-        .unwrap();
-    assert!(recorded.status.success());
-    assert!(trace.exists());
+    let trace = record_program(&program);
 
     let direct = cpe().args(["run"]).arg(&program).output().unwrap();
-    let replayed = cpe().args(["replay"]).arg(&trace).output().unwrap();
+    let replayed = cpe().args(["run"]).arg(&trace).output().unwrap();
     assert!(replayed.status.success());
     let direct_out = String::from_utf8_lossy(&direct.stdout);
     let replayed_out = String::from_utf8_lossy(&replayed.stdout);
@@ -204,27 +208,83 @@ fn workloads_and_configs_listings() {
 fn replay_of_a_corrupt_trace_names_the_record_and_exits_2() {
     let dir = tempdir();
     let program = write_program(&dir);
-    let trace = dir.join("corrupt.cpet");
+    let trace = record_program(&program);
+
+    // Set an undefined flag bit in the first record: the diagnosis names
+    // the file and the record's byte offset, before any cycle runs.
+    let mut bytes = std::fs::read(&trace).unwrap();
+    let dict_len = u32::from_le_bytes(bytes[25..29].try_into().unwrap()) as usize;
+    let first_record = 29 + 8 * dict_len + 8;
+    bytes[first_record] |= 0x80;
+    std::fs::write(&trace, &bytes).unwrap();
+
+    let output = cpe().args(["run"]).arg(&trace).output().unwrap();
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let expected = format!("{}:{first_record}: undefined flag bits", trace.display());
+    assert!(stderr.contains(&expected), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn a_capped_recording_is_not_replayed_past_its_window() {
+    let dir = tempdir();
+    let trace = dir.join("sort.cper");
     let recorded = cpe()
-        .args(["record"])
-        .arg(&program)
-        .arg("-o")
+        .args(["trace", "record", "--workload", "sort"])
+        .args(["--max", "1000", "-o"])
         .arg(&trace)
         .output()
         .unwrap();
     assert!(recorded.status.success());
 
-    // Chop mid-record: the replay must stop there, not unwind.
-    let mut bytes = std::fs::read(&trace).unwrap();
-    let len = bytes.len();
-    bytes.truncate(len - 7);
-    std::fs::write(&trace, &bytes).unwrap();
+    let inside = cpe()
+        .args(["run"])
+        .arg(&trace)
+        .args(["--max", "1000"])
+        .output()
+        .unwrap();
+    assert!(
+        inside.status.success(),
+        "{}",
+        String::from_utf8_lossy(&inside.stderr)
+    );
+    for past in [vec![], vec!["--max", "1001"]] {
+        let output = cpe()
+            .args(["run"])
+            .arg(&trace)
+            .args(&past)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(2), "{past:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("can time at most 1000"), "{stderr}");
+    }
+}
 
-    let output = cpe().args(["replay"]).arg(&trace).output().unwrap();
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("stopped at record"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+#[test]
+fn hostile_cper_headers_exit_2_not_abort() {
+    let dir = tempdir();
+    // Magic, format 1, 0 records, complete, no window, then dict_len.
+    let mut header = b"CPER\x01\x00\x00\x00".to_vec();
+    header.extend_from_slice(&0u64.to_le_bytes());
+    header.push(1);
+    header.extend_from_slice(&u64::MAX.to_le_bytes());
+    let mut huge_dict = header.clone();
+    huge_dict.extend_from_slice(&u32::MAX.to_le_bytes());
+    let mut huge_payload = header;
+    huge_payload.extend_from_slice(&0u32.to_le_bytes());
+    huge_payload.extend_from_slice(&u64::MAX.to_le_bytes());
+    for (name, bytes) in [("dict.cper", huge_dict), ("payload.cper", huge_payload)] {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        for verb in [&["validate"][..], &["trace", "info"], &["run"]] {
+            let output = cpe().args(verb).arg(&path).output().unwrap();
+            assert_eq!(output.status.code(), Some(2), "{verb:?} {name}");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(stderr.contains("truncated at byte offset"), "{stderr}");
+        }
+    }
 }
 
 #[test]
@@ -261,22 +321,6 @@ fn unknown_flags_are_rejected() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown flag `--frobnicate`"), "{stderr}");
     assert!(stderr.contains("usage:"), "{stderr}");
-}
-
-#[test]
-fn fuzz_trace_reports_a_clean_campaign() {
-    let output = cpe()
-        .args(["fuzz-trace", "--cases", "25", "--seed", "7"])
-        .output()
-        .unwrap();
-    assert!(
-        output.status.success(),
-        "{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("fuzzed 25 corrupted traces"), "{stdout}");
-    assert!(stdout.contains("no panics, no hangs"), "{stdout}");
 }
 
 #[test]
