@@ -3,10 +3,22 @@
 //! A [`SweepPlan`] is the grid `cpe sweep` runs: every cell is one
 //! [`Job`], executed through the work-stealing scheduler with the result
 //! cache in front. Aggregates (the IPC table and the sweep metrics
-//! document) are built exclusively from each cell's parsed document via
-//! the deterministic renderer, so they are **byte-identical** across
-//! worker counts and across fresh-vs-cached runs — the property
-//! `crates/exec/tests/parallel_matches_serial.rs` pins down.
+//! document) are built exclusively from what each cell's document says
+//! once parsed, via the deterministic renderer, so they are
+//! **byte-identical** across worker counts and across fresh-vs-cached
+//! runs — the property `crates/exec/tests/parallel_matches_serial.rs`
+//! pins down.
+//!
+//! [`SweepResults::assemble`] parses each document once and keeps only
+//! what the aggregates read: the parsed `summary` (the table's source)
+//! and the rendered `,"summary":…,"distributions":…,"cpi_stack":…}`
+//! fragment the aggregate document splices after the cell's head. The
+//! tree — `epochs`, `config` and `self_profile` included — is dropped
+//! before the next document is parsed, so a result set holds each
+//! cell's document plus about 4.3 KB instead of a ~105 KB tree. The
+//! fragment is the same `parse` → `member` → `render` output an
+//! aggregate built from the whole tree would splice, so the bytes
+//! cannot differ; a test keeps that tree-holding path as an oracle.
 
 use std::fmt;
 use std::time::Instant;
@@ -18,7 +30,7 @@ use cpe_workloads::{Scale, Workload};
 use crate::cache::ResultCache;
 use crate::job::{execute_jobs_traced, preset_configs, scale_name, CacheStatus, Job, JobOutcome};
 use crate::observe::SweepProgress;
-use crate::render::{member, number_at, parse, render};
+use crate::render::{escape_text, member, number_at, parse, render};
 use crate::traces::TraceStore;
 
 /// The grid a sweep executes: configurations × workloads at one scale
@@ -225,12 +237,55 @@ impl fmt::Display for SweepStats {
     }
 }
 
-/// The completed sweep: every cell's outcome plus parsed document.
+/// What a cell's aggregates read of its document, extracted once at
+/// assembly time so the document's tree (its `epochs`, `config` and
+/// `self_profile` included) is dropped before the next cell is parsed.
+#[derive(Debug, Clone)]
+struct CellAggregate {
+    /// The parsed `summary` object, when the document has one: the
+    /// source of every table cell.
+    summary: Option<JsonValue>,
+    /// The cell's entry in the aggregate document after its head:
+    /// `,"summary":…,"distributions":…,"cpi_stack":…}` rendered from the
+    /// parsed members, or `,"failed":"malformed"}` when one is missing.
+    fragment: String,
+}
+
+impl CellAggregate {
+    /// Parse one cell document and keep only what the aggregates read.
+    /// The members go through the same `parse` → `member` → `render`
+    /// pipeline an aggregate built from the whole tree would use, so the
+    /// output bytes are the same by construction.
+    fn extract(document: &str) -> Result<CellAggregate, SimError> {
+        let tree = parse(document).map_err(|message| SimError::Trace { index: 0, message })?;
+        let summary = member(&tree, "summary");
+        let fragment = match (
+            summary,
+            member(&tree, "distributions"),
+            member(&tree, "cpi_stack"),
+        ) {
+            (Some(summary), Some(distributions), Some(cpi_stack)) => format!(
+                ",\"summary\":{},\"distributions\":{},\"cpi_stack\":{}}}",
+                render(summary),
+                render(distributions),
+                render(cpi_stack)
+            ),
+            _ => ",\"failed\":\"malformed\"}".to_string(),
+        };
+        Ok(CellAggregate {
+            summary: summary.cloned(),
+            fragment,
+        })
+    }
+}
+
+/// The completed sweep: every cell's outcome plus what the aggregates
+/// read of its document.
 #[derive(Debug, Clone)]
 pub struct SweepResults {
     plan: SweepPlan,
     outcomes: Vec<JobOutcome>,
-    cells: Vec<Result<JsonValue, SimError>>,
+    cells: Vec<Result<CellAggregate, SimError>>,
     /// Cost and cache accounting for the run.
     pub stats: SweepStats,
 }
@@ -254,12 +309,10 @@ impl SweepResults {
             plan.configs.len() * plan.workloads.len(),
             "one outcome per grid cell"
         );
-        let cells: Vec<Result<JsonValue, SimError>> = outcomes
+        let cells: Vec<Result<CellAggregate, SimError>> = outcomes
             .iter()
             .map(|outcome| match &outcome.document {
-                Ok(document) => {
-                    parse(document).map_err(|message| SimError::Trace { index: 0, message })
-                }
+                Ok(document) => CellAggregate::extract(document),
                 Err(error) => Err(error.clone()),
             })
             .collect();
@@ -296,7 +349,7 @@ impl SweepResults {
         &self.plan
     }
 
-    fn cell(&self, workload_index: usize, config_index: usize) -> &Result<JsonValue, SimError> {
+    fn cell(&self, workload_index: usize, config_index: usize) -> &Result<CellAggregate, SimError> {
         &self.cells[workload_index * self.plan.configs.len() + config_index]
     }
 
@@ -307,10 +360,8 @@ impl SweepResults {
         config_index: usize,
         field: &str,
     ) -> Option<f64> {
-        number_at(
-            self.cell(workload_index, config_index).as_ref().ok()?,
-            &["summary", field],
-        )
+        let cell = self.cell(workload_index, config_index).as_ref().ok()?;
+        number_at(cell.summary.as_ref()?, &[field])
     }
 
     fn cell_text(&self, workload_index: usize, config_index: usize, field: &str) -> String {
@@ -365,7 +416,7 @@ impl SweepResults {
             .plan
             .configs
             .iter()
-            .map(|c| format!("\"{}\"", c.name.replace('"', "\\\"")))
+            .map(|c| format!("\"{}\"", escape_text(&c.name)))
             .collect();
         let workloads: Vec<String> = self
             .plan
@@ -382,22 +433,11 @@ impl SweepResults {
             for (config_index, config) in self.plan.configs.iter().enumerate() {
                 let head = format!(
                     "{{\"config\":\"{}\",\"workload\":\"{}\"",
-                    config.name.replace('"', "\\\""),
+                    escape_text(&config.name),
                     workload.name()
                 );
                 let cell = match self.cell(workload_index, config_index) {
-                    Ok(document) => {
-                        let summary = member(document, "summary").map(render);
-                        let distributions = member(document, "distributions").map(render);
-                        let cpi_stack = member(document, "cpi_stack").map(render);
-                        match (summary, distributions, cpi_stack) {
-                            (Some(summary), Some(distributions), Some(cpi_stack)) => format!(
-                                "{head},\"summary\":{summary},\"distributions\":{distributions},\
-                                 \"cpi_stack\":{cpi_stack}}}"
-                            ),
-                            _ => format!("{head},\"failed\":\"malformed\"}}"),
-                        }
-                    }
+                    Ok(cell) => format!("{head}{}", cell.fragment),
                     Err(error) => format!("{head},\"failed\":\"{}\"}}", error.kind()),
                 };
                 cells.push(cell);
@@ -417,6 +457,9 @@ impl SweepResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::run_job;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn tiny_plan() -> SweepPlan {
         SweepPlan {
@@ -500,5 +543,257 @@ mod tests {
         let csv = results.ipc_table().to_csv();
         assert!(csv.contains("FAILED(config)"), "{csv}");
         assert!(results.aggregate_json().contains("\"failed\":\"config\""));
+    }
+
+    /// The tree-holding assembly this module used before cells were
+    /// reduced at assembly time: every document parsed and kept whole,
+    /// the aggregate rendered from the trees. Config names go through the
+    /// JSON escaper here too, so the oracle covers any name.
+    fn oracle_aggregate_json(results: &SweepResults) -> String {
+        let plan = results.plan();
+        let trees: Vec<Result<JsonValue, SimError>> = results
+            .outcomes()
+            .iter()
+            .map(|outcome| match &outcome.document {
+                Ok(document) => {
+                    parse(document).map_err(|message| SimError::Trace { index: 0, message })
+                }
+                Err(error) => Err(error.clone()),
+            })
+            .collect();
+        let configs: Vec<String> = plan
+            .configs
+            .iter()
+            .map(|c| format!("\"{}\"", escape_text(&c.name)))
+            .collect();
+        let workloads: Vec<String> = plan
+            .workloads
+            .iter()
+            .map(|w| format!("\"{}\"", w.name()))
+            .collect();
+        let window = match plan.max_insts {
+            Some(n) => n.to_string(),
+            None => "null".to_string(),
+        };
+        let mut cells = Vec::with_capacity(trees.len());
+        for (workload_index, workload) in plan.workloads.iter().enumerate() {
+            for (config_index, config) in plan.configs.iter().enumerate() {
+                let head = format!(
+                    "{{\"config\":\"{}\",\"workload\":\"{}\"",
+                    escape_text(&config.name),
+                    workload.name()
+                );
+                let cell = match &trees[workload_index * plan.configs.len() + config_index] {
+                    Ok(document) => {
+                        let summary = member(document, "summary").map(render);
+                        let distributions = member(document, "distributions").map(render);
+                        let cpi_stack = member(document, "cpi_stack").map(render);
+                        match (summary, distributions, cpi_stack) {
+                            (Some(summary), Some(distributions), Some(cpi_stack)) => format!(
+                                "{head},\"summary\":{summary},\"distributions\":{distributions},\
+                                 \"cpi_stack\":{cpi_stack}}}"
+                            ),
+                            _ => format!("{head},\"failed\":\"malformed\"}}"),
+                        }
+                    }
+                    Err(error) => format!("{head},\"failed\":\"{}\"}}", error.kind()),
+                };
+                cells.push(cell);
+            }
+        }
+        format!(
+            "{{\"schema\":{METRICS_SCHEMA},\"kind\":\"sweep\",\"scale\":\"{}\",\
+             \"max_insts\":{window},\"configs\":[{}],\"workloads\":[{}],\"cells\":[{}]}}",
+            scale_name(plan.scale),
+            configs.join(","),
+            workloads.join(","),
+            cells.join(",")
+        )
+    }
+
+    /// Every aggregate of `results` against the oracle: the document byte
+    /// for byte, and each cell's summary numbers (the table's source)
+    /// against the whole tree's.
+    fn assert_matches_oracle(results: &SweepResults) {
+        assert_eq!(results.aggregate_json(), oracle_aggregate_json(results));
+        let configs = results.plan().configs.len();
+        for (index, outcome) in results.outcomes().iter().enumerate() {
+            let (workload_index, config_index) = (index / configs, index % configs);
+            let tree = outcome.document.as_ref().ok().and_then(|d| parse(d).ok());
+            let summary = tree.as_ref().and_then(|tree| member(tree, "summary"));
+            let mut fields = vec!["ipc".to_string(), "no_such_field".to_string()];
+            if let Some(JsonValue::Object(members)) = summary {
+                fields.extend(members.iter().map(|(key, _)| key.clone()));
+            }
+            for field in &fields {
+                assert_eq!(
+                    results.summary_number(workload_index, config_index, field),
+                    tree.as_ref()
+                        .and_then(|tree| number_at(tree, &["summary", field])),
+                    "cell {index}, summary field {field}"
+                );
+            }
+        }
+    }
+
+    fn tempdir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("cpe-sweep-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn streamed_assembly_matches_the_tree_oracle_fresh_and_cached() {
+        let dir = tempdir("oracle");
+        let cache = ResultCache::new(&dir);
+        let plan = tiny_plan().with_backend(BackendKind::Replay);
+        let fresh = plan.run(2, Some(&cache)).expect("grid is valid");
+        assert_eq!(fresh.stats.misses, 4);
+        assert_matches_oracle(&fresh);
+        let cached = plan.run(2, Some(&cache)).expect("grid is valid");
+        assert_eq!(cached.stats.hits, 4, "the re-run is served from the cache");
+        assert_matches_oracle(&cached);
+        assert_eq!(fresh.aggregate_json(), cached.aggregate_json());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_and_failed_cells_match_the_tree_oracle() {
+        let fresh = tiny_plan().run(2, None).expect("grid is valid");
+        let mut outcomes = fresh.outcomes().to_vec();
+        // Cell 0: a well-formed document that lacks `cpi_stack`.
+        let document = outcomes[0].document.clone().expect("cell 0 ran");
+        let JsonValue::Object(members) = parse(&document).expect("document parses") else {
+            panic!("document is an object");
+        };
+        let without_cpi_stack = JsonValue::Object(
+            members
+                .into_iter()
+                .filter(|(key, _)| key != "cpi_stack")
+                .collect(),
+        );
+        outcomes[0].document = Ok(render(&without_cpi_stack));
+        // Cell 1: a document cut off mid-way.
+        let document = outcomes[1].document.clone().expect("cell 1 ran");
+        outcomes[1].document = Ok(document[..document.len() / 2].to_string());
+        // Cell 2: a cell that failed outright.
+        outcomes[2].document = Err(SimError::WorkerPanic {
+            message: "injected".to_string(),
+        });
+        let results = SweepResults::assemble(tiny_plan(), outcomes, 1, 0, 0.0);
+        assert_matches_oracle(&results);
+        let doc = results.aggregate_json();
+        assert!(doc.contains("\"failed\":\"malformed\""), "{doc}");
+        assert!(doc.contains("\"failed\":\"trace\""), "{doc}");
+        assert!(doc.contains("\"failed\":\"panic\""), "{doc}");
+        let csv = results.ipc_table().to_csv();
+        assert!(csv.contains("FAILED(trace)"), "{csv}");
+        assert!(csv.contains("FAILED(panic)"), "{csv}");
+        assert_eq!(
+            results.summary_number(0, 0, "ipc"),
+            fresh.summary_number(0, 0, "ipc"),
+            "a malformed cell still shows its summary in the table"
+        );
+        assert_eq!(
+            results.summary_number(1, 1, "ipc"),
+            fresh.summary_number(1, 1, "ipc")
+        );
+        assert_eq!(results.stats.failed, 1);
+    }
+
+    #[test]
+    fn config_names_are_json_escaped_in_the_aggregate() {
+        let name = "2-port \\ \"quoted\" tab\there";
+        let plan = SweepPlan {
+            configs: vec![SimConfig::dual_port().named(name)],
+            workloads: vec![Workload::Sort],
+            scale: Scale::Test,
+            max_insts: Some(2_000),
+            backend: BackendKind::Direct,
+        };
+        let results = plan.run(1, None).expect("grid is valid");
+        let doc = results.aggregate_json();
+        let parsed = parse(&doc).expect("the aggregate is valid JSON");
+        assert_eq!(
+            member(&parsed, "configs"),
+            Some(&JsonValue::Array(vec![JsonValue::Text(name.to_string())]))
+        );
+        let Some(JsonValue::Array(cells)) = member(&parsed, "cells") else {
+            panic!("cells is an array: {doc}");
+        };
+        assert_eq!(crate::render::text_at(&cells[0], &["config"]), Some(name));
+        assert_eq!(
+            crate::render::text_at(&cells[0], &["summary", "config"]),
+            Some(name)
+        );
+        assert_matches_oracle(&results);
+    }
+
+    /// One real cell document, computed once for the property tests.
+    fn real_document() -> &'static str {
+        static DOCUMENT: OnceLock<String> = OnceLock::new();
+        DOCUMENT.get_or_init(|| {
+            let job = tiny_plan().jobs().remove(0);
+            run_job(&job, None).document.expect("cell runs")
+        })
+    }
+
+    /// Assemble a 1 × 2 grid whose first cell reads `document` back from
+    /// the cache and whose second is a real document, then render every
+    /// aggregate: nothing may panic, the aggregate must parse, and it
+    /// must equal the oracle's.
+    fn check_cached_document(document: String) -> Result<(), TestCaseError> {
+        let plan = SweepPlan {
+            workloads: vec![Workload::Compress],
+            ..tiny_plan()
+        };
+        let outcomes = [document, real_document().to_string()]
+            .into_iter()
+            .enumerate()
+            .map(|(index, document)| JobOutcome {
+                index,
+                document: Ok(document),
+                cache: CacheStatus::Hit,
+                wall_seconds: 0.0,
+            })
+            .collect();
+        let results = SweepResults::assemble(plan, outcomes, 1, 0, 0.0);
+        let _ = results.ipc_table().to_string();
+        let doc = results.aggregate_json();
+        prop_assert!(parse(&doc).is_ok(), "aggregate does not parse: {doc}");
+        prop_assert_eq!(doc, oracle_aggregate_json(&results));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Arbitrary bytes as a cached cell document.
+        #[test]
+        fn arbitrary_cached_documents_aggregate_cleanly(
+            bytes in prop::collection::vec(any::<u8>(), 0..300),
+            brace in any::<bool>(),
+        ) {
+            // The cache serves only UTF-8 entries that open with `{`.
+            let text = String::from_utf8_lossy(&bytes);
+            check_cached_document(if brace { format!("{{{text}") } else { text.into_owned() })?;
+        }
+
+        /// A real cached document with one byte overwritten and its tail
+        /// possibly cut off.
+        #[test]
+        fn damaged_real_documents_aggregate_cleanly(
+            position in any::<prop::sample::Index>(),
+            byte in any::<u8>(),
+            cut in any::<prop::sample::Index>(),
+            truncate in any::<bool>(),
+        ) {
+            let mut bytes = real_document().as_bytes().to_vec();
+            let at = position.index(bytes.len());
+            bytes[at] = byte;
+            if truncate {
+                bytes.truncate(cut.index(bytes.len()));
+            }
+            check_cached_document(String::from_utf8_lossy(&bytes).into_owned())?;
+        }
     }
 }

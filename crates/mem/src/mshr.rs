@@ -102,6 +102,10 @@ impl MshrFile {
     /// `(line_addr, dirty, allocated_at)` triples for the caller to
     /// install (and account residency from the allocation cycle).
     pub fn take_completed(&mut self, now: Cycle) -> Vec<(u64, bool, Cycle)> {
+        // Most stepped cycles install nothing: skip the retain and sort.
+        if !self.entries.iter().any(|e| e.ready_at <= now) {
+            return Vec::new();
+        }
         let mut done = Vec::new();
         self.entries.retain(|e| {
             if e.ready_at <= now {

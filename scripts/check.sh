@@ -99,6 +99,10 @@ cargo run --release --bin cpe -q -- sweep --configs "1-port naive,4-port" \
     >/dev/null 2>&1
 cargo run --release --bin cpe -q -- diff GOLDEN_metrics.json \
     "$scratch/golden_fresh.json" --tolerance 0 >/dev/null
+# `cpe diff` compares values; the renderer's promise is bytes. The fresh
+# document must also be byte-identical to the committed one, so a change
+# to member order, number formatting or escaping fails here too.
+cmp GOLDEN_metrics.json "$scratch/golden_fresh.json"
 
 # Execution-layer gate (see docs/EXECUTION.md): a 2-worker smoke sweep,
 # then the same sweep again — the re-run must be served entirely from
