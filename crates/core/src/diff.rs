@@ -234,9 +234,13 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| self.error(&format!("bad number `{text}`")))
+        match text.parse::<f64>() {
+            // `1e999` parses to infinity, and no comparison or rendering
+            // of a non-finite value means what the document said.
+            Ok(value) if value.is_finite() => Ok(JsonValue::Number(value)),
+            Ok(_) => Err(format!("byte {start}: number out of range `{text}`")),
+            Err(_) => Err(self.error(&format!("bad number `{text}`"))),
+        }
     }
 }
 
@@ -245,7 +249,8 @@ impl<'a> Parser<'a> {
 /// # Errors
 ///
 /// A one-line message naming the byte offset of the first syntax error,
-/// or of the container that nests deeper than 512 levels.
+/// of a number too large for an `f64`, or of the container that nests
+/// deeper than 512 levels.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut parser = Parser::new(text);
     let value = parser.parse_value()?;
@@ -313,9 +318,12 @@ pub struct DiffEntry {
     pub a: String,
     /// Rendered value in the second document (`-` when absent).
     pub b: String,
-    /// Relative difference for numeric drift, `None` for shape or type
+    /// Unsigned relative difference for numeric drift (the measure the
+    /// tolerance is checked against), `None` for shape or type
     /// mismatches (which are unconditionally regressions).
     pub relative: Option<f64>,
+    /// For numeric drift, whether `b` is larger than `a`.
+    pub rose: bool,
 }
 
 impl fmt::Display for DiffEntry {
@@ -323,10 +331,11 @@ impl fmt::Display for DiffEntry {
         match self.relative {
             Some(rel) => write!(
                 f,
-                "{}: {} -> {} ({:+.2}%)",
+                "{}: {} -> {} ({}{:.2}%)",
                 self.path,
                 self.a,
                 self.b,
+                if self.rose { '+' } else { '-' },
                 rel * 100.0
             ),
             None => write!(f, "{}: {} -> {}", self.path, self.a, self.b),
@@ -411,6 +420,7 @@ pub fn diff_json(a: &str, b: &str, tolerance: f64) -> Result<DiffReport, String>
                 a: left.to_string(),
                 b: "-".to_string(),
                 relative: None,
+                rose: false,
             }),
             Some(&right) => {
                 compared += 1;
@@ -423,6 +433,7 @@ pub fn diff_json(a: &str, b: &str, tolerance: f64) -> Result<DiffReport, String>
                                 a: left.to_string(),
                                 b: right.to_string(),
                                 relative: Some(rel),
+                                rose: y > x,
                             });
                         }
                     }
@@ -432,6 +443,7 @@ pub fn diff_json(a: &str, b: &str, tolerance: f64) -> Result<DiffReport, String>
                         a: left.to_string(),
                         b: right.to_string(),
                         relative: None,
+                        rose: false,
                     }),
                 }
             }
@@ -444,6 +456,7 @@ pub fn diff_json(a: &str, b: &str, tolerance: f64) -> Result<DiffReport, String>
                 a: "-".to_string(),
                 b: right.to_string(),
                 relative: None,
+                rose: false,
             });
         }
     }
@@ -509,6 +522,45 @@ mod tests {
             assert!(error.contains("nesting deeper than 512 levels"), "{error}");
             assert!(diff_json(&hostile, "{}", 0.0).is_err());
         }
+    }
+
+    #[test]
+    fn numbers_beyond_f64_are_rejected_not_read_as_infinity() {
+        for (doc, at) in [
+            ("{\"x\":1e999}", 5),
+            ("[-1e999]", 1),
+            ("{\"a\":[0, 2E+400]}", 9),
+        ] {
+            let error = parse_json(doc).expect_err(doc);
+            assert!(
+                error.starts_with(&format!("byte {at}: number out of range")),
+                "{doc}: {error}"
+            );
+        }
+        // Underflow to zero or a subnormal is still a finite reading.
+        assert_eq!(parse_json("1e-999"), Ok(JsonValue::Number(0.0)));
+        assert_eq!(parse_json("1.7976931348623157e308").map(|_| ()), Ok(()));
+        // `cpe diff` can no longer pass infinity against a finite value
+        // (NaN relative difference) or against the opposite infinity.
+        assert!(diff_json("{\"x\":1e999}", "{\"x\":5}", 0.0).is_err());
+        assert!(diff_json("{\"x\":5}", "{\"x\":-1e999}", 0.0).is_err());
+        assert!(diff_json("{\"x\":1e999}", "{\"x\":-1e999}", 0.0).is_err());
+    }
+
+    #[test]
+    fn diff_lines_show_the_direction_of_change() {
+        let fell = diff_json("{\"x\":2}", "{\"x\":1}", 0.0).unwrap();
+        assert_eq!(fell.entries[0].to_string(), "x: 2 -> 1 (-50.00%)");
+        assert_eq!(
+            fell.entries[0].relative,
+            Some(0.5),
+            "the measure is unsigned"
+        );
+        let rose = diff_json("{\"x\":1}", "{\"x\":2}", 0.0).unwrap();
+        assert_eq!(rose.entries[0].to_string(), "x: 1 -> 2 (+50.00%)");
+        assert_eq!(rose.entries[0].relative, Some(0.5));
+        let negative = diff_json("{\"x\":-1}", "{\"x\":-4}", 0.0).unwrap();
+        assert_eq!(negative.entries[0].to_string(), "x: -1 -> -4 (-75.00%)");
     }
 
     #[test]

@@ -51,19 +51,6 @@ pub enum SimError {
         /// Best-effort rendering of the panic payload.
         message: String,
     },
-    /// A job failed on the far side of the distributed fabric, or the
-    /// fabric itself gave up on it (retry exhaustion, reassignment
-    /// exhaustion, protocol violation).
-    Fabric {
-        /// The remote failure's kind label when one was relayed
-        /// (`"watchdog"`, `"panic"`, …), or `"fabric"` for failures of
-        /// the fabric itself. [`SimError::kind`] maps known labels back
-        /// to their local kinds so a deterministic remote failure
-        /// renders the same `FAILED(<kind>)` cell a local run would.
-        kind: String,
-        /// What happened, including how many attempts were spent.
-        message: String,
-    },
 }
 
 impl SimError {
@@ -74,13 +61,6 @@ impl SimError {
             SimError::Trace { .. } => "trace",
             SimError::Watchdog(_) => "watchdog",
             SimError::WorkerPanic { .. } => "panic",
-            SimError::Fabric { kind, .. } => match kind.as_str() {
-                "config" => "config",
-                "trace" => "trace",
-                "watchdog" => "watchdog",
-                "panic" => "panic",
-                _ => "fabric",
-            },
         }
     }
 }
@@ -95,9 +75,6 @@ impl fmt::Display for SimError {
             SimError::Watchdog(report) => report.fmt(f),
             SimError::WorkerPanic { message } => {
                 write!(f, "simulation worker panicked: {message}")
-            }
-            SimError::Fabric { kind, message } => {
-                write!(f, "fabric job failed ({kind}): {message}")
             }
         }
     }
@@ -145,21 +122,6 @@ mod tests {
             message: "boom".to_string(),
         };
         assert_eq!(panic.kind(), "panic");
-    }
-
-    #[test]
-    fn fabric_kinds_map_relayed_labels_back_to_local_kinds() {
-        let relayed = SimError::Fabric {
-            kind: "watchdog".to_string(),
-            message: "remote watchdog abort".to_string(),
-        };
-        assert_eq!(relayed.kind(), "watchdog");
-        let fabric = SimError::Fabric {
-            kind: "lease-expired".to_string(),
-            message: "gave up after 16 reassignments".to_string(),
-        };
-        assert_eq!(fabric.kind(), "fabric");
-        assert!(fabric.to_string().contains("lease-expired"));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Content-addressed result cache.
 //!
-//! Every sweep cell and every `cpe serve` job is a pure function of its
-//! inputs: the [`SimConfig`], the workload, the scale, and the
-//! instruction window. The cache therefore keys each schema-stamped metrics
-//! document by a stable 64-bit FNV-1a hash of the **canonical** JSON
+//! Every sweep cell is a pure function of its inputs: the [`SimConfig`],
+//! the workload, the scale, and the instruction window. The cache
+//! therefore keys each schema-stamped metrics document by a stable 64-bit FNV-1a hash of the **canonical** JSON
 //! encoding of those inputs — canonical meaning object members are
 //! sorted recursively before hashing, so two encodings of the same
 //! configuration that differ only in field order address the same entry,
@@ -17,11 +16,11 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use cpe_core::{config_json, BackendKind, JsonValue, METRICS_SCHEMA};
+use cpe_core::{config_json, parse_json, BackendKind, JsonValue, METRICS_SCHEMA};
 use cpe_workloads::Scale;
 
 use crate::job::{scale_name, Job};
-use crate::render::{parse, render};
+use crate::render::render;
 
 /// Default on-disk location, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = ".cpe-cache";
@@ -69,7 +68,7 @@ fn canonicalize(value: &JsonValue) -> JsonValue {
 ///
 /// When `text` is not well-formed JSON.
 pub fn canonical_json(text: &str) -> Result<String, String> {
-    Ok(render(&canonicalize(&parse(text)?)))
+    Ok(render(&canonicalize(&parse_json(text)?)))
 }
 
 /// The content address of one job's result document.
@@ -100,9 +99,9 @@ impl CacheKey {
     }
 
     /// Key from an already-encoded configuration document, for the
-    /// default (direct) backend — the form the fabric protocol and cache
-    /// tooling use. Field order in `config_text` is irrelevant: the text
-    /// is canonicalized first.
+    /// default (direct) backend — the form cache tooling uses. Field
+    /// order in `config_text` is irrelevant: the text is canonicalized
+    /// first.
     ///
     /// # Errors
     ///

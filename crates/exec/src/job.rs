@@ -1,34 +1,25 @@
-//! Jobs: one `(SimConfig, workload)` cell, and the cached parallel
-//! executor every consumer (sweep, serve, bench) goes through.
+//! Jobs: one `(SimConfig, workload)` cell, the cached parallel executor
+//! a sweep goes through, and the progress line it feeds.
 
+use std::io::IsTerminal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cpe_core::{profile_json, BackendKind, ProfileOptions, SimConfig, SimError, Simulator};
 use cpe_workloads::{Scale, Workload};
 
 use crate::cache::{CacheKey, ResultCache};
-use crate::observe::SweepProgress;
 use crate::scheduler::{run_work_stealing, SchedulerStats};
 use crate::traces::TraceStore;
 
-/// The stable name of a [`Scale`], used in cache keys and the job
-/// protocol.
+/// The stable name of a [`Scale`], used in cache keys and the sweep
+/// metrics document.
 pub fn scale_name(scale: Scale) -> &'static str {
     match scale {
         Scale::Test => "test",
         Scale::Small => "small",
         Scale::Full => "full",
-    }
-}
-
-/// Parse a [`Scale`] name (the inverse of [`scale_name`]).
-pub fn scale_by_name(name: &str) -> Option<Scale> {
-    match name {
-        "test" => Some(Scale::Test),
-        "small" => Some(Scale::Small),
-        "full" => Some(Scale::Full),
-        _ => None,
     }
 }
 
@@ -43,31 +34,6 @@ pub fn preset_configs() -> Vec<SimConfig> {
         SimConfig::ideal_ports(),
         SimConfig::combined_single_port(),
     ]
-}
-
-/// Look up a preset by its report name.
-pub fn preset_by_name(name: &str) -> Option<SimConfig> {
-    preset_configs()
-        .into_iter()
-        .find(|config| config.name == name)
-}
-
-/// Every configuration shippable *by name* over the fabric protocol:
-/// the sweep presets plus the CLI's extended set. Fabric leases carry a
-/// name plus a fingerprint, so this list is what a worker can resolve.
-pub fn named_config(name: &str) -> Option<SimConfig> {
-    preset_configs()
-        .into_iter()
-        .chain([SimConfig::big_window()])
-        .find(|config| config.name == name)
-}
-
-/// Look up a workload (extended suite) by name.
-pub fn workload_by_name(name: &str) -> Option<Workload> {
-    Workload::EXTENDED
-        .iter()
-        .copied()
-        .find(|workload| workload.name() == name)
 }
 
 /// One independent unit of work: run `config` on `workload` and produce
@@ -108,22 +74,12 @@ pub enum CacheStatus {
 }
 
 impl CacheStatus {
-    /// The protocol label (`"hit"`, `"miss"`, `"bypass"`).
+    /// The display label (`"hit"`, `"miss"`, `"bypass"`).
     pub fn label(self) -> &'static str {
         match self {
             CacheStatus::Hit => "hit",
             CacheStatus::Miss => "miss",
             CacheStatus::Bypass => "bypass",
-        }
-    }
-
-    /// Parse a protocol label (the inverse of [`CacheStatus::label`]).
-    pub fn from_label(label: &str) -> Option<CacheStatus> {
-        match label {
-            "hit" => Some(CacheStatus::Hit),
-            "miss" => Some(CacheStatus::Miss),
-            "bypass" => Some(CacheStatus::Bypass),
-            _ => None,
         }
     }
 }
@@ -231,7 +187,13 @@ pub fn run_job_traced(
     }
 }
 
-/// Execute a batch of jobs across `workers` threads with the cache.
+/// Execute a batch of jobs across `workers` threads, through `cache`
+/// when attached. Replay-backend cells pull their workload's recording
+/// from `traces` instead of re-running the functional emulator per cell;
+/// the sweep layer pre-populates the store before scheduling (see
+/// `SweepPlan::run_with_progress`). `progress`, when attached, is fed
+/// from the worker threads as cells finish (completion order, not
+/// submission order — progress is observability, not output).
 ///
 /// Configuration validation is hoisted out of the cells: every distinct
 /// config is validated exactly once, before any cell starts, and the
@@ -240,31 +202,6 @@ pub fn run_job_traced(
 ///
 /// Results come back in submission order regardless of worker count or
 /// completion order.
-pub fn execute_jobs(
-    jobs: &[Job],
-    workers: usize,
-    cache: Option<&ResultCache>,
-) -> (Vec<JobOutcome>, SchedulerStats) {
-    execute_jobs_observed(jobs, workers, cache, None)
-}
-
-/// [`execute_jobs`] with an optional live progress line, fed from the
-/// worker threads as cells finish (completion order, not submission
-/// order — progress is observability, not output).
-pub fn execute_jobs_observed(
-    jobs: &[Job],
-    workers: usize,
-    cache: Option<&ResultCache>,
-    progress: Option<&SweepProgress>,
-) -> (Vec<JobOutcome>, SchedulerStats) {
-    execute_jobs_traced(jobs, workers, cache, progress, None)
-}
-
-/// [`execute_jobs_observed`] with an optional shared recording store:
-/// replay-backend cells pull their workload's recording from it instead
-/// of re-running the functional emulator per cell. The sweep layer
-/// pre-populates the store before scheduling (see
-/// `SweepPlan::run_with_progress`).
 pub fn execute_jobs_traced(
     jobs: &[Job],
     workers: usize,
@@ -331,6 +268,106 @@ pub fn execute_jobs_traced(
     )
 }
 
+/// A live sweep progress line on stderr. On a TTY it redraws in place
+/// (throttled); otherwise it prints plain incremental lines at a slow
+/// cadence, so logs stay readable and short runs stay silent.
+///
+/// All output goes to stderr: stdout stays byte-identical across observed
+/// and unobserved runs, and progress is observability, not output.
+pub struct SweepProgress {
+    total: usize,
+    done: AtomicUsize,
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+    bypassed: AtomicUsize,
+    failed: AtomicUsize,
+    tty: bool,
+    started: Instant,
+    last_render_ms: AtomicU64,
+}
+
+impl SweepProgress {
+    /// Progress over `total` cells, TTY-gated on stderr.
+    pub fn auto(total: usize) -> SweepProgress {
+        SweepProgress::with_tty(total, std::io::stderr().is_terminal())
+    }
+
+    /// Progress with an explicit TTY decision (tests).
+    pub fn with_tty(total: usize, tty: bool) -> SweepProgress {
+        SweepProgress {
+            total,
+            done: AtomicUsize::new(0),
+            hits: AtomicUsize::new(0),
+            misses: AtomicUsize::new(0),
+            bypassed: AtomicUsize::new(0),
+            failed: AtomicUsize::new(0),
+            tty,
+            started: Instant::now(),
+            last_render_ms: AtomicU64::new(0),
+        }
+    }
+
+    /// Record one finished cell and redraw when due.
+    pub fn cell_done(&self, cache: CacheStatus, failed: bool) {
+        if failed {
+            self.failed.fetch_add(1, Ordering::Relaxed);
+        } else {
+            match cache {
+                CacheStatus::Hit => self.hits.fetch_add(1, Ordering::Relaxed),
+                CacheStatus::Miss => self.misses.fetch_add(1, Ordering::Relaxed),
+                CacheStatus::Bypass => self.bypassed.fetch_add(1, Ordering::Relaxed),
+            };
+        }
+        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
+        self.maybe_render(done);
+    }
+
+    fn line(&self, done: usize) -> String {
+        format!(
+            "sweep: {done}/{} cell(s) — {} hit(s), {} miss(es), {} uncached, {} failed ({:.1}s)",
+            self.total,
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+            self.bypassed.load(Ordering::Relaxed),
+            self.failed.load(Ordering::Relaxed),
+            self.started.elapsed().as_secs_f64()
+        )
+    }
+
+    fn maybe_render(&self, done: usize) {
+        // In-place redraws refresh fast; plain lines stay sparse so a
+        // piped log is incremental, not spammed.
+        let interval_ms: u64 = if self.tty { 100 } else { 2_000 };
+        let elapsed_ms = self.started.elapsed().as_millis() as u64;
+        let last = self.last_render_ms.load(Ordering::Relaxed);
+        let due =
+            elapsed_ms.saturating_sub(last) >= interval_ms || (self.tty && done == self.total);
+        if !due {
+            return;
+        }
+        // One renderer at a time; a lost race just skips this redraw.
+        if self
+            .last_render_ms
+            .compare_exchange(last, elapsed_ms, Ordering::Relaxed, Ordering::Relaxed)
+            .is_err()
+        {
+            return;
+        }
+        if self.tty {
+            eprint!("\r{}\x1b[K", self.line(done));
+        } else {
+            eprintln!("{}", self.line(done));
+        }
+    }
+
+    /// Clear the in-place line so the stats footer starts clean.
+    pub fn finish(&self) {
+        if self.tty {
+            eprint!("\r\x1b[K");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,8 +392,8 @@ mod tests {
     /// The deterministic projection of a document: everything except the
     /// host-timing `self_profile`, rendered canonically.
     fn deterministic_part(document: &str) -> String {
-        use crate::render::{member, parse, render};
-        let parsed = parse(document).expect("document parses");
+        use crate::render::{member, render};
+        let parsed = cpe_core::parse_json(document).expect("document parses");
         let cpe_core::JsonValue::Object(members) = &parsed else {
             panic!("document is an object");
         };
@@ -371,8 +408,8 @@ mod tests {
     #[test]
     fn uncached_execution_is_deterministic_across_worker_counts() {
         let jobs = tiny_jobs();
-        let (serial, _) = execute_jobs(&jobs, 1, None);
-        let (parallel, _) = execute_jobs(&jobs, 3, None);
+        let (serial, _) = execute_jobs_traced(&jobs, 1, None, None, None);
+        let (parallel, _) = execute_jobs_traced(&jobs, 3, None, None, None);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.index, b.index);
@@ -390,7 +427,7 @@ mod tests {
     fn cells_attach_no_event_ring() {
         let mut jobs = tiny_jobs();
         jobs[1].backend = BackendKind::Replay;
-        let (outcomes, _) = execute_jobs(&jobs, 1, None);
+        let (outcomes, _) = execute_jobs_traced(&jobs, 1, None, None, None);
         for outcome in outcomes {
             let document = outcome.document.expect("cell completes");
             assert!(
@@ -407,9 +444,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::new(&dir);
         let jobs = tiny_jobs();
-        let (first, _) = execute_jobs(&jobs, 2, Some(&cache));
+        let (first, _) = execute_jobs_traced(&jobs, 2, Some(&cache), None, None);
         assert!(first.iter().all(|o| o.cache == CacheStatus::Miss));
-        let (second, _) = execute_jobs(&jobs, 2, Some(&cache));
+        let (second, _) = execute_jobs_traced(&jobs, 2, Some(&cache), None, None);
         assert!(second.iter().all(|o| o.cache == CacheStatus::Hit));
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.document.as_ref().unwrap(), b.document.as_ref().unwrap());
@@ -422,7 +459,7 @@ mod tests {
         let mut jobs = tiny_jobs();
         jobs[0].config = SimConfig::naive_single_port().with_ports(0).named("bad");
         jobs[1].config = jobs[0].config.clone();
-        let (outcomes, _) = execute_jobs(&jobs, 2, None);
+        let (outcomes, _) = execute_jobs_traced(&jobs, 2, None, None, None);
         for index in [0, 1] {
             let error = outcomes[index].document.as_ref().unwrap_err();
             assert_eq!(error.kind(), "config");
@@ -430,5 +467,19 @@ mod tests {
         }
         assert!(outcomes[2].document.is_ok());
         assert!(outcomes[3].document.is_ok());
+    }
+
+    #[test]
+    fn progress_line_reports_the_running_tally() {
+        let progress = SweepProgress::with_tty(4, false);
+        progress.cell_done(CacheStatus::Hit, false);
+        progress.cell_done(CacheStatus::Miss, false);
+        progress.cell_done(CacheStatus::Bypass, true);
+        let line = progress.line(3);
+        assert!(line.contains("3/4"), "{line}");
+        assert!(
+            line.contains("1 hit(s), 1 miss(es), 0 uncached, 1 failed"),
+            "{line}"
+        );
     }
 }

@@ -10,19 +10,10 @@
 //! are emitted in a fixed order); numbers render integrally when they
 //! are integral, via the shortest round-trip form otherwise.
 
-use cpe_core::{parse_json, JsonValue};
-
-/// Parse one JSON document (a thin alias for [`cpe_core::parse_json`]).
-///
-/// # Errors
-///
-/// A one-line message naming the byte offset of the first syntax error.
-pub fn parse(text: &str) -> Result<JsonValue, String> {
-    parse_json(text)
-}
+use cpe_core::JsonValue;
 
 /// Escape a string for a JSON literal.
-fn escape(text: &str) -> String {
+pub fn escape_text(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
     for c in text.chars() {
         match c {
@@ -40,7 +31,8 @@ fn escape(text: &str) -> String {
 
 /// One JSON number, deterministically: integral values in integer form,
 /// everything else in the shortest round-trip form; non-finite values
-/// (unreachable from [`parse`]) degrade to `null`.
+/// (unreachable from [`cpe_core::parse_json`], which rejects them) degrade to
+/// `null`.
 fn number(value: f64) -> String {
     if !value.is_finite() {
         return "null".to_string();
@@ -59,7 +51,7 @@ fn render_into(value: &JsonValue, out: &mut String) {
         JsonValue::Number(n) => out.push_str(&number(*n)),
         JsonValue::Text(t) => {
             out.push('"');
-            out.push_str(&escape(t));
+            out.push_str(&escape_text(t));
             out.push('"');
         }
         JsonValue::Array(items) => {
@@ -79,7 +71,7 @@ fn render_into(value: &JsonValue, out: &mut String) {
                     out.push(',');
                 }
                 out.push('"');
-                out.push_str(&escape(key));
+                out.push_str(&escape_text(key));
                 out.push_str("\":");
                 render_into(member, out);
             }
@@ -120,83 +112,19 @@ pub fn number_at(value: &JsonValue, path: &[&str]) -> Option<f64> {
     }
 }
 
-/// The string at a dotted member path, if present.
-pub fn text_at<'a>(value: &'a JsonValue, path: &[&str]) -> Option<&'a str> {
-    match member_path(value, path)? {
-        JsonValue::Text(t) => Some(t.as_str()),
-        _ => None,
-    }
-}
-
-/// A string member, distinguishing "absent" from "present but not a
-/// string" — protocol parsers reject the latter.
-///
-/// # Errors
-///
-/// When the member is present with a non-string value.
-pub fn text_member<'a>(value: &'a JsonValue, key: &str) -> Result<Option<&'a str>, String> {
-    match member(value, key) {
-        None => Ok(None),
-        Some(JsonValue::Text(text)) => Ok(Some(text.as_str())),
-        Some(_) => Err(format!("`{key}` must be a string")),
-    }
-}
-
-/// A non-negative integer member (see [`text_member`]).
-///
-/// # Errors
-///
-/// When the member is present but not a non-negative integer.
-pub fn u64_member(value: &JsonValue, key: &str) -> Result<Option<u64>, String> {
-    match member(value, key) {
-        None => Ok(None),
-        Some(JsonValue::Number(n)) if *n >= 0.0 && n.fract() == 0.0 && *n < 9.0e15 => {
-            Ok(Some(*n as u64))
-        }
-        Some(_) => Err(format!("`{key}` must be a non-negative integer")),
-    }
-}
-
-/// A boolean member (see [`text_member`]).
-///
-/// # Errors
-///
-/// When the member is present but not a boolean.
-pub fn bool_member(value: &JsonValue, key: &str) -> Result<Option<bool>, String> {
-    match member(value, key) {
-        None => Ok(None),
-        Some(JsonValue::Bool(b)) => Ok(Some(*b)),
-        Some(_) => Err(format!("`{key}` must be a boolean")),
-    }
-}
-
-/// A finite number member (see [`text_member`]).
-///
-/// # Errors
-///
-/// When the member is present but not a number.
-pub fn f64_member(value: &JsonValue, key: &str) -> Result<Option<f64>, String> {
-    match member(value, key) {
-        None => Ok(None),
-        Some(JsonValue::Number(n)) => Ok(Some(*n)),
-        Some(_) => Err(format!("`{key}` must be a number")),
-    }
-}
-
-/// Escape a string for embedding in a hand-built JSON frame.
-pub fn escape_text(text: &str) -> String {
-    escape(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(text: &str) -> JsonValue {
+        cpe_core::parse_json(text).expect("test document parses")
+    }
+
     #[test]
     fn rendering_is_a_fixed_point_after_one_pass() {
         let text = "{\"b\":1,\"a\":[true,null,\"x\\n\",2.5,-2,5000]}";
-        let once = render(&parse(text).unwrap());
-        let twice = render(&parse(&once).unwrap());
+        let once = render(&parse(text));
+        let twice = render(&parse(&once));
         assert_eq!(once, twice);
         assert_eq!(once, "{\"b\":1,\"a\":[true,null,\"x\\n\",2.5,-2,5000]}");
     }
@@ -211,9 +139,12 @@ mod tests {
 
     #[test]
     fn member_paths_navigate_nested_documents() {
-        let doc = parse("{\"summary\":{\"ipc\":1.25,\"config\":\"2-port\"}}").unwrap();
+        let doc = parse("{\"summary\":{\"ipc\":1.25,\"config\":\"2-port\"}}");
         assert_eq!(number_at(&doc, &["summary", "ipc"]), Some(1.25));
-        assert_eq!(text_at(&doc, &["summary", "config"]), Some("2-port"));
+        assert_eq!(
+            member_path(&doc, &["summary", "config"]),
+            Some(&JsonValue::Text("2-port".to_string()))
+        );
         assert_eq!(number_at(&doc, &["summary", "missing"]), None);
         assert_eq!(number_at(&doc, &["summary", "config"]), None);
     }

@@ -23,14 +23,15 @@
 use std::fmt;
 use std::time::Instant;
 
-use cpe_core::{BackendKind, JsonValue, SimConfig, SimError, METRICS_SCHEMA};
+use cpe_core::{parse_json, BackendKind, JsonValue, SimConfig, SimError, METRICS_SCHEMA};
 use cpe_stats::{geometric_mean, Table};
 use cpe_workloads::{Scale, Workload};
 
 use crate::cache::ResultCache;
-use crate::job::{execute_jobs_traced, preset_configs, scale_name, CacheStatus, Job, JobOutcome};
-use crate::observe::SweepProgress;
-use crate::render::{escape_text, member, number_at, parse, render};
+use crate::job::{
+    execute_jobs_traced, preset_configs, scale_name, CacheStatus, Job, JobOutcome, SweepProgress,
+};
+use crate::render::{escape_text, member, number_at, render};
 use crate::traces::TraceStore;
 
 /// The grid a sweep executes: configurations × workloads at one scale
@@ -257,7 +258,7 @@ impl CellAggregate {
     /// pipeline an aggregate built from the whole tree would use, so the
     /// output bytes are the same by construction.
     fn extract(document: &str) -> Result<CellAggregate, SimError> {
-        let tree = parse(document).map_err(|message| SimError::Trace { index: 0, message })?;
+        let tree = parse_json(document).map_err(|message| SimError::Trace { index: 0, message })?;
         let summary = member(&tree, "summary");
         let fragment = match (
             summary,
@@ -292,9 +293,9 @@ pub struct SweepResults {
 
 impl SweepResults {
     /// Assemble results from already-executed outcomes in workload-major
-    /// grid order — the path shared by the local scheduler and the
-    /// distributed fabric, which is what makes their aggregates
-    /// byte-identical: both feed the same parse → render pipeline here.
+    /// grid order. Fresh and cached documents alike go through the same
+    /// parse → render pipeline here, which is what makes the aggregates
+    /// byte-identical across cache states and worker counts.
     ///
     /// `outcomes` must be one per grid cell, in submission order.
     pub fn assemble(
@@ -458,6 +459,7 @@ impl SweepResults {
 mod tests {
     use super::*;
     use crate::job::run_job;
+    use crate::render::member_path;
     use proptest::prelude::*;
     use std::sync::OnceLock;
 
@@ -480,7 +482,7 @@ mod tests {
         let table = results.ipc_table();
         assert_eq!(table.len(), 3, "two workloads + geomean");
         let doc = results.aggregate_json();
-        let parsed = parse(&doc).expect("aggregate parses");
+        let parsed = parse_json(&doc).expect("aggregate parses");
         assert_eq!(number_at(&parsed, &["schema"]), Some(3.0));
         assert!(doc.contains("\"kind\":\"sweep\""));
         assert!(doc.contains("\"summary\":{"));
@@ -556,7 +558,7 @@ mod tests {
             .iter()
             .map(|outcome| match &outcome.document {
                 Ok(document) => {
-                    parse(document).map_err(|message| SimError::Trace { index: 0, message })
+                    parse_json(document).map_err(|message| SimError::Trace { index: 0, message })
                 }
                 Err(error) => Err(error.clone()),
             })
@@ -619,7 +621,11 @@ mod tests {
         let configs = results.plan().configs.len();
         for (index, outcome) in results.outcomes().iter().enumerate() {
             let (workload_index, config_index) = (index / configs, index % configs);
-            let tree = outcome.document.as_ref().ok().and_then(|d| parse(d).ok());
+            let tree = outcome
+                .document
+                .as_ref()
+                .ok()
+                .and_then(|d| parse_json(d).ok());
             let summary = tree.as_ref().and_then(|tree| member(tree, "summary"));
             let mut fields = vec!["ipc".to_string(), "no_such_field".to_string()];
             if let Some(JsonValue::Object(members)) = summary {
@@ -663,7 +669,7 @@ mod tests {
         let mut outcomes = fresh.outcomes().to_vec();
         // Cell 0: a well-formed document that lacks `cpi_stack`.
         let document = outcomes[0].document.clone().expect("cell 0 ran");
-        let JsonValue::Object(members) = parse(&document).expect("document parses") else {
+        let JsonValue::Object(members) = parse_json(&document).expect("document parses") else {
             panic!("document is an object");
         };
         let without_cpi_stack = JsonValue::Object(
@@ -713,7 +719,7 @@ mod tests {
         };
         let results = plan.run(1, None).expect("grid is valid");
         let doc = results.aggregate_json();
-        let parsed = parse(&doc).expect("the aggregate is valid JSON");
+        let parsed = parse_json(&doc).expect("the aggregate is valid JSON");
         assert_eq!(
             member(&parsed, "configs"),
             Some(&JsonValue::Array(vec![JsonValue::Text(name.to_string())]))
@@ -721,10 +727,11 @@ mod tests {
         let Some(JsonValue::Array(cells)) = member(&parsed, "cells") else {
             panic!("cells is an array: {doc}");
         };
-        assert_eq!(crate::render::text_at(&cells[0], &["config"]), Some(name));
+        let name_value = JsonValue::Text(name.to_string());
+        assert_eq!(member_path(&cells[0], &["config"]), Some(&name_value));
         assert_eq!(
-            crate::render::text_at(&cells[0], &["summary", "config"]),
-            Some(name)
+            member_path(&cells[0], &["summary", "config"]),
+            Some(&name_value)
         );
         assert_matches_oracle(&results);
     }
@@ -760,7 +767,7 @@ mod tests {
         let results = SweepResults::assemble(plan, outcomes, 1, 0, 0.0);
         let _ = results.ipc_table().to_string();
         let doc = results.aggregate_json();
-        prop_assert!(parse(&doc).is_ok(), "aggregate does not parse: {doc}");
+        prop_assert!(parse_json(&doc).is_ok(), "aggregate does not parse: {doc}");
         prop_assert_eq!(doc, oracle_aggregate_json(&results));
         Ok(())
     }

@@ -12,8 +12,8 @@
 //!    different key. Two distinct machines must never share a cache
 //!    entry.
 
-use cpe_core::{config_json, BackendKind, JsonValue, SimConfig};
-use cpe_exec::render::{parse, render};
+use cpe_core::{config_json, parse_json, BackendKind, JsonValue, SimConfig};
+use cpe_exec::render::render;
 use cpe_exec::{CacheKey, Job};
 use cpe_workloads::{Scale, Workload};
 use proptest::prelude::*;
@@ -71,7 +71,7 @@ proptest! {
     ) {
         let config = build_config(ports, width, sb_entries, combining);
         let text = config_json(&config);
-        let shuffled = render(&permute(&parse(&text).unwrap(), seed));
+        let shuffled = render(&permute(&parse_json(&text).unwrap(), seed));
         let original =
             CacheKey::for_config_text(&text, "sort", Scale::Test, Some(20_000)).unwrap();
         let reordered =

@@ -6,8 +6,8 @@
 //! once. Also pins the cache-key separation: entries written by one
 //! backend never serve the other.
 
-use cpe_core::{BackendKind, SimConfig};
-use cpe_exec::render::{member, parse, render};
+use cpe_core::{parse_json, BackendKind, SimConfig};
+use cpe_exec::render::{member, render};
 use cpe_exec::{ResultCache, SweepPlan};
 use cpe_workloads::{Scale, Workload};
 
@@ -28,7 +28,7 @@ fn plan(backend: BackendKind) -> SweepPlan {
 /// The deterministic projection of a cell document: every top-level
 /// member except the host-timing `self_profile`, rendered canonically.
 fn deterministic_part(document: &str) -> String {
-    let parsed = parse(document).expect("document parses");
+    let parsed = parse_json(document).expect("document parses");
     let cpe_core::JsonValue::Object(members) = &parsed else {
         panic!("document is an object");
     };

@@ -241,7 +241,10 @@ pub fn validate_konata(text: &str) -> Result<KonataSummary, String> {
             }
             "C" => {
                 let base = cycle.ok_or_else(|| format!("line {}: C before any C=", pos + 1))?;
-                summary.last_cycle = base + number(pos, "cycle delta", fields.next())?;
+                let delta = number(pos, "cycle delta", fields.next())?;
+                summary.last_cycle = base
+                    .checked_add(delta)
+                    .ok_or_else(|| format!("line {}: cycle count overflows", pos + 1))?;
                 cycle = Some(summary.last_cycle);
             }
             "I" => {

@@ -209,55 +209,17 @@ cargo run --release --bin cpe -q -- pipeview --workload compress \
 cargo run --release --bin cpe -q -- validate "$scratch/pipe.kanata" \
     >/dev/null
 
-# Fabric gate (see docs/EXECUTION.md "The sweep fabric"): the same grid
-# leased out over TCP to two local workers, with one of them SIGKILLed
-# mid-sweep, and the full observability stack attached — JSONL event
-# log, Chrome trace, fleet metrics, and a mid-sweep `cpe status` query.
-# The coordinator must reassign the orphaned lease and the assembled
-# output — table and metrics document — must be byte-identical to the
-# serial run above, at zero tolerance: observability is side-channel
-# only and must never perturb a result. A couple of seeded chaos casts
-# ride along as the standing fault-injection gate.
-echo "== fabric smoke: coordinator + 2 workers, one SIGKILLed, observed" >&2
-cpe_bin=target/release/cpe
-fabric_port=$((20000 + $$ % 20000))
-"$cpe_bin" sweep --coordinator "127.0.0.1:$fabric_port" --max 2000 \
-    --workloads compress,sort --no-cache --lease-ms 1000 --heartbeat-ms 200 \
-    --metrics-json "$scratch/fabric.json" \
-    --fabric-log "$scratch/fabric_events.jsonl" \
-    --fabric-trace "$scratch/fabric_trace.json" \
-    --fabric-metrics "$scratch/fabric_metrics.json" \
-    > "$scratch/fabric_table.txt" 2> "$scratch/fabric.log" &
-coordinator_pid=$!
-sleep 0.5
-"$cpe_bin" status --connect "127.0.0.1:$fabric_port" > "$scratch/status.txt"
-grep -q "cell(s) done" "$scratch/status.txt"
-"$cpe_bin" worker --connect "127.0.0.1:$fabric_port" --no-cache \
-    --name check-victim 2>/dev/null &
-victim_pid=$!
-sleep 0.4
-kill -9 "$victim_pid" 2>/dev/null || true
-"$cpe_bin" worker --connect "127.0.0.1:$fabric_port" --no-cache \
-    --name check-survivor 2>/dev/null &
-survivor_pid=$!
-wait "$coordinator_pid" || {
-    echo "fabric sweep failed:" >&2
-    cat "$scratch/fabric.log" >&2
-    exit 1
-}
-wait "$survivor_pid" 2>/dev/null || true
-cmp "$scratch/table1.txt" "$scratch/fabric_table.txt"
-cargo run --release --bin cpe -q -- diff "$scratch/sweep1.json" \
-    "$scratch/fabric.json" --tolerance 0 >/dev/null
-# The observability artifacts must all parse, and carry the shapes the
-# docs promise: a worker_connect event, a fabric metrics object, one
-# trace lane per worker, and the status query the coordinator counted.
-"$cpe_bin" validate "$scratch/fabric_events.jsonl" \
-    "$scratch/fabric_trace.json" "$scratch/fabric_metrics.json" >/dev/null
-grep -q '"event":"worker_connect"' "$scratch/fabric_events.jsonl"
-grep -q '"kind":"fabric"' "$scratch/fabric_metrics.json"
-grep -q '"status_queries":1' "$scratch/fabric_metrics.json"
-grep -q '"thread_name"' "$scratch/fabric_trace.json"
+# Trace-export gate (see docs/OBSERVABILITY.md "Sinks"): a traced
+# profile run exported in both event formats must pass `cpe validate` —
+# the Chrome trace_event document as one JSON document, the JSONL
+# export line by line.
+echo "== profile trace exports: Chrome and JSONL validate" >&2
+"$cpe_bin" profile --workload compress --max 2000 --trace-format chrome \
+    --trace-out "$scratch/profile_trace.json" >/dev/null
+"$cpe_bin" profile --workload compress --max 2000 --trace-format jsonl \
+    --trace-out "$scratch/profile_trace.jsonl" >/dev/null
+"$cpe_bin" validate "$scratch/profile_trace.json" \
+    "$scratch/profile_trace.jsonl" >/dev/null
 
 # Hostile-input gate: no input may abort the process. A file of 200,000
 # `[` once overflowed the JSON reader's stack (exit 134); `cpe validate`
@@ -277,6 +239,23 @@ for args in "validate $scratch/deep.json" \
         exit 1
     }
 done
+
+# A number beyond f64 once read as infinity, whose relative difference
+# to any finite value is NaN, and `NaN > tolerance` is false: `cpe diff`
+# passed `{"x":1e999}` against `{"x":5}` at zero tolerance. It must be
+# refused as a user error instead.
+echo "== hostile input: out-of-range JSON numbers exit 2, not match" >&2
+echo '{"x":1e999}' > "$scratch/huge_number.json"
+echo '{"x":5}' > "$scratch/five.json"
+status=0
+"$cpe_bin" diff "$scratch/huge_number.json" "$scratch/five.json" \
+    --tolerance 0 > /dev/null 2> "$scratch/range.err" || status=$?
+[ "$status" = 2 ] && grep -q "number out of range" "$scratch/range.err" || {
+    echo "hostile-input gate: \`cpe diff\` of 1e999 against 5 exited" \
+         "$status:" >&2
+    cat "$scratch/range.err" >&2
+    exit 1
+}
 
 # The CPER reader once trusted its header's counts: a dictionary length
 # of 0xFFFF_FFFF made it reserve 64 GiB (exit 134), and a payload length
@@ -303,9 +282,5 @@ for file in huge_dict huge_payload; do
         }
     done
 done
-
-echo "== fabric chaos: seeded fuzz cases" >&2
-cargo run --release --bin cpe -q -- fuzz-fabric --cases 2 --seed "$$" \
-    >/dev/null
 
 echo "all checks passed" >&2

@@ -26,40 +26,22 @@
 //!              [--ring N] [-o FILE]
 //!                                   per-instruction pipeline view of the
 //!                                   newest retained window, Konata format
-//! cpe bench [--name N] [--config NAME] [--max N] [--out FILE] [--jobs N]
+//! cpe bench [--name N] [--config NAME] [--max N] [--out FILE]
 //!                                   benchmark the simulator itself over the
 //!                                   standard workloads; write BENCH_<name>.json
 //! cpe sweep [--jobs N] [--scale S] [--max N] [--configs a,b] [--workloads x,y]
 //!           [--backend direct|replay] [--no-cache] [--cache-dir DIR]
 //!           [--metrics-json FILE] [--no-progress]
-//!           [--coordinator ADDR [--lease-ms N] [--heartbeat-ms N]
-//!            [--fabric-log FILE] [--fabric-trace FILE] [--fabric-metrics FILE]]
 //!                                   run the config × workload grid through the
-//!                                   parallel scheduler and result cache, or —
-//!                                   with --coordinator — lease the grid out to
-//!                                   `cpe worker` processes over TCP, with an
-//!                                   optional JSONL event log, Chrome trace,
-//!                                   and fleet metrics document on the side
-//! cpe worker --connect ADDR [--name NAME] [--no-cache] [--cache-dir DIR]
-//!                                   lease and run sweep cells from a
-//!                                   coordinator; drains cleanly on SIGTERM
-//! cpe status --connect ADDR [--timeout-ms N]
-//!                                   query a live coordinator mid-sweep:
-//!                                   progress counts plus a per-worker table
+//!                                   parallel scheduler and result cache
 //! cpe validate <file>... [--jsonl] [--cpi]
 //!                                   parse observability artifacts (JSON,
 //!                                   JSONL, Konata pipeviews, or CPER
 //!                                   replay traces) and check CPI-stack
 //!                                   conservation at zero tolerance; exit 2
 //!                                   on any malformed or slot-leaking input
-//! cpe fuzz-fabric [--cases N] [--seed S]
-//!                                   seeded chaos runs of the sweep fabric;
-//!                                   exit 1 if any diverges from serial
 //! cpe cache stats|clear [--cache-dir DIR]
 //!                                   inspect or empty the result cache
-//! cpe serve (--stdin | --listen ADDR) [--no-cache] [--cache-dir DIR]
-//!           [--scale S] [--max N]
-//!                                   serve line-delimited JSON job requests
 //! cpe diff <a.json> <b.json> [--tolerance PCT]
 //!                                   compare two exported JSON documents
 //!                                   field by field; exit 1 on regression
@@ -75,42 +57,64 @@
 
 use std::process::ExitCode;
 
-use cpe::exec::{
-    bench_parallel, chaos, query_status, run_worker, Coordinator, EventLog, FabricObserver,
-    FabricOptions, ResultCache, ServeDefaults, Server, SweepPlan, SweepProgress, SweepResults,
-    WorkerOptions, DEFAULT_CACHE_DIR, DEFAULT_EVENT_CAPACITY, FABRIC_SCHEMA,
-};
+use cpe::exec::{preset_configs, ResultCache, SweepPlan, SweepProgress, DEFAULT_CACHE_DIR};
 use cpe::isa::replay::{parse_recorded, write_recorded, RecordedTrace, ReplayError, REPLAY_MAGIC};
 use cpe::isa::{asm::assemble, DynInst, Emulator, Program};
 use cpe::stats::Table;
 use cpe::trace::{build_records, chrome_trace_json, jsonl_record, konata_text, TraceHandle};
 use cpe::workloads::{Scale, Workload};
 use cpe::{
-    check_replayable, diff_json, profile_json, BackendKind, BenchReport, ProfileOptions,
-    ProfiledRun, SimConfig, Simulator, RECORD_HEADROOM,
+    check_replayable, diff_json, parse_json, profile_json, BackendKind, BenchReport,
+    ProfileOptions, ProfiledRun, SimConfig, Simulator, RECORD_HEADROOM,
 };
 
+/// The default configuration, the paper's combined single-port design.
+/// Every verb accepts this alias as well as its report name.
+const DEFAULT_CONFIG: &str = "combined_single_port";
+
+/// Every named configuration, in `cpe configs` order: the sweep presets
+/// plus the large-window stress cell.
 fn all_configs() -> Vec<SimConfig> {
-    vec![
-        SimConfig::naive_single_port(),
-        SimConfig::single_port(),
-        SimConfig::dual_port(),
-        SimConfig::quad_port(),
-        SimConfig::ideal_ports(),
-        SimConfig::combined_single_port(),
-        SimConfig::big_window(),
-    ]
+    let mut configs = preset_configs();
+    configs.push(SimConfig::big_window());
+    configs
 }
 
-fn config_by_name(name: &str) -> Option<SimConfig> {
-    all_configs().into_iter().find(|config| config.name == name)
+/// The one config-name resolver every verb goes through.
+fn config_by_name(name: &str) -> Result<SimConfig, String> {
+    if name == DEFAULT_CONFIG {
+        return Ok(SimConfig::combined_single_port());
+    }
+    all_configs()
+        .into_iter()
+        .find(|config| config.name == name)
+        .ok_or_else(|| format!("unknown config `{name}` (see `cpe configs`)"))
 }
 
-fn workload_by_name(name: &str) -> Option<Workload> {
+/// The `--config NAME` flag, defaulting to the paper's design.
+fn config_flag(args: &[String]) -> Result<SimConfig, String> {
+    config_by_name(
+        parse_flag(args, "--config")
+            .as_deref()
+            .unwrap_or(DEFAULT_CONFIG),
+    )
+}
+
+fn workload_by_name(name: &str) -> Result<Workload, String> {
     Workload::EXTENDED
         .iter()
         .copied()
         .find(|workload| workload.name() == name)
+        .ok_or_else(|| format!("unknown workload `{name}` (see `cpe workloads`)"))
+}
+
+fn parse_scale(args: &[String]) -> Result<Scale, String> {
+    match parse_flag(args, "--scale").as_deref() {
+        None | Some("test") => Ok(Scale::Test),
+        Some("small") => Ok(Scale::Small),
+        Some("full") => Ok(Scale::Full),
+        Some(other) => Err(format!("unknown scale `{other}` (test, small, full)")),
+    }
 }
 
 fn write_file(path: &str, contents: &str) -> Result<(), String> {
@@ -193,15 +197,6 @@ fn cmd_trace(path: &str, count: usize) -> Result<(), String> {
     Ok(())
 }
 
-fn resolve_config(config_name: Option<String>) -> Result<SimConfig, String> {
-    let name = config_name.unwrap_or_else(|| "combined_single_port".to_string());
-    match name.as_str() {
-        "combined_single_port" => Ok(SimConfig::combined_single_port()),
-        other => config_by_name(other)
-            .ok_or_else(|| format!("unknown config `{other}` (see `cpe configs`)")),
-    }
-}
-
 fn print_summary(summary: &cpe::RunSummary) {
     println!("{summary}");
     println!(
@@ -220,12 +215,11 @@ fn print_summary(summary: &cpe::RunSummary) {
 /// is a `file:offset` diagnosis, never a partial run.
 fn cmd_run(
     path: &str,
-    config_name: Option<String>,
+    config: SimConfig,
     max: Option<u64>,
     detail: bool,
     metrics_json: Option<String>,
 ) -> Result<(), String> {
-    let config = resolve_config(config_name)?;
     let bytes = std::fs::read(path).map_err(|error| format!("cannot read `{path}`: {error}"))?;
     if bytes.starts_with(&REPLAY_MAGIC) {
         let trace = parse_recorded(&bytes).map_err(|error| replay_diagnosis(path, &error))?;
@@ -273,15 +267,9 @@ fn time_stream(
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let workload_name = parse_flag(args, "--workload")
         .ok_or_else(|| format!("profile needs --workload NAME\n\n{}", usage()))?;
-    let workload = workload_by_name(&workload_name)
-        .ok_or_else(|| format!("unknown workload `{workload_name}` (see `cpe workloads`)"))?;
-    let scale = match parse_flag(args, "--scale").as_deref() {
-        None | Some("test") => Scale::Test,
-        Some("small") => Scale::Small,
-        Some("full") => Scale::Full,
-        Some(other) => return Err(format!("unknown scale `{other}` (test, small, full)")),
-    };
-    let config = resolve_config(parse_flag(args, "--config"))?;
+    let workload = workload_by_name(&workload_name)?;
+    let scale = parse_scale(args)?;
+    let config = config_flag(args)?;
     let max = parse_number(args, "--max")?;
     let options = ProfileOptions {
         interval: parse_number(args, "--interval")?.unwrap_or(ProfileOptions::default().interval),
@@ -402,14 +390,6 @@ fn positionals<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a String> 
     out
 }
 
-fn named_config(name: &str) -> Result<SimConfig, String> {
-    match name {
-        "combined_single_port" => Ok(SimConfig::combined_single_port()),
-        other => config_by_name(other)
-            .ok_or_else(|| format!("unknown config `{other}` (see `cpe configs`)")),
-    }
-}
-
 /// `cpe explain A B`: run both configurations on the same workload and
 /// rank the per-cause CPI deltas. The CPI stacks conserve commit slots,
 /// so the table accounts for the whole performance gap — on a port-bound
@@ -422,11 +402,10 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             usage()
         ));
     };
-    let a_config = named_config(a_name)?;
-    let b_config = named_config(b_name)?;
+    let a_config = config_by_name(a_name)?;
+    let b_config = config_by_name(b_name)?;
     let workload_name = parse_flag(args, "--workload").unwrap_or_else(|| "compress".to_string());
-    let workload = workload_by_name(&workload_name)
-        .ok_or_else(|| format!("unknown workload `{workload_name}` (see `cpe workloads`)"))?;
+    let workload = workload_by_name(&workload_name)?;
     let scale = parse_scale(args)?;
     let max = Some(parse_number(args, "--max")?.unwrap_or(20_000));
     let a = Simulator::new(a_config).run(workload, scale, max);
@@ -441,10 +420,9 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 fn cmd_pipeview(args: &[String]) -> Result<(), String> {
     let workload_name = parse_flag(args, "--workload")
         .ok_or_else(|| format!("pipeview needs --workload NAME\n\n{}", usage()))?;
-    let workload = workload_by_name(&workload_name)
-        .ok_or_else(|| format!("unknown workload `{workload_name}` (see `cpe workloads`)"))?;
+    let workload = workload_by_name(&workload_name)?;
     let scale = parse_scale(args)?;
-    let config = resolve_config(parse_flag(args, "--config"))?;
+    let config = config_flag(args)?;
     let max = parse_number(args, "--max")?;
     let options = ProfileOptions {
         ring_capacity: parse_number(args, "--ring")?.unwrap_or(ProfileOptions::CAPTURE_RING),
@@ -498,8 +476,7 @@ fn cmd_trace_record(args: &[String]) -> Result<(), String> {
     );
     let (name, trace, default_out) = match sources {
         (Some(name), []) => {
-            let workload = workload_by_name(&name)
-                .ok_or_else(|| format!("unknown workload `{name}` (see `cpe workloads`)"))?;
+            let workload = workload_by_name(&name)?;
             let trace = RecordedTrace::record(workload.trace(parse_scale(args)?), cap);
             let out = format!("{name}.cper");
             (name, trace, out)
@@ -565,17 +542,12 @@ fn cmd_trace_info(path: &str) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let config = resolve_config(parse_flag(args, "--config"))?;
+    let config = config_flag(args)?;
     let name = parse_flag(args, "--name").unwrap_or_else(|| config.name.replace(' ', "_"));
     let max = parse_number(args, "--max")?.unwrap_or(20_000);
     let out = parse_flag(args, "--out").unwrap_or_else(|| format!("BENCH_{name}.json"));
-    let jobs: usize = parse_number(args, "--jobs")?.unwrap_or(1);
-    let report = if jobs == 1 {
-        BenchReport::run(&name, &config, max)
-    } else {
-        bench_parallel(&name, &config, max, jobs)
-    }
-    .map_err(|error| format!("bench: {error}"))?;
+    let report =
+        BenchReport::run(&name, &config, max).map_err(|error| format!("bench: {error}"))?;
     println!("{report}");
     write_file(&out, &report.to_json())?;
     println!("wrote {out}");
@@ -585,13 +557,12 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 /// Split a `--configs`/`--workloads` comma list, resolving each name.
 fn parse_names<T>(
     text: &str,
-    kind: &str,
-    resolve: impl Fn(&str) -> Option<T>,
+    resolve: impl Fn(&str) -> Result<T, String>,
 ) -> Result<Vec<T>, String> {
     text.split(',')
         .map(str::trim)
         .filter(|name| !name.is_empty())
-        .map(|name| resolve(name).ok_or_else(|| format!("unknown {kind} `{name}`")))
+        .map(resolve)
         .collect()
 }
 
@@ -604,28 +575,16 @@ fn open_cache(args: &[String]) -> Option<ResultCache> {
     }
 }
 
-fn parse_scale(args: &[String]) -> Result<Scale, String> {
-    match parse_flag(args, "--scale").as_deref() {
-        None | Some("test") => Ok(Scale::Test),
-        Some("small") => Ok(Scale::Small),
-        Some("full") => Ok(Scale::Full),
-        Some(other) => Err(format!("unknown scale `{other}` (test, small, full)")),
-    }
-}
-
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let jobs: usize = parse_number(args, "--jobs")?.unwrap_or(0);
     let scale = parse_scale(args)?;
     let max = Some(parse_number(args, "--max")?.unwrap_or(20_000));
     let mut plan = SweepPlan::standard(scale, max);
     if let Some(text) = parse_flag(args, "--configs") {
-        plan.configs = parse_names(&text, "config", |name| match name {
-            "combined_single_port" => Some(SimConfig::combined_single_port()),
-            other => config_by_name(other),
-        })?;
+        plan.configs = parse_names(&text, config_by_name)?;
     }
     if let Some(text) = parse_flag(args, "--workloads") {
-        plan.workloads = parse_names(&text, "workload", workload_by_name)?;
+        plan.workloads = parse_names(&text, workload_by_name)?;
     }
     if let Some(name) = parse_flag(args, "--backend") {
         plan.backend = BackendKind::from_name(&name)
@@ -634,30 +593,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     // The whole grid is validated here, before any cell is scheduled: a
     // bad configuration is a usage error (exit 2), not N failed cells.
     plan.validate().map_err(|error| error.to_string())?;
-    let results = if let Some(address) = parse_flag(args, "--coordinator") {
-        if args.iter().any(|arg| arg == "--jobs") {
-            return Err("--jobs does not apply with --coordinator \
-                        (parallelism comes from the workers)"
-                .to_string());
-        }
-        if plan.backend == BackendKind::Replay {
-            return Err("--backend replay does not apply with --coordinator: \
-                        the recording store does not cross process boundaries, \
-                        so fabric workers always run direct"
-                .to_string());
-        }
-        run_fabric_sweep(args, plan, &address)?
-    } else {
-        for flag in ["--fabric-log", "--fabric-trace", "--fabric-metrics"] {
-            if args.iter().any(|arg| arg == flag) {
-                return Err(format!("{flag} applies only with --coordinator"));
-            }
-        }
-        let cache = open_cache(args);
-        let progress = sweep_progress(args, &plan);
-        plan.run_with_progress(jobs, cache.as_ref(), progress.as_ref())
-            .map_err(|error| error.to_string())?
-    };
+    let cache = open_cache(args);
+    let progress = (!args.iter().any(|arg| arg == "--no-progress"))
+        .then(|| SweepProgress::auto(plan.jobs().len()));
+    let results = plan
+        .run_with_progress(jobs, cache.as_ref(), progress.as_ref())
+        .map_err(|error| error.to_string())?;
     println!("{}", results.ipc_table());
     if let Some(out) = parse_flag(args, "--metrics-json") {
         write_file(&out, &results.aggregate_json())?;
@@ -672,165 +613,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The live progress line, unless `--no-progress` asked for silence.
-/// TTY detection is inside [`SweepProgress::auto`]: interactive runs
-/// get an in-place line, piped stderr gets occasional plain lines.
-fn sweep_progress(args: &[String], plan: &SweepPlan) -> Option<SweepProgress> {
-    if args.iter().any(|arg| arg == "--no-progress") {
-        None
-    } else {
-        Some(SweepProgress::auto(plan.jobs().len()))
-    }
-}
-
-/// The distributed arm of `cpe sweep`: listen on `address`, lease the
-/// grid out to connecting `cpe worker` processes, and assemble their
-/// results through the same path the local scheduler uses — so the
-/// table and metrics document are byte-identical either way.
-///
-/// All observability is opt-in and side-channel: `--fabric-log` streams
-/// JSONL events, `--fabric-trace` renders a Chrome trace, and
-/// `--fabric-metrics` writes the fleet counters — none of them touch
-/// the stdout table or the `--metrics-json` document.
-fn run_fabric_sweep(
-    args: &[String],
-    plan: SweepPlan,
-    address: &str,
-) -> Result<SweepResults, String> {
-    let defaults = FabricOptions::default();
-    let options = FabricOptions {
-        lease_ttl: parse_number(args, "--lease-ms")?
-            .map(std::time::Duration::from_millis)
-            .unwrap_or(defaults.lease_ttl),
-        heartbeat: parse_number(args, "--heartbeat-ms")?
-            .map(std::time::Duration::from_millis)
-            .unwrap_or(defaults.heartbeat),
-        ..defaults
-    };
-    if options.lease_ttl <= options.heartbeat {
-        return Err(format!(
-            "--lease-ms ({:?}) must exceed --heartbeat-ms ({:?}), or every \
-             lease expires between heartbeats",
-            options.lease_ttl, options.heartbeat
-        ));
-    }
-    // Single-job serve requests share the coordinator's listener; the
-    // cache flags apply to those (workers own their caches locally).
-    let serve_defaults = ServeDefaults {
-        scale: plan.scale,
-        max_insts: plan.max_insts,
-    };
-    let server = Server::new(open_cache(args), serve_defaults);
-    let log = match parse_flag(args, "--fabric-log") {
-        Some(path) => Some(EventLog::create(&path, DEFAULT_EVENT_CAPACITY)?),
-        None => None,
-    };
-    let trace_out = parse_flag(args, "--fabric-trace");
-    let observer = FabricObserver::new(log, trace_out.is_some(), sweep_progress(args, &plan));
-    let coordinator = Coordinator::with_observer(plan.jobs(), options, observer);
-    let listener = std::net::TcpListener::bind(address)
-        .map_err(|error| format!("cannot listen on `{address}`: {error}"))?;
-    eprintln!("coordinating {} cell(s) on {address} (start workers with `cpe worker --connect {address}`)",
-        plan.jobs().len());
-    let report = coordinator
-        .run(listener, &server)
-        .map_err(|error| format!("coordinator: {error}"))?;
-    if let Some(path) = &trace_out {
-        let rendered = report.trace_json.as_deref().unwrap_or("");
-        write_file(path, rendered)?;
-        eprintln!("wrote fabric trace to {path}");
-    }
-    if let Some(path) = parse_flag(args, "--fabric-metrics") {
-        write_file(&path, &report.fabric_json())?;
-        eprintln!("wrote fabric metrics to {path}");
-    }
-    eprintln!("{}", report.stats);
-    // The fleet footer: one line per worker session, then the latency
-    // distributions — stderr only, like every other footer line.
-    for worker in &report.workers {
-        eprintln!("{worker}");
-    }
-    if let (Some(p50), Some(p99)) = (report.lease_latency_ms.p50(), report.lease_latency_ms.p99()) {
-        eprint!("fabric: lease latency p50 {p50}ms p99 {p99}ms");
-        if let (Some(w50), Some(w99)) = (report.cell_wall_ms.p50(), report.cell_wall_ms.p99()) {
-            eprint!(", cell wall p50 {w50}ms p99 {w99}ms");
-        }
-        eprintln!();
-    }
-    if let Some(log) = &report.log {
-        eprintln!("fabric log: {log}");
-    }
-    if server.jobs_served() > 0 {
-        eprintln!(
-            "also served {} single-job request(s): {}",
-            server.jobs_served(),
-            server.stats_json()
-        );
-    }
-    let workers = report.stats.workers_seen.max(1) as usize;
-    let wall = report.stats.wall_seconds;
-    Ok(SweepResults::assemble(
-        plan,
-        report.outcomes,
-        workers,
-        0,
-        wall,
-    ))
-}
-
-/// `cpe status --connect ADDR`: one query frame against a live
-/// coordinator, rendered as a summary line plus a per-worker table.
-fn cmd_status(args: &[String]) -> Result<(), String> {
-    let address = parse_flag(args, "--connect")
-        .ok_or_else(|| format!("status needs --connect ADDR\n\n{}", usage()))?;
-    let timeout_ms: u64 = parse_number(args, "--timeout-ms")?.unwrap_or(2_000);
-    let status = query_status(
-        &address,
-        u64::from(FABRIC_SCHEMA),
-        std::time::Duration::from_millis(timeout_ms.max(1)),
-    )?;
-    println!(
-        "sweep: {}/{} cell(s) done, {} failed, {} leased, {} queued, {} in backoff ({:.1}s elapsed)",
-        status.done,
-        status.cells,
-        status.failed,
-        status.leased,
-        status.queued,
-        status.backoff,
-        status.elapsed_ms as f64 / 1.0e3
-    );
-    if status.workers.is_empty() {
-        println!("no workers have connected yet");
-        return Ok(());
-    }
-    let mut table = Table::new([
-        "session",
-        "worker",
-        "state",
-        "cells",
-        "hits",
-        "misses",
-        "nacks",
-        "last seen",
-    ]);
-    for worker in &status.workers {
-        table.row([
-            worker.session.to_string(),
-            worker.worker.clone(),
-            if worker.connected { "up" } else { "gone" }.to_string(),
-            worker.cells.to_string(),
-            worker.hits.to_string(),
-            worker.misses.to_string(),
-            worker.nacks.to_string(),
-            format!("{:.1}s ago", worker.last_seen_ms as f64 / 1.0e3),
-        ]);
-    }
-    println!("{table}");
-    Ok(())
-}
-
-/// `cpe validate FILE...`: parse observability artifacts — fabric JSONL
-/// event logs (by `--jsonl` or a `.jsonl` suffix) line by line, Konata
+/// `cpe validate FILE...`: parse observability artifacts — JSONL event
+/// traces (by `--jsonl` or a `.jsonl` suffix) line by line, Konata
 /// pipeviews (by their `Kanata` header or a `.kanata` suffix)
 /// structurally, anything else as one JSON document. Any malformed input
 /// is a hard error; JSON documents that embed `cpi_stack` objects are
@@ -866,8 +650,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
                 if line.trim().is_empty() {
                     continue;
                 }
-                cpe::exec::render::parse(line)
-                    .map_err(|error| format!("{path}:{}: {error}", index + 1))?;
+                parse_json(line).map_err(|error| format!("{path}:{}: {error}", index + 1))?;
                 lines += 1;
             }
             println!("{path}: ok ({lines} event line(s))");
@@ -879,9 +662,8 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
                 summary.instructions, summary.retired, summary.last_cycle
             );
         } else {
-            cpe::exec::render::parse(&contents).map_err(|error| format!("{path}: {error}"))?;
+            let doc = parse_json(&contents).map_err(|error| format!("{path}: {error}"))?;
             if cpi_flag || contents.contains("\"cpi_stack\"") {
-                let doc = cpe::parse_json(&contents).map_err(|error| format!("{path}: {error}"))?;
                 let checked =
                     cpe::validate_cpi_stacks(&doc).map_err(|error| format!("{path}: {error}"))?;
                 if cpi_flag && checked == 0 {
@@ -896,68 +678,6 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// `SIGTERM`/`SIGINT` raise this flag; the worker drains its current
-/// lease and exits cleanly instead of abandoning it mid-run.
-static WORKER_STOP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-#[cfg(unix)]
-fn install_worker_stop_handler() {
-    extern "C" fn raise_stop(_signum: i32) {
-        WORKER_STOP.store(true, std::sync::atomic::Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    // Store-to-an-atomic is the only thing the handler does, which is
-    // async-signal-safe; no libc crate needed for two constants.
-    unsafe {
-        signal(SIGTERM, raise_stop as *const () as usize);
-        signal(SIGINT, raise_stop as *const () as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_worker_stop_handler() {}
-
-fn cmd_worker(args: &[String]) -> Result<(), String> {
-    let address = parse_flag(args, "--connect")
-        .ok_or_else(|| format!("worker needs --connect ADDR\n\n{}", usage()))?;
-    let mut options = WorkerOptions::default();
-    if let Some(name) = parse_flag(args, "--name") {
-        options.name = name;
-    }
-    let cache = open_cache(args);
-    install_worker_stop_handler();
-    let summary = run_worker(&address, cache.as_ref(), &options, &WORKER_STOP)
-        .map_err(|error| format!("worker: {error}"))?;
-    eprintln!("{summary}");
-    Ok(())
-}
-
-/// Seeded chaos runs of the fabric. `Ok(true)` means every case held the
-/// byte-identity promise (exit 0); `Ok(false)` means at least one
-/// diverged, failed, or hung short of convergence (exit 1).
-fn cmd_fuzz_fabric(cases: u64, seed: u64) -> Result<bool, String> {
-    println!("seed: {seed:#x}, {cases} case(s)");
-    let mut clean = true;
-    for case in 0..cases {
-        let case_seed = seed.wrapping_add(case);
-        match chaos::chaos_case(case_seed) {
-            Ok(run) => println!("case {case} (seed {case_seed:#x}): ok — {}", run.stats),
-            Err(diagnosis) => {
-                println!("case {case} (seed {case_seed:#x}): FAILED — {diagnosis}");
-                clean = false;
-            }
-        }
-    }
-    if clean {
-        println!("all {cases} case(s) byte-identical to serial");
-    }
-    Ok(clean)
 }
 
 fn cmd_cache(args: &[String]) -> Result<(), String> {
@@ -980,43 +700,6 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
             usage()
         )),
     }
-}
-
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let stdin_mode = args.iter().any(|arg| arg == "--stdin");
-    let listen = parse_flag(args, "--listen");
-    if stdin_mode == listen.is_some() {
-        return Err(format!(
-            "serve needs exactly one of --stdin or --listen ADDR\n\n{}",
-            usage()
-        ));
-    }
-    let defaults = ServeDefaults {
-        scale: parse_scale(args)?,
-        max_insts: Some(parse_number(args, "--max")?.unwrap_or(20_000)),
-    };
-    let server = Server::new(open_cache(args), defaults);
-    if stdin_mode {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        server
-            .serve_stream(stdin.lock(), stdout.lock())
-            .map_err(|error| format!("serve: {error}"))?;
-    } else {
-        let address = listen.expect("checked above");
-        let listener = std::net::TcpListener::bind(&address)
-            .map_err(|error| format!("cannot listen on `{address}`: {error}"))?;
-        eprintln!("serving on {address} (send {{\"cmd\":\"shutdown\"}} to stop)");
-        server
-            .serve_tcp(listener)
-            .map_err(|error| format!("serve: {error}"))?;
-    }
-    eprintln!(
-        "served {} job(s): {}",
-        server.jobs_served(),
-        server.stats_json()
-    );
-    Ok(())
 }
 
 /// Compare two exported JSON documents. `Ok(true)` means clean (exit 0);
@@ -1074,19 +757,12 @@ fn usage() -> &'static str {
      cpe explain <CONFIG_A> <CONFIG_B> [--workload NAME] [--scale S] [--max N]\n  \
      cpe pipeview --workload NAME [--config NAME] [--scale S] [--max N]\n               \
      [--ring N] [-o FILE]\n  \
-     cpe bench [--name N] [--config NAME] [--max N] [--out FILE] [--jobs N]\n  \
+     cpe bench [--name N] [--config NAME] [--max N] [--out FILE]\n  \
      cpe sweep [--jobs N] [--scale test|small|full] [--max N] [--configs a,b]\n            \
      [--workloads x,y] [--backend direct|replay] [--no-cache] [--cache-dir DIR]\n            \
-     [--metrics-json FILE]\n            \
-     [--no-progress] [--coordinator ADDR [--lease-ms N] [--heartbeat-ms N]\n            \
-     [--fabric-log FILE] [--fabric-trace FILE] [--fabric-metrics FILE]]\n  \
-     cpe worker --connect ADDR [--name NAME] [--no-cache] [--cache-dir DIR]\n  \
-     cpe status --connect ADDR [--timeout-ms N]\n  \
+     [--metrics-json FILE] [--no-progress]\n  \
      cpe validate <file.json|file.jsonl|file.kanata>... [--jsonl] [--cpi]\n  \
-     cpe fuzz-fabric [--cases N] [--seed S]\n  \
      cpe cache stats|clear [--cache-dir DIR]\n  \
-     cpe serve (--stdin | --listen ADDR) [--no-cache] [--cache-dir DIR]\n            \
-     [--scale test|small|full] [--max N]\n  \
      cpe diff <a.json> <b.json> [--tolerance PCT]\n  cpe workloads\n  cpe configs\n  \
      cpe --version"
 }
@@ -1130,7 +806,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
             let detail = args.iter().any(|arg| arg == "--detail");
             done(cmd_run(
                 &args[1],
-                parse_flag(args, "--config"),
+                config_flag(args)?,
                 max,
                 detail,
                 parse_flag(args, "--metrics-json"),
@@ -1176,11 +852,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
             done(cmd_pipeview(&args[1..]))
         }
         Some("bench") => {
-            reject_unknown_flags(
-                &args[1..],
-                &["--name", "--config", "--max", "--out", "--jobs"],
-                &[],
-            )?;
+            reject_unknown_flags(&args[1..], &["--name", "--config", "--max", "--out"], &[])?;
             done(cmd_bench(args))
         }
         Some("sweep") => {
@@ -1195,54 +867,18 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                     "--backend",
                     "--cache-dir",
                     "--metrics-json",
-                    "--coordinator",
-                    "--lease-ms",
-                    "--heartbeat-ms",
-                    "--fabric-log",
-                    "--fabric-trace",
-                    "--fabric-metrics",
                 ],
                 &["--no-cache", "--no-progress"],
             )?;
             done(cmd_sweep(args))
         }
-        Some("status") => {
-            reject_unknown_flags(&args[1..], &["--connect", "--timeout-ms"], &[])?;
-            done(cmd_status(args))
-        }
         Some("validate") if args.len() >= 2 => {
             reject_unknown_flags(&args[1..], &[], &["--jsonl", "--cpi"])?;
             done(cmd_validate(&args[1..]))
         }
-        Some("worker") => {
-            reject_unknown_flags(
-                &args[1..],
-                &["--connect", "--name", "--cache-dir"],
-                &["--no-cache"],
-            )?;
-            done(cmd_worker(args))
-        }
-        Some("fuzz-fabric") => {
-            reject_unknown_flags(&args[1..], &["--cases", "--seed"], &[])?;
-            let cases = parse_number(args, "--cases")?.unwrap_or(10);
-            let seed = parse_number(args, "--seed")?.unwrap_or(0xFAB);
-            if cmd_fuzz_fabric(cases, seed)? {
-                Ok(ExitCode::SUCCESS)
-            } else {
-                Ok(ExitCode::from(1))
-            }
-        }
         Some("cache") => {
             reject_unknown_flags(&args[1..], &["--cache-dir"], &[])?;
             done(cmd_cache(&args[1..]))
-        }
-        Some("serve") => {
-            reject_unknown_flags(
-                &args[1..],
-                &["--listen", "--scale", "--max", "--cache-dir"],
-                &["--stdin", "--no-cache"],
-            )?;
-            done(cmd_serve(args))
         }
         Some("diff") if args.len() >= 3 => {
             reject_unknown_flags(&args[3..], &["--tolerance"], &[])?;

@@ -16,7 +16,7 @@
 //! | [`workloads`] | `cpe-workloads` | the six applications + OS-activity injection |
 //! | [`stats`] | `cpe-stats` | counters, histograms, tables, time series |
 //! | [`trace`] | `cpe-trace` | event tracing: ring buffer, Chrome/JSONL sinks |
-//! | [`exec`] | `cpe-exec` | parallel scheduler, result cache, batch-job server |
+//! | [`exec`] | `cpe-exec` | parallel sweep scheduler, result cache |
 //! | top level | `cpe-core` | [`SimConfig`], [`Simulator`], [`Experiment`], [`RunSummary`], [`ProfiledRun`] |
 //!
 //! # Quickstart
@@ -77,7 +77,7 @@ pub mod trace {
 }
 
 /// Execution layer: work-stealing scheduler, content-addressed result
-/// cache, and the `cpe serve` job protocol. See `docs/EXECUTION.md`.
+/// cache, and the `cpe sweep` grid. See `docs/EXECUTION.md`.
 pub mod exec {
     pub use cpe_exec::*;
 }

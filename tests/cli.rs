@@ -47,23 +47,75 @@ fn no_arguments_prints_usage_and_fails() {
 fn usage_covers_every_subcommand() {
     let output = cpe().output().unwrap();
     let stderr = String::from_utf8_lossy(&output.stderr);
-    for sub in [
-        "cpe asm",
-        "cpe trace",
-        "cpe run",
-        "cpe profile",
-        "cpe compare",
-        "cpe bench",
-        "cpe sweep",
-        "cpe cache",
-        "cpe serve",
-        "cpe diff",
-        "cpe workloads",
-        "cpe configs",
-        "cpe --version",
-    ] {
-        assert!(stderr.contains(sub), "usage missing `{sub}`: {stderr}");
+    let verbs = [
+        "asm",
+        "trace",
+        "run",
+        "profile",
+        "compare",
+        "explain",
+        "pipeview",
+        "bench",
+        "sweep",
+        "validate",
+        "cache",
+        "diff",
+        "workloads",
+        "configs",
+    ];
+    for verb in verbs {
+        assert!(
+            stderr.contains(&format!("cpe {verb} ")) || stderr.contains(&format!("cpe {verb}\n")),
+            "usage missing `cpe {verb}`: {stderr}"
+        );
     }
+    assert!(stderr.contains("cpe --version"), "{stderr}");
+    // Every usage line names one of the verbs above (or `--version`).
+    for line in stderr
+        .lines()
+        .filter(|line| line.trim_start().starts_with("cpe "))
+    {
+        let word = line.split_whitespace().nth(1).unwrap_or_default();
+        assert!(
+            verbs.contains(&word) || word == "--version",
+            "usage lists an unexpected verb: {line}"
+        );
+    }
+}
+
+#[test]
+fn removed_verbs_and_sweep_flags_are_unknown() {
+    for verb in ["worker", "status", "fuzz-fabric", "serve"] {
+        let output = cpe().args([verb, "--no-cache"]).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "{verb}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.starts_with("usage:"), "{verb}: {stderr}");
+        assert!(!stderr.contains(&format!("cpe {verb}")), "{verb}: {stderr}");
+    }
+    for flag in [
+        "--coordinator",
+        "--lease-ms",
+        "--heartbeat-ms",
+        "--fabric-log",
+        "--fabric-trace",
+        "--fabric-metrics",
+    ] {
+        let output = cpe()
+            .args(["sweep", "--no-cache", "--max", "100", flag, "1"])
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{flag}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{flag}: no cell ran");
+    }
+    let output = cpe().args(["bench", "--jobs", "2"]).output().unwrap();
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown flag `--jobs`"), "{stderr}");
 }
 
 #[test]
@@ -639,51 +691,7 @@ fn sweep_rejects_a_bad_grid_before_running() {
 }
 
 #[test]
-fn serve_stdin_answers_requests_and_reports_cache_status() {
-    use std::process::Stdio;
-    let mut child = cpe()
-        .args(["serve", "--stdin", "--no-cache", "--max", "2000"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(
-            b"{\"id\":1,\"workload\":\"sort\",\"config\":\"2-port\"}\n\
-              {\"id\":2,\"workload\":\"nope\"}\n\
-              {\"cmd\":\"stats\"}\n",
-        )
-        .unwrap();
-    let output = child.wait_with_output().unwrap();
-    assert!(
-        output.status.success(),
-        "{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 3, "{stdout}");
-    assert!(lines[0].contains("\"id\":1"), "{}", lines[0]);
-    assert!(lines[0].contains("\"cache\":\"bypass\""), "{}", lines[0]);
-    assert!(lines[0].contains("\"wall_ms\":"), "{}", lines[0]);
-    assert!(
-        lines[0].contains("\"result\":{\"schema\":3"),
-        "{}",
-        lines[0]
-    );
-    assert!(lines[1].contains("unknown workload"), "{}", lines[1]);
-    assert!(lines[2].contains("\"jobs\":1"), "{}", lines[2]);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("served 1 job(s)"), "{stderr}");
-}
-
-#[test]
 fn deeply_nested_json_is_a_user_error_not_an_abort() {
-    use std::process::Stdio;
     let dir = tempdir();
     let deep = dir.join("deep.json");
     std::fs::write(&deep, "[".repeat(200_000)).unwrap();
@@ -699,44 +707,52 @@ fn deeply_nested_json_is_a_user_error_not_an_abort() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(stderr.contains("nesting deeper than"), "{stderr}");
     }
-
-    // On the wire: one 60,000-byte request line (inside the request cap)
-    // gets an error reply and the server answers the next request.
-    let mut child = cpe()
-        .args(["serve", "--stdin", "--no-cache", "--max", "2000"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut requests = "[".repeat(60_000).into_bytes();
-    requests.extend_from_slice(b"\n{\"cmd\":\"stats\"}\n");
-    child.stdin.take().unwrap().write_all(&requests).unwrap();
-    let output = child.wait_with_output().unwrap();
-    assert!(
-        output.status.success(),
-        "{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 2, "{stdout}");
-    assert!(lines[0].contains("\"error\""), "{}", lines[0]);
-    assert!(lines[0].contains("nesting deeper than"), "{}", lines[0]);
-    assert!(lines[1].contains("\"jobs\":0"), "{}", lines[1]);
 }
 
 #[test]
-fn serve_requires_exactly_one_transport() {
+fn out_of_range_numbers_are_a_user_error_not_a_match() {
+    let dir = tempdir();
+    let huge = dir.join("huge.json");
+    std::fs::write(&huge, "{\"x\":1e999}").unwrap();
+    let five = dir.join("five.json");
+    std::fs::write(&five, "{\"x\":5}").unwrap();
+    let negative = dir.join("negative.json");
+    std::fs::write(&negative, "{\"x\":-1e999}").unwrap();
     for args in [
-        vec!["serve"],
-        vec!["serve", "--stdin", "--listen", "127.0.0.1:0"],
+        vec![
+            "diff".into(),
+            huge.clone(),
+            five.clone(),
+            "--tolerance".into(),
+            "0".into(),
+        ],
+        vec![
+            "diff".into(),
+            huge.clone(),
+            negative.clone(),
+            "--tolerance".into(),
+            "0".into(),
+        ],
+        vec!["validate".into(), huge.clone()],
     ] {
-        let output = cpe().args(&args).output().unwrap();
+        let output = cpe().args(&args as &[std::path::PathBuf]).output().unwrap();
         assert_eq!(output.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(stderr.contains("--stdin or --listen"), "{stderr}");
+        assert!(stderr.contains("number out of range"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn diff_lines_carry_the_direction_of_change() {
+    let dir = tempdir();
+    let two = dir.join("two.json");
+    std::fs::write(&two, "{\"x\":2}").unwrap();
+    let one = dir.join("one.json");
+    std::fs::write(&one, "{\"x\":1}").unwrap();
+    let output = cpe().arg("diff").arg(&two).arg(&one).output().unwrap();
+    assert_eq!(output.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("x: 2 -> 1 (-50.00%)"), "{stdout}");
 }
 
 #[test]
