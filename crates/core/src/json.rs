@@ -6,12 +6,14 @@
 //!
 //! * [`profile_json`] — the `--metrics-json` artifact: the full
 //!   [`SimConfig`] (making the file self-describing), the end-of-run
-//!   [`RunSummary`], the per-epoch [`MetricsSeries`], and the
-//!   [`SelfProfile`];
+//!   [`RunSummary`], every raw scalar counter, the per-epoch
+//!   [`MetricsSeries`], and the [`SelfProfile`];
 //! * [`config_json`] — the embedded configuration object, also useful on
 //!   its own.
 
-use cpe_cpu::{CpuConfig, CpuStats, DirPredictorKind, Disambiguation, FuSpec, StallCause};
+use cpe_cpu::{
+    CpuConfig, CpuStats, DirPredictorKind, Disambiguation, FuSpec, SimResult, StallCause,
+};
 use cpe_mem::{
     CacheGeometry, Latencies, LineBufferConfig, MemConfig, PortConfig, ReplacementPolicy,
     StoreBufferConfig, TlbConfig, WritePolicy,
@@ -402,17 +404,35 @@ fn self_profile_json(profile: &SelfProfile) -> String {
     )
 }
 
+/// Every scalar counter of the run, keyed by field name:
+/// `{"cpu":{…},"mem":{…}}` (both halves have a `loads` and a `stores`).
+fn counters_json(raw: &SimResult) -> String {
+    let object = |counters: Vec<(&str, u64)>| {
+        let members: Vec<String> = counters
+            .iter()
+            .map(|(name, value)| format!("\"{name}\":{value}"))
+            .collect();
+        format!("{{{}}}", members.join(","))
+    };
+    format!(
+        "{{\"cpu\":{},\"mem\":{}}}",
+        object(raw.cpu.counters()),
+        object(raw.mem.counters())
+    )
+}
+
 /// The complete `--metrics-json` document for one profiled run.
 pub fn profile_json(run: &ProfiledRun, config: &SimConfig) -> String {
     let epochs: Vec<String> = run.series.epochs.iter().map(epoch_json).collect();
     format!(
         "{{\"schema\":{},\"config\":{},\"summary\":{},\"distributions\":{},\"cpi_stack\":{},\
-         \"epoch_interval\":{},\"epochs\":[{}],\"self_profile\":{}}}",
+         \"counters\":{},\"epoch_interval\":{},\"epochs\":[{}],\"self_profile\":{}}}",
         METRICS_SCHEMA,
         config_json(config),
         summary_json(&run.summary),
         distributions_json(&run.summary),
         cpi_stack_json(&run.summary.raw.cpu),
+        counters_json(&run.summary.raw),
         run.series.interval,
         epochs.join(","),
         self_profile_json(&run.self_profile)

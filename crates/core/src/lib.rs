@@ -13,8 +13,6 @@
 //! * [`RunSummary`] — the flattened metrics a study needs (IPC, port
 //!   utilisation, portless-load fraction, miss ratios, kernel/user
 //!   breakdowns);
-//! * [`Experiment`] — a sweep runner producing `cpe-stats` tables, used by
-//!   the benchmark harness to regenerate the paper's tables and figures;
 //! * [`Simulator::try_profile`] — an instrumented run producing interval
 //!   ("epoch") metrics, a self-profile, and — with the `trace` feature —
 //!   the retained `cpe-trace` event window; [`profile_json`] renders the
@@ -47,7 +45,6 @@ mod bench;
 mod config;
 mod diff;
 mod error;
-mod experiment;
 pub mod faultinject;
 pub mod json;
 mod metrics;
@@ -61,7 +58,6 @@ pub use bench::{peak_rss_bytes, BenchEntry, BenchReport};
 pub use config::SimConfig;
 pub use diff::{diff_json, parse_json, DiffEntry, DiffReport, JsonValue};
 pub use error::{ConfigError, SimError};
-pub use experiment::{Experiment, ResultRow};
 pub use json::{config_json, profile_json, summary_json, METRICS_SCHEMA};
 pub use metrics::RunSummary;
 pub use observe::{EpochMetrics, MetricsSeries, ProfileOptions, ProfiledRun, SelfProfile};

@@ -122,45 +122,6 @@ impl Simulator {
         let result = core.try_run(max_insts)?;
         Ok(RunSummary::new(&self.config.name, label, result))
     }
-
-    /// Run with a warm-up window: statistics reset after `warmup_insts`
-    /// committed instructions (structures stay warm), and `max_insts`
-    /// bounds the measured window — the standard sampled-simulation
-    /// methodology.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the livelock watchdog aborts the run.
-    pub fn run_warmed(
-        &self,
-        workload: Workload,
-        scale: Scale,
-        warmup_insts: u64,
-        max_insts: Option<u64>,
-    ) -> RunSummary {
-        match self.try_run_warmed(workload, scale, warmup_insts, max_insts) {
-            Ok(summary) => summary,
-            Err(error) => panic!("{error}"),
-        }
-    }
-
-    /// Fallible form of [`Simulator::run_warmed`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Watchdog`] when the pipeline stops making progress.
-    pub fn try_run_warmed(
-        &self,
-        workload: Workload,
-        scale: Scale,
-        warmup_insts: u64,
-        max_insts: Option<u64>,
-    ) -> Result<RunSummary, SimError> {
-        let mem = MemSystem::new(self.config.mem);
-        let core = Core::new(self.config.cpu, mem, workload.trace(scale));
-        let result = core.try_run_warmed(warmup_insts, max_insts)?;
-        Ok(RunSummary::new(&self.config.name, workload.name(), result))
-    }
 }
 
 #[cfg(test)]
@@ -210,31 +171,6 @@ mod tests {
         config.cpu.issue_width = 0;
         let error = Simulator::try_new(config).expect_err("zero issue width");
         assert!(error.message.contains("issue width"), "{}", error.message);
-    }
-
-    #[test]
-    fn warmup_excludes_cold_start_misses() {
-        let sim = Simulator::new(SimConfig::dual_port());
-        // Windows wide enough to average over program phases: the warmed
-        // run measures a shifted window, so a narrow one would compare
-        // different code regions rather than cold-start effects.
-        let cold = sim.run(Workload::Fft, Scale::Test, Some(30_000));
-        let warmed = sim.run_warmed(Workload::Fft, Scale::Test, 5_000, Some(30_000));
-        // The measured window starts with warm caches: fewer misses per
-        // instruction and at least equal IPC.
-        assert!(
-            warmed.dcache_mpki < cold.dcache_mpki,
-            "{} vs {}",
-            warmed.dcache_mpki,
-            cold.dcache_mpki
-        );
-        assert!(
-            warmed.ipc >= cold.ipc * 0.95,
-            "{} vs {}",
-            warmed.ipc,
-            cold.ipc
-        );
-        assert!(warmed.insts <= 31_000);
     }
 
     #[test]

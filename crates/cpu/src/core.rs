@@ -248,50 +248,18 @@ impl<B: ExecBackend> Core<B> {
     /// modelling bug, not a program property). [`Core::try_run`] returns
     /// the watchdog report as an error instead.
     pub fn run(self, max_insts: Option<u64>) -> SimResult {
-        self.run_warmed(0, max_insts)
-    }
-
-    /// Like [`Core::run`], but the livelock watchdog aborts the run with
-    /// a diagnostic [`WatchdogReport`] instead of panicking.
-    pub fn try_run(self, max_insts: Option<u64>) -> Result<SimResult, Box<WatchdogReport>> {
-        self.try_run_warmed(0, max_insts)
-    }
-
-    /// Like [`Core::run`], but zero every statistic once `warmup_insts`
-    /// instructions have committed — caches, predictors and TLBs stay
-    /// warm, so the reported window measures steady-state behaviour.
-    /// `max_insts` (when given) bounds the *measured* instructions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the watchdog fires; see [`Core::try_run_warmed`].
-    pub fn run_warmed(self, warmup_insts: u64, max_insts: Option<u64>) -> SimResult {
-        match self.try_run_warmed(warmup_insts, max_insts) {
+        match self.try_run(max_insts) {
             Ok(result) => result,
             Err(report) => panic!("{report}"),
         }
     }
 
-    /// The non-panicking form of [`Core::run_warmed`]: a watchdog abort
-    /// surfaces as an `Err` carrying the machine-state snapshot.
-    pub fn try_run_warmed(
-        mut self,
-        warmup_insts: u64,
-        max_insts: Option<u64>,
-    ) -> Result<SimResult, Box<WatchdogReport>> {
+    /// Like [`Core::run`], but the livelock watchdog aborts the run with
+    /// a diagnostic [`WatchdogReport`] instead of panicking.
+    pub fn try_run(mut self, max_insts: Option<u64>) -> Result<SimResult, Box<WatchdogReport>> {
         let limit = max_insts.unwrap_or(u64::MAX);
-        let mut warming = warmup_insts > 0;
         while self.try_step()? {
-            if warming && self.stats.committed.get() >= warmup_insts {
-                warming = false;
-                self.stats = CpuStats::new(
-                    self.config.rob_entries,
-                    self.config.commit_width as usize,
-                    self.lsq.capacity(),
-                );
-                self.mem.reset_stats();
-            }
-            if !warming && self.stats.committed.get() >= limit {
+            if self.stats.committed.get() >= limit {
                 break;
             }
         }

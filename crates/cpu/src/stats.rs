@@ -131,6 +131,43 @@ impl CpuStats {
     pub fn kernel_fraction(&self) -> Ratio {
         self.committed_kernel.ratio(self.committed)
     }
+
+    /// Every architectural scalar counter as `(field name, value)`, in
+    /// declaration order: the `cpu` half of a metrics document's
+    /// `counters` member. `sched_events_peak` stays out, as its field doc
+    /// says.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        cpe_stats::named_counters!(self, CpuStats {
+            cycles,
+            user_cycles,
+            kernel_cycles,
+            committed,
+            committed_user,
+            committed_kernel,
+            loads,
+            stores,
+            branches,
+            mispredicts,
+            indirect_mispredicts,
+            misfetches,
+            lsq_forwards,
+            lsq_order_stalls,
+            fetch_icache_stall_cycles,
+            fetch_redirect_stall_cycles,
+            dispatch_rob_full,
+            dispatch_lsq_full,
+            commit_store_stall_cycles,
+            wrong_path_blocks,
+            max_commit_gap,
+        } not {
+            sched_events_peak,
+            rob_occupancy,
+            lsq_occupancy,
+            commits_per_cycle,
+            cpi_stack,
+            commit_width,
+        })
+    }
 }
 
 impl Default for CpuStats {

@@ -29,8 +29,10 @@ pub const DEFAULT_CACHE_DIR: &str = ".cpe-cache";
 /// and every prior entry is a clean miss (never a wrong hit).
 ///
 /// History: 2 added the execution backend and its trace-format version
-/// to the key document (the record-once/replay-many backend).
-pub const CACHE_SCHEMA: u32 = 2;
+/// to the key document (the record-once/replay-many backend). 3 marks the
+/// cell document's `counters` member: an entry stored without it must
+/// never serve, so a cached document always equals a fresh one.
+pub const CACHE_SCHEMA: u32 = 3;
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

@@ -98,15 +98,29 @@ pub struct JobOutcome {
     pub wall_seconds: f64,
 }
 
+/// Run `cell` behind a panic boundary: an unwind becomes
+/// [`SimError::WorkerPanic`] carrying the panic message, so one
+/// panicking cell fails alone instead of taking its worker down.
+fn isolate(cell: impl FnOnce() -> Result<String, SimError>) -> Result<String, SimError> {
+    catch_unwind(AssertUnwindSafe(cell)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(SimError::WorkerPanic { message })
+    })
+}
+
 /// Compute one job's document (no cache involvement), with panic
-/// isolation: a panicking cell becomes [`SimError::WorkerPanic`].
+/// isolation.
 ///
 /// A replay-backend job pulls its recording from `traces` (recording on
 /// the fly into a private store when the caller attached none), then
 /// profiles over the replayed stream; the document is byte-identical to
 /// the direct path's.
 fn compute(job: &Job, traces: Option<&TraceStore>) -> Result<String, SimError> {
-    match catch_unwind(AssertUnwindSafe(|| {
+    isolate(|| {
         let simulator = Simulator::try_new(job.config.clone())?;
         let run = match job.backend {
             BackendKind::Direct => simulator.try_profile(
@@ -133,17 +147,7 @@ fn compute(job: &Job, traces: Option<&TraceStore>) -> Result<String, SimError> {
             }
         };
         Ok(profile_json(&run, simulator.config()))
-    })) {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(SimError::WorkerPanic { message })
-        }
-    }
+    })
 }
 
 /// Run one job through the cache: lookup, compute on miss, store.
@@ -467,6 +471,31 @@ mod tests {
         }
         assert!(outcomes[2].document.is_ok());
         assert!(outcomes[3].document.is_ok());
+    }
+
+    #[test]
+    fn panics_become_typed_worker_panics() {
+        let ok = isolate(|| Ok("{}".to_string()));
+        assert_eq!(ok.expect("no panic"), "{}");
+        let typed = isolate(|| {
+            Err(SimError::Trace {
+                index: 3,
+                message: "torn record".into(),
+            })
+        });
+        assert_eq!(typed.expect_err("errors pass through").kind(), "trace");
+        let text = isolate(|| panic!("synthetic worker crash"));
+        let owned = isolate(|| panic!("cell {} crashed", 7));
+        let opaque = isolate(|| std::panic::panic_any(42_u8));
+        for (outcome, message) in [
+            (text, "synthetic worker crash"),
+            (owned, "cell 7 crashed"),
+            (opaque, "non-string panic payload"),
+        ] {
+            let error = outcome.expect_err("a panic is a failed cell");
+            assert_eq!(error.kind(), "panic");
+            assert!(error.to_string().contains(message), "{error}");
+        }
     }
 
     #[test]

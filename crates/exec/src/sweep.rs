@@ -36,6 +36,23 @@ use crate::traces::TraceStore;
 
 /// The grid a sweep executes: configurations × workloads at one scale
 /// and instruction window.
+///
+/// ```no_run
+/// use cpe_core::{BackendKind, SimConfig};
+/// use cpe_exec::SweepPlan;
+/// use cpe_workloads::{Scale, Workload};
+///
+/// let plan = SweepPlan {
+///     configs: vec![SimConfig::naive_single_port(), SimConfig::dual_port()],
+///     workloads: Workload::ALL.to_vec(),
+///     scale: Scale::Small,
+///     max_insts: Some(200_000),
+///     backend: BackendKind::Replay,
+/// };
+/// let results = plan.run(0, None).expect("the grid is not empty");
+/// println!("{}", results.ipc_table());
+/// println!("{}", results.relative_table(1));
+/// ```
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
     /// Configurations, in column order.
@@ -72,8 +89,7 @@ impl SweepPlan {
         self
     }
 
-    /// The grid as jobs, workload-major (matching the serial
-    /// `Experiment` order).
+    /// The grid as jobs, workload-major.
     pub fn jobs(&self) -> Vec<Job> {
         self.workloads
             .iter()
@@ -354,6 +370,11 @@ impl SweepResults {
         &self.cells[workload_index * self.plan.configs.len() + config_index]
     }
 
+    /// Why one cell has no document to read, when it failed.
+    pub fn cell_failure(&self, workload_index: usize, config_index: usize) -> Option<&SimError> {
+        self.cell(workload_index, config_index).as_ref().err()
+    }
+
     /// A numeric summary metric for one cell, when it succeeded.
     pub fn summary_number(
         &self,
@@ -365,45 +386,111 @@ impl SweepResults {
         number_at(cell.summary.as_ref()?, &[field])
     }
 
-    fn cell_text(&self, workload_index: usize, config_index: usize, field: &str) -> String {
-        match self.cell(workload_index, config_index) {
-            Ok(_) => self
-                .summary_number(workload_index, config_index, field)
-                .map(|value| format!("{value:.3}"))
-                .unwrap_or_else(|| "-".to_string()),
-            Err(error) => format!("FAILED({})", error.kind()),
+    /// The number at `path` in one completed cell's document, such as
+    /// `["summary", "ipc"]` or `["counters", "mem", "write_throughs"]`.
+    /// A `summary` path reads the member [`SweepResults::assemble`] kept;
+    /// any other path parses the cell's document again, so what a result
+    /// set holds per cell does not grow.
+    pub fn cell_number(
+        &self,
+        workload_index: usize,
+        config_index: usize,
+        path: &[&str],
+    ) -> Option<f64> {
+        if let Some((&"summary", [field])) = path.split_first() {
+            return self.summary_number(workload_index, config_index, field);
         }
+        self.cell(workload_index, config_index).as_ref().ok()?;
+        let index = workload_index * self.plan.configs.len() + config_index;
+        let document = self.outcomes[index].document.as_ref().ok()?;
+        number_at(&parse_json(document).ok()?, path)
     }
 
-    /// IPC per workload per configuration, plus a geomean row — the same
-    /// shape the serial `Experiment::ipc_table` renders.
-    pub fn ipc_table(&self) -> Table {
-        self.metric_table("IPC", "ipc", true)
+    /// One cell's IPC relative to the reference configuration's on the
+    /// same workload (0 when the reference IPC is 0), when both ran.
+    pub fn relative_ipc(
+        &self,
+        workload_index: usize,
+        config_index: usize,
+        reference_index: usize,
+    ) -> Option<f64> {
+        let ipc = self.summary_number(workload_index, config_index, "ipc")?;
+        let reference = self.summary_number(workload_index, reference_index, "ipc")?;
+        Some(if reference == 0.0 {
+            0.0
+        } else {
+            ipc / reference
+        })
     }
 
-    /// Any summary metric as a (workload × config) table.
-    pub fn metric_table(&self, label: &str, field: &str, geomean: bool) -> Table {
+    /// Geometric mean over the workloads whose `value` is known; 0 when
+    /// none is. Failed cells drop out: the table marks them, the mean
+    /// covers what ran.
+    fn geomean(&self, value: impl Fn(usize) -> Option<f64>) -> f64 {
+        geometric_mean((0..self.plan.workloads.len()).filter_map(value)).unwrap_or(0.0)
+    }
+
+    /// Geometric-mean IPC across workloads for one configuration.
+    pub fn geomean_ipc(&self, config_index: usize) -> f64 {
+        self.geomean(|w| self.summary_number(w, config_index, "ipc"))
+    }
+
+    /// Geometric mean of [`SweepResults::relative_ipc`] across workloads.
+    pub fn geomean_relative(&self, config_index: usize, reference_index: usize) -> f64 {
+        self.geomean(|w| self.relative_ipc(w, config_index, reference_index))
+    }
+
+    /// A (workload × config) table of `metric(workload_index,
+    /// config_index)` to three decimals: `FAILED(<kind>)` for a failed
+    /// cell, `-` where the metric is unknown.
+    pub fn table_with(&self, label: &str, metric: impl Fn(usize, usize) -> Option<f64>) -> Table {
         let mut header = vec![format!("workload ({label})")];
         header.extend(self.plan.configs.iter().map(|c| c.name.clone()));
         let mut table = Table::new(header);
         for (workload_index, workload) in self.plan.workloads.iter().enumerate() {
             let mut row = vec![workload.name().to_string()];
             for config_index in 0..self.plan.configs.len() {
-                row.push(self.cell_text(workload_index, config_index, field));
+                row.push(match self.cell_failure(workload_index, config_index) {
+                    None => metric(workload_index, config_index)
+                        .map(|value| format!("{value:.3}"))
+                        .unwrap_or_else(|| "-".to_string()),
+                    Some(error) => format!("FAILED({})", error.kind()),
+                });
             }
             table.row(row);
         }
+        table
+    }
+
+    /// A geomean row over every configuration column.
+    fn geomean_row(&self, table: &mut Table, mean: impl Fn(usize) -> f64) {
+        let mut row = vec!["geomean".to_string()];
+        row.extend((0..self.plan.configs.len()).map(|c| format!("{:.3}", mean(c))));
+        table.row(row);
+    }
+
+    /// IPC per workload per configuration, plus a geomean row.
+    pub fn ipc_table(&self) -> Table {
+        self.metric_table("IPC", "ipc", true)
+    }
+
+    /// IPC normalised to the reference configuration, plus a geomean
+    /// row.
+    pub fn relative_table(&self, reference_index: usize) -> Table {
+        let mut table = self.table_with("relative IPC", |w, c| {
+            self.relative_ipc(w, c, reference_index)
+        });
+        self.geomean_row(&mut table, |c| self.geomean_relative(c, reference_index));
+        table
+    }
+
+    /// Any summary metric as a (workload × config) table.
+    pub fn metric_table(&self, label: &str, field: &str, geomean: bool) -> Table {
+        let mut table = self.table_with(label, |w, c| self.summary_number(w, c, field));
         if geomean {
-            let mut geo = vec!["geomean".to_string()];
-            for config_index in 0..self.plan.configs.len() {
-                let mean = geometric_mean(
-                    (0..self.plan.workloads.len())
-                        .filter_map(|w| self.summary_number(w, config_index, field)),
-                )
-                .unwrap_or(0.0);
-                geo.push(format!("{mean:.3}"));
-            }
-            table.row(geo);
+            self.geomean_row(&mut table, |c| {
+                self.geomean(|w| self.summary_number(w, c, field))
+            });
         }
         table
     }
@@ -510,6 +597,89 @@ mod tests {
     }
 
     #[test]
+    fn sweep_covers_the_grid() {
+        let results = tiny_plan().run(1, None).expect("grid is valid");
+        assert_eq!(results.outcomes().len(), 4);
+        for (index, outcome) in results.outcomes().iter().enumerate() {
+            assert_eq!(outcome.index, index, "outcomes come back in grid order");
+        }
+        for w in 0..2 {
+            for c in 0..2 {
+                assert!(results.cell_failure(w, c).is_none());
+                let ipc = results.summary_number(w, c, "ipc").expect("cell ran");
+                assert!(ipc > 0.0, "cell ({w}, {c}) ipc {ipc}");
+            }
+        }
+        assert_eq!(results.summary_number(0, 0, "no_such_field"), None);
+    }
+
+    #[test]
+    fn parallel_run_matches_serial_exactly() {
+        let serial = tiny_plan().run(1, None).expect("grid is valid");
+        let parallel = tiny_plan().run(3, None).expect("grid is valid");
+        assert_eq!(serial.outcomes().len(), parallel.outcomes().len());
+        for w in 0..2 {
+            for c in 0..2 {
+                for field in ["cycles", "insts", "ipc"] {
+                    assert_eq!(
+                        serial.summary_number(w, c, field),
+                        parallel.summary_number(w, c, field),
+                        "cell ({w}, {c}) {field}"
+                    );
+                }
+            }
+        }
+        assert_eq!(serial.ipc_table().to_csv(), parallel.ipc_table().to_csv());
+        assert_eq!(serial.aggregate_json(), parallel.aggregate_json());
+    }
+
+    #[test]
+    fn empty_plan_is_an_error() {
+        for empty in [
+            SweepPlan {
+                configs: vec![],
+                ..tiny_plan()
+            },
+            SweepPlan {
+                workloads: vec![],
+                ..tiny_plan()
+            },
+        ] {
+            let error = empty.run(1, None).expect_err("nothing to sweep");
+            assert_eq!(error.kind(), "config");
+            assert!(
+                error.to_string().contains("at least one configuration"),
+                "{error}"
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_configs_never_reach_a_runner() {
+        // Validation is hoisted: an invalid config's cells fail up front,
+        // never compute and never touch the cache — serially and with two
+        // workers — while the healthy cells run and are stored.
+        let mut plan = tiny_plan();
+        plan.configs[1] = SimConfig::dual_port().with_ports(0).named("broken");
+        for workers in [1, 2] {
+            let dir = tempdir(&format!("invalid-{workers}"));
+            let cache = ResultCache::new(&dir);
+            let results = plan.run(workers, Some(&cache)).expect("grid is non-empty");
+            assert_eq!(results.stats.failed, 2);
+            for w in 0..2 {
+                let broken = &results.outcomes()[w * 2 + 1];
+                assert_eq!(broken.document.as_ref().unwrap_err().kind(), "config");
+                assert_eq!(broken.cache, CacheStatus::Bypass, "cache never consulted");
+                assert_eq!(broken.wall_seconds, 0.0, "cell never ran");
+                assert_eq!(results.outcomes()[w * 2].cache, CacheStatus::Miss);
+                assert!(results.summary_number(w, 0, "ipc").is_some());
+            }
+            assert_eq!(cache.stats().entries, 2, "one entry per healthy cell");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
     fn replay_sweep_records_once_per_workload_and_matches_direct() {
         let direct = tiny_plan().run(2, None).expect("direct sweep runs");
         let replay = tiny_plan()
@@ -545,6 +715,163 @@ mod tests {
         let csv = results.ipc_table().to_csv();
         assert!(csv.contains("FAILED(config)"), "{csv}");
         assert!(results.aggregate_json().contains("\"failed\":\"config\""));
+    }
+
+    #[test]
+    fn tables_have_the_right_shape() {
+        let results = tiny_plan().run(2, None).expect("grid is valid");
+        let relative = results.relative_table(1);
+        assert_eq!(relative.len(), 3, "two workloads + geomean");
+        // The reference column normalises to 1.000 on every row.
+        for line in relative.to_csv().lines().skip(1) {
+            assert!(line.ends_with(",1.000"), "{line}");
+        }
+        assert_eq!(
+            results
+                .metric_table("util", "port_utilisation", false)
+                .len(),
+            2
+        );
+        let lb = results.table_with("lb", |w, c| {
+            results.cell_number(w, c, &["counters", "mem", "load_lb_hits"])
+        });
+        assert_eq!(lb.len(), 2);
+        assert!(lb.to_csv().starts_with("workload (lb),1-port naive,2-port"));
+        let unknown = results.table_with("none", |_, _| None);
+        assert!(
+            unknown.to_csv().ends_with("sort,-,-"),
+            "{}",
+            unknown.to_csv()
+        );
+    }
+
+    #[test]
+    fn geomeans_are_positive_and_ordered_sanely() {
+        let results = tiny_plan().run(2, None).expect("grid is valid");
+        let (naive, dual) = (results.geomean_ipc(0), results.geomean_ipc(1));
+        assert!(naive > 0.0 && dual > 0.0);
+        assert!(
+            dual >= naive * 0.95,
+            "dual-ported should not lose: {dual} vs {naive}"
+        );
+        let relative = results.geomean_relative(0, 1);
+        assert!(relative <= 1.05, "naive relative to dual: {relative}");
+        assert_eq!(results.geomean_relative(1, 1), 1.0);
+        let ipc = results.ipc_table().to_csv();
+        let geomean_row = ipc.lines().last().expect("geomean row");
+        assert_eq!(geomean_row, format!("geomean,{naive:.3},{dual:.3}"));
+    }
+
+    #[test]
+    fn poisoned_cell_fails_alone() {
+        // One inconsistent configuration marks its own cells FAILED while
+        // every healthy cell matches a clean sweep bit for bit, serially
+        // and with two workers.
+        let clean = tiny_plan().run(1, None).expect("grid is valid");
+        let mut plan = tiny_plan();
+        plan.configs.insert(
+            1,
+            SimConfig::naive_single_port()
+                .with_ports(0)
+                .named("poisoned"),
+        );
+        for workers in [1, 2] {
+            let poisoned = plan.run(workers, None).expect("grid is non-empty");
+            assert_eq!(poisoned.stats.failed, 2);
+            for w in 0..2 {
+                for (c, clean_c) in [(0, 0), (2, 1)] {
+                    for field in ["cycles", "insts", "ipc"] {
+                        assert_eq!(
+                            poisoned.summary_number(w, c, field),
+                            clean.summary_number(w, clean_c, field)
+                        );
+                    }
+                }
+            }
+            let csv = poisoned.ipc_table().to_csv();
+            assert_eq!(csv.matches("FAILED(config)").count(), 2, "{csv}");
+            assert!(
+                poisoned.geomean_ipc(0) > 0.0,
+                "healthy columns still average"
+            );
+            assert_eq!(poisoned.geomean_ipc(1), 0.0);
+            assert_eq!(poisoned.relative_ipc(0, 1, 2), None);
+        }
+    }
+
+    #[test]
+    fn watchdog_cells_fail_in_table_and_aggregate_and_rerun_as_misses() {
+        // A watchdog far below the pipeline fill latency aborts the cell.
+        // The failure is typed, shown in both outputs, never cached, and
+        // never retried at a smaller window.
+        let mut livelocked = SimConfig::naive_single_port().named("livelocked");
+        livelocked.cpu.watchdog_cycles = 4;
+        let plan = SweepPlan {
+            configs: vec![livelocked, SimConfig::dual_port()],
+            workloads: vec![Workload::Sort],
+            ..tiny_plan()
+        };
+        let dir = tempdir("watchdog");
+        let cache = ResultCache::new(&dir);
+        for run in 0..2 {
+            let results = plan.run(2, Some(&cache)).expect("grid is valid");
+            let outcome = &results.outcomes()[0];
+            assert_eq!(outcome.document.as_ref().unwrap_err().kind(), "watchdog");
+            assert_eq!(
+                outcome.cache,
+                CacheStatus::Miss,
+                "run {run}: failures are not cached"
+            );
+            let csv = results.ipc_table().to_csv();
+            assert!(csv.contains("FAILED(watchdog)"), "{csv}");
+            assert!(results.aggregate_json().contains("\"failed\":\"watchdog\""));
+            assert_eq!(results.stats.failed, 1);
+            let expected = if run == 0 {
+                CacheStatus::Miss
+            } else {
+                CacheStatus::Hit
+            };
+            assert_eq!(results.outcomes()[1].cache, expected);
+        }
+        assert_eq!(cache.stats().entries, 1, "only the healthy cell is stored");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn counters_match_the_raw_run_and_stay_out_of_the_aggregate() {
+        let plan = SweepPlan {
+            configs: vec![SimConfig::combined_single_port()],
+            workloads: vec![Workload::Compress],
+            ..tiny_plan()
+        };
+        let results = plan.run(1, None).expect("grid is valid");
+        let raw = cpe_core::Simulator::new(SimConfig::combined_single_port())
+            .run(Workload::Compress, plan.scale, plan.max_insts)
+            .raw;
+        for (half, counters) in [("cpu", raw.cpu.counters()), ("mem", raw.mem.counters())] {
+            let document = parse_json(results.outcomes()[0].document.as_ref().unwrap()).unwrap();
+            let Some(JsonValue::Object(members)) = member_path(&document, &["counters", half])
+            else {
+                panic!("no counters.{half} object");
+            };
+            assert_eq!(members.len(), counters.len(), "counters.{half}");
+            for (name, value) in counters {
+                assert_eq!(
+                    results.cell_number(0, 0, &["counters", half, name]),
+                    Some(value as f64),
+                    "counters.{half}.{name}"
+                );
+            }
+        }
+        assert_eq!(
+            results.cell_number(0, 0, &["counters", "mem", "loads"]),
+            Some(raw.mem.loads.get() as f64)
+        );
+        assert_eq!(
+            results.cell_number(0, 0, &["summary", "ipc"]),
+            results.summary_number(0, 0, "ipc")
+        );
+        assert!(!results.aggregate_json().contains("counters"));
     }
 
     /// The tree-holding assembly this module used before cells were

@@ -223,6 +223,56 @@ impl MemStats {
     pub fn data_refs(&self) -> u64 {
         self.loads.get() + self.stores.get()
     }
+
+    /// Every scalar counter as `(field name, value)`, in declaration
+    /// order: the `mem` half of a metrics document's `counters` member.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        cpe_stats::named_counters!(self, MemStats {
+            loads,
+            stores,
+            fetches,
+            load_sb_forwards,
+            load_lb_hits,
+            load_combined,
+            load_l1_hits,
+            load_miss_merged,
+            load_misses,
+            load_no_port,
+            load_mshr_full,
+            load_sb_conflicts,
+            store_rejected,
+            bank_conflicts,
+            store_combined,
+            store_drains,
+            store_l1_hits,
+            store_misses,
+            port_slots_used,
+            port_slots_offered,
+            writebacks,
+            l2_hits,
+            l2_misses,
+            icache_hits,
+            icache_misses,
+            prefetches,
+            prefetch_useful,
+            victim_hits,
+            write_throughs,
+        } not {
+            slots_per_cycle,
+            load_latency,
+            load_latency_l1,
+            load_latency_lb,
+            load_latency_forward,
+            load_latency_combined,
+            load_latency_merged,
+            load_latency_miss,
+            store_commit_latency,
+            mshr_residency,
+            mshr_occupancy,
+            store_buffer_occupancy,
+            port_queue_depth,
+        })
+    }
 }
 
 impl Default for MemStats {

@@ -53,18 +53,12 @@ impl MemSystem {
             backside: Backside::new(config.l2, config.latencies),
             dtlb: Tlb::new(config.dtlb),
             itlb: Tlb::new(config.itlb),
-            stats: Self::fresh_stats(&config),
+            stats: MemStats::new(
+                config.ports.count as usize,
+                config.mshrs,
+                config.store_buffer.entries,
+            ),
         }
-    }
-
-    /// Zeroed statistics with occupancy histograms sized to `config`'s
-    /// structures.
-    fn fresh_stats(config: &MemConfig) -> MemStats {
-        MemStats::new(
-            config.ports.count as usize,
-            config.mshrs,
-            config.store_buffer.entries,
-        )
     }
 
     /// Phase 1 of a cycle: install completed fills, reset port slots.
@@ -155,13 +149,6 @@ impl MemSystem {
     /// Accumulated statistics.
     pub fn stats(&self) -> &MemStats {
         &self.stats
-    }
-
-    /// Zero every counter while keeping all microarchitectural state
-    /// (cache contents, TLB mappings, buffers) — the warm-up boundary of
-    /// a sampled measurement.
-    pub fn reset_stats(&mut self) {
-        self.stats = Self::fresh_stats(&self.config);
     }
 
     /// The configuration this system was built with.

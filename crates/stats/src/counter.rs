@@ -3,6 +3,18 @@
 use std::fmt;
 use std::ops::AddAssign;
 
+/// `(field name, value)` for the listed [`Counter`] fields of a stats
+/// struct. The struct is destructured without `..`: every field must be
+/// named, either as a counter or after `not`, so a new field fails to
+/// compile until its owner decides which list it belongs in.
+#[macro_export]
+macro_rules! named_counters {
+    ($stats:expr, $ty:ident { $($counter:ident),* $(,)? } not { $($other:ident),* $(,)? }) => {{
+        let $ty { $($counter,)* $($other: _,)* } = $stats;
+        vec![$((stringify!($counter), $counter.get())),*]
+    }};
+}
+
 /// A saturating event counter.
 ///
 /// Counters are the basic unit of simulator bookkeeping: cycles, accesses,

@@ -8,9 +8,10 @@
 //! cargo run --release --example design_space
 //! ```
 
+use cpe::exec::SweepPlan;
 use cpe::stats::Table;
 use cpe::workloads::{Scale, Workload};
-use cpe::{Experiment, SimConfig};
+use cpe::{BackendKind, SimConfig};
 
 fn main() {
     let widths = [8u64, 16, 32];
@@ -39,10 +40,15 @@ fn main() {
         configs.len(),
         Workload::ALL.len()
     );
-    let results = Experiment::new(Scale::Small, window)
-        .configs(configs)
-        .workloads(&Workload::ALL)
-        .run_parallel(0);
+    let results = SweepPlan {
+        configs,
+        workloads: Workload::ALL.to_vec(),
+        scale: Scale::Small,
+        max_insts: window,
+        backend: BackendKind::Replay,
+    }
+    .run(0, None)
+    .expect("the grid is not empty");
 
     // Render the grid: rows = width, columns = store-buffer depth, cells =
     // geomean IPC relative to the dual-ported reference.
@@ -56,7 +62,7 @@ fn main() {
             let index = w * depths.len() + d;
             let relative = results.geomean_relative(index, reference);
             if relative > best.1 {
-                best = (results.configs()[index].name.clone(), relative);
+                best = (results.plan().configs[index].name.clone(), relative);
             }
             row.push(format!("{relative:.3}"));
         }

@@ -9,18 +9,26 @@
 //! cargo run --release --example port_sweep
 //! ```
 
+use cpe::exec::SweepPlan;
 use cpe::workloads::{Scale, Workload};
-use cpe::{Experiment, SimConfig};
+use cpe::{BackendKind, SimConfig};
 
 fn main() {
     let window = Some(200_000);
-    let results = Experiment::new(Scale::Small, window)
-        .config(SimConfig::single_port())
-        .config(SimConfig::dual_port())
-        .config(SimConfig::quad_port())
-        .config(SimConfig::ideal_ports())
-        .workloads(&Workload::ALL)
-        .run_with_progress(|workload, config| eprintln!("  {workload} / {config}"));
+    let results = SweepPlan {
+        configs: vec![
+            SimConfig::single_port(),
+            SimConfig::dual_port(),
+            SimConfig::quad_port(),
+            SimConfig::ideal_ports(),
+        ],
+        workloads: Workload::ALL.to_vec(),
+        scale: Scale::Small,
+        max_insts: window,
+        backend: BackendKind::Replay,
+    }
+    .run(0, None)
+    .expect("the grid is not empty");
 
     println!("\nIPC by true port count:");
     println!("{}", results.ipc_table());
@@ -30,7 +38,7 @@ fn main() {
     println!("data-port utilisation (fraction of offered slots used):");
     println!(
         "{}",
-        results.metric_table("port util", |summary| summary.port_utilisation)
+        results.metric_table("port util", "port_utilisation", false)
     );
 
     let two_vs_one = results.geomean_relative(1, 0);

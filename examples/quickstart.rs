@@ -9,8 +9,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use cpe::exec::SweepPlan;
 use cpe::workloads::{Scale, Workload};
-use cpe::{Experiment, SimConfig};
+use cpe::{BackendKind, SimConfig};
 
 fn main() {
     let window_insts = 300_000;
@@ -23,14 +24,19 @@ fn main() {
     );
     println!("  window   : {window_insts} committed instructions per run\n");
 
-    let results = Experiment::new(Scale::Small, window)
-        .config(SimConfig::naive_single_port())
-        .config(SimConfig::combined_single_port())
-        .config(SimConfig::dual_port())
-        .workloads(&Workload::ALL)
-        .run_with_progress(|workload, config| {
-            eprintln!("  running {workload} on {config} ...");
-        });
+    let results = SweepPlan {
+        configs: vec![
+            SimConfig::naive_single_port(),
+            SimConfig::combined_single_port(),
+            SimConfig::dual_port(),
+        ],
+        workloads: Workload::ALL.to_vec(),
+        scale: Scale::Small,
+        max_insts: window,
+        backend: BackendKind::Replay,
+    }
+    .run(0, None)
+    .expect("the grid is not empty");
 
     println!("\nIPC:");
     println!("{}", results.ipc_table());

@@ -9,8 +9,9 @@
 //! cargo run --release --example technique_ablation
 //! ```
 
+use cpe::exec::SweepPlan;
 use cpe::workloads::{Scale, Workload};
-use cpe::{Experiment, SimConfig};
+use cpe::{BackendKind, SimConfig};
 
 fn main() {
     let window = Some(150_000);
@@ -30,10 +31,15 @@ fn main() {
         SimConfig::dual_port(),
     ];
 
-    let results = Experiment::new(Scale::Small, window)
-        .configs(configs)
-        .workloads(&Workload::ALL)
-        .run_with_progress(|workload, config| eprintln!("  {workload} / {config}"));
+    let results = SweepPlan {
+        configs,
+        workloads: Workload::ALL.to_vec(),
+        scale: Scale::Small,
+        max_insts: window,
+        backend: BackendKind::Replay,
+    }
+    .run(0, None)
+    .expect("the grid is not empty");
 
     println!("\nIPC relative to the dual-ported reference (higher is better):");
     println!("{}", results.relative_table(5));
@@ -41,13 +47,13 @@ fn main() {
     println!("fraction of loads served without a port (the techniques' mechanism):");
     println!(
         "{}",
-        results.metric_table("portless loads", |summary| summary.portless_load_fraction)
+        results.metric_table("portless loads", "portless_load_fraction", false)
     );
 
     println!("commit cycles lost to rejected stores per kilocycle (what buffering fixes):");
     println!(
         "{}",
-        results.metric_table("store stalls", |summary| summary.store_stall_per_kcycle)
+        results.metric_table("store stalls", "store_stall_per_kcycle", false)
     );
 
     let naive = results.geomean_relative(0, 5);

@@ -5,8 +5,7 @@
 #
 # Runs the same checks CI runs, in the same order, stopping at the first
 # failure. Intended both standalone and as the pre-flight for
-# scripts/run_all_experiments.sh — a multi-hour experiment run should
-# never start on a tree that fails a sub-minute gate.
+# scripts/run_all_experiments.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -282,5 +281,21 @@ for file in huge_dict huge_payload; do
         }
     done
 done
+
+# Full-scale reproduction gate: `reproduce` regenerates every table and
+# figure of the evaluation (about 35 s on 2 cores). It exits 1 when any
+# shape verdict reads SHAPE DEVIATION, and its transcript must equal the
+# committed experiment_results.md byte for byte, so no number quoted
+# from it can move unnoticed. Regenerate deliberately with
+# `CPE_SKIP_CHECKS=1 scripts/run_all_experiments.sh`, diff in the PR.
+echo "== full-scale reproduction: verdicts hold, transcript unchanged" >&2
+cargo build --release -p cpe-bench
+./target/release/reproduce > "$scratch/reproduce.md"
+cmp experiment_results.md "$scratch/reproduce.md" || {
+    echo "reproduction gate: the transcript differs from" \
+         "experiment_results.md:" >&2
+    diff experiment_results.md "$scratch/reproduce.md" | head -20 >&2
+    exit 1
+}
 
 echo "all checks passed" >&2

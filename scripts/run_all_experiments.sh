@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Regenerate every reconstructed table/figure and extension experiment.
 #
-# Usage: scripts/run_all_experiments.sh [output.md] [--quick]
+# Usage: scripts/run_all_experiments.sh [output.md]
 #   output.md  transcript destination (default: experiment_results.md)
-#   --quick    smoke-scale run (passed through to every binary)
+#
+# The transcript is `reproduce`'s stdout (crates/bench): every experiment
+# at Full scale through one cached, parallel sweep runner. The script
+# fails when any shape verdict reads SHAPE DEVIATION.
 #
 # Set CPE_SKIP_CHECKS=1 to skip the pre-flight quality gate (useful when
 # iterating on one experiment with a tree scripts/check.sh already
@@ -12,30 +15,21 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-experiment_results.md}"
-shift || true
-flags=("$@")
 
 if [[ "${CPE_SKIP_CHECKS:-0}" != 1 ]]; then
     scripts/check.sh
 fi
 
-cargo build --release -p cpe-bench --bins
-cargo build --release -p cpe --bins
+cargo build --release -p cpe-bench -p cpe --bins
 
-core=(table1_config table2_workloads fig1_ports fig2_store_buffer
-      fig3_wide_port fig4_line_buffers fig5_headline fig6_os_breakdown
-      fig7_issue_width table3_port_util table4_ablation)
-extensions=(x1_prefetch x2_bpred x3_tlb x4_banking x5_victim
-            x6_write_policy x7_cache_size x8_memory_latency x9_wrong_path)
-
-: > "$out"
-for exp in "${core[@]}" "${extensions[@]}"; do
-    echo "running $exp" >&2
-    ./target/release/"$exp" "${flags[@]}" >> "$out"
-    echo >> "$out"
-done
+status=0
+./target/release/reproduce > "$out" || status=$?
+if [[ "$status" != 0 ]]; then
+    echo "reproduce exited $status: a shape verdict deviated (see" \
+         "SHAPE DEVIATION in $out)" >&2
+    exit "$status"
+fi
 echo "wrote $out" >&2
-grep -c "^SHAPE OK" "$out" | xargs -I{} echo "{} shape checks passed" >&2
 
 # Machine-readable companion artifacts: one self-describing metrics
 # document per paper workload, next to the transcript. Each embeds the
@@ -44,9 +38,6 @@ grep -c "^SHAPE OK" "$out" | xargs -I{} echo "{} shape checks passed" >&2
 metrics_dir="${out%.md}_metrics"
 mkdir -p "$metrics_dir"
 profile_max=200000
-for flag in "${flags[@]}"; do
-    [[ "$flag" == --quick ]] && profile_max=5000
-done
 for w in compress mpeg db fft sort pmake; do
     echo "profiling $w" >&2
     ./target/release/cpe profile --workload "$w" --max "$profile_max" \

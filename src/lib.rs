@@ -16,8 +16,8 @@
 //! | [`workloads`] | `cpe-workloads` | the six applications + OS-activity injection |
 //! | [`stats`] | `cpe-stats` | counters, histograms, tables, time series |
 //! | [`trace`] | `cpe-trace` | event tracing: ring buffer, Chrome/JSONL sinks |
-//! | [`exec`] | `cpe-exec` | parallel sweep scheduler, result cache |
-//! | top level | `cpe-core` | [`SimConfig`], [`Simulator`], [`Experiment`], [`RunSummary`], [`ProfiledRun`] |
+//! | [`exec`] | `cpe-exec` | `SweepPlan` grids, parallel scheduler, result cache |
+//! | top level | `cpe-core` | [`SimConfig`], [`Simulator`], [`RunSummary`], [`ProfiledRun`] |
 //!
 //! # Quickstart
 //!
@@ -40,9 +40,9 @@ pub use cpe_core::{
     check_replayable, config_json, detailed_report, diff_json, explain_report, faultinject,
     parse_json, peak_rss_bytes, profile_json, summary_json, validate_cpi_stacks, BackendKind,
     BenchEntry, BenchReport, ConfigError, CpiStack, DiffEntry, DiffReport, EpochMetrics,
-    ExecBackend, Experiment, JsonValue, MetricsSeries, ProfileOptions, ProfiledRun,
-    RecordedWorkload, ResultRow, RunSummary, SelfProfile, SimConfig, SimError, Simulator,
-    StallCause, METRICS_SCHEMA, RECORD_HEADROOM,
+    ExecBackend, JsonValue, MetricsSeries, ProfileOptions, ProfiledRun, RecordedWorkload,
+    RunSummary, SelfProfile, SimConfig, SimError, Simulator, StallCause, METRICS_SCHEMA,
+    RECORD_HEADROOM,
 };
 
 /// The miniature RISC ISA: instructions, assembler, functional emulator.
