@@ -39,7 +39,7 @@ use crate::observe::{EpochMetrics, ProfiledRun, SelfProfile};
 pub const METRICS_SCHEMA: u32 = 3;
 
 /// Escape a string for a JSON literal.
-pub(crate) fn escape(text: &str) -> String {
+pub fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
     for c in text.chars() {
         match c {

@@ -20,9 +20,8 @@
 //!   including the run's latency and occupancy *distributions* (per-path
 //!   load-latency histograms with p50/p95/p99, store-commit wait, MSHR
 //!   residency, and per-cycle structure occupancy);
-//! * [`BenchReport`] — host-side benchmarking of the simulator itself
-//!   (wall time, simulated cycles/sec, peak RSS) over the standard
-//!   workloads, exported as `BENCH_*.json`;
+//! * [`peak_rss_bytes`] — the process's peak resident set, the host
+//!   memory figure the benchmark package (`perfbench/`) reports;
 //! * [`diff_json`] — a dependency-free, field-by-field comparison of two
 //!   exported JSON documents with a relative tolerance: the regression
 //!   gate behind `cpe diff`.
@@ -41,7 +40,6 @@
 //! ```
 
 mod backend;
-mod bench;
 mod config;
 mod diff;
 mod error;
@@ -54,13 +52,14 @@ mod simulator;
 mod validate;
 
 pub use backend::{check_replayable, BackendKind, RecordedWorkload, RECORD_HEADROOM};
-pub use bench::{peak_rss_bytes, BenchEntry, BenchReport};
 pub use config::SimConfig;
 pub use diff::{diff_json, parse_json, DiffEntry, DiffReport, JsonValue};
 pub use error::{ConfigError, SimError};
 pub use json::{config_json, profile_json, summary_json, METRICS_SCHEMA};
 pub use metrics::RunSummary;
-pub use observe::{EpochMetrics, MetricsSeries, ProfileOptions, ProfiledRun, SelfProfile};
+pub use observe::{
+    peak_rss_bytes, EpochMetrics, MetricsSeries, ProfileOptions, ProfiledRun, SelfProfile,
+};
 pub use report::{detailed_report, explain_report};
 pub use simulator::Simulator;
 pub use validate::validate_cpi_stacks;

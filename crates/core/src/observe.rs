@@ -262,6 +262,15 @@ impl SelfProfile {
     }
 }
 
+/// The process's peak resident set (VmHWM) in bytes, from
+/// `/proc/self/status`. `None` on platforms without procfs.
+pub fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
 /// Everything a profiled run produces.
 #[derive(Debug, Clone)]
 pub struct ProfiledRun {
@@ -519,5 +528,12 @@ mod tests {
         // Commit events alone outnumber... at least exist; every committed
         // instruction emits one, so emitted >= insts.
         assert!(ring.emitted >= run.summary.insts);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn peak_rss_reads_procfs() {
+        let rss = peak_rss_bytes().expect("procfs present on Linux");
+        assert!(rss > 1024 * 1024, "a test process uses more than 1 MiB");
     }
 }

@@ -59,9 +59,10 @@ pub struct CpuStats {
     /// High-water mark of the scheduler's pending wakeup-event queue
     /// (in-flight completions awaiting their ready cycle). A wakeup-side
     /// capacity figure: it bounds how much completion traffic the
-    /// event-driven scheduler buffers at once. Reported by `cpe bench`;
-    /// deliberately absent from the architectural metrics exports, which
-    /// must stay bit-identical across scheduler implementations.
+    /// event-driven scheduler buffers at once. Reported by perfbench as
+    /// `cpu.sched_events_peak` (see `perfbench/README.md`); deliberately
+    /// absent from the architectural metrics exports, which must stay
+    /// bit-identical across scheduler implementations.
     pub sched_events_peak: Counter,
     /// Distribution of ROB occupancy per cycle.
     pub rob_occupancy: Histogram,

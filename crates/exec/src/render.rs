@@ -10,24 +10,8 @@
 //! are emitted in a fixed order); numbers render integrally when they
 //! are integral, via the shortest round-trip form otherwise.
 
+use cpe_core::json::escape;
 use cpe_core::JsonValue;
-
-/// Escape a string for a JSON literal.
-pub fn escape_text(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// One JSON number, deterministically: integral values in integer form,
 /// everything else in the shortest round-trip form; non-finite values
@@ -51,7 +35,7 @@ fn render_into(value: &JsonValue, out: &mut String) {
         JsonValue::Number(n) => out.push_str(&number(*n)),
         JsonValue::Text(t) => {
             out.push('"');
-            out.push_str(&escape_text(t));
+            out.push_str(&escape(t));
             out.push('"');
         }
         JsonValue::Array(items) => {
@@ -71,7 +55,7 @@ fn render_into(value: &JsonValue, out: &mut String) {
                     out.push(',');
                 }
                 out.push('"');
-                out.push_str(&escape_text(key));
+                out.push_str(&escape(key));
                 out.push_str("\":");
                 render_into(member, out);
             }

@@ -23,6 +23,7 @@
 use std::fmt;
 use std::time::Instant;
 
+use cpe_core::json::escape;
 use cpe_core::{parse_json, BackendKind, JsonValue, SimConfig, SimError, METRICS_SCHEMA};
 use cpe_stats::{geometric_mean, Table};
 use cpe_workloads::{Scale, Workload};
@@ -31,7 +32,7 @@ use crate::cache::ResultCache;
 use crate::job::{
     execute_jobs_traced, preset_configs, scale_name, CacheStatus, Job, JobOutcome, SweepProgress,
 };
-use crate::render::{escape_text, member, number_at, render};
+use crate::render::{member, number_at, render};
 use crate::traces::TraceStore;
 
 /// The grid a sweep executes: configurations × workloads at one scale
@@ -64,9 +65,10 @@ pub struct SweepPlan {
     /// Committed-instruction window for every cell.
     pub max_insts: Option<u64>,
     /// Execution backend for every cell. With [`BackendKind::Replay`],
-    /// each distinct `(workload, scale, max_insts)` tuple is recorded
-    /// exactly once *before* any cell is scheduled, and every cell
-    /// replays the shared recording.
+    /// each distinct `(workload, scale, max_insts)` tuple that some
+    /// cache-missing cell needs is recorded exactly once *before* any
+    /// cell is scheduled, and every such cell replays the shared
+    /// recording.
     pub backend: BackendKind,
 }
 
@@ -160,12 +162,20 @@ impl SweepPlan {
         let jobs = self.jobs();
         // Record-once happens here, before any cell is scheduled: a
         // replay sweep's functional cost is one recording per distinct
-        // (workload, scale, max_insts) tuple, never one per cell.
+        // (workload, scale, max_insts) tuple, never one per cell. Only
+        // cells the cache cannot serve replay, so only they are recorded.
         let traces = match self.backend {
             BackendKind::Direct => None,
             BackendKind::Replay => {
                 let store = TraceStore::new();
-                store.record_all(&jobs);
+                let misses: Vec<Job> = jobs
+                    .iter()
+                    .filter(|job| {
+                        cache.is_none_or(|cache| cache.lookup(&job.cache_key()).is_none())
+                    })
+                    .cloned()
+                    .collect();
+                store.record_all(&misses);
                 Some(store)
             }
         };
@@ -504,7 +514,7 @@ impl SweepResults {
             .plan
             .configs
             .iter()
-            .map(|c| format!("\"{}\"", escape_text(&c.name)))
+            .map(|c| format!("\"{}\"", escape(&c.name)))
             .collect();
         let workloads: Vec<String> = self
             .plan
@@ -521,7 +531,7 @@ impl SweepResults {
             for (config_index, config) in self.plan.configs.iter().enumerate() {
                 let head = format!(
                     "{{\"config\":\"{}\",\"workload\":\"{}\"",
-                    escape_text(&config.name),
+                    escape(&config.name),
                     workload.name()
                 );
                 let cell = match self.cell(workload_index, config_index) {
@@ -893,7 +903,7 @@ mod tests {
         let configs: Vec<String> = plan
             .configs
             .iter()
-            .map(|c| format!("\"{}\"", escape_text(&c.name)))
+            .map(|c| format!("\"{}\"", escape(&c.name)))
             .collect();
         let workloads: Vec<String> = plan
             .workloads
@@ -909,7 +919,7 @@ mod tests {
             for (config_index, config) in plan.configs.iter().enumerate() {
                 let head = format!(
                     "{{\"config\":\"{}\",\"workload\":\"{}\"",
-                    escape_text(&config.name),
+                    escape(&config.name),
                     workload.name()
                 );
                 let cell = match &trees[workload_index * plan.configs.len() + config_index] {

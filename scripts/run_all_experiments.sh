@@ -55,11 +55,3 @@ echo "sweeping config x workload grid" >&2
     --cache-dir "$metrics_dir/.cpe-cache" \
     --metrics-json "$metrics_dir/sweep.json" > /dev/null
 echo "wrote $metrics_dir/sweep.json" >&2
-
-# Host-side benchmark of the simulator itself (wall time, simulated
-# cycles/sec, peak RSS), archived beside the metrics so a later
-# `cpe diff` against a fresh BENCH_*.json gates perf regressions.
-echo "benchmarking simulator" >&2
-./target/release/cpe bench --name "$(date +%Y%m%d)" --max "$profile_max" \
-    --out "$metrics_dir/BENCH_$(date +%Y%m%d).json" > /dev/null
-echo "wrote $metrics_dir/BENCH_$(date +%Y%m%d).json" >&2

@@ -26,9 +26,6 @@
 //!              [--ring N] [-o FILE]
 //!                                   per-instruction pipeline view of the
 //!                                   newest retained window, Konata format
-//! cpe bench [--name N] [--config NAME] [--max N] [--out FILE]
-//!                                   benchmark the simulator itself over the
-//!                                   standard workloads; write BENCH_<name>.json
 //! cpe sweep [--jobs N] [--scale S] [--max N] [--configs a,b] [--workloads x,y]
 //!           [--backend direct|replay] [--no-cache] [--cache-dir DIR]
 //!           [--metrics-json FILE] [--no-progress]
@@ -64,8 +61,8 @@ use cpe::stats::Table;
 use cpe::trace::{build_records, chrome_trace_json, jsonl_record, konata_text, TraceHandle};
 use cpe::workloads::{Scale, Workload};
 use cpe::{
-    check_replayable, diff_json, parse_json, profile_json, BackendKind, BenchReport,
-    ProfileOptions, ProfiledRun, SimConfig, Simulator, RECORD_HEADROOM,
+    check_replayable, diff_json, parse_json, profile_json, BackendKind, ProfileOptions,
+    ProfiledRun, SimConfig, Simulator, RECORD_HEADROOM,
 };
 
 /// The default configuration, the paper's combined single-port design.
@@ -541,19 +538,6 @@ fn cmd_trace_info(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let config = config_flag(args)?;
-    let name = parse_flag(args, "--name").unwrap_or_else(|| config.name.replace(' ', "_"));
-    let max = parse_number(args, "--max")?.unwrap_or(20_000);
-    let out = parse_flag(args, "--out").unwrap_or_else(|| format!("BENCH_{name}.json"));
-    let report =
-        BenchReport::run(&name, &config, max).map_err(|error| format!("bench: {error}"))?;
-    println!("{report}");
-    write_file(&out, &report.to_json())?;
-    println!("wrote {out}");
-    Ok(())
-}
-
 /// Split a `--configs`/`--workloads` comma list, resolving each name.
 fn parse_names<T>(
     text: &str,
@@ -757,7 +741,6 @@ fn usage() -> &'static str {
      cpe explain <CONFIG_A> <CONFIG_B> [--workload NAME] [--scale S] [--max N]\n  \
      cpe pipeview --workload NAME [--config NAME] [--scale S] [--max N]\n               \
      [--ring N] [-o FILE]\n  \
-     cpe bench [--name N] [--config NAME] [--max N] [--out FILE]\n  \
      cpe sweep [--jobs N] [--scale test|small|full] [--max N] [--configs a,b]\n            \
      [--workloads x,y] [--backend direct|replay] [--no-cache] [--cache-dir DIR]\n            \
      [--metrics-json FILE] [--no-progress]\n  \
@@ -850,10 +833,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                 &[],
             )?;
             done(cmd_pipeview(&args[1..]))
-        }
-        Some("bench") => {
-            reject_unknown_flags(&args[1..], &["--name", "--config", "--max", "--out"], &[])?;
-            done(cmd_bench(args))
         }
         Some("sweep") => {
             reject_unknown_flags(

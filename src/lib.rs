@@ -39,10 +39,9 @@
 pub use cpe_core::{
     check_replayable, config_json, detailed_report, diff_json, explain_report, faultinject,
     parse_json, peak_rss_bytes, profile_json, summary_json, validate_cpi_stacks, BackendKind,
-    BenchEntry, BenchReport, ConfigError, CpiStack, DiffEntry, DiffReport, EpochMetrics,
-    ExecBackend, JsonValue, MetricsSeries, ProfileOptions, ProfiledRun, RecordedWorkload,
-    RunSummary, SelfProfile, SimConfig, SimError, Simulator, StallCause, METRICS_SCHEMA,
-    RECORD_HEADROOM,
+    ConfigError, CpiStack, DiffEntry, DiffReport, EpochMetrics, ExecBackend, JsonValue,
+    MetricsSeries, ProfileOptions, ProfiledRun, RecordedWorkload, RunSummary, SelfProfile,
+    SimConfig, SimError, Simulator, StallCause, METRICS_SCHEMA, RECORD_HEADROOM,
 };
 
 /// The miniature RISC ISA: instructions, assembler, functional emulator.

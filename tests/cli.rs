@@ -55,7 +55,6 @@ fn usage_covers_every_subcommand() {
         "compare",
         "explain",
         "pipeview",
-        "bench",
         "sweep",
         "validate",
         "cache",
@@ -85,7 +84,7 @@ fn usage_covers_every_subcommand() {
 
 #[test]
 fn removed_verbs_and_sweep_flags_are_unknown() {
-    for verb in ["worker", "status", "fuzz-fabric", "serve"] {
+    for verb in ["worker", "status", "fuzz-fabric", "serve", "bench"] {
         let output = cpe().args([verb, "--no-cache"]).output().unwrap();
         assert_eq!(output.status.code(), Some(2), "{verb}");
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -112,7 +111,7 @@ fn removed_verbs_and_sweep_flags_are_unknown() {
         );
         assert!(output.stdout.is_empty(), "{flag}: no cell ran");
     }
-    let output = cpe().args(["bench", "--jobs", "2"]).output().unwrap();
+    let output = cpe().args(["profile", "--jobs", "2"]).output().unwrap();
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown flag `--jobs`"), "{stderr}");
@@ -494,33 +493,6 @@ fn profile_metrics_json_carries_latency_distributions() {
     let aggregate = doc.split("\"load_latency\":").nth(1).unwrap();
     let p50 = aggregate.split("\"p50\":").nth(1).unwrap();
     assert!(!p50.starts_with("null"), "{doc}");
-}
-
-#[test]
-fn bench_writes_a_report_with_wall_time_and_throughput() {
-    let dir = tempdir();
-    let out = dir.join("BENCH_cli.json");
-    let output = cpe()
-        .args(["bench", "--name", "cli", "--max", "2000", "--out"])
-        .arg(&out)
-        .output()
-        .unwrap();
-    assert!(
-        output.status.success(),
-        "{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("wall s"), "{stdout}");
-    assert!(stdout.contains("wrote "), "{stdout}");
-
-    let doc = std::fs::read_to_string(&out).unwrap();
-    assert!(doc.contains("\"kind\":\"bench\""), "{doc}");
-    assert!(doc.contains("\"wall_seconds\""), "{doc}");
-    assert!(doc.contains("\"cycles_per_sec\""), "{doc}");
-    for workload in ["compress", "mpeg", "db", "fft", "sort", "pmake"] {
-        assert!(doc.contains(&format!("\"{workload}\"")), "{doc}");
-    }
 }
 
 #[test]

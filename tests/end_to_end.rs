@@ -1,9 +1,11 @@
 //! Whole-stack integration: assembler → emulator → OS injection → timing
 //! core → memory system, checked end to end.
 
+use cpe::exec::render::{member, member_path, number_at};
+use cpe::exec::SweepPlan;
 use cpe::isa::{asm::assemble, Emulator, Mode};
 use cpe::workloads::{Scale, Workload};
-use cpe::{SimConfig, Simulator};
+use cpe::{parse_json, BackendKind, JsonValue, SimConfig, Simulator};
 
 /// The timing model must commit exactly the instructions the functional
 /// model executes — no drops, no duplicates — for every workload.
@@ -156,5 +158,59 @@ fn instruction_windows_align_comparisons() {
     assert!(
         b.cycles <= a.cycles,
         "more ports can never cost cycles here"
+    );
+}
+
+/// Assert that every cell of a sweep aggregate counts each timed load on
+/// exactly one path: `load_latency.count` equals the sum of the
+/// `load_latency_paths.*.count`. Returns the number of cells checked.
+fn assert_load_sources_reconcile(label: &str, aggregate: &str) -> usize {
+    let doc = parse_json(aggregate).expect("aggregate parses");
+    let Some(JsonValue::Array(cells)) = member(&doc, "cells") else {
+        panic!("{label}: no `cells` array");
+    };
+    for cell in cells {
+        let name = |key| match member(cell, key) {
+            Some(JsonValue::Text(text)) => text.clone(),
+            _ => panic!("{label}: a cell has no `{key}`"),
+        };
+        let cell_name = format!("{label}: {} / {}", name("config"), name("workload"));
+        let total = number_at(cell, &["distributions", "load_latency", "count"])
+            .unwrap_or_else(|| panic!("{cell_name}: no load_latency count"));
+        let Some(JsonValue::Object(paths)) =
+            member_path(cell, &["distributions", "load_latency_paths"])
+        else {
+            panic!("{cell_name}: no load_latency_paths");
+        };
+        let by_path: f64 = paths
+            .iter()
+            .map(|(path, histogram)| {
+                number_at(histogram, &["count"])
+                    .unwrap_or_else(|| panic!("{cell_name}: path `{path}` has no count"))
+            })
+            .sum();
+        assert!(total > 0.0, "{cell_name}: no loads were timed");
+        assert_eq!(total, by_path, "{cell_name}: load sources do not reconcile");
+    }
+    cells.len()
+}
+
+/// Load-source conservation over the committed golden grid and a fresh
+/// sweep of every preset.
+#[test]
+fn load_latency_count_equals_the_sum_over_load_paths() {
+    let golden = include_str!("../GOLDEN_metrics.json");
+    assert_eq!(
+        assert_load_sources_reconcile("GOLDEN_metrics.json", golden),
+        12
+    );
+    let fresh = SweepPlan::standard(Scale::Test, Some(20_000))
+        .with_backend(BackendKind::Replay)
+        .run(0, None)
+        .expect("the preset grid is valid");
+    assert_eq!(fresh.stats.failed, 0);
+    assert_eq!(
+        assert_load_sources_reconcile("fresh sweep", &fresh.aggregate_json()),
+        36
     );
 }
