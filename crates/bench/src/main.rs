@@ -702,7 +702,7 @@ fn f6_os_breakdown(run: &mut Reproduction) {
 
     // Part 2: OS intensity on the build driver under the combined design.
     let mut sweep = Table::new(["OS presence", "kernel insts %", "IPC", "I-MPKI", "D-MPKI"]);
-    let sim = Simulator::new(SimConfig::combined_single_port());
+    let sim = Simulator::try_new(SimConfig::combined_single_port()).expect("the config validates");
     for (label, os) in [
         ("none", OsConfig::none()),
         ("light", OsConfig::light()),
@@ -1050,9 +1050,10 @@ fn x2_bpred(run: &mut Reproduction) {
     let mut user_best = (String::new(), f64::MAX);
     let mut os_best = (String::new(), f64::MAX);
     for (name, kind) in PREDICTORS {
-        let sim = Simulator::new(variant(SimConfig::dual_port(), name, |c| {
+        let sim = Simulator::try_new(variant(SimConfig::dual_port(), name, |c| {
             c.cpu.predictor = kind
-        }));
+        }))
+        .expect("the config validates");
         let user_only = sim.try_run_trace("pmake-user", pmake_with(OsConfig::none()), WINDOW);
         let with_os = sim.try_run_trace("pmake-os", pmake_with(OsConfig::heavy()), WINDOW);
         for (outcome, best) in [(&user_only, &mut user_best), (&with_os, &mut os_best)] {

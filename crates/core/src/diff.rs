@@ -613,7 +613,8 @@ mod tests {
         use crate::{profile_json, SimConfig, Simulator};
         use cpe_workloads::{Scale, Workload};
 
-        let sim = Simulator::new(SimConfig::combined_single_port());
+        let sim =
+            Simulator::try_new(SimConfig::combined_single_port()).expect("the config validates");
         let run = sim
             .try_profile(
                 Workload::Sort,
@@ -637,7 +638,7 @@ mod tests {
 
         let mut docs = Vec::new();
         for config in [SimConfig::naive_single_port(), SimConfig::quad_port()] {
-            let sim = Simulator::new(config);
+            let sim = Simulator::try_new(config).expect("the config validates");
             let run = sim
                 .try_profile(
                     Workload::Compress,

@@ -541,7 +541,8 @@ mod tests {
 
     #[test]
     fn full_profile_document_is_sound_and_self_describing() {
-        let sim = Simulator::new(SimConfig::combined_single_port());
+        let sim =
+            Simulator::try_new(SimConfig::combined_single_port()).expect("the config validates");
         let run = sim
             .try_profile(
                 Workload::Sort,
@@ -575,7 +576,8 @@ mod tests {
 
     #[test]
     fn profile_document_carries_per_path_latency_distributions() {
-        let sim = Simulator::new(SimConfig::combined_single_port());
+        let sim =
+            Simulator::try_new(SimConfig::combined_single_port()).expect("the config validates");
         let run = sim
             .try_profile(
                 Workload::Compress,

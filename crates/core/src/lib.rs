@@ -32,11 +32,14 @@
 //! use cpe_core::{SimConfig, Simulator};
 //! use cpe_workloads::{Scale, Workload};
 //!
-//! let dual = Simulator::new(SimConfig::dual_port())
-//!     .run(Workload::Compress, Scale::Test, Some(30_000));
-//! let naive = Simulator::new(SimConfig::naive_single_port())
-//!     .run(Workload::Compress, Scale::Test, Some(30_000));
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let dual = Simulator::try_new(SimConfig::dual_port())?
+//!     .try_run(Workload::Compress, Scale::Test, Some(30_000))?;
+//! let naive = Simulator::try_new(SimConfig::naive_single_port())?
+//!     .try_run(Workload::Compress, Scale::Test, Some(30_000))?;
 //! assert!(dual.ipc >= naive.ipc);
+//! # Ok(())
+//! # }
 //! ```
 
 mod backend;

@@ -36,8 +36,8 @@ pub struct ProfileOptions {
 }
 
 impl ProfileOptions {
-    /// The ring the event-reading callers (`cpe profile`, `cpe pipeview`)
-    /// attach when not told otherwise.
+    /// The ring a run that exports its events (`cpe run --trace-out`)
+    /// attaches when not told otherwise.
     pub const CAPTURE_RING: usize = 65_536;
 }
 
@@ -388,7 +388,8 @@ mod tests {
     }
 
     fn profile_with_ring(interval: u64, ring_capacity: usize) -> ProfiledRun {
-        Simulator::new(SimConfig::combined_single_port())
+        Simulator::try_new(SimConfig::combined_single_port())
+            .expect("the config validates")
             .try_profile(
                 Workload::Compress,
                 Scale::Test,
@@ -450,8 +451,11 @@ mod tests {
 
     #[test]
     fn profiling_matches_the_plain_run_exactly() {
-        let sim = Simulator::new(SimConfig::combined_single_port());
-        let plain = sim.run(Workload::Compress, Scale::Test, Some(10_000));
+        let sim =
+            Simulator::try_new(SimConfig::combined_single_port()).expect("the config validates");
+        let plain = sim
+            .try_run(Workload::Compress, Scale::Test, Some(10_000))
+            .expect("the run completes");
         let profiled = profile(1_000);
         assert_eq!(profiled.summary.cycles, plain.cycles);
         assert_eq!(profiled.summary.insts, plain.insts);
@@ -464,7 +468,8 @@ mod tests {
 
     #[test]
     fn interval_zero_is_clamped_not_fatal() {
-        let run = Simulator::new(SimConfig::naive_single_port())
+        let run = Simulator::try_new(SimConfig::naive_single_port())
+            .expect("the config validates")
             .try_profile(
                 Workload::Sort,
                 Scale::Test,

@@ -305,11 +305,19 @@ mod tests {
     use crate::{SimConfig, Simulator};
     use cpe_workloads::{Scale, Workload};
 
+    /// One Test-scale run of `workload` on `config`.
+    fn run(config: SimConfig, workload: Workload, max_insts: Option<u64>) -> RunSummary {
+        Simulator::try_new(config)
+            .expect("the config validates")
+            .try_run(workload, Scale::Test, max_insts)
+            .expect("the run completes")
+    }
+
     #[test]
     fn report_covers_every_section() {
-        let summary = Simulator::new(SimConfig::combined_single_port()).run(
+        let summary = run(
+            SimConfig::combined_single_port(),
             Workload::Compress,
-            Scale::Test,
             Some(10_000),
         );
         let report = detailed_report(&summary);
@@ -344,12 +352,8 @@ mod tests {
     #[test]
     fn explain_ranks_causes_by_cpi_delta() {
         let max = Some(10_000);
-        let a = Simulator::new(SimConfig::naive_single_port()).run(
-            Workload::Compress,
-            Scale::Test,
-            max,
-        );
-        let b = Simulator::new(SimConfig::dual_port()).run(Workload::Compress, Scale::Test, max);
+        let a = run(SimConfig::naive_single_port(), Workload::Compress, max);
+        let b = run(SimConfig::dual_port(), Workload::Compress, max);
         let report = explain_report(&a, &b);
         assert!(report.contains("a = `1-port naive`"), "{report}");
         assert!(report.contains("b = `2-port`"), "{report}");
@@ -368,9 +372,13 @@ mod tests {
 
     #[test]
     fn explain_survives_empty_runs() {
-        let sim = Simulator::new(SimConfig::naive_single_port());
-        let a = sim.run_trace("empty", std::iter::empty(), None);
-        let b = sim.run_trace("empty", std::iter::empty(), None);
+        let sim = Simulator::try_new(SimConfig::naive_single_port()).expect("the config validates");
+        let a = sim
+            .try_run_trace("empty", std::iter::empty(), None)
+            .expect("the run completes");
+        let b = sim
+            .try_run_trace("empty", std::iter::empty(), None)
+            .expect("the run completes");
         let report = explain_report(&a, &b);
         assert!(!report.contains("NaN"), "{report}");
         assert!(!report.contains("inf"), "{report}");
@@ -380,11 +388,10 @@ mod tests {
     fn zero_instruction_trace_renders_without_nan() {
         // A run that commits nothing: every rate in the report has a zero
         // denominator somewhere upstream. No row may render NaN or inf.
-        let summary = Simulator::new(SimConfig::naive_single_port()).run_trace(
-            "empty",
-            std::iter::empty(),
-            None,
-        );
+        let summary = Simulator::try_new(SimConfig::naive_single_port())
+            .expect("the config validates")
+            .try_run_trace("empty", std::iter::empty(), None)
+            .expect("the run completes");
         assert_eq!(summary.insts, 0);
         assert_eq!(summary.raw.mem.loads.get(), 0);
         assert_eq!(summary.raw.mem.stores.get(), 0);
@@ -398,8 +405,7 @@ mod tests {
 
     #[test]
     fn report_is_plain_printable_text() {
-        let summary =
-            Simulator::new(SimConfig::dual_port()).run(Workload::Sort, Scale::Test, Some(5_000));
+        let summary = run(SimConfig::dual_port(), Workload::Sort, Some(5_000));
         let report = detailed_report(&summary);
         assert!(report.lines().count() > 40);
         assert!(!report.contains('\t'), "tables are space-aligned");

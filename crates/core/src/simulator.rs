@@ -11,15 +11,17 @@ use crate::metrics::RunSummary;
 
 /// Runs the cycle-level machine described by a [`SimConfig`].
 ///
-/// A `Simulator` is reusable: each [`Simulator::run`] builds a fresh cold
-/// machine, so runs never contaminate each other.
+/// A `Simulator` is reusable: each [`Simulator::try_run`] builds a fresh
+/// cold machine, so runs never contaminate each other.
 ///
 /// ```
 /// use cpe_core::{SimConfig, Simulator};
 /// use cpe_workloads::{Scale, Workload};
 ///
-/// let summary = Simulator::new(SimConfig::combined_single_port())
-///     .run(Workload::Sort, Scale::Test, Some(20_000));
+/// let summary = Simulator::try_new(SimConfig::combined_single_port())
+///     .expect("preset configs validate")
+///     .try_run(Workload::Sort, Scale::Test, Some(20_000))
+///     .expect("the run completes");
 /// assert!(summary.ipc > 0.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -40,19 +42,6 @@ impl Simulator {
         Ok(Simulator { config })
     }
 
-    /// Create a simulator for the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration is inconsistent; sweep drivers that
-    /// must survive bad cells use [`Simulator::try_new`].
-    pub fn new(config: SimConfig) -> Simulator {
-        match Simulator::try_new(config) {
-            Ok(simulator) => simulator,
-            Err(error) => panic!("{error}"),
-        }
-    }
-
     /// The configuration this simulator runs.
     pub fn config(&self) -> &SimConfig {
         &self.config
@@ -61,19 +50,6 @@ impl Simulator {
     /// Run a named workload at `scale`, optionally capping committed
     /// instructions (recommended for comparative sweeps so every
     /// configuration executes the same instruction window).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the livelock watchdog aborts the run; use
-    /// [`Simulator::try_run`] to handle that as an error.
-    pub fn run(&self, workload: Workload, scale: Scale, max_insts: Option<u64>) -> RunSummary {
-        match self.try_run(workload, scale, max_insts) {
-            Ok(summary) => summary,
-            Err(error) => panic!("{error}"),
-        }
-    }
-
-    /// Fallible form of [`Simulator::run`].
     ///
     /// # Errors
     ///
@@ -89,21 +65,6 @@ impl Simulator {
     }
 
     /// Run an arbitrary committed-path instruction stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the livelock watchdog aborts the run.
-    pub fn run_trace<I>(&self, label: &str, trace: I, max_insts: Option<u64>) -> RunSummary
-    where
-        I: Iterator<Item = DynInst>,
-    {
-        match self.try_run_trace(label, trace, max_insts) {
-            Ok(summary) => summary,
-            Err(error) => panic!("{error}"),
-        }
-    }
-
-    /// Fallible form of [`Simulator::run_trace`].
     ///
     /// # Errors
     ///
@@ -133,19 +94,31 @@ mod tests {
     use super::*;
     use cpe_workloads::synth::{SynthConfig, SyntheticTrace};
 
+    fn simulator(config: SimConfig) -> Simulator {
+        Simulator::try_new(config).expect("preset configs validate")
+    }
+
+    fn run(sim: &Simulator, workload: Workload, window: u64) -> RunSummary {
+        sim.try_run(workload, Scale::Test, Some(window))
+            .expect("the run completes")
+    }
+
     #[test]
     fn runs_are_reproducible_and_cold() {
-        let sim = Simulator::new(SimConfig::naive_single_port());
-        let a = sim.run(Workload::Compress, Scale::Test, Some(20_000));
-        let b = sim.run(Workload::Compress, Scale::Test, Some(20_000));
+        let sim = simulator(SimConfig::naive_single_port());
+        let a = run(&sim, Workload::Compress, 20_000);
+        let b = run(&sim, Workload::Compress, 20_000);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.insts, b.insts);
     }
 
     #[test]
     fn max_insts_caps_the_window() {
-        let sim = Simulator::new(SimConfig::naive_single_port());
-        let capped = sim.run(Workload::Compress, Scale::Test, Some(5_000));
+        let capped = run(
+            &simulator(SimConfig::naive_single_port()),
+            Workload::Compress,
+            5_000,
+        );
         assert!(
             capped.insts >= 5_000 && capped.insts < 6_000,
             "{}",
@@ -157,8 +130,9 @@ mod tests {
     fn synthetic_traces_run_too() {
         let mut synth = SynthConfig::default();
         synth.insts = 20_000;
-        let sim = Simulator::new(SimConfig::dual_port());
-        let summary = sim.run_trace("synth", SyntheticTrace::new(synth), None);
+        let summary = simulator(SimConfig::dual_port())
+            .try_run_trace("synth", SyntheticTrace::new(synth), None)
+            .expect("the run completes");
         assert_eq!(summary.insts, 20_000);
         assert!(summary.ipc > 0.1);
         assert_eq!(summary.workload, "synth");
@@ -177,15 +151,10 @@ mod tests {
     fn headline_ordering_on_a_port_hungry_workload() {
         // mpeg (dense sequential refs) at test scale: naive 1-port <=
         // combined 1-port <= 2-port should hold as a trend.
-        let window = Some(40_000);
-        let naive =
-            Simulator::new(SimConfig::naive_single_port()).run(Workload::Mpeg, Scale::Test, window);
-        let combined = Simulator::new(SimConfig::combined_single_port()).run(
-            Workload::Mpeg,
-            Scale::Test,
-            window,
-        );
-        let dual = Simulator::new(SimConfig::dual_port()).run(Workload::Mpeg, Scale::Test, window);
+        let mpeg = |config| run(&simulator(config), Workload::Mpeg, 40_000);
+        let naive = mpeg(SimConfig::naive_single_port());
+        let combined = mpeg(SimConfig::combined_single_port());
+        let dual = mpeg(SimConfig::dual_port());
         assert!(
             combined.ipc > naive.ipc,
             "{} vs {}",

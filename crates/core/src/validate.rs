@@ -170,7 +170,8 @@ mod tests {
     use cpe_workloads::{Scale, Workload};
 
     fn profile_doc() -> String {
-        let sim = Simulator::new(SimConfig::combined_single_port());
+        let sim =
+            Simulator::try_new(SimConfig::combined_single_port()).expect("the config validates");
         let run = sim
             .try_profile(
                 Workload::Sort,

@@ -48,7 +48,7 @@ proptest! {
         config.mem.ports.count = ports;
 
         let recorded = RecordedWorkload::record(workload, Scale::Test, max_insts);
-        let simulator = Simulator::new(config);
+        let simulator = Simulator::try_new(config).expect("the config validates");
         let direct = simulator
             .try_profile(workload, Scale::Test, max_insts, ProfileOptions::default())
             .expect("direct run completes");

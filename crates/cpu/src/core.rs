@@ -239,23 +239,10 @@ impl<B: ExecBackend> Core<B> {
     }
 
     /// Run until the stream is drained and the machine quiesces, or until
-    /// `max_insts` instructions have committed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline makes no progress for
-    /// [`CpuConfig::watchdog_cycles`] cycles (which would indicate a
-    /// modelling bug, not a program property). [`Core::try_run`] returns
-    /// the watchdog report as an error instead.
-    pub fn run(self, max_insts: Option<u64>) -> SimResult {
-        match self.try_run(max_insts) {
-            Ok(result) => result,
-            Err(report) => panic!("{report}"),
-        }
-    }
-
-    /// Like [`Core::run`], but the livelock watchdog aborts the run with
-    /// a diagnostic [`WatchdogReport`] instead of panicking.
+    /// `max_insts` instructions have committed. The livelock watchdog
+    /// aborts the run with a diagnostic [`WatchdogReport`] when the
+    /// pipeline makes no progress for [`CpuConfig::watchdog_cycles`]
+    /// cycles (a modelling bug, not a program property).
     pub fn try_run(mut self, max_insts: Option<u64>) -> Result<SimResult, Box<WatchdogReport>> {
         let limit = max_insts.unwrap_or(u64::MAX);
         while self.try_step()? {
@@ -277,19 +264,6 @@ impl<B: ExecBackend> Core<B> {
             && self.fetch_buffer.is_empty()
             && self.rob.is_empty()
             && self.mem.is_quiesced()
-    }
-
-    /// Simulate one cycle. Returns `false` once the machine has finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the livelock watchdog fires; [`Core::try_step`] is the
-    /// non-panicking form.
-    pub fn step(&mut self) -> bool {
-        match self.try_step() {
-            Ok(more) => more,
-            Err(report) => panic!("{report}"),
-        }
     }
 
     /// Simulate one cycle. `Ok(false)` once the machine has finished;
@@ -1575,7 +1549,7 @@ mod tests {
     fn run_src(src: &str, cpu: CpuConfig, mem: MemConfig) -> SimResult {
         let program = assemble(src).expect("assembles");
         let core = Core::new(cpu, MemSystem::new(mem), Emulator::new(program));
-        core.run(None)
+        core.try_run(None).expect("the run completes")
     }
 
     const SUM_LOOP: &str = "main: li a0, 200\n li a1, 0\nloop: add a1, a1, a0\n addi a0, a0, -1\n bnez a0, loop\n halt\n";
@@ -2112,7 +2086,7 @@ mod tests {
             MemSystem::new(MemConfig::default()),
             Emulator::new(program),
         );
-        let result = core.run(Some(100));
+        let result = core.try_run(Some(100)).expect("the run completes");
         assert!(result.committed >= 100);
         assert!(result.committed < 200);
     }
@@ -2296,7 +2270,7 @@ mod oracle_props {
         };
         let mut core = Core::new(cpu, MemSystem::new(mem), trace);
         core.oracle = oracle;
-        while core.step() {}
+        while core.try_step().expect("the watchdog stays quiet") {}
         // The conservation invariant, on every generated program.
         assert_eq!(
             core.stats.cpi_stack.total(),

@@ -33,7 +33,7 @@
 //! )?;
 //! let trace = Emulator::new(program);
 //! let core = Core::new(CpuConfig::default(), MemSystem::new(MemConfig::default()), trace);
-//! let result = core.run(None);
+//! let result = core.try_run(None)?;
 //! assert!(result.committed > 300);
 //! assert!(result.ipc() > 0.5);
 //! # Ok(())

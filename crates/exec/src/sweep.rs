@@ -855,8 +855,10 @@ mod tests {
             ..tiny_plan()
         };
         let results = plan.run(1, None).expect("grid is valid");
-        let raw = cpe_core::Simulator::new(SimConfig::combined_single_port())
-            .run(Workload::Compress, plan.scale, plan.max_insts)
+        let raw = cpe_core::Simulator::try_new(SimConfig::combined_single_port())
+            .expect("the config validates")
+            .try_run(Workload::Compress, plan.scale, plan.max_insts)
+            .expect("the run completes")
             .raw;
         for (half, counters) in [("cpu", raw.cpu.counters()), ("mem", raw.mem.counters())] {
             let document = parse_json(results.outcomes()[0].document.as_ref().unwrap()).unwrap();

@@ -1,77 +1,17 @@
-//! Pluggable trace sinks.
+//! Event exports.
 //!
-//! A sink turns a slice of retained [`TraceEvent`]s into bytes on some
-//! writer. Three are provided:
+//! Two renderers turn the retained [`TraceEvent`] window into text:
 //!
-//! * [`ChromeTraceSink`] — the Chrome `trace_event` JSON array format,
+//! * [`chrome_trace_json`] — the Chrome `trace_event` JSON object format,
 //!   loadable in `chrome://tracing` and [Perfetto](https://ui.perfetto.dev)
 //!   (one simulated cycle maps to one microsecond of timeline);
-//! * [`JsonlSink`] — one JSON object per line, for `jq`/scripting;
-//! * [`NullSink`] — discards everything; with the `capture` feature off
-//!   this completes the zero-cost story end to end.
+//! * [`jsonl_record`] — one JSON object per event, one per line, for
+//!   `jq`/scripting.
 //!
 //! All JSON is hand-assembled: the event vocabulary is a closed set of
 //! static names and integers, so no serialization dependency is needed.
 
-use std::io::{self, Write};
-
 use crate::event::TraceEvent;
-
-/// Serialize a batch of retained events to a writer.
-pub trait TraceSink {
-    /// Write every event (and any surrounding framing) to `out`.
-    fn write_events(&mut self, events: &[TraceEvent], out: &mut dyn Write) -> io::Result<()>;
-
-    /// The file extension this sink's output conventionally takes.
-    fn extension(&self) -> &'static str;
-}
-
-/// Chrome `trace_event` JSON ("JSON object format" with a `traceEvents`
-/// array). Each event becomes a 1µs-per-cycle complete slice on a lane
-/// per category, plus metadata records naming the lanes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChromeTraceSink;
-
-/// One compact JSON object per line.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JsonlSink;
-
-/// Swallows everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for ChromeTraceSink {
-    fn write_events(&mut self, events: &[TraceEvent], out: &mut dyn Write) -> io::Result<()> {
-        out.write_all(chrome_trace_json(events).as_bytes())
-    }
-
-    fn extension(&self) -> &'static str {
-        "json"
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn write_events(&mut self, events: &[TraceEvent], out: &mut dyn Write) -> io::Result<()> {
-        for event in events {
-            writeln!(out, "{}", jsonl_record(event))?;
-        }
-        Ok(())
-    }
-
-    fn extension(&self) -> &'static str {
-        "jsonl"
-    }
-}
-
-impl TraceSink for NullSink {
-    fn write_events(&mut self, _events: &[TraceEvent], _out: &mut dyn Write) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn extension(&self) -> &'static str {
-        "none"
-    }
-}
 
 /// The lane (`tid`) names shown in the timeline, indexed by
 /// [`EventKind::lane`].
@@ -192,23 +132,13 @@ mod tests {
 
     #[test]
     fn jsonl_is_one_object_per_line() {
-        let events = sample();
-        let mut bytes = Vec::new();
-        JsonlSink.write_events(&events, &mut bytes).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        let lines: Vec<String> = sample().iter().map(jsonl_record).collect();
         assert_eq!(lines.len(), 3);
         for line in &lines {
             assert_balanced(line);
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+            assert!(!line.contains('\n'), "{line}");
         }
         assert!(lines[2].contains("\"event\":\"line_buffer_hit\""));
-    }
-
-    #[test]
-    fn null_sink_writes_nothing() {
-        let mut bytes = Vec::new();
-        NullSink.write_events(&sample(), &mut bytes).unwrap();
-        assert!(bytes.is_empty());
     }
 }

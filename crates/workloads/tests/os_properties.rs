@@ -87,8 +87,10 @@ proptest! {
         use cpe_core::{SimConfig, Simulator};
         let user = Emulator::new(pmake::program(3));
         let trace = OsInjector::new(user, config);
-        let summary = Simulator::new(SimConfig::combined_single_port())
-            .run_trace("prop-os", trace, None);
+        let summary = Simulator::try_new(SimConfig::combined_single_port())
+            .expect("the config validates")
+            .try_run_trace("prop-os", trace, None)
+            .expect("the run completes");
         prop_assert!(summary.insts > 0);
         prop_assert!(summary.ipc > 0.0);
     }

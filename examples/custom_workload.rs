@@ -76,8 +76,10 @@ fn main() {
         SimConfig::naive_single_port(),
         SimConfig::combined_single_port(),
     ] {
-        let sim = Simulator::new(config);
-        let summary = sim.run_trace("stencil", Emulator::new(program.clone()), None);
+        let sim = Simulator::try_new(config).expect("the config validates");
+        let summary = sim
+            .try_run_trace("stencil", Emulator::new(program.clone()), None)
+            .expect("the run completes");
         println!(
             "{:>16}: IPC {:.3}  ({} cycles; {:.0}% of loads served portlessly)",
             summary.config,
@@ -102,8 +104,10 @@ fn main() {
         seed: 42,
     };
     for config in [SimConfig::single_port(), SimConfig::dual_port()] {
-        let sim = Simulator::new(config);
-        let summary = sim.run_trace("synthetic-50%-loads", SyntheticTrace::new(synth), None);
+        let sim = Simulator::try_new(config).expect("the config validates");
+        let summary = sim
+            .try_run_trace("synthetic-50%-loads", SyntheticTrace::new(synth), None)
+            .expect("the run completes");
         println!(
             "{:>16}: IPC {:.3} on a 50%-load synthetic stream (port util {:.0}%)",
             summary.config,

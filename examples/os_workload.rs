@@ -17,7 +17,7 @@ use cpe::{SimConfig, Simulator};
 
 fn main() {
     let window = Some(150_000);
-    let sim = Simulator::new(SimConfig::dual_port());
+    let sim = Simulator::try_new(SimConfig::dual_port()).expect("the config validates");
 
     let mut table = Table::new([
         "OS presence",
@@ -37,7 +37,9 @@ fn main() {
         eprintln!("  running pmake with {label} OS activity ...");
         let user = Emulator::new(pmake::program(400));
         let trace = OsInjector::new(user, config);
-        let summary = sim.run_trace(&format!("pmake+{label}"), trace, window);
+        let summary = sim
+            .try_run_trace(&format!("pmake+{label}"), trace, window)
+            .expect("the run completes");
         table.row([
             label.to_string(),
             format!("{:.1}", summary.kernel_fraction * 100.0),

@@ -184,24 +184,23 @@ echo "   direct $direct_ms ms vs replay $replay_ms ms (speedup" \
 # cpi_stack in the fresh golden document and the smoke-sweep document
 # must conserve commit slots exactly — sum(causes) == total ==
 # cycles × commit_width, integer equality, no tolerance. Then the
-# per-instruction pipeline view must round-trip: a pipeview export over
-# a traced run has to pass the Konata validator.
-echo "== CPI stacks conserve + pipeview Konata artifact" >&2
+# per-instruction pipeline view must round-trip: a Konata export over a
+# traced run has to pass the Konata validator.
+echo "== CPI stacks conserve + Konata pipeline-view artifact" >&2
 cargo run --release --bin cpe -q -- validate --cpi \
     "$scratch/golden_fresh.json" "$scratch/sweep1.json" >/dev/null
-cargo run --release --bin cpe -q -- pipeview --workload compress \
-    --max 2000 -o "$scratch/pipe.kanata" >/dev/null
-cargo run --release --bin cpe -q -- validate "$scratch/pipe.kanata" \
-    >/dev/null
+"$cpe_bin" run --workload compress --max 2000 --trace-format konata \
+    --trace-out "$scratch/pipe.kanata" >/dev/null
+"$cpe_bin" validate "$scratch/pipe.kanata" >/dev/null
 
-# Trace-export gate (see docs/OBSERVABILITY.md "Sinks"): a traced
-# profile run exported in both event formats must pass `cpe validate` —
-# the Chrome trace_event document as one JSON document, the JSONL
-# export line by line.
-echo "== profile trace exports: Chrome and JSONL validate" >&2
-"$cpe_bin" profile --workload compress --max 2000 --trace-format chrome \
+# Trace-export gate (see docs/OBSERVABILITY.md "Exports"): a traced run
+# exported in both event formats must pass `cpe validate` — the Chrome
+# trace_event document as one JSON document, the JSONL export line by
+# line.
+echo "== run trace exports: Chrome and JSONL validate" >&2
+"$cpe_bin" run --workload compress --max 2000 --trace-format chrome \
     --trace-out "$scratch/profile_trace.json" >/dev/null
-"$cpe_bin" profile --workload compress --max 2000 --trace-format jsonl \
+"$cpe_bin" run --workload compress --max 2000 --trace-format jsonl \
     --trace-out "$scratch/profile_trace.jsonl" >/dev/null
 "$cpe_bin" validate "$scratch/profile_trace.json" \
     "$scratch/profile_trace.jsonl" >/dev/null

@@ -40,7 +40,7 @@ mkdir -p "$metrics_dir"
 profile_max=200000
 for w in compress mpeg db fft sort pmake; do
     echo "profiling $w" >&2
-    ./target/release/cpe profile --workload "$w" --max "$profile_max" \
+    ./target/release/cpe run --workload "$w" --max "$profile_max" \
         --metrics-json "$metrics_dir/$w.json" > /dev/null
 done
 echo "wrote $metrics_dir/{compress,mpeg,db,fft,sort,pmake}.json" >&2

@@ -3,29 +3,22 @@
 //! ```text
 //! cpe asm <file.s>                  assemble and print the listing
 //! cpe trace <file.s> [-n N]         print the first N executed instructions
-//! cpe trace record (<file.s> | --workload NAME [--scale S]) [--max N] [-o FILE]
-//!                                   record a program's or workload's
-//!                                   committed path to a compact replay
-//!                                   trace (CPER format)
+//! cpe trace record SOURCE [--max N] [-o FILE]
+//!                                   record a stream's committed path to a
+//!                                   compact replay trace (CPER format)
 //! cpe trace info <file.cper>        describe a recorded replay trace
-//! cpe run (<file.s> | <file.cper>) [--config NAME] [--max N] [--detail]
-//!         [--metrics-json FILE]
-//!                                   run the timing model over a program or
-//!                                   a recorded trace, print the metrics
-//! cpe profile --workload NAME [--config NAME] [--scale S] [--max N]
-//!             [--interval N] [--ring N] [--trace-out FILE]
-//!             [--trace-format chrome|jsonl] [--metrics-json FILE]
-//!                                   instrumented run: interval metrics,
-//!                                   trace-event capture, self-profile
-//! cpe compare <file.s> [--max N] [--metrics-json FILE]
+//! cpe run SOURCE [--config NAME] [--max N] [--detail] [--metrics-json FILE]
+//!         [--interval N] [--ring N] [--trace-out FILE]
+//!         [--trace-format chrome|jsonl|konata]
+//!                                   run the timing model over one stream and
+//!                                   print its metrics; --detail and every
+//!                                   flag after it profile the run: interval
+//!                                   metrics, trace-event export, self-profile
+//! cpe compare SOURCE [--max N] [--metrics-json FILE]
 //!                                   run every design point, print a table
 //! cpe explain <CONFIG_A> <CONFIG_B> [--workload NAME] [--scale S] [--max N]
 //!                                   run both configs and rank the per-cause
 //!                                   CPI deltas: where do the cycles go?
-//! cpe pipeview --workload NAME [--config NAME] [--scale S] [--max N]
-//!              [--ring N] [-o FILE]
-//!                                   per-instruction pipeline view of the
-//!                                   newest retained window, Konata format
 //! cpe sweep [--jobs N] [--scale S] [--max N] [--configs a,b] [--workloads x,y]
 //!           [--backend direct|replay] [--no-cache] [--cache-dir DIR]
 //!           [--metrics-json FILE] [--no-progress]
@@ -45,12 +38,16 @@
 //! cpe workloads                     list the built-in workload suite
 //! cpe configs                       list the named machine configurations
 //! cpe --version                     print the version and exit
+//!
+//! SOURCE = <file.s> | <file.cper> | --workload NAME [--scale test|small|full]
 //! ```
 //!
-//! Malformed numeric flags and unknown flags are rejected up front, and
-//! every failure path exits with code 2 after a one-line diagnosis.
-//! `cpe diff` alone exits 1 when the documents diverge beyond tolerance —
-//! distinct from 2, so CI can tell a regression from a usage error.
+//! Operands may come before or after the flags. Malformed numeric flags
+//! and unknown flags are rejected up front, and every failure path —
+//! an invalid configuration or a watchdog abort included — exits with
+//! code 2 after a one-line diagnosis. `cpe diff` alone exits 1 when the
+//! documents diverge beyond tolerance — distinct from 2, so CI can tell
+//! a regression from a usage error.
 
 use std::process::ExitCode;
 
@@ -62,8 +59,24 @@ use cpe::trace::{build_records, chrome_trace_json, jsonl_record, konata_text, Tr
 use cpe::workloads::{Scale, Workload};
 use cpe::{
     check_replayable, diff_json, parse_json, profile_json, BackendKind, ProfileOptions,
-    ProfiledRun, SimConfig, Simulator, RECORD_HEADROOM,
+    ProfiledRun, SimConfig, SimError, Simulator, RECORD_HEADROOM,
 };
+
+/// The value flags of the verbs that take a stream SOURCE. Those of `cpe
+/// run` past `--max` select the profiled path.
+const RECORD_FLAGS: &[&str] = &["--workload", "--scale", "--max", "-o"];
+const COMPARE_FLAGS: &[&str] = &["--workload", "--scale", "--max", "--metrics-json"];
+const RUN_FLAGS: &[&str] = &[
+    "--workload",
+    "--scale",
+    "--config",
+    "--max",
+    "--metrics-json",
+    "--interval",
+    "--ring",
+    "--trace-out",
+    "--trace-format",
+];
 
 /// The default configuration, the paper's combined single-port design.
 /// Every verb accepts this alias as well as its report name.
@@ -112,6 +125,11 @@ fn parse_scale(args: &[String]) -> Result<Scale, String> {
         Some("full") => Ok(Scale::Full),
         Some(other) => Err(format!("unknown scale `{other}` (test, small, full)")),
     }
+}
+
+/// A simulator for `config`; an inconsistent one is a usage error.
+fn simulator(config: SimConfig) -> Result<Simulator, String> {
+    Simulator::try_new(config).map_err(|error| error.to_string())
 }
 
 fn write_file(path: &str, contents: &str) -> Result<(), String> {
@@ -207,83 +225,105 @@ fn print_summary(summary: &cpe::RunSummary) {
     );
 }
 
-/// `cpe run`: time a program, or a CPER trace recognised by its magic.
-/// A trace is fully validated before the first cycle, so a corrupt one
-/// is a `file:offset` diagnosis, never a partial run.
-fn cmd_run(
-    path: &str,
-    config: SimConfig,
-    max: Option<u64>,
-    detail: bool,
-    metrics_json: Option<String>,
-) -> Result<(), String> {
-    let bytes = std::fs::read(path).map_err(|error| format!("cannot read `{path}`: {error}"))?;
-    if bytes.starts_with(&REPLAY_MAGIC) {
-        let trace = parse_recorded(&bytes).map_err(|error| replay_diagnosis(path, &error))?;
-        check_replayable(&trace, max).map_err(|error| format!("{path}: {error}"))?;
-        time_stream(config, path, trace.iter(), max, detail, metrics_json)
-    } else {
-        let program = Emulator::new(load_program(path)?);
-        time_stream(config, path, program, max, detail, metrics_json)
+/// One instruction stream: `<file.s> | <file.cper> | --workload NAME
+/// [--scale S]`.
+enum Source {
+    Program(Program),
+    Recorded(RecordedTrace),
+    Workload(Workload, Scale),
+}
+
+impl Source {
+    /// A fresh pass over the stream from its start.
+    fn insts(&self) -> Box<dyn Iterator<Item = DynInst> + '_> {
+        match self {
+            Source::Program(program) => Box::new(Emulator::new(program.clone())),
+            Source::Recorded(trace) => Box::new(trace.iter()),
+            Source::Workload(workload, scale) => Box::new(workload.trace(*scale)),
+        }
     }
 }
 
-fn time_stream(
-    config: SimConfig,
-    path: &str,
-    trace: impl Iterator<Item = DynInst>,
+/// The one source resolver `run`, `compare` and `trace record` share: the
+/// stream's label and its source. A CPER trace (recognised by its magic)
+/// is fully validated before the first cycle, its coverage of the `max`
+/// window included, so a corrupt or short one is a `file:offset`
+/// diagnosis, never a partial run.
+fn stream_source(
+    verb: &str,
+    args: &[String],
+    value_flags: &[&str],
     max: Option<u64>,
-    detail: bool,
-    metrics_json: Option<String>,
-) -> Result<(), String> {
-    let sim = Simulator::new(config);
-    // Plain runs keep the direct path; --detail and --metrics-json go
-    // through the profiling driver (identical timing, richer output).
-    if detail || metrics_json.is_some() {
-        let run = sim
-            .try_profile_trace(path, trace, max, ProfileOptions::default())
-            .map_err(|error| format!("{path}: {error}"))?;
-        if let Some(out) = &metrics_json {
-            write_file(out, &profile_json(&run, sim.config()))?;
+) -> Result<(String, Source), String> {
+    match (
+        parse_flag(args, "--workload"),
+        &positionals(args, value_flags)[..],
+    ) {
+        (Some(name), []) => {
+            let source = Source::Workload(workload_by_name(&name)?, parse_scale(args)?);
+            Ok((name, source))
         }
-        if detail {
-            println!("{}", cpe::detailed_report(&run.summary));
-            println!("{}", run.self_profile.one_liner());
-        } else {
-            print_summary(&run.summary);
+        (None, [path]) => {
+            let bytes =
+                std::fs::read(path).map_err(|error| format!("cannot read `{path}`: {error}"))?;
+            let source = if bytes.starts_with(&REPLAY_MAGIC) {
+                let trace =
+                    parse_recorded(&bytes).map_err(|error| replay_diagnosis(path, &error))?;
+                check_replayable(&trace, max).map_err(|error| format!("{path}: {error}"))?;
+                Source::Recorded(trace)
+            } else {
+                Source::Program(load_program(path)?)
+            };
+            Ok((path.to_string(), source))
         }
-    } else {
-        let summary = sim
-            .try_run_trace(path, trace, max)
-            .map_err(|error| format!("{path}: {error}"))?;
-        print_summary(&summary);
+        _ => Err(format!(
+            "{verb} needs one of <file.s>, <file.cper> or --workload NAME\n\n{}",
+            usage()
+        )),
     }
-    Ok(())
 }
 
-fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let workload_name = parse_flag(args, "--workload")
-        .ok_or_else(|| format!("profile needs --workload NAME\n\n{}", usage()))?;
-    let workload = workload_by_name(&workload_name)?;
-    let scale = parse_scale(args)?;
-    let config = config_flag(args)?;
+/// `cpe run`: time one stream and print its metrics. A plain run takes
+/// the direct path; `--detail`, `--metrics-json` and the interval, ring
+/// and trace-export flags take the profiled path instead (identical
+/// timing, richer output).
+fn cmd_run(args: &[String]) -> Result<(), String> {
     let max = parse_number(args, "--max")?;
-    let options = ProfileOptions {
-        interval: parse_number(args, "--interval")?.unwrap_or(ProfileOptions::default().interval),
-        ring_capacity: parse_number(args, "--ring")?.unwrap_or(ProfileOptions::CAPTURE_RING),
-    };
+    let (label, source) = stream_source("run", args, RUN_FLAGS, max)?;
+    let sim = simulator(config_flag(args)?)?;
+    let detail = args.iter().any(|arg| arg == "--detail");
+    if !detail && !args.iter().any(|arg| RUN_FLAGS[4..].contains(&&arg[..])) {
+        let summary = sim
+            .try_run_trace(&label, source.insts(), max)
+            .map_err(|error| format!("{label}: {error}"))?;
+        print_summary(&summary);
+        return Ok(());
+    }
+    let trace_out = parse_flag(args, "--trace-out");
     let trace_format = parse_flag(args, "--trace-format").unwrap_or_else(|| "chrome".to_string());
-    if trace_format != "chrome" && trace_format != "jsonl" {
+    if !["chrome", "jsonl", "konata"].contains(&trace_format.as_str()) {
         return Err(format!(
-            "unknown trace format `{trace_format}` (chrome, jsonl)"
+            "unknown trace format `{trace_format}` (chrome, jsonl, konata)"
         ));
     }
-
-    let sim = Simulator::new(config);
+    // An export reads the event ring, so it attaches one by default.
+    let ring = if trace_out.is_some() {
+        ProfileOptions::CAPTURE_RING
+    } else {
+        ProfileOptions::default().ring_capacity
+    };
+    let options = ProfileOptions {
+        interval: parse_number(args, "--interval")?.unwrap_or(ProfileOptions::default().interval),
+        ring_capacity: parse_number(args, "--ring")?.unwrap_or(ring),
+    };
     let run = sim
-        .try_profile(workload, scale, max, options)
-        .map_err(|error| format!("{workload_name}: {error}"))?;
-    print_summary(&run.summary);
+        .try_profile_trace(&label, source.insts(), max, options)
+        .map_err(|error| format!("{label}: {error}"))?;
+    if detail {
+        println!("{}", cpe::detailed_report(&run.summary));
+    } else {
+        print_summary(&run.summary);
+    }
     println!(
         "epochs: {} × {} cycles",
         run.series.epochs.len(),
@@ -291,24 +331,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     );
     println!("  {}", run.series.ipc_series());
     println!("  {}", run.series.port_utilisation_series());
-
-    if let Some(path) = parse_flag(args, "--trace-out") {
-        let rendered = match trace_format.as_str() {
-            "chrome" => chrome_trace_json(&run.events),
-            _ => {
-                let mut lines: Vec<String> = run.events.iter().map(jsonl_record).collect();
-                lines.push(String::new()); // trailing newline
-                lines.join("\n")
-            }
-        };
-        write_file(&path, &rendered)?;
-        println!(
-            "wrote {} trace events to {path} ({trace_format})",
-            run.events.len()
-        );
-        if !TraceHandle::CAPTURE {
-            println!("note: built without the `trace` feature — no events were captured");
-        }
+    if let Some(path) = trace_out {
+        export_events(&run, &path, &trace_format)?;
     }
     if let Some(path) = parse_flag(args, "--metrics-json") {
         write_file(&path, &profile_json(&run, sim.config()))?;
@@ -318,32 +342,64 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(path: &str, max: Option<u64>, metrics_json: Option<String>) -> Result<(), String> {
-    let program = load_program(path)?;
+/// Write a profiled run's retained event window to `path`: as a Chrome
+/// `trace_event` document, as JSONL, or as per-instruction lifecycles in
+/// the Konata pipeline-viewer format.
+fn export_events(run: &ProfiledRun, path: &str, format: &str) -> Result<(), String> {
+    let (rendered, count, what) = match format {
+        "chrome" => (
+            chrome_trace_json(&run.events),
+            run.events.len(),
+            "trace events",
+        ),
+        "jsonl" => {
+            let mut lines: Vec<String> = run.events.iter().map(jsonl_record).collect();
+            lines.push(String::new()); // trailing newline
+            (lines.join("\n"), run.events.len(), "trace events")
+        }
+        _ => {
+            let records = build_records(&run.events);
+            let text = konata_text(&records);
+            (text, records.len(), "instruction lifecycle(s)")
+        }
+    };
+    write_file(path, &rendered)?;
+    println!("wrote {count} {what} to {path} ({format})");
+    if !TraceHandle::CAPTURE {
+        println!("note: built without the `trace` feature — no events were captured");
+    } else if let Some(ring) = run.self_profile.ring.filter(|ring| ring.dropped > 0) {
+        println!(
+            "note: ring dropped {} event(s); the export covers the newest \
+             window (grow it with --ring)",
+            ring.dropped
+        );
+    }
+    Ok(())
+}
+
+fn cmd_compare(args: &[String]) -> Result<(), String> {
+    let max = parse_number(args, "--max")?;
+    let (label, source) = stream_source("compare", args, COMPARE_FLAGS, max)?;
+    let metrics_json = parse_flag(args, "--metrics-json");
     let mut table = Table::new(["config", "IPC", "cycles", "port util %", "portless loads %"]);
     let mut profiles: Vec<(SimConfig, ProfiledRun)> = Vec::new();
+    let at = |error: SimError| format!("{label}: {error}");
     for config in all_configs() {
-        let name = config.name.clone();
-        let sim = Simulator::new(config);
+        let sim = simulator(config)?;
         // The profiled and plain paths produce identical summaries; the
         // sweep only pays for profiling when it will export the series.
         let summary = if metrics_json.is_some() {
             let run = sim
-                .try_profile_trace(
-                    path,
-                    Emulator::new(program.clone()),
-                    max,
-                    ProfileOptions::default(),
-                )
-                .map_err(|error| format!("{path}: {error}"))?;
+                .try_profile_trace(&label, source.insts(), max, ProfileOptions::default())
+                .map_err(at)?;
             let summary = run.summary.clone();
             profiles.push((sim.config().clone(), run));
             summary
         } else {
-            sim.run_trace(path, Emulator::new(program.clone()), max)
+            sim.try_run_trace(&label, source.insts(), max).map_err(at)?
         };
         table.row([
-            name,
+            summary.config.clone(),
             format!("{:.3}", summary.ipc),
             summary.cycles.to_string(),
             format!("{:.1}", summary.port_utilisation * 100.0),
@@ -405,49 +461,13 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let workload = workload_by_name(&workload_name)?;
     let scale = parse_scale(args)?;
     let max = Some(parse_number(args, "--max")?.unwrap_or(20_000));
-    let a = Simulator::new(a_config).run(workload, scale, max);
-    let b = Simulator::new(b_config).run(workload, scale, max);
-    println!("{}", cpe::explain_report(&a, &b));
-    Ok(())
-}
-
-/// `cpe pipeview`: profile a workload with event capture on and render
-/// the retained window as per-instruction lifecycles in the Konata
-/// pipeline-viewer text format.
-fn cmd_pipeview(args: &[String]) -> Result<(), String> {
-    let workload_name = parse_flag(args, "--workload")
-        .ok_or_else(|| format!("pipeview needs --workload NAME\n\n{}", usage()))?;
-    let workload = workload_by_name(&workload_name)?;
-    let scale = parse_scale(args)?;
-    let config = config_flag(args)?;
-    let max = parse_number(args, "--max")?;
-    let options = ProfileOptions {
-        ring_capacity: parse_number(args, "--ring")?.unwrap_or(ProfileOptions::CAPTURE_RING),
-        ..ProfileOptions::default()
+    let run = |config| {
+        simulator(config)?
+            .try_run(workload, scale, max)
+            .map_err(|error| format!("{workload_name}: {error}"))
     };
-    let out = parse_flag(args, "-o").unwrap_or_else(|| "pipeview.kanata".to_string());
-    let sim = Simulator::new(config);
-    let run = sim
-        .try_profile(workload, scale, max, options)
-        .map_err(|error| format!("{workload_name}: {error}"))?;
-    let records = build_records(&run.events);
-    write_file(&out, &konata_text(&records))?;
-    println!(
-        "wrote {} instruction lifecycle(s) to {out} \
-         (Konata format: https://github.com/shioyadan/Konata)",
-        records.len()
-    );
-    if !TraceHandle::CAPTURE {
-        println!("note: built without the `trace` feature — no events were captured");
-    } else if let Some(ring) = &run.self_profile.ring {
-        if ring.dropped > 0 {
-            println!(
-                "note: ring dropped {} event(s); the view covers the newest \
-                 window (grow it with --ring)",
-                ring.dropped
-            );
-        }
-    }
+    let (a, b) = (run(a_config)?, run(b_config)?);
+    println!("{}", cpe::explain_report(&a, &b));
     Ok(())
 }
 
@@ -461,36 +481,28 @@ fn replay_diagnosis(path: &str, error: &ReplayError) -> String {
     }
 }
 
-/// `cpe trace record`: run a program or a workload functionally and save
-/// its committed path as a compact CPER replay trace. With `--max N` the
-/// recording keeps the same headroom past the window the replay backend
-/// records, so replaying it reproduces a direct `--max N` run exactly.
+/// `cpe trace record`: run a stream functionally and save its committed
+/// path as a compact CPER replay trace. With `--max N` the recording
+/// keeps the same headroom past the window the replay backend records,
+/// so replaying it reproduces a direct `--max N` run exactly.
 fn cmd_trace_record(args: &[String]) -> Result<(), String> {
-    let cap = parse_number::<u64>(args, "--max")?.map(|max| max.saturating_add(RECORD_HEADROOM));
-    let sources = (
-        parse_flag(args, "--workload"),
-        &positionals(args, &["--workload", "--scale", "--max", "-o"])[..],
-    );
-    let (name, trace, default_out) = match sources {
-        (Some(name), []) => {
-            let workload = workload_by_name(&name)?;
-            let trace = RecordedTrace::record(workload.trace(parse_scale(args)?), cap);
-            let out = format!("{name}.cper");
-            (name, trace, out)
+    let max = parse_number::<u64>(args, "--max")?;
+    let (name, source) = stream_source("trace record", args, RECORD_FLAGS, max)?;
+    let out = match (parse_flag(args, "-o"), &source) {
+        (Some(out), _) => out,
+        (None, Source::Workload(..)) => format!("{name}.cper"),
+        (None, Source::Program(_)) => {
+            let out = std::path::Path::new(&name).with_extension("cper");
+            out.display().to_string()
         }
-        (None, [path]) => {
-            let trace = RecordedTrace::record(Emulator::new(load_program(path)?), cap);
-            let out = std::path::Path::new(path).with_extension("cper");
-            (path.to_string(), trace, out.display().to_string())
-        }
-        _ => {
+        (None, Source::Recorded(_)) => {
             return Err(format!(
-                "trace record needs a <file.s> or --workload NAME\n\n{}",
-                usage()
+                "trace record of `{name}` needs -o FILE (the default would overwrite it)"
             ))
         }
     };
-    let out = parse_flag(args, "-o").unwrap_or(default_out);
+    let cap = max.map(|max| max.saturating_add(RECORD_HEADROOM));
+    let trace = RecordedTrace::record(source.insts(), cap);
     let file =
         std::fs::File::create(&out).map_err(|error| format!("cannot create `{out}`: {error}"))?;
     let bytes = write_recorded(std::io::BufWriter::new(file), &trace)
@@ -732,111 +744,77 @@ fn cmd_configs() {
 
 fn usage() -> &'static str {
     "usage:\n  cpe asm <file.s>\n  cpe trace <file.s> [-n N]\n  \
-     cpe trace record (<file.s> | --workload NAME [--scale S]) [--max N] [-o FILE]\n  \
-     cpe trace info <file.cper>\n  cpe run (<file.s> | <file.cper>) \
-     [--config NAME] [--max N] [--detail] [--metrics-json FILE]\n  cpe profile \
-     --workload NAME [--config NAME] [--scale test|small|full] [--max N]\n              \
-     [--interval N] [--ring N] [--trace-out FILE] [--trace-format chrome|jsonl]\n              \
-     [--metrics-json FILE]\n  cpe compare <file.s> [--max N] [--metrics-json FILE]\n  \
+     cpe trace record SOURCE [--max N] [-o FILE]\n  cpe trace info <file.cper>\n  \
+     cpe run SOURCE [--config NAME] [--max N] [--detail] [--metrics-json FILE]\n          \
+     [--interval N] [--ring N] [--trace-out FILE] [--trace-format chrome|jsonl|konata]\n  \
+     cpe compare SOURCE [--max N] [--metrics-json FILE]\n  \
      cpe explain <CONFIG_A> <CONFIG_B> [--workload NAME] [--scale S] [--max N]\n  \
-     cpe pipeview --workload NAME [--config NAME] [--scale S] [--max N]\n               \
-     [--ring N] [-o FILE]\n  \
      cpe sweep [--jobs N] [--scale test|small|full] [--max N] [--configs a,b]\n            \
      [--workloads x,y] [--backend direct|replay] [--no-cache] [--cache-dir DIR]\n            \
      [--metrics-json FILE] [--no-progress]\n  \
-     cpe validate <file.json|file.jsonl|file.kanata>... [--jsonl] [--cpi]\n  \
+     cpe validate <file.json|file.jsonl|file.kanata|file.cper>... [--jsonl] [--cpi]\n  \
      cpe cache stats|clear [--cache-dir DIR]\n  \
      cpe diff <a.json> <b.json> [--tolerance PCT]\n  cpe workloads\n  cpe configs\n  \
-     cpe --version"
+     cpe --version\n\
+     SOURCE = <file.s> | <file.cper> | --workload NAME [--scale test|small|full]"
+}
+
+/// The file operands of `verb` (skipping flags and their values, so they
+/// may come before or after the flags), exactly `N` of them.
+fn operands<'a, const N: usize>(
+    verb: &str,
+    args: &'a [String],
+    value_flags: &[&str],
+) -> Result<[&'a String; N], String> {
+    positionals(args, value_flags)
+        .try_into()
+        .map_err(|_| format!("{verb} needs {N} FILE operand(s)\n\n{}", usage()))
 }
 
 fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     // Most commands exit 0 on success; `diff` alone maps a clean compare
     // to 0 and a beyond-tolerance divergence to 1.
     let done = |result: Result<(), String>| result.map(|()| ExitCode::SUCCESS);
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
         Some("--version" | "-V") => {
             println!("cpe {}", env!("CARGO_PKG_VERSION"));
             Ok(ExitCode::SUCCESS)
         }
-        Some("asm") if args.len() >= 2 => {
-            reject_unknown_flags(&args[1..], &[], &[])?;
-            done(cmd_asm(&args[1]))
+        Some("asm") => {
+            reject_unknown_flags(rest, &[], &[])?;
+            let [path] = operands("asm", rest, &[])?;
+            done(cmd_asm(path))
         }
         Some("trace") if args.get(1).map(String::as_str) == Some("record") => {
-            reject_unknown_flags(&args[2..], &["--workload", "--scale", "--max", "-o"], &[])?;
+            reject_unknown_flags(&args[2..], RECORD_FLAGS, &[])?;
             done(cmd_trace_record(&args[2..]))
         }
         Some("trace") if args.get(1).map(String::as_str) == Some("info") => {
             reject_unknown_flags(&args[2..], &[], &[])?;
-            let path = args
-                .get(2)
-                .ok_or_else(|| format!("trace info needs a FILE\n\n{}", usage()))?;
+            let [path] = operands("trace info", &args[2..], &[])?;
             done(cmd_trace_info(path))
         }
-        Some("trace") if args.len() >= 2 => {
-            reject_unknown_flags(&args[1..], &["-n"], &[])?;
-            let count = parse_number(args, "-n")?.unwrap_or(50);
-            done(cmd_trace(&args[1], count))
+        Some("trace") => {
+            reject_unknown_flags(rest, &["-n"], &[])?;
+            let [path] = operands("trace", rest, &["-n"])?;
+            done(cmd_trace(path, parse_number(rest, "-n")?.unwrap_or(50)))
         }
-        Some("run") if args.len() >= 2 => {
-            reject_unknown_flags(
-                &args[1..],
-                &["--config", "--max", "--metrics-json"],
-                &["--detail"],
-            )?;
-            let max = parse_number(args, "--max")?;
-            let detail = args.iter().any(|arg| arg == "--detail");
-            done(cmd_run(
-                &args[1],
-                config_flag(args)?,
-                max,
-                detail,
-                parse_flag(args, "--metrics-json"),
-            ))
+        Some("run") => {
+            reject_unknown_flags(rest, RUN_FLAGS, &["--detail"])?;
+            done(cmd_run(rest))
         }
-        Some("profile") => {
-            reject_unknown_flags(
-                &args[1..],
-                &[
-                    "--workload",
-                    "--config",
-                    "--scale",
-                    "--max",
-                    "--interval",
-                    "--ring",
-                    "--trace-out",
-                    "--trace-format",
-                    "--metrics-json",
-                ],
-                &[],
-            )?;
-            done(cmd_profile(args))
-        }
-        Some("compare") if args.len() >= 2 => {
-            reject_unknown_flags(&args[1..], &["--max", "--metrics-json"], &[])?;
-            let max = parse_number(args, "--max")?;
-            done(cmd_compare(
-                &args[1],
-                max,
-                parse_flag(args, "--metrics-json"),
-            ))
+        Some("compare") => {
+            reject_unknown_flags(rest, COMPARE_FLAGS, &[])?;
+            done(cmd_compare(rest))
         }
         Some("explain") => {
-            reject_unknown_flags(&args[1..], &["--workload", "--scale", "--max"], &[])?;
-            done(cmd_explain(&args[1..]))
-        }
-        Some("pipeview") => {
-            reject_unknown_flags(
-                &args[1..],
-                &["--workload", "--config", "--scale", "--max", "--ring", "-o"],
-                &[],
-            )?;
-            done(cmd_pipeview(&args[1..]))
+            reject_unknown_flags(rest, &["--workload", "--scale", "--max"], &[])?;
+            done(cmd_explain(rest))
         }
         Some("sweep") => {
             reject_unknown_flags(
-                &args[1..],
+                rest,
                 &[
                     "--jobs",
                     "--scale",
@@ -849,19 +827,20 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                 ],
                 &["--no-cache", "--no-progress"],
             )?;
-            done(cmd_sweep(args))
+            done(cmd_sweep(rest))
         }
         Some("validate") if args.len() >= 2 => {
-            reject_unknown_flags(&args[1..], &[], &["--jsonl", "--cpi"])?;
-            done(cmd_validate(&args[1..]))
+            reject_unknown_flags(rest, &[], &["--jsonl", "--cpi"])?;
+            done(cmd_validate(rest))
         }
         Some("cache") => {
-            reject_unknown_flags(&args[1..], &["--cache-dir"], &[])?;
-            done(cmd_cache(&args[1..]))
+            reject_unknown_flags(rest, &["--cache-dir"], &[])?;
+            done(cmd_cache(rest))
         }
-        Some("diff") if args.len() >= 3 => {
-            reject_unknown_flags(&args[3..], &["--tolerance"], &[])?;
-            let tolerance = match parse_flag(args, "--tolerance") {
+        Some("diff") => {
+            reject_unknown_flags(rest, &["--tolerance"], &[])?;
+            let [a, b] = operands("diff", rest, &["--tolerance"])?;
+            let tolerance = match parse_flag(rest, "--tolerance") {
                 None => 5.0,
                 Some(text) => match text.parse::<f64>() {
                     Ok(value) if value >= 0.0 && value.is_finite() => value,
@@ -873,19 +852,19 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                     }
                 },
             };
-            if cmd_diff(&args[1], &args[2], tolerance)? {
+            if cmd_diff(a, b, tolerance)? {
                 Ok(ExitCode::SUCCESS)
             } else {
                 Ok(ExitCode::from(1))
             }
         }
         Some("workloads") => {
-            reject_unknown_flags(&args[1..], &[], &[])?;
+            reject_unknown_flags(rest, &[], &[])?;
             cmd_workloads();
             Ok(ExitCode::SUCCESS)
         }
         Some("configs") => {
-            reject_unknown_flags(&args[1..], &[], &[])?;
+            reject_unknown_flags(rest, &[], &[])?;
             cmd_configs();
             Ok(ExitCode::SUCCESS)
         }

@@ -27,11 +27,14 @@
 //!
 //! // How much of a dual-ported cache's performance does the paper's
 //! // single-ported design recover on one workload?
-//! let window = Some(20_000);
-//! let dual = Simulator::new(SimConfig::dual_port())
-//!     .run(Workload::Sort, Scale::Test, window);
-//! let combined = Simulator::new(SimConfig::combined_single_port())
-//!     .run(Workload::Sort, Scale::Test, window);
+//! let ipc = |config| {
+//!     Simulator::try_new(config)
+//!         .expect("preset configs validate")
+//!         .try_run(Workload::Sort, Scale::Test, Some(20_000))
+//!         .expect("the run completes")
+//! };
+//! let dual = ipc(SimConfig::dual_port());
+//! let combined = ipc(SimConfig::combined_single_port());
 //! let recovered = combined.relative_ipc(&dual);
 //! assert!(recovered > 0.5 && recovered <= 1.2);
 //! ```

@@ -8,7 +8,10 @@ use cpe::workloads::synth::{AddressPattern, SynthConfig, SyntheticTrace};
 use cpe::{SimConfig, Simulator};
 
 fn run(config: SimConfig, synth: SynthConfig) -> cpe::RunSummary {
-    Simulator::new(config).run_trace("analytical", SyntheticTrace::new(synth), None)
+    Simulator::try_new(config)
+        .expect("the config validates")
+        .try_run_trace("analytical", SyntheticTrace::new(synth), None)
+        .expect("the run completes")
 }
 
 fn stream(load_fraction: f64, store_fraction: f64) -> SynthConfig {
@@ -109,8 +112,10 @@ fn mispredicts_cap_ipc_from_above() {
     // The synthetic stream's single loop branch is almost always taken,
     // so instead use a real branchy workload: sort.
     use cpe::workloads::{Scale, Workload};
-    let summary =
-        Simulator::new(SimConfig::ideal_ports()).run(Workload::Sort, Scale::Test, Some(40_000));
+    let summary = Simulator::try_new(SimConfig::ideal_ports())
+        .expect("the config validates")
+        .try_run(Workload::Sort, Scale::Test, Some(40_000))
+        .expect("the run completes");
     let mispredicts_per_inst =
         summary.mispredict_rate * summary.raw.cpu.branches.as_f64() / summary.insts.max(1) as f64;
     // Each mispredict costs at least resolve (≥2 cycles) + redirect (3).

@@ -51,10 +51,8 @@ fn usage_covers_every_subcommand() {
         "asm",
         "trace",
         "run",
-        "profile",
         "compare",
         "explain",
-        "pipeview",
         "sweep",
         "validate",
         "cache",
@@ -84,7 +82,15 @@ fn usage_covers_every_subcommand() {
 
 #[test]
 fn removed_verbs_and_sweep_flags_are_unknown() {
-    for verb in ["worker", "status", "fuzz-fabric", "serve", "bench"] {
+    for verb in [
+        "worker",
+        "status",
+        "fuzz-fabric",
+        "serve",
+        "bench",
+        "profile",
+        "pipeview",
+    ] {
         let output = cpe().args([verb, "--no-cache"]).output().unwrap();
         assert_eq!(output.status.code(), Some(2), "{verb}");
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -111,7 +117,7 @@ fn removed_verbs_and_sweep_flags_are_unknown() {
         );
         assert!(output.stdout.is_empty(), "{flag}: no cell ran");
     }
-    let output = cpe().args(["profile", "--jobs", "2"]).output().unwrap();
+    let output = cpe().args(["run", "--jobs", "2"]).output().unwrap();
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown flag `--jobs`"), "{stderr}");
@@ -182,6 +188,13 @@ fn run_prints_metrics_and_detail() {
     let stdout = String::from_utf8_lossy(&detailed.stdout);
     assert!(stdout.contains("### load sourcing"), "{stdout}");
     assert!(stdout.contains("### pipeline friction"), "{stdout}");
+
+    // The operand may follow the flags: `--max 50` is not read as a file.
+    for args in [&["run", "--max", "50"][..], &["trace", "-n", "3"]] {
+        let output = cpe().args(args).arg(&program).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -234,6 +247,57 @@ fn record_then_replay_matches_run() {
         tail(replayed_out.lines().next().unwrap()),
         "direct: {direct_out}\nreplayed: {replayed_out}"
     );
+}
+
+/// A workload run live and the same workload recorded and replayed are
+/// one stream: every counter of the two metrics documents agrees, and
+/// only the summary's label differs.
+#[test]
+fn a_workload_and_its_recording_give_the_same_metrics() {
+    let dir = tempdir();
+    let trace = dir.join("s.cper");
+    let live = dir.join("live.json");
+    let replayed = dir.join("replayed.json");
+    let succeed = |command: &mut Command| {
+        let output = command.output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{command:?}: {stderr}");
+    };
+    let sort = ["--workload", "sort", "--max", "5000"];
+    succeed(cpe().arg("run").args(sort).arg("--metrics-json").arg(&live));
+    succeed(
+        cpe()
+            .args(["trace", "record"])
+            .args(sort)
+            .arg("-o")
+            .arg(&trace),
+    );
+    succeed(
+        cpe()
+            .arg("run")
+            .arg(&trace)
+            .args(["--max", "5000", "--metrics-json"])
+            .arg(&replayed),
+    );
+    let member = |path: &std::path::Path, key: &str| {
+        let doc = cpe::parse_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let cpe::JsonValue::Object(members) = doc else {
+            panic!("{}: not an object", path.display())
+        };
+        let (_, value) = members.into_iter().find(|(name, _)| name == key).unwrap();
+        match value {
+            cpe::JsonValue::Object(fields) => cpe::JsonValue::Object(
+                fields
+                    .into_iter()
+                    .filter(|(name, _)| name != "workload")
+                    .collect(),
+            ),
+            other => other,
+        }
+    };
+    for key in ["summary", "cpi_stack", "distributions", "counters"] {
+        assert_eq!(member(&live, key), member(&replayed, key), "{key}");
+    }
 }
 
 #[test]
@@ -412,7 +476,7 @@ fn profile_emits_epochs_trace_and_metrics() {
     let trace = dir.join("profile-trace.json");
     let metrics = dir.join("profile-metrics.json");
     let output = cpe()
-        .args(["profile", "--workload", "compress", "--max", "3000"])
+        .args(["run", "--workload", "compress", "--max", "3000"])
         .args(["--interval", "250"])
         .args(["--trace-out"])
         .arg(&trace)
@@ -450,7 +514,7 @@ fn profile_emits_epochs_trace_and_metrics() {
 
 #[test]
 fn profile_requires_a_workload() {
-    let output = cpe().arg("profile").output().unwrap();
+    let output = cpe().arg("run").output().unwrap();
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("--workload"), "{stderr}");
@@ -461,7 +525,7 @@ fn profile_metrics_json_carries_latency_distributions() {
     let dir = tempdir();
     let metrics = dir.join("profile-dists.json");
     let output = cpe()
-        .args(["profile", "--workload", "sort", "--max", "5000"])
+        .args(["run", "--workload", "sort", "--max", "5000"])
         .args(["--metrics-json"])
         .arg(&metrics)
         .output()
@@ -500,7 +564,7 @@ fn diff_of_identical_files_exits_zero() {
     let dir = tempdir();
     let metrics = dir.join("diff-self.json");
     let run = cpe()
-        .args(["profile", "--workload", "fft", "--max", "3000"])
+        .args(["run", "--workload", "fft", "--max", "3000"])
         .args(["--metrics-json"])
         .arg(&metrics)
         .output()
@@ -525,7 +589,7 @@ fn diff_flags_divergent_port_counts_with_exit_one() {
     let quad = dir.join("diff-quad.json");
     for (config, path) in [("1-port naive", &naive), ("4-port", &quad)] {
         let run = cpe()
-            .args(["profile", "--workload", "sort", "--max", "5000"])
+            .args(["run", "--workload", "sort", "--max", "5000"])
             .args(["--config", config, "--metrics-json"])
             .arg(path)
             .output()

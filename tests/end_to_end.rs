@@ -5,7 +5,15 @@ use cpe::exec::render::{member, member_path, number_at};
 use cpe::exec::SweepPlan;
 use cpe::isa::{asm::assemble, Emulator, Mode};
 use cpe::workloads::{Scale, Workload};
-use cpe::{parse_json, BackendKind, JsonValue, SimConfig, Simulator};
+use cpe::{parse_json, BackendKind, JsonValue, RunSummary, SimConfig, Simulator};
+
+/// One Test-scale run of `workload` on `config`.
+fn run(config: SimConfig, workload: Workload, max_insts: Option<u64>) -> RunSummary {
+    Simulator::try_new(config)
+        .expect("the config validates")
+        .try_run(workload, Scale::Test, max_insts)
+        .expect("the run completes")
+}
 
 /// The timing model must commit exactly the instructions the functional
 /// model executes — no drops, no duplicates — for every workload.
@@ -13,8 +21,7 @@ use cpe::{parse_json, BackendKind, JsonValue, SimConfig, Simulator};
 fn timing_commits_exactly_the_functional_stream() {
     for workload in Workload::ALL {
         let expected = workload.trace(Scale::Test).count() as u64;
-        let summary =
-            Simulator::new(SimConfig::naive_single_port()).run(workload, Scale::Test, None);
+        let summary = run(SimConfig::naive_single_port(), workload, None);
         assert_eq!(summary.insts, expected, "{workload}");
         assert!(summary.cycles > 0, "{workload}");
     }
@@ -23,12 +30,8 @@ fn timing_commits_exactly_the_functional_stream() {
 /// Two identical runs must agree cycle-for-cycle and counter-for-counter.
 #[test]
 fn whole_stack_determinism() {
-    let run = || {
-        let s = Simulator::new(SimConfig::combined_single_port()).run(
-            Workload::Pmake,
-            Scale::Test,
-            None,
-        );
+    let fingerprint = || {
+        let s = run(SimConfig::combined_single_port(), Workload::Pmake, None);
         (
             s.cycles,
             s.insts,
@@ -39,7 +42,7 @@ fn whole_stack_determinism() {
             s.raw.cpu.kernel_cycles.get(),
         )
     };
-    assert_eq!(run(), run());
+    assert_eq!(fingerprint(), fingerprint());
 }
 
 /// The committed load/store counts seen by the CPU must equal the demand
@@ -47,7 +50,7 @@ fn whole_stack_determinism() {
 #[test]
 fn cpu_and_memory_agree_on_reference_counts() {
     for workload in [Workload::Compress, Workload::Sort, Workload::Pmake] {
-        let summary = Simulator::new(SimConfig::dual_port()).run(workload, Scale::Test, None);
+        let summary = run(SimConfig::dual_port(), workload, None);
         // Loads reach the memory system exactly once — except those the
         // LSQ forwarded from an in-flight store, which never leave the
         // core at all.
@@ -74,8 +77,10 @@ fn timing_is_architecturally_transparent() {
     emu.run_to_halt(10_000_000).expect("halts");
     let functional_count = emu.executed();
 
-    let sim = Simulator::new(SimConfig::quad_port());
-    let summary = sim.run_trace("fft", Emulator::new(program), None);
+    let sim = Simulator::try_new(SimConfig::quad_port()).expect("the config validates");
+    let summary = sim
+        .try_run_trace("fft", Emulator::new(program), None)
+        .expect("the run completes");
     assert_eq!(summary.insts, functional_count);
 }
 
@@ -83,7 +88,7 @@ fn timing_is_architecturally_transparent() {
 /// accounted per mode; user+kernel commits must sum to the total.
 #[test]
 fn mode_accounting_sums() {
-    let summary = Simulator::new(SimConfig::single_port()).run(Workload::Pmake, Scale::Test, None);
+    let summary = run(SimConfig::single_port(), Workload::Pmake, None);
     let cpu = &summary.raw.cpu;
     assert_eq!(
         cpu.committed_user.get() + cpu.committed_kernel.get(),
@@ -137,11 +142,10 @@ fn custom_program_through_the_full_stack() {
     assert_eq!(got, vec![5, 9, 12, 14, 15]);
 
     // Timing check: the run completes and reports sane metrics.
-    let summary = Simulator::new(SimConfig::combined_single_port()).run_trace(
-        "prefix",
-        Emulator::new(program),
-        None,
-    );
+    let summary = Simulator::try_new(SimConfig::combined_single_port())
+        .expect("the config validates")
+        .try_run_trace("prefix", Emulator::new(program), None)
+        .expect("the run completes");
     assert_eq!(summary.insts, emu.executed());
     assert!(summary.ipc > 0.1 && summary.ipc <= 4.0);
 }
@@ -150,9 +154,8 @@ fn custom_program_through_the_full_stack() {
 #[test]
 fn instruction_windows_align_comparisons() {
     let window = Some(10_000);
-    let a =
-        Simulator::new(SimConfig::naive_single_port()).run(Workload::Compress, Scale::Test, window);
-    let b = Simulator::new(SimConfig::ideal_ports()).run(Workload::Compress, Scale::Test, window);
+    let a = run(SimConfig::naive_single_port(), Workload::Compress, window);
+    let b = run(SimConfig::ideal_ports(), Workload::Compress, window);
     // Both committed the same work (within one commit group).
     assert!(a.insts.abs_diff(b.insts) <= 4, "{} vs {}", a.insts, b.insts);
     assert!(

@@ -165,7 +165,7 @@ fn attaching_a_ring_never_changes_the_document() {
         SimConfig::big_window(),
     ];
     for config in presets {
-        let sim = Simulator::new(config);
+        let sim = Simulator::try_new(config).expect("the config validates");
         for workload in [Workload::Compress, Workload::Sort] {
             let profile = |ring_capacity| {
                 sim.try_profile(
@@ -226,12 +226,12 @@ proptest! {
         };
         let config = SimConfig::combined_single_port();
 
-        let plain = Simulator::new(config.clone()).run_trace(
-            "synth",
-            SyntheticTrace::new(synth),
-            None,
-        );
-        let profiled = Simulator::new(config)
+        let plain = Simulator::try_new(config.clone())
+            .expect("the config validates")
+            .try_run_trace("synth", SyntheticTrace::new(synth), None)
+            .expect("the run completes");
+        let profiled = Simulator::try_new(config)
+            .expect("the config validates")
             .try_profile_trace(
                 "synth",
                 SyntheticTrace::new(synth),

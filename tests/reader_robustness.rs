@@ -22,7 +22,8 @@ use proptest::prelude::*;
 fn artifacts() -> &'static (String, String) {
     static ARTIFACTS: OnceLock<(String, String)> = OnceLock::new();
     ARTIFACTS.get_or_init(|| {
-        let sim = Simulator::new(SimConfig::combined_single_port());
+        let sim =
+            Simulator::try_new(SimConfig::combined_single_port()).expect("the config validates");
         let options = ProfileOptions {
             ring_capacity: 4_096,
             ..ProfileOptions::default()

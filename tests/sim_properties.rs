@@ -60,8 +60,10 @@ proptest! {
         stream in arb_stream(),
     ) {
         let insts = stream.insts;
-        let summary = Simulator::new(machine.clone())
-            .run_trace("prop", SyntheticTrace::new(stream), None);
+        let summary = Simulator::try_new(machine.clone())
+            .expect("the config validates")
+            .try_run_trace("prop", SyntheticTrace::new(stream), None)
+            .expect("the run completes");
         let cpu = &summary.raw.cpu;
         let mem = &summary.raw.mem;
 
@@ -103,8 +105,10 @@ proptest! {
         stream in arb_stream(),
     ) {
         let run = || {
-            let s = Simulator::new(machine.clone())
-                .run_trace("prop", SyntheticTrace::new(stream), None);
+            let s = Simulator::try_new(machine.clone())
+                .expect("the config validates")
+                .try_run_trace("prop", SyntheticTrace::new(stream), None)
+                .expect("the run completes");
             (s.cycles, s.raw.mem.port_slots_used.get(), s.raw.mem.load_lb_hits.get())
         };
         prop_assert_eq!(run(), run());

@@ -5,8 +5,19 @@ use cpe::workloads::synth::{AddressPattern, SynthConfig, SyntheticTrace};
 use cpe::workloads::{Scale, Workload};
 use cpe::{RunSummary, SimConfig, Simulator};
 
+/// One Test-scale run of `workload` on `config`.
+fn run_workload(config: SimConfig, workload: Workload, max_insts: Option<u64>) -> RunSummary {
+    Simulator::try_new(config)
+        .expect("the config validates")
+        .try_run(workload, Scale::Test, max_insts)
+        .expect("the run completes")
+}
+
 fn run_synth(config: SimConfig, synth: SynthConfig) -> RunSummary {
-    Simulator::new(config).run_trace("synth", SyntheticTrace::new(synth), None)
+    Simulator::try_new(config)
+        .expect("the config validates")
+        .try_run_trace("synth", SyntheticTrace::new(synth), None)
+        .expect("the run completes")
 }
 
 fn memory_heavy_stream() -> SynthConfig {
@@ -160,11 +171,9 @@ fn headline_ordering_holds_on_the_suite() {
     let mut naive_rel = Vec::new();
     let mut combined_rel = Vec::new();
     for workload in Workload::ALL {
-        let naive =
-            Simulator::new(SimConfig::naive_single_port()).run(workload, Scale::Test, window);
-        let combined =
-            Simulator::new(SimConfig::combined_single_port()).run(workload, Scale::Test, window);
-        let dual = Simulator::new(SimConfig::dual_port()).run(workload, Scale::Test, window);
+        let naive = run_workload(SimConfig::naive_single_port(), workload, window);
+        let combined = run_workload(SimConfig::combined_single_port(), workload, window);
+        let dual = run_workload(SimConfig::dual_port(), workload, window);
         naive_rel.push(naive.relative_ipc(&dual));
         combined_rel.push(combined.relative_ipc(&dual));
     }
@@ -186,8 +195,7 @@ fn headline_ordering_holds_on_the_suite() {
 /// slots histogram.
 #[test]
 fn port_accounting_is_internally_consistent() {
-    let summary =
-        Simulator::new(SimConfig::dual_port()).run(Workload::Mpeg, Scale::Test, Some(40_000));
+    let summary = run_workload(SimConfig::dual_port(), Workload::Mpeg, Some(40_000));
     let mem = &summary.raw.mem;
     let hist_slots: u64 = mem
         .slots_per_cycle

@@ -24,9 +24,14 @@ fn replayed_traces_time_identically() {
         let recorded = file_roundtrip(workload);
         assert!(recorded.records() > 10_000);
 
-        let sim = Simulator::new(SimConfig::combined_single_port());
-        let live = sim.run(workload, Scale::Test, None);
-        let replayed = sim.run_trace(workload.name(), recorded.iter(), None);
+        let sim =
+            Simulator::try_new(SimConfig::combined_single_port()).expect("the config validates");
+        let live = sim
+            .try_run(workload, Scale::Test, None)
+            .expect("the run completes");
+        let replayed = sim
+            .try_run_trace(workload.name(), recorded.iter(), None)
+            .expect("the run completes");
         assert_eq!(live.cycles, replayed.cycles, "{workload}");
         assert_eq!(live.insts, replayed.insts, "{workload}");
         assert_eq!(
