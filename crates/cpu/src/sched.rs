@@ -20,7 +20,10 @@
 //! * an **in-flight store queue** — every dispatched, uncommitted store
 //!   as `(seq, byte range, address resolved?)` in age order, so
 //!   load/store disambiguation is a short backwards scan of at most
-//!   `store_queue` entries instead of a walk over the whole window.
+//!   `store_queue` entries instead of a walk over the whole window. A
+//!   fixed array of 64 counters, one per 8-byte chunk modulo 64, counts
+//!   the in-flight stores touching each chunk; a load whose chunks all
+//!   read zero overlaps no store and skips the scan.
 //!
 //! The invariant throughout: the candidate set *over-approximates* the
 //! instructions the broadcast scan would have acted on, and every entry
@@ -75,6 +78,11 @@ pub(crate) struct Scheduler {
     /// at commit, both in program order, so this is a FIFO no longer than
     /// the store queue.
     stores: VecDeque<InFlightStore>,
+    /// In-flight stores touching each 8-byte chunk, indexed by
+    /// `(addr >> 3) & 63`. A prefilter only: zero on every chunk of a
+    /// load proves no store overlaps it, anything else means scan
+    /// `stores`, which stays the source of truth.
+    store_chunks: [u32; 64],
 }
 
 impl Scheduler {
@@ -88,6 +96,7 @@ impl Scheduler {
             cand_adds: 0,
             events: BinaryHeap::new(),
             stores: VecDeque::new(),
+            store_chunks: [0; 64],
         }
     }
 
@@ -178,6 +187,9 @@ impl Scheduler {
     pub(crate) fn add_store(&mut self, seq: u64, range: (u64, u64)) {
         debug_assert!(range.1 > range.0, "memory accesses cover at least a byte");
         debug_assert!(self.stores.back().is_none_or(|s| s.seq < seq));
+        for chunk in chunks(range) {
+            self.store_chunks[chunk] += 1;
+        }
         self.stores.push_back(InFlightStore {
             seq,
             range,
@@ -195,8 +207,11 @@ impl Scheduler {
     /// Remove a committing store. Stores commit in order, so it is the
     /// oldest entry.
     pub(crate) fn retire_store(&mut self, seq: u64) {
-        let oldest = self.stores.pop_front();
-        debug_assert_eq!(oldest.map(|s| s.seq), Some(seq), "stores commit in order");
+        let oldest = self.stores.pop_front().expect("a store is in flight");
+        debug_assert_eq!(oldest.seq, seq, "stores commit in order");
+        for chunk in chunks(oldest.range) {
+            self.store_chunks[chunk] -= 1;
+        }
     }
 
     /// In-flight stores tracked (never more than the store queue holds).
@@ -215,11 +230,16 @@ impl Scheduler {
 
     /// The youngest store older than `load_seq` whose byte range overlaps
     /// `load_range` — the store a backwards window walk would find first.
+    /// Skips the scan when no in-flight store touches any of the load's
+    /// chunks.
     pub(crate) fn youngest_overlapping_store_before(
         &self,
         load_seq: u64,
         load_range: (u64, u64),
     ) -> Option<u64> {
+        if chunks(load_range).all(|chunk| self.store_chunks[chunk] == 0) {
+            return None;
+        }
         self.stores
             .iter()
             .rev()
@@ -237,6 +257,11 @@ impl Scheduler {
     pub(crate) fn retire(&mut self, seq: u64) {
         self.remove_candidate(seq);
     }
+}
+
+/// The store-filter counters for the 8-byte chunks `range` touches.
+fn chunks((start, end): (u64, u64)) -> impl Iterator<Item = usize> {
+    ((start >> 3)..=((end - 1) >> 3)).map(|chunk| (chunk & 63) as usize)
 }
 
 #[cfg(test)]
@@ -361,8 +386,13 @@ mod tests {
     fn store_queue_stays_bounded_by_the_stores_in_flight() {
         // A long random stream of dispatches, address resolutions and
         // in-order commits, checked against a plain list of the stores in
-        // flight: the queue answers every query the same way and never
-        // holds more entries than there are stores in flight.
+        // flight: the queue answers every query the same way a scan of the
+        // whole list with no filter in front does, the filter's counters
+        // equal a recount, and the queue never holds more entries than
+        // there are stores in flight. Stores and loads cover 1–8 bytes at
+        // any offset (so ranges straddle 8-byte chunks) in two clusters far
+        // apart; each cluster is the first 128 bytes of two windows 512
+        // bytes apart, so different chunks share a counter.
         let mut s = Scheduler::new(64);
         let mut model: Vec<(u64, (u64, u64), bool)> = Vec::new();
         let mut next_seq = 0u64;
@@ -373,15 +403,21 @@ mod tests {
             x ^= x << 17;
             x
         };
+        let range = |r: u64| {
+            let base = [0x1000, 0x7fff_f000_0000][(r & 1) as usize];
+            let start = base + (r >> 1) % 2 * 512 + (r >> 2) % 128;
+            (start, start + 1 + (r >> 12) % 8)
+        };
+        // Loads that skip the scan, scan and find nothing, and find a store.
+        let (mut skipped, mut aliased, mut found) = (0u32, 0u32, 0u32);
         for _ in 0..100_000 {
             let r = rand();
             match r % 4 {
-                0 | 1 if model.len() < 16 => {
-                    let size = 1u64 << ((r >> 8) % 4);
-                    let start = 0x1000 + ((r >> 16) % 64) * size;
+                0 | 1 if model.len() < 8 => {
+                    let store = range(rand());
                     next_seq += 1 + (r >> 32) % 3;
-                    s.add_store(next_seq, (start, start + size));
-                    model.push((next_seq, (start, start + size), false));
+                    s.add_store(next_seq, store);
+                    model.push((next_seq, store, false));
                 }
                 2 if !model.is_empty() => {
                     let at = (r >> 8) as usize % model.len();
@@ -394,9 +430,15 @@ mod tests {
                 _ => {}
             }
             assert_eq!(s.stores_in_flight(), model.len());
+            let mut recount = [0u32; 64];
+            for &(_, store, _) in &model {
+                for chunk in (store.0 >> 3)..=((store.1 - 1) >> 3) {
+                    recount[(chunk & 63) as usize] += 1;
+                }
+            }
+            assert_eq!(s.store_chunks, recount);
             let load_seq = model.first().map_or(0, |m| m.0) + (r >> 40) % 24;
-            let start = 0x1000 + (r >> 48) % 64 * 8;
-            let load = (start, start + 8);
+            let load = range(rand());
             let expected = model
                 .iter()
                 .rev()
@@ -410,6 +452,18 @@ mod tests {
                 s.has_unresolved_store_before(load_seq),
                 model.iter().any(|m| m.0 < load_seq && !m.2)
             );
+            if chunks(load).all(|chunk| s.store_chunks[chunk] == 0) {
+                skipped += 1;
+            } else if expected.is_none() {
+                aliased += 1;
+            } else {
+                found += 1;
+            }
         }
+        // The model reaches every path.
+        assert!(
+            skipped > 1000 && aliased > 1000 && found > 1000,
+            "{skipped} {aliased} {found}"
+        );
     }
 }

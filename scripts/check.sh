@@ -267,6 +267,29 @@ for file in huge_dict huge_payload; do
     done
 done
 
+# Stdout-error gate: `println!` once panicked (exit 101, a backtrace on
+# stderr) when stdout failed. A reader that hangs up early must silence
+# `cpe` quietly, leaving the verb's own status (0 for `trace`); any
+# other write failure (`/dev/full`) exits 2 with one line on stderr.
+echo "== stdout errors: broken pipe is quiet, a full device exits 2" >&2
+printf '.text\nmain: li t1, 20000\nloop: addi t1, t1, -1\n bnez t1, loop\n halt\n' \
+    > "$scratch/long.s"
+status=0
+"$cpe_bin" trace "$scratch/long.s" -n 60000 2> "$scratch/pipe.err" \
+    | head -1 > /dev/null || status="${PIPESTATUS[0]}"
+[ "$status" = 0 ] && ! grep -q "panicked" "$scratch/pipe.err" || {
+    echo "stdout gate: \`cpe trace … | head -1\` exited $status:" >&2
+    cat "$scratch/pipe.err" >&2
+    exit 1
+}
+status=0
+"$cpe_bin" workloads > /dev/full 2> "$scratch/full.err" || status=$?
+[ "$status" = 2 ] && [ "$(wc -l < "$scratch/full.err")" = 1 ] || {
+    echo "stdout gate: \`cpe workloads > /dev/full\` exited $status:" >&2
+    cat "$scratch/full.err" >&2
+    exit 1
+}
+
 # Full-scale reproduction gate: `reproduce` regenerates every table and
 # figure of the evaluation (about 35 s on 2 cores). It exits 1 when any
 # shape verdict reads SHAPE DEVIATION, and its transcript must equal the

@@ -49,7 +49,9 @@
 //! documents diverge beyond tolerance — distinct from 2, so CI can tell
 //! a regression from a usage error.
 
+use std::io::Write;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use cpe::exec::{preset_configs, ResultCache, SweepPlan, SweepProgress, DEFAULT_CACHE_DIR};
 use cpe::isa::replay::{parse_recorded, write_recorded, RecordedTrace, ReplayError, REPLAY_MAGIC};
@@ -61,6 +63,40 @@ use cpe::{
     check_replayable, diff_json, parse_json, profile_json, BackendKind, ProfileOptions,
     ProfiledRun, SimConfig, SimError, Simulator, RECORD_HEADROOM,
 };
+
+/// Every verb's stdout goes through this one writer: `println!` with
+/// write errors routed to [`stdout_failed`] instead of a panic, and
+/// nothing written once the reader has hung up.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        if !stdout_closed() {
+            if let Err(error) = writeln!(std::io::stdout(), $($arg)*) {
+                stdout_failed(error)
+            }
+        }
+    };
+}
+
+/// Set once a write to stdout has failed with a broken pipe.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+fn stdout_closed() -> bool {
+    STDOUT_CLOSED.load(Ordering::Relaxed)
+}
+
+/// A reader that stops early (`cpe trace … | head`) is not an error:
+/// later output is dropped quietly and the verb still exits with its
+/// own status (so `cpe diff a b | head` keeps its verdict). Any other
+/// write failure exits 2 after a one-line diagnosis, like every other
+/// failure.
+fn stdout_failed(error: std::io::Error) {
+    if error.kind() == std::io::ErrorKind::BrokenPipe {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        return;
+    }
+    eprintln!("cannot write to stdout: {error}");
+    std::process::exit(2);
+}
 
 /// The value flags of the verbs that take a stream SOURCE. Those of `cpe
 /// run` past `--max` select the profiled path.
@@ -187,9 +223,8 @@ fn reject_unknown_flags(
 
 fn cmd_asm(path: &str) -> Result<(), String> {
     let program = load_program(path)?;
-    print!("{program}");
-    println!(
-        "\n{} instructions ({} bytes of text), {} bytes of data, {} symbols, entry {:#x}",
+    outln!(
+        "{program}\n{} instructions ({} bytes of text), {} bytes of data, {} symbols, entry {:#x}",
         program.text.len(),
         program.text_bytes(),
         program.data.len(),
@@ -202,19 +237,22 @@ fn cmd_asm(path: &str) -> Result<(), String> {
 fn cmd_trace(path: &str, count: usize) -> Result<(), String> {
     let program = load_program(path)?;
     for (index, di) in Emulator::new(program).take(count).enumerate() {
+        if stdout_closed() {
+            break;
+        }
         let mem = di
             .mem_addr
             .map(|addr| format!("  [{addr:#x}]"))
             .unwrap_or_default();
         let taken = if di.taken { "  (taken)" } else { "" };
-        println!("{index:>6}  {:#010x}  {}{mem}{taken}", di.pc, di.inst);
+        outln!("{index:>6}  {:#010x}  {}{mem}{taken}", di.pc, di.inst);
     }
     Ok(())
 }
 
 fn print_summary(summary: &cpe::RunSummary) {
-    println!("{summary}");
-    println!(
+    outln!("{summary}");
+    outln!(
         "  mispredict {:.2}%  D-MPKI {:.2}  I-MPKI {:.2}  stores combined {:.1}%  \
          store-stall/kc {:.1}",
         summary.mispredict_rate * 100.0,
@@ -320,25 +358,25 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .try_profile_trace(&label, source.insts(), max, options)
         .map_err(|error| format!("{label}: {error}"))?;
     if detail {
-        println!("{}", cpe::detailed_report(&run.summary));
+        outln!("{}", cpe::detailed_report(&run.summary));
     } else {
         print_summary(&run.summary);
     }
-    println!(
+    outln!(
         "epochs: {} × {} cycles",
         run.series.epochs.len(),
         run.series.interval
     );
-    println!("  {}", run.series.ipc_series());
-    println!("  {}", run.series.port_utilisation_series());
+    outln!("  {}", run.series.ipc_series());
+    outln!("  {}", run.series.port_utilisation_series());
     if let Some(path) = trace_out {
         export_events(&run, &path, &trace_format)?;
     }
     if let Some(path) = parse_flag(args, "--metrics-json") {
         write_file(&path, &profile_json(&run, sim.config()))?;
-        println!("wrote metrics to {path}");
+        outln!("wrote metrics to {path}");
     }
-    println!("{}", run.self_profile.one_liner());
+    outln!("{}", run.self_profile.one_liner());
     Ok(())
 }
 
@@ -364,11 +402,11 @@ fn export_events(run: &ProfiledRun, path: &str, format: &str) -> Result<(), Stri
         }
     };
     write_file(path, &rendered)?;
-    println!("wrote {count} {what} to {path} ({format})");
+    outln!("wrote {count} {what} to {path} ({format})");
     if !TraceHandle::CAPTURE {
-        println!("note: built without the `trace` feature — no events were captured");
+        outln!("note: built without the `trace` feature — no events were captured");
     } else if let Some(ring) = run.self_profile.ring.filter(|ring| ring.dropped > 0) {
-        println!(
+        outln!(
             "note: ring dropped {} event(s); the export covers the newest \
              window (grow it with --ring)",
             ring.dropped
@@ -406,7 +444,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             format!("{:.1}", summary.portless_load_fraction * 100.0),
         ]);
     }
-    println!("{table}");
+    outln!("{table}");
     if let Some(out) = metrics_json {
         let runs: Vec<String> = profiles
             .iter()
@@ -420,7 +458,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
                 runs.join(",")
             ),
         )?;
-        println!("wrote metrics for {} configs to {out}", runs.len());
+        outln!("wrote metrics for {} configs to {out}", runs.len());
     }
     Ok(())
 }
@@ -467,7 +505,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             .map_err(|error| format!("{workload_name}: {error}"))
     };
     let (a, b) = (run(a_config)?, run(b_config)?);
-    println!("{}", cpe::explain_report(&a, &b));
+    outln!("{}", cpe::explain_report(&a, &b));
     Ok(())
 }
 
@@ -508,7 +546,7 @@ fn cmd_trace_record(args: &[String]) -> Result<(), String> {
     let bytes = write_recorded(std::io::BufWriter::new(file), &trace)
         .map_err(|error| format!("cannot write `{out}`: {error}"))?;
     let info = trace.info();
-    println!(
+    outln!(
         "recorded {} instruction(s) of {name} to {out}: {bytes} bytes \
          ({:.2} bytes/record, {} dict entries{})",
         info.records,
@@ -533,7 +571,7 @@ fn cmd_trace_info(path: &str) -> Result<(), String> {
         Some(cap) => format!("recording cap {cap}"),
         None => "uncapped".to_string(),
     };
-    println!(
+    outln!(
         "{path}: CPER replay trace, {} record(s) ({}), {}, {} dict entries, \
          {} payload bytes ({:.2} bytes/record)",
         info.records,
@@ -595,7 +633,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let results = plan
         .run_with_progress(jobs, cache.as_ref(), progress.as_ref())
         .map_err(|error| error.to_string())?;
-    println!("{}", results.ipc_table());
+    outln!("{}", results.ipc_table());
     if let Some(out) = parse_flag(args, "--metrics-json") {
         write_file(&out, &results.aggregate_json())?;
         eprintln!("wrote sweep metrics to {out}");
@@ -632,9 +670,10 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         if bytes.starts_with(&REPLAY_MAGIC) {
             let trace = parse_recorded(&bytes).map_err(|error| replay_diagnosis(path, &error))?;
             let info = trace.info();
-            println!(
+            outln!(
                 "{path}: ok (CPER replay trace, {} record(s), {} dict entries)",
-                info.records, info.dict_entries
+                info.records,
+                info.dict_entries
             );
             continue;
         }
@@ -649,13 +688,15 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
                 parse_json(line).map_err(|error| format!("{path}:{}: {error}", index + 1))?;
                 lines += 1;
             }
-            println!("{path}: ok ({lines} event line(s))");
+            outln!("{path}: ok ({lines} event line(s))");
         } else if contents.starts_with("Kanata\t") || path.ends_with(".kanata") {
             let summary = cpe::trace::validate_konata(&contents)
                 .map_err(|error| format!("{path}: {error}"))?;
-            println!(
+            outln!(
                 "{path}: ok (Konata pipeview, {} instruction(s), {} retired, last cycle {})",
-                summary.instructions, summary.retired, summary.last_cycle
+                summary.instructions,
+                summary.retired,
+                summary.last_cycle
             );
         } else {
             let doc = parse_json(&contents).map_err(|error| format!("{path}: {error}"))?;
@@ -667,9 +708,9 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
                         "{path}: --cpi given but the document has no cpi_stack object"
                     ));
                 }
-                println!("{path}: ok ({checked} CPI stack(s) conserve commit slots)");
+                outln!("{path}: ok ({checked} CPI stack(s) conserve commit slots)");
             } else {
-                println!("{path}: ok");
+                outln!("{path}: ok");
             }
         }
     }
@@ -681,14 +722,14 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
     let cache = ResultCache::new(&dir);
     match args.first().map(String::as_str) {
         Some("stats") => {
-            println!("{} ({})", cache.stats(), dir);
+            outln!("{} ({})", cache.stats(), dir);
             Ok(())
         }
         Some("clear") => {
             let removed = cache
                 .clear()
                 .map_err(|error| format!("cannot clear `{dir}`: {error}"))?;
-            println!("removed {removed} cached result(s) from {dir}");
+            outln!("removed {removed} cached result(s) from {dir}");
             Ok(())
         }
         _ => Err(format!(
@@ -709,15 +750,15 @@ fn cmd_diff(a_path: &str, b_path: &str, tolerance_pct: f64) -> Result<bool, Stri
     let report = diff_json(&a, &b, tolerance_pct / 100.0)
         .map_err(|error| format!("{a_path} vs {b_path}: {error}"))?;
     if report.is_clean() {
-        println!(
+        outln!(
             "{a_path} and {b_path} match: {} leaves within {tolerance_pct}% tolerance",
             report.compared
         );
         Ok(true)
     } else {
-        println!("{a_path} -> {b_path}:");
-        println!("{report}");
-        println!("{} diverging leaves", report.entries.len());
+        outln!("{a_path} -> {b_path}:");
+        outln!("{report}");
+        outln!("{} diverging leaves", report.entries.len());
         Ok(false)
     }
 }
@@ -731,7 +772,7 @@ fn cmd_workloads() {
             workload.trace(Scale::Test).count().to_string(),
         ]);
     }
-    println!("{table}");
+    outln!("{table}");
 }
 
 fn cmd_configs() {
@@ -739,7 +780,7 @@ fn cmd_configs() {
     for config in all_configs() {
         table.row([config.name.clone(), config.to_string()]);
     }
-    println!("{table}");
+    outln!("{table}");
 }
 
 fn usage() -> &'static str {
@@ -778,7 +819,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
         Some("--version" | "-V") => {
-            println!("cpe {}", env!("CARGO_PKG_VERSION"));
+            outln!("cpe {}", env!("CARGO_PKG_VERSION"));
             Ok(ExitCode::SUCCESS)
         }
         Some("asm") => {

@@ -806,3 +806,84 @@ fn trace_prints_executed_instructions() {
     assert_eq!(stdout.lines().count(), 5, "{stdout}");
     assert!(stdout.contains("0x00001000"), "{stdout}");
 }
+
+#[test]
+fn a_reader_closing_stdout_early_stops_cpe_quietly() {
+    // `cpe trace long.s -n 60000 | head -1`: 60,000 lines overflow the
+    // pipe long before the run ends, so writes after the reader hangs up
+    // fail with a broken pipe.
+    let dir = tempdir();
+    let program = dir.join("long.s");
+    std::fs::write(
+        &program,
+        ".text\nmain: li t1, 20000\nloop: addi t1, t1, -1\n bnez t1, loop\n halt\n",
+    )
+    .unwrap();
+    let mut child = cpe()
+        .arg("trace")
+        .arg(&program)
+        .args(["-n", "60000"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    std::io::BufRead::read_line(
+        &mut std::io::BufReader::new(child.stdout.take().unwrap()),
+        &mut first,
+    )
+    .unwrap();
+    assert!(first.contains("0x00001000"), "{first}");
+    // The reader is dropped above: the pipe's read end is closed.
+    let output = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
+fn a_reader_closing_stdout_early_keeps_the_verdict_of_diff() {
+    // `cpe diff a.json b.json | head -1` on 20,000 diverging leaves: the
+    // report overflows the pipe after the reader hangs up, yet the exit
+    // status is still the verdict, 1, not a quiet 0.
+    let dir = tempdir();
+    let (a, b) = (dir.join("many-a.json"), dir.join("many-b.json"));
+    for (path, offset) in [(&a, 0), (&b, 1)] {
+        let values: Vec<String> = (0..20_000).map(|v| (v + offset).to_string()).collect();
+        std::fs::write(path, format!("{{\"v\":[{}]}}", values.join(","))).unwrap();
+    }
+    let mut child = cpe()
+        .arg("diff")
+        .arg(&a)
+        .arg(&b)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    std::io::BufRead::read_line(
+        &mut std::io::BufReader::new(child.stdout.take().unwrap()),
+        &mut first,
+    )
+    .unwrap();
+    assert!(first.contains("->"), "{first}");
+    let output = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn a_failing_stdout_exits_2_with_one_line() {
+    // `cpe workloads > /dev/full`: every write fails with "no space".
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .unwrap();
+    let output = cpe().arg("workloads").stdout(full).output().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("cannot write to stdout: "), "{stderr}");
+}
