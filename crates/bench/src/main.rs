@@ -18,7 +18,12 @@
 //! A failed cell prints `FAILED(<kind>)` where its number would be.
 //! Each experiment but T1 ends in a `SHAPE OK` or `SHAPE DEVIATION`
 //! verdict; the exit status is 1 when any verdict deviates, 2 for an
-//! unknown ID, 0 otherwise.
+//! unknown ID or a failed write to stdout, 0 otherwise. stderr carries
+//! one footer per grid, prefixed with its experiment's ID.
+
+use std::io::Write;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use cpe_core::{BackendKind, RunSummary, SimConfig, SimError, Simulator};
 use cpe_cpu::DirPredictorKind;
@@ -35,6 +40,41 @@ const SCALE: Scale = Scale::Full;
 const WINDOW: Option<u64> = Some(400_000);
 /// Source files of the Full-scale build driver, for the OS-injected runs.
 const PMAKE_FILES: u64 = 900;
+
+/// All of the transcript goes through this one writer: `println!` with
+/// write errors routed to [`stdout_failed`] instead of a panic, and
+/// nothing written once the reader has hung up.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        if !STDOUT_CLOSED.load(Ordering::Relaxed) {
+            if let Err(error) = writeln!(std::io::stdout(), $($arg)*) {
+                stdout_failed(error)
+            }
+        }
+    };
+}
+
+/// Set once a write to stdout has failed with a broken pipe.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// A reader that stops early (`reproduce | head`) is not an error: the
+/// rest of the transcript is dropped quietly and the run still exits
+/// with its verdict status. Any other write failure exits 2 after a
+/// one-line diagnosis, removing the result cache first.
+fn stdout_failed(error: std::io::Error) {
+    if error.kind() == std::io::ErrorKind::BrokenPipe {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        return;
+    }
+    eprintln!("cannot write to stdout: {error}");
+    let _ = std::fs::remove_dir_all(cache_dir());
+    std::process::exit(2);
+}
+
+/// This run's result-cache directory, removed at exit.
+fn cache_dir() -> PathBuf {
+    std::env::temp_dir().join(format!("cpe-reproduce-{}", std::process::id()))
+}
 
 /// An experiment: it prints its banner, tables and verdict.
 type Experiment = fn(&mut Reproduction);
@@ -84,9 +124,9 @@ fn main() {
     }
     let mut run = Reproduction::new();
     for (id, experiment) in selected {
-        eprintln!("running {id}");
+        run.id = id;
         experiment(&mut run);
-        println!();
+        outln!();
     }
     let status = run.verdicts.exit_status();
     eprintln!("{}", run.verdicts);
@@ -107,10 +147,10 @@ impl Verdicts {
     fn record(&mut self, ok: bool, message: &str) {
         if ok {
             self.ok += 1;
-            println!("\nSHAPE OK: {message}");
+            outln!("\nSHAPE OK: {message}");
         } else {
             self.deviations += 1;
-            println!("\nSHAPE DEVIATION: {message}");
+            outln!("\nSHAPE DEVIATION: {message}");
         }
     }
 
@@ -130,21 +170,24 @@ impl std::fmt::Display for Verdicts {
     }
 }
 
-/// One run of the binary: the shared result cache and the verdicts.
+/// One run of the binary: the shared result cache, the verdicts, and
+/// the ID of the experiment running.
 struct Reproduction {
     cache: ResultCache,
     verdicts: Verdicts,
+    id: &'static str,
 }
 
 impl Reproduction {
     fn new() -> Reproduction {
-        let dir = std::env::temp_dir().join(format!("cpe-reproduce-{}", std::process::id()));
+        let dir = cache_dir();
         // A directory left behind by a killed run with a recycled pid
         // must not serve this one.
         let _ = std::fs::remove_dir_all(&dir);
         Reproduction {
             cache: ResultCache::new(dir),
             verdicts: Verdicts::default(),
+            id: "",
         }
     }
 
@@ -160,7 +203,7 @@ impl Reproduction {
         let results = plan
             .run(0, Some(&self.cache))
             .expect("every grid has configurations and workloads");
-        eprintln!("  {}", results.stats);
+        eprintln!("{}: {}", self.id, results.stats);
         results
     }
 }
@@ -173,16 +216,16 @@ impl Drop for Reproduction {
 
 /// Print the experiment banner: id, title, and what it reconstructs.
 fn banner(id: &str, title: &str, reconstructs: &str) {
-    println!("================================================================");
-    println!("{id}: {title}");
-    println!("reconstructs: {reconstructs}");
-    println!("================================================================");
+    outln!("================================================================");
+    outln!("{id}: {title}");
+    outln!("reconstructs: {reconstructs}");
+    outln!("================================================================");
 }
 
 /// Print one captioned table.
 fn emit(caption: &str, table: &Table) {
-    println!("\n## {caption}\n");
-    println!("{table}");
+    outln!("\n## {caption}\n");
+    outln!("{table}");
 }
 
 /// A `cpu` or `mem` counter of one cell per 1000 committed instructions.
@@ -314,10 +357,7 @@ fn t1_config(_: &mut Reproduction) {
                 cpu.mispredict_penalty, cpu.misfetch_penalty, cpu.trap_penalty
             ),
         ])
-        .row([
-            "memory disambiguation",
-            &format!("{:?}", cpu.disambiguation),
-        ]);
+        .row(["memory disambiguation", "Perfect"]);
     emit(
         "processor (MXS-class 4-issue dynamic superscalar)",
         &processor,
@@ -632,7 +672,7 @@ fn f5_headline(run: &mut Reproduction) {
     let naive = results.geomean_relative(0, 3);
     let plain = results.geomean_relative(1, 3);
     let combined = results.geomean_relative(2, 3);
-    println!(
+    outln!(
         "\ngeomean relative IPC: naive 1-port {:.1}%, 1-port+write-buffer {:.1}%, \
          combined 1-port {:.1}% of the dual-ported cache (paper: 91%).",
         naive * 100.0,
@@ -919,7 +959,7 @@ fn t4_ablation(run: &mut Reproduction) {
     );
     let all = results.geomean_ipc(0);
     let mut worst: (String, f64) = (String::new(), f64::INFINITY);
-    println!("\nper-technique contribution (geomean IPC lost when removed):");
+    outln!("\nper-technique contribution (geomean IPC lost when removed):");
     for (index, label) in [
         (1usize, "store buffer"),
         (2, "write combining"),
@@ -928,7 +968,7 @@ fn t4_ablation(run: &mut Reproduction) {
         (5, "line buffers"),
     ] {
         let without = results.geomean_ipc(index);
-        println!("  {label:<32} {:+.2}%", (without / all - 1.0) * 100.0);
+        outln!("  {label:<32} {:+.2}%", (without / all - 1.0) * 100.0);
         if without < worst.1 {
             worst = (label.to_string(), without);
         }
@@ -1099,7 +1139,7 @@ fn x2_bpred(run: &mut Reproduction) {
     // The interpreter's single dispatch site defeats the BTB regardless
     // of direction predictor: report its indirect mispredict rate.
     let vm = per_kinst(&results, 2, 2, "cpu", "indirect_mispredicts");
-    println!(
+    outln!(
         "\nindirect-dispatch stress (`vm`): {} indirect mispredicts per \
          kilo-instruction — the one-entry-per-pc BTB cannot capture a dispatch \
          site whose target changes every iteration.",
@@ -1163,10 +1203,13 @@ fn x3_tlb(run: &mut Reproduction) {
     let naive_rel_tlb = results.geomean_relative(1, 5);
     let combined_rel_no = results.geomean_relative(2, 4);
     let combined_rel_tlb = results.geomean_relative(3, 5);
-    println!(
+    outln!(
         "\nrelative-to-dual geomeans: naive {:.3} (no TLB) vs {:.3} (TLB); \
          combined {:.3} vs {:.3}",
-        naive_rel_no, naive_rel_tlb, combined_rel_no, combined_rel_tlb
+        naive_rel_no,
+        naive_rel_tlb,
+        combined_rel_no,
+        combined_rel_tlb
     );
     run.verdicts.record(
         (naive_rel_no - naive_rel_tlb).abs() < 0.05
@@ -1446,7 +1489,7 @@ fn x9_wrong_path(run: &mut Reproduction) {
     let naive_rel_wp = results.geomean_relative(1, 5);
     let combined_rel = results.geomean_relative(2, 4);
     let combined_rel_wp = results.geomean_relative(3, 5);
-    println!(
+    outln!(
         "\nrelative-to-dual geomeans: naive {naive_rel:.3} → {naive_rel_wp:.3} with \
          wrong-path fetch; combined {combined_rel:.3} → {combined_rel_wp:.3}"
     );

@@ -1,12 +1,12 @@
 //! Execution-backend selection: direct functional emulation vs
 //! record-once / replay-many.
 //!
-//! The timing model is backend-agnostic (see [`cpe_cpu::ExecBackend`]);
-//! what this module adds is the *policy* layer: a named [`BackendKind`]
-//! that front ends select with `--backend`, and [`RecordedWorkload`] —
-//! one workload's committed path captured once into a compact
-//! [`RecordedTrace`] and replayed through any number of timing
-//! configurations. Replay is byte-identical to direct execution by
+//! The timing model takes any committed-path instruction iterator (see
+//! [`cpe_cpu::Core`]); what this module adds is the *policy* layer: a
+//! named [`BackendKind`] that front ends select with `--backend`, and
+//! [`RecordedWorkload`] — one workload's committed path captured once
+//! into a compact [`RecordedTrace`] and replayed through any number of
+//! timing configurations. Replay is byte-identical to direct execution by
 //! construction: the core consumes the exact same [`cpe_isa::DynInst`]
 //! sequence either way, so every counter, distribution and CPI stack
 //! matches at zero tolerance.

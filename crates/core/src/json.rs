@@ -11,12 +11,10 @@
 //! * [`config_json`] — the embedded configuration object, also useful on
 //!   its own.
 
-use cpe_cpu::{
-    CpuConfig, CpuStats, DirPredictorKind, Disambiguation, FuSpec, SimResult, StallCause,
-};
+use cpe_cpu::{CpuConfig, CpuStats, DirPredictorKind, FuSpec, SimResult, StallCause};
 use cpe_mem::{
-    CacheGeometry, Latencies, LineBufferConfig, MemConfig, PortConfig, ReplacementPolicy,
-    StoreBufferConfig, TlbConfig, WritePolicy,
+    CacheGeometry, Latencies, LineBufferConfig, MemConfig, PortConfig, StoreBufferConfig,
+    TlbConfig, WritePolicy,
 };
 use cpe_stats::{Histogram, Log2Histogram};
 
@@ -164,15 +162,12 @@ fn cpi_stack_json(cpu: &CpuStats) -> String {
     )
 }
 
+/// `"replacement":"lru"` is a fixed fact of the modelled machine, kept
+/// so every document names its replacement policy.
 fn cache_json(cache: &CacheGeometry) -> String {
-    let replacement = match cache.replacement {
-        ReplacementPolicy::Lru => "lru",
-        ReplacementPolicy::Fifo => "fifo",
-        ReplacementPolicy::Random => "random",
-    };
     format!(
-        "{{\"capacity_bytes\":{},\"ways\":{},\"line_bytes\":{},\"replacement\":\"{}\"}}",
-        cache.capacity_bytes, cache.ways, cache.line_bytes, replacement
+        "{{\"capacity_bytes\":{},\"ways\":{},\"line_bytes\":{},\"replacement\":\"lru\"}}",
+        cache.capacity_bytes, cache.ways, cache.line_bytes
     )
 }
 
@@ -266,12 +261,10 @@ fn fu_spec_json(spec: &FuSpec) -> String {
     )
 }
 
+/// `"disambiguation":"perfect"` is a fixed fact of the modelled machine
+/// (loads order only behind overlapping stores), kept so every document
+/// names its memory-ordering policy.
 fn cpu_json(cpu: &CpuConfig) -> String {
-    let disambiguation = match cpu.disambiguation {
-        Disambiguation::Conservative => "conservative",
-        Disambiguation::Perfect => "perfect",
-        Disambiguation::None => "none",
-    };
     format!(
         "{{\"fetch_width\":{},\"dispatch_width\":{},\"issue_width\":{},\"commit_width\":{},\
          \"rob_entries\":{},\"load_queue\":{},\"store_queue\":{},\"fetch_bytes\":{},\
@@ -279,7 +272,7 @@ fn cpu_json(cpu: &CpuConfig) -> String {
          \"misfetch_penalty\":{},\"trap_penalty\":{},\
          \"fu\":{{\"int_alu\":{},\"int_mul\":{},\"int_div\":{},\"fp_add\":{},\"fp_mul\":{},\
          \"fp_div\":{},\"agu\":{}}},\
-         \"disambiguation\":\"{}\",\"lsq_forward_latency\":{},\"wrong_path_fetch\":{},\
+         \"disambiguation\":\"perfect\",\"lsq_forward_latency\":{},\"wrong_path_fetch\":{},\
          \"watchdog_cycles\":{}}}",
         cpu.fetch_width,
         cpu.dispatch_width,
@@ -302,7 +295,6 @@ fn cpu_json(cpu: &CpuConfig) -> String {
         fu_spec_json(&cpu.fu.fp_mul),
         fu_spec_json(&cpu.fu.fp_div),
         fu_spec_json(&cpu.fu.agu),
-        disambiguation,
         cpu.lsq_forward_latency,
         cpu.wrong_path_fetch,
         cpu.watchdog_cycles

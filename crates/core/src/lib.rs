@@ -46,7 +46,8 @@ mod backend;
 mod config;
 mod diff;
 mod error;
-pub mod faultinject;
+#[cfg(test)]
+mod faultinject;
 pub mod json;
 mod metrics;
 mod observe;
@@ -67,7 +68,5 @@ pub use report::{detailed_report, explain_report};
 pub use simulator::Simulator;
 pub use validate::validate_cpi_stacks;
 // The commit-slot accounting types surface here because the CPI stack is
-// part of this crate's exported documents and reports; the execution
-// backend seam surfaces because [`BackendKind`] selects implementations
-// of it.
-pub use cpe_cpu::{CpiStack, ExecBackend, StallCause};
+// part of this crate's exported documents and reports.
+pub use cpe_cpu::{CpiStack, StallCause};

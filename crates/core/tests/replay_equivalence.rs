@@ -1,7 +1,7 @@
 //! The metrics half of the replay-equivalence property (the per-cycle
 //! issue/commit-sequence half lives in `cpe-cpu`'s `replay_props`):
-//! across instruction windows {8, 32, 128} and all three memory
-//! disambiguation policies, the replay backend's full schema-3 metrics
+//! across instruction windows {8, 32, 128} and one or two cache ports,
+//! the replay backend's full schema-3 metrics
 //! document is **identical** to the direct backend's — every counter,
 //! CPI stack and distribution — outside the host-timing `self_profile`.
 
@@ -11,7 +11,6 @@ use cpe_core::{
     parse_json, profile_json, JsonValue, ProfileOptions, RecordedWorkload, SimConfig, Simulator,
     METRICS_SCHEMA,
 };
-use cpe_cpu::Disambiguation;
 use cpe_workloads::{Scale, Workload};
 
 /// The deterministic members of a parsed metrics document: everything
@@ -33,18 +32,12 @@ proptest! {
     fn replay_reproduces_the_schema_3_document(
         workload in prop::sample::select(Workload::ALL.to_vec()),
         window in prop::sample::select(vec![8usize, 32, 128]),
-        policy in prop::sample::select(vec![
-            Disambiguation::Conservative,
-            Disambiguation::Perfect,
-            Disambiguation::None,
-        ]),
         ports in 1u32..3,
     ) {
         let max_insts = Some(2_000);
         let mut config = SimConfig::dual_port();
         config.name = format!("replay-eq w{window}");
         config.cpu.rob_entries = window;
-        config.cpu.disambiguation = policy;
         config.mem.ports.count = ports;
 
         let recorded = RecordedWorkload::record(workload, Scale::Test, max_insts);
@@ -65,10 +58,10 @@ proptest! {
         prop_assert_eq!(
             deterministic(&direct_doc),
             deterministic(&replay_doc),
-            "{} w{} {:?}: replay must reproduce the direct document",
+            "{} w{} {}-port: replay must reproduce the direct document",
             workload.name(),
             window,
-            policy
+            ports
         );
     }
 }

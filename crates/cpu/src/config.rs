@@ -30,27 +30,6 @@ pub enum DirPredictorKind {
     },
 }
 
-/// How loads order against older stores with unresolved addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Disambiguation {
-    /// A load waits until every older store's address is known, then
-    /// issues unless one overlaps (R10000 address-queue style).
-    Conservative,
-    /// Oracle memory-dependence resolution: a load waits only for older
-    /// stores that actually overlap it. This is the default, matching the
-    /// MXS-class simulators of the paper's era, and it is what exposes
-    /// cache-port bandwidth as the bottleneck under study rather than
-    /// address-resolution serialisation.
-    #[default]
-    Perfect,
-    /// No ordering enforcement at all: loads never wait on older stores
-    /// and never forward from them — every load goes to the cache as soon
-    /// as its address is ready. An upper bound that isolates what
-    /// memory-ordering hazards cost; with the event-driven scheduler it is
-    /// simply the store-index query that always answers "go".
-    None,
-}
-
 /// One functional-unit class: how many units, their latency, and whether
 /// they accept a new operation every cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,6 +88,11 @@ impl Default for FuConfig {
 }
 
 /// The dynamic superscalar core's parameters.
+///
+/// Memory ordering is not a parameter: a load waits only for older
+/// stores that actually overlap it (oracle disambiguation, as in the
+/// MXS-class simulators of the paper's era), so cache-port bandwidth,
+/// not address-resolution serialisation, is the bottleneck under study.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
     /// Instructions fetched per cycle (fetch stops at a taken branch).
@@ -141,8 +125,6 @@ pub struct CpuConfig {
     pub trap_penalty: u64,
     /// Functional units.
     pub fu: FuConfig,
-    /// Load/store ordering policy.
-    pub disambiguation: Disambiguation,
     /// Cycles for a load forwarded from the pre-commit store queue.
     pub lsq_forward_latency: u64,
     /// Model wrong-path instruction fetch: while a mispredicted transfer
@@ -188,7 +170,6 @@ impl Default for CpuConfig {
             misfetch_penalty: 1,
             trap_penalty: 8,
             fu: FuConfig::default(),
-            disambiguation: Disambiguation::default(),
             lsq_forward_latency: 1,
             wrong_path_fetch: false,
             watchdog_cycles: 100_000,

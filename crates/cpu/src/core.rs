@@ -1,14 +1,14 @@
 //! The cycle-level out-of-order core.
 
 use std::collections::VecDeque;
+use std::iter::Peekable;
 
 use cpe_isa::{DynInst, Mode, Op, OpClass, Reg, INST_BYTES};
 use cpe_mem::{Addr, Cycle, LoadOutcome, LoadSource, MemStats, MemSystem, StoreOutcome};
 use cpe_trace::{EventKind, TraceHandle};
 
-use crate::backend::ExecBackend;
 use crate::bpred::{Btb, DirectionPredictor, Ras};
-use crate::config::{CpuConfig, DirPredictorKind, Disambiguation};
+use crate::config::{CpuConfig, DirPredictorKind};
 use crate::cpi::StallCause;
 use crate::fu::FuPool;
 #[cfg(test)]
@@ -57,56 +57,22 @@ enum StallReason {
     ICache,
 }
 
-/// One-slot lookahead over an [`ExecBackend`]. The backend trait is a
-/// bare pull interface (no `peek`), and `Peekable` would demand a full
-/// `Iterator`; this adapter gives the frontend the single instruction of
-/// lookahead it needs for block-boundary and end-of-stream decisions.
-struct Feed<B> {
-    backend: B,
-    slot: Option<DynInst>,
-}
-
-impl<B: ExecBackend> Feed<B> {
-    fn new(backend: B) -> Feed<B> {
-        Feed {
-            backend,
-            slot: None,
-        }
-    }
-
-    fn peek(&mut self) -> Option<&DynInst> {
-        if self.slot.is_none() {
-            self.slot = self.backend.next_inst();
-        }
-        self.slot.as_ref()
-    }
-
-    fn next(&mut self) -> Option<DynInst> {
-        self.slot.take().or_else(|| self.backend.next_inst())
-    }
-}
-
-// Manual so `Core<Box<dyn ExecBackend>>` stays Debug (trait objects
-// carry no Debug bound).
-impl<B> std::fmt::Debug for Feed<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Feed").field("slot", &self.slot).finish()
-    }
-}
-
 /// The dynamic superscalar timing model.
 ///
-/// Consumes a committed-path [`DynInst`] stream through an
-/// [`ExecBackend`] — usually an [`crate::Emulator`] (possibly wrapped by
-/// the OS-activity injector from `cpe-workloads`) on the direct path, or
-/// a replayed recording on the replay path — and owns the [`MemSystem`]
-/// whose data-cache port behaviour is under study. See the crate docs
-/// for an end-to-end example.
+/// Consumes a committed-path [`DynInst`] stream from any iterator —
+/// usually an [`crate::Emulator`] (possibly wrapped by the OS-activity
+/// injector from `cpe-workloads`) on the direct path, or a replayed
+/// recording on the replay path — and owns the [`MemSystem`] whose
+/// data-cache port behaviour is under study. The stream must be
+/// deterministic: the same records in the same order on every run. See
+/// the crate docs for an end-to-end example.
 #[derive(Debug)]
-pub struct Core<B: ExecBackend> {
+pub struct Core<I: Iterator<Item = DynInst>> {
     config: CpuConfig,
     mem: MemSystem,
-    trace: Feed<B>,
+    /// The stream, with the one instruction of lookahead the frontend
+    /// needs for block-boundary and end-of-stream decisions.
+    trace: Peekable<I>,
     now: Cycle,
     next_seq: u64,
     rob: VecDeque<RobEntry>,
@@ -168,14 +134,13 @@ pub struct Core<B: ExecBackend> {
     parked_skips: u64,
 }
 
-impl<B: ExecBackend> Core<B> {
-    /// Build a core over a memory system and an instruction stream (any
-    /// [`ExecBackend`]; plain `Iterator<Item = DynInst>`s qualify).
+impl<I: Iterator<Item = DynInst>> Core<I> {
+    /// Build a core over a memory system and an instruction stream.
     ///
     /// # Panics
     ///
     /// Panics when `config` fails [`CpuConfig::validate`].
-    pub fn new(config: CpuConfig, mem: MemSystem, trace: B) -> Core<B> {
+    pub fn new(config: CpuConfig, mem: MemSystem, trace: I) -> Core<I> {
         config.validate();
         let lsq = LsqTracker::new(config.load_queue, config.store_queue);
         let sched = Scheduler::new(config.rob_entries);
@@ -192,7 +157,7 @@ impl<B: ExecBackend> Core<B> {
             lsq,
             config,
             mem,
-            trace: Feed::new(trace),
+            trace: trace.peekable(),
             now: 0,
             next_seq: 0,
             rob: VecDeque::new(),
@@ -668,25 +633,8 @@ impl<B: ExecBackend> Core<B> {
     /// legacy backwards window walk, kept as the oracle the event-driven
     /// [`Core::gate_load_indexed`] is property-tested against.
     #[cfg(test)]
-    fn gate_load(
-        rob: &VecDeque<RobEntry>,
-        load_idx: usize,
-        now: Cycle,
-        policy: Disambiguation,
-    ) -> LoadGate {
+    fn gate_load(rob: &VecDeque<RobEntry>, load_idx: usize, now: Cycle) -> LoadGate {
         let load_range = rob[load_idx].mem_range().expect("loads have addresses");
-        if policy == Disambiguation::None {
-            return LoadGate::Go;
-        }
-        // Under conservative ordering, any older store with an unresolved
-        // address blocks the load outright.
-        if policy == Disambiguation::Conservative {
-            for entry in rob.iter().take(load_idx) {
-                if entry.is_store() && entry.addr_known_at.is_none_or(|t| t > now) {
-                    return LoadGate::Wait;
-                }
-            }
-        }
         // Youngest older store that overlaps decides forwarding.
         for j in (0..load_idx).rev() {
             let store = &rob[j];
@@ -697,7 +645,7 @@ impl<B: ExecBackend> Core<B> {
             if !ranges_overlap(store_range, load_range) {
                 continue;
             }
-            if policy == Disambiguation::Perfect && store.addr_known_at.is_none_or(|t| t > now) {
+            if store.addr_known_at.is_none_or(|t| t > now) {
                 return LoadGate::Wait;
             }
             if range_covers(store_range, load_range) && Self::dep_ready(rob, store.data_seq, now) {
@@ -710,21 +658,14 @@ impl<B: ExecBackend> Core<B> {
 
     /// May the load `seq` at ROB index `load_idx` leave for the cache?
     ///
-    /// Same decision as the backwards window walk, answered from the
-    /// in-flight store queue, which holds only the stores of the window:
-    /// the conservative pre-check looks for an unresolved entry older
-    /// than the load, and the youngest older overlapping store is the
-    /// first hit of a backwards scan, as in the window walk. Stores
-    /// examined earlier this cycle have already resolved in the queue,
-    /// so within-cycle ordering matches the scan exactly.
+    /// Loads order against older stores by oracle disambiguation: only
+    /// the youngest older store that actually overlaps the load decides.
+    /// The load waits while that store's address is unknown, forwards
+    /// when the store covers it and its data is ready, and otherwise
+    /// waits for the store to commit. Same decision as the backwards
+    /// window walk, answered from the in-flight store queue, which holds
+    /// only the stores of the window.
     fn gate_load_indexed(&self, load_idx: usize, seq: u64, now: Cycle) -> LoadGate {
-        let policy = self.config.disambiguation;
-        if policy == Disambiguation::None {
-            return LoadGate::Go;
-        }
-        if policy == Disambiguation::Conservative && self.sched.has_unresolved_store_before(seq) {
-            return LoadGate::Wait;
-        }
         let load_range = self.rob[load_idx]
             .mem_range()
             .expect("loads have addresses");
@@ -737,7 +678,7 @@ impl<B: ExecBackend> Core<B> {
         let store = &self.rob[self.rob_index(store_seq)];
         debug_assert!(store.is_store());
         let store_range = store.mem_range().expect("stores have addresses");
-        if policy == Disambiguation::Perfect && store.addr_known_at.is_none_or(|t| t > now) {
+        if store.addr_known_at.is_none_or(|t| t > now) {
             return LoadGate::Wait;
         }
         if range_covers(store_range, load_range) && Self::dep_ready(&self.rob, store.data_seq, now)
@@ -1025,7 +966,6 @@ impl<B: ExecBackend> Core<B> {
                         // Address generation fires as soon as the base
                         // register is ready, independent of the data.
                         self.rob[i].addr_known_at = Some(now);
-                        self.sched.resolve_store(seq);
                     }
                     if !addr_ok {
                         self.rob[i].wait = WaitKind::Deps;
@@ -1124,7 +1064,7 @@ impl<B: ExecBackend> Core<B> {
                         self.rob[i].wait = WaitKind::Fu;
                         continue;
                     }
-                    match Self::gate_load(&self.rob, i, now, self.config.disambiguation) {
+                    match Self::gate_load(&self.rob, i, now) {
                         LoadGate::Wait => {
                             self.rob[i].wait = WaitKind::Order;
                             self.stats.lsq_order_stalls.inc();
@@ -1705,11 +1645,11 @@ mod tests {
     }
 
     #[test]
-    fn conservative_ordering_stalls_more_than_perfect() {
+    fn late_store_addresses_never_stall_disjoint_loads() {
         // The store's *address* is computed by a multiply, so it resolves
-        // late; the loads target a disjoint array. Conservative ordering
-        // makes every load wait for the store address; perfect
-        // disambiguation (no actual overlap) never waits.
+        // late; the loads target a disjoint array. Oracle disambiguation
+        // orders a load only behind stores that overlap it, so these
+        // loads never wait.
         let src = r#"
             .data
             a: .space 1024
@@ -1731,19 +1671,9 @@ mod tests {
                 bnez t2, loop
                 halt
         "#;
-        let mut cons_cfg = CpuConfig::default();
-        cons_cfg.disambiguation = Disambiguation::Conservative;
-        let conservative = run_src(src, cons_cfg, MemConfig::default());
-        let mut cfg = CpuConfig::default();
-        cfg.disambiguation = Disambiguation::Perfect;
-        let perfect = run_src(src, cfg, MemConfig::default());
-        assert_eq!(perfect.cpu.lsq_order_stalls.get(), 0, "arrays never alias");
-        assert!(
-            conservative.cpu.lsq_order_stalls.get() > 200,
-            "every iteration's loads wait on the multiply: {}",
-            conservative.cpu.lsq_order_stalls.get()
-        );
-        assert!(perfect.ipc() > conservative.ipc());
+        let result = run_src(src, CpuConfig::default(), MemConfig::default());
+        assert_eq!(result.cpu.lsq_order_stalls.get(), 0, "arrays never alias");
+        assert!(result.committed > 2_000);
     }
 
     #[test]
@@ -2094,8 +2024,8 @@ mod tests {
 
 /// Property tests pitting the event-driven scheduler against the
 /// per-cycle broadcast oracle ([`Core::issue_broadcast`] and
-/// [`Core::gate_load`]): on random programs, across window sizes and
-/// every disambiguation policy, the two paths must produce identical
+/// [`Core::gate_load`]): on random programs, across window sizes, the
+/// two paths must produce identical
 /// per-cycle issue and commit sequences — not just the same end state.
 #[cfg(test)]
 mod oracle_props {
@@ -2237,35 +2167,32 @@ mod oracle_props {
         mem: String,
     }
 
-    fn run_mode(src: &str, window: usize, policy: Disambiguation, oracle: bool) -> RunLog {
+    fn run_mode(src: &str, window: usize, oracle: bool) -> RunLog {
         let program = assemble(src).expect("generated programs assemble");
-        run_stream(Emulator::new(program), window, policy, oracle)
+        run_stream(Emulator::new(program), window, oracle)
     }
 
     /// Run any committed-path stream through a fresh core and log what
     /// the equivalence suites compare ([`run_mode`] for source text; the
     /// replay properties feed recorded traces through here directly).
-    pub(super) fn run_stream<B: crate::ExecBackend>(
-        trace: B,
+    pub(super) fn run_stream(
+        trace: impl Iterator<Item = DynInst>,
         window: usize,
-        policy: Disambiguation,
         oracle: bool,
     ) -> RunLog {
-        run_core(trace, window, policy, MemConfig::default(), oracle).0
+        run_core(trace, window, MemConfig::default(), oracle).0
     }
 
     /// [`run_stream`] over any memory system; also returns how many
     /// skips the run took over parked cycles.
-    fn run_core<B: crate::ExecBackend>(
-        trace: B,
+    fn run_core(
+        trace: impl Iterator<Item = DynInst>,
         window: usize,
-        policy: Disambiguation,
         mem: MemConfig,
         oracle: bool,
     ) -> (RunLog, u64) {
         let cpu = CpuConfig {
             rob_entries: window,
-            disambiguation: policy,
             ..CpuConfig::default()
         };
         let mut core = Core::new(cpu, MemSystem::new(mem), trace);
@@ -2314,20 +2241,8 @@ mod oracle_props {
         src.push_str("    halt\n");
         let program = assemble(&src).expect("assembles");
         for mem in parking_mems() {
-            let (event, parked) = run_core(
-                Emulator::new(program.clone()),
-                32,
-                Disambiguation::Perfect,
-                mem,
-                false,
-            );
-            let (oracle, _) = run_core(
-                Emulator::new(program.clone()),
-                32,
-                Disambiguation::Perfect,
-                mem,
-                true,
-            );
+            let (event, parked) = run_core(Emulator::new(program.clone()), 32, mem, false);
+            let (oracle, _) = run_core(Emulator::new(program.clone()), 32, mem, true);
             assert!(parked > 0, "no parked skip with {} MSHR(s)", mem.mshrs);
             assert_eq!(event, oracle, "{} MSHR(s)", mem.mshrs);
         }
@@ -2342,22 +2257,13 @@ mod oracle_props {
         ) {
             let src = program_text(&seeds, &body);
             for window in [8usize, 32, 128] {
-                for policy in [
-                    Disambiguation::Conservative,
-                    Disambiguation::Perfect,
-                    Disambiguation::None,
-                ] {
-                    let event = run_mode(&src, window, policy, false);
-                    let oracle = run_mode(&src, window, policy, true);
-                    prop_assert!(
-                        !event.issues.is_empty() && !event.commits.is_empty(),
-                        "the logs must see traffic for the comparison to mean anything"
-                    );
-                    prop_assert_eq!(
-                        &event, &oracle,
-                        "window {} under {:?}", window, policy
-                    );
-                }
+                let event = run_mode(&src, window, false);
+                let oracle = run_mode(&src, window, true);
+                prop_assert!(
+                    !event.issues.is_empty() && !event.commits.is_empty(),
+                    "the logs must see traffic for the comparison to mean anything"
+                );
+                prop_assert_eq!(&event, &oracle, "window {}", window);
             }
         }
 
@@ -2369,18 +2275,12 @@ mod oracle_props {
             let src = program_text(&seeds, &body);
             let program = assemble(&src).expect("generated programs assemble");
             for mem in parking_mems() {
-                for (window, policy) in [
-                    (32usize, Disambiguation::Conservative),
-                    (128, Disambiguation::Perfect),
-                    (8, Disambiguation::None),
-                ] {
-                    let (event, _) =
-                        run_core(Emulator::new(program.clone()), window, policy, mem, false);
-                    let (oracle, _) =
-                        run_core(Emulator::new(program.clone()), window, policy, mem, true);
+                for window in [32usize, 128, 8] {
+                    let (event, _) = run_core(Emulator::new(program.clone()), window, mem, false);
+                    let (oracle, _) = run_core(Emulator::new(program.clone()), window, mem, true);
                     prop_assert_eq!(
                         &event, &oracle,
-                        "{} MSHR(s), window {} under {:?}", mem.mshrs, window, policy
+                        "{} MSHR(s), window {}", mem.mshrs, window
                     );
                 }
             }
@@ -2389,16 +2289,15 @@ mod oracle_props {
 }
 
 /// Property tests pitting the replay backend against direct functional
-/// execution: on random programs, for every window size and
-/// disambiguation policy, a core fed a [`cpe_isa::replay::RecordedTrace`]
-/// must produce the identical per-cycle issue and commit sequences — and
-/// the identical CPI stack — as a core driving the emulator live. One
-/// recording serves all nine timing configurations, which is exactly the
+/// execution: on random programs, for every window size, a core fed a
+/// [`cpe_isa::replay::RecordedTrace`] must produce the identical per-cycle
+/// issue and commit sequences — and the identical CPI stack — as a core
+/// driving the emulator live. One recording serves all three timing
+/// configurations, which is exactly the
 /// record-once / replay-many contract the sweep relies on.
 #[cfg(test)]
 mod replay_props {
     use super::oracle_props::{arb_inst, program_text, run_stream};
-    use super::*;
     use cpe_isa::asm::assemble;
     use cpe_isa::replay::RecordedTrace;
     use cpe_isa::Emulator;
@@ -2417,18 +2316,9 @@ mod replay_props {
             let recorded = RecordedTrace::record(Emulator::new(program.clone()), None);
             prop_assert!(recorded.complete());
             for window in [8usize, 32, 128] {
-                for policy in [
-                    Disambiguation::Conservative,
-                    Disambiguation::Perfect,
-                    Disambiguation::None,
-                ] {
-                    let direct = run_stream(Emulator::new(program.clone()), window, policy, false);
-                    let replay = run_stream(recorded.iter(), window, policy, false);
-                    prop_assert_eq!(
-                        &direct, &replay,
-                        "window {} under {:?}", window, policy
-                    );
-                }
+                let direct = run_stream(Emulator::new(program.clone()), window, false);
+                let replay = run_stream(recorded.iter(), window, false);
+                prop_assert_eq!(&direct, &replay, "window {}", window);
             }
         }
     }

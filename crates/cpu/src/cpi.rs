@@ -13,7 +13,7 @@
 //!
 //! enforced by a `debug_assert!` after every step (including the
 //! scheduler's cycle-skipping bulk path) and by property tests across
-//! random programs, window sizes and disambiguation policies. Dividing
+//! random programs and window sizes. Dividing
 //! each component by `commit_width × instructions` decomposes CPI into
 //! additive per-cause terms, so two configurations' stacks subtract
 //! into an explanation ("the 1-port machine loses 0.21 CPI to port

@@ -12,7 +12,7 @@
 //!   fetch with branch prediction (bimodal/gshare + BTB + return-address
 //!   stack) and instruction-cache timing, register renaming into a reorder
 //!   buffer, an issue window with per-class functional units, a load/store
-//!   queue with store-to-load forwarding and conservative memory
+//!   queue with store-to-load forwarding and oracle memory
 //!   disambiguation, and in-order commit that retires stores into the
 //!   memory system's store buffer.
 //!
@@ -40,7 +40,6 @@
 //! # }
 //! ```
 
-mod backend;
 pub mod bpred;
 mod config;
 mod core;
@@ -52,8 +51,7 @@ mod sched;
 mod stats;
 mod watchdog;
 
-pub use backend::ExecBackend;
-pub use config::{CpuConfig, DirPredictorKind, Disambiguation, FuConfig, FuSpec};
+pub use config::{CpuConfig, DirPredictorKind, FuConfig, FuSpec};
 pub use core::{Core, SimResult};
 pub use cpi::{CpiStack, StallCause};
 // The functional emulator lives with the ISA semantics in `cpe-isa`;

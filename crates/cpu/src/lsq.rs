@@ -26,8 +26,8 @@ pub(crate) enum LoadGate {
     /// An older store fully covers the load and its data is ready: forward
     /// within the LSQ.
     Forward,
-    /// The load must wait (unknown older address under conservative
-    /// ordering, partial overlap, or data not yet ready).
+    /// The load must wait (an overlapping older store whose address is
+    /// not yet known, a partial overlap, or data not yet ready).
     Wait,
 }
 

@@ -18,7 +18,7 @@
 //!   wakeup at its `ready_at` cycle, at which point its waiters (recorded
 //!   on the producer's ROB entry) are re-evaluated;
 //! * an **in-flight store queue** — every dispatched, uncommitted store
-//!   as `(seq, byte range, address resolved?)` in age order, so
+//!   as `(seq, byte range)` in age order, so
 //!   load/store disambiguation is a short backwards scan of at most
 //!   `store_queue` entries instead of a walk over the whole window. A
 //!   fixed array of 64 counters, one per 8-byte chunk modulo 64, counts
@@ -47,8 +47,6 @@ struct InFlightStore {
     seq: u64,
     /// The (oracle) byte range the store writes.
     range: (u64, u64),
-    /// Address generation has fired.
-    resolved: bool,
 }
 
 /// The scheduler state riding alongside the reorder buffer.
@@ -181,27 +179,15 @@ impl Scheduler {
 
     // --- in-flight store queue ----------------------------------------------
 
-    /// Track a dispatched store (the youngest in flight): its (oracle)
-    /// byte range, with its address unresolved until address generation
-    /// fires.
+    /// Track a dispatched store (the youngest in flight) and its (oracle)
+    /// byte range.
     pub(crate) fn add_store(&mut self, seq: u64, range: (u64, u64)) {
         debug_assert!(range.1 > range.0, "memory accesses cover at least a byte");
         debug_assert!(self.stores.back().is_none_or(|s| s.seq < seq));
         for chunk in chunks(range) {
             self.store_chunks[chunk] += 1;
         }
-        self.stores.push_back(InFlightStore {
-            seq,
-            range,
-            resolved: false,
-        });
-    }
-
-    /// Address generation fired for store `seq`.
-    pub(crate) fn resolve_store(&mut self, seq: u64) {
-        if let Ok(at) = self.stores.binary_search_by_key(&seq, |s| s.seq) {
-            self.stores[at].resolved = true;
-        }
+        self.stores.push_back(InFlightStore { seq, range });
     }
 
     /// Remove a committing store. Stores commit in order, so it is the
@@ -217,15 +203,6 @@ impl Scheduler {
     /// In-flight stores tracked (never more than the store queue holds).
     pub(crate) fn stores_in_flight(&self) -> usize {
         self.stores.len()
-    }
-
-    /// Is any store older than `load_seq` still awaiting its address?
-    /// (The conservative disambiguation gate.)
-    pub(crate) fn has_unresolved_store_before(&self, load_seq: u64) -> bool {
-        self.stores
-            .iter()
-            .take_while(|s| s.seq < load_seq)
-            .any(|s| !s.resolved)
     }
 
     /// The youngest store older than `load_seq` whose byte range overlaps
@@ -367,25 +344,8 @@ mod tests {
     }
 
     #[test]
-    fn unresolved_stores_gate_by_age() {
-        let mut s = Scheduler::new(8);
-        s.add_store(4, (0x100, 0x108));
-        assert!(s.has_unresolved_store_before(5));
-        assert!(!s.has_unresolved_store_before(4));
-        s.resolve_store(4);
-        assert!(!s.has_unresolved_store_before(5));
-        // A resolved older store does not hide an unresolved one behind it.
-        s.add_store(6, (0x200, 0x208));
-        assert!(!s.has_unresolved_store_before(6));
-        assert!(s.has_unresolved_store_before(7));
-        s.retire_store(4);
-        assert!(s.has_unresolved_store_before(7));
-    }
-
-    #[test]
     fn store_queue_stays_bounded_by_the_stores_in_flight() {
-        // A long random stream of dispatches, address resolutions and
-        // in-order commits, checked against a plain list of the stores in
+        // A long random stream of dispatches and in-order commits, checked against a plain list of the stores in
         // flight: the queue answers every query the same way a scan of the
         // whole list with no filter in front does, the filter's counters
         // equal a recount, and the queue never holds more entries than
@@ -394,7 +354,7 @@ mod tests {
         // apart; each cluster is the first 128 bytes of two windows 512
         // bytes apart, so different chunks share a counter.
         let mut s = Scheduler::new(64);
-        let mut model: Vec<(u64, (u64, u64), bool)> = Vec::new();
+        let mut model: Vec<(u64, (u64, u64))> = Vec::new();
         let mut next_seq = 0u64;
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut rand = move || {
@@ -417,13 +377,10 @@ mod tests {
                     let store = range(rand());
                     next_seq += 1 + (r >> 32) % 3;
                     s.add_store(next_seq, store);
-                    model.push((next_seq, store, false));
+                    model.push((next_seq, store));
                 }
-                2 if !model.is_empty() => {
-                    let at = (r >> 8) as usize % model.len();
-                    model[at].2 = true;
-                    s.resolve_store(model[at].0);
-                }
+                // Address generation: nothing for the queue to track.
+                2 => {}
                 _ if !model.is_empty() => {
                     s.retire_store(model.remove(0).0);
                 }
@@ -431,7 +388,7 @@ mod tests {
             }
             assert_eq!(s.stores_in_flight(), model.len());
             let mut recount = [0u32; 64];
-            for &(_, store, _) in &model {
+            for &(_, store) in &model {
                 for chunk in (store.0 >> 3)..=((store.1 - 1) >> 3) {
                     recount[(chunk & 63) as usize] += 1;
                 }
@@ -447,10 +404,6 @@ mod tests {
             assert_eq!(
                 s.youngest_overlapping_store_before(load_seq, load),
                 expected
-            );
-            assert_eq!(
-                s.has_unresolved_store_before(load_seq),
-                model.iter().any(|m| m.0 < load_seq && !m.2)
             );
             if chunks(load).all(|chunk| s.store_chunks[chunk] == 0) {
                 skipped += 1;

@@ -560,6 +560,22 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::OnceLock;
 
+    /// The cells of a rendered table's data rows.
+    fn rows(table: &Table) -> Vec<Vec<String>> {
+        let markdown = table.to_string();
+        markdown
+            .lines()
+            .skip(2)
+            .map(|line| {
+                let inner = line.trim_start_matches('|').trim_end_matches('|');
+                inner
+                    .split('|')
+                    .map(|cell| cell.trim().to_string())
+                    .collect()
+            })
+            .collect()
+    }
+
     fn tiny_plan() -> SweepPlan {
         SweepPlan {
             configs: vec![SimConfig::naive_single_port(), SimConfig::dual_port()],
@@ -639,7 +655,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(serial.ipc_table().to_csv(), parallel.ipc_table().to_csv());
+        assert_eq!(
+            serial.ipc_table().to_string(),
+            parallel.ipc_table().to_string()
+        );
         assert_eq!(serial.aggregate_json(), parallel.aggregate_json());
     }
 
@@ -697,8 +716,8 @@ mod tests {
             .run(2, None)
             .expect("replay sweep runs");
         assert_eq!(
-            direct.ipc_table().to_csv(),
-            replay.ipc_table().to_csv(),
+            direct.ipc_table().to_string(),
+            replay.ipc_table().to_string(),
             "replay must be byte-identical to direct"
         );
         assert_eq!(direct.aggregate_json(), replay.aggregate_json());
@@ -722,8 +741,8 @@ mod tests {
         // isolation when a caller skips validation.
         let results = plan.run(2, None).expect("grid is non-empty");
         assert_eq!(results.stats.failed, 2);
-        let csv = results.ipc_table().to_csv();
-        assert!(csv.contains("FAILED(config)"), "{csv}");
+        let table = results.ipc_table().to_string();
+        assert!(table.contains("FAILED(config)"), "{table}");
         assert!(results.aggregate_json().contains("\"failed\":\"config\""));
     }
 
@@ -733,8 +752,8 @@ mod tests {
         let relative = results.relative_table(1);
         assert_eq!(relative.len(), 3, "two workloads + geomean");
         // The reference column normalises to 1.000 on every row.
-        for line in relative.to_csv().lines().skip(1) {
-            assert!(line.ends_with(",1.000"), "{line}");
+        for row in rows(&relative) {
+            assert_eq!(row.last().map(String::as_str), Some("1.000"), "{row:?}");
         }
         assert_eq!(
             results
@@ -746,13 +765,11 @@ mod tests {
             results.cell_number(w, c, &["counters", "mem", "load_lb_hits"])
         });
         assert_eq!(lb.len(), 2);
-        assert!(lb.to_csv().starts_with("workload (lb),1-port naive,2-port"));
+        assert!(lb
+            .to_string()
+            .starts_with("| workload (lb) | 1-port naive | 2-port"));
         let unknown = results.table_with("none", |_, _| None);
-        assert!(
-            unknown.to_csv().ends_with("sort,-,-"),
-            "{}",
-            unknown.to_csv()
-        );
+        assert_eq!(rows(&unknown).last().unwrap(), &["sort", "-", "-"]);
     }
 
     #[test]
@@ -767,9 +784,15 @@ mod tests {
         let relative = results.geomean_relative(0, 1);
         assert!(relative <= 1.05, "naive relative to dual: {relative}");
         assert_eq!(results.geomean_relative(1, 1), 1.0);
-        let ipc = results.ipc_table().to_csv();
-        let geomean_row = ipc.lines().last().expect("geomean row");
-        assert_eq!(geomean_row, format!("geomean,{naive:.3},{dual:.3}"));
+        let geomean_row = rows(&results.ipc_table()).pop().expect("geomean row");
+        assert_eq!(
+            geomean_row,
+            [
+                "geomean".to_string(),
+                format!("{naive:.3}"),
+                format!("{dual:.3}")
+            ]
+        );
     }
 
     #[test]
@@ -798,8 +821,8 @@ mod tests {
                     }
                 }
             }
-            let csv = poisoned.ipc_table().to_csv();
-            assert_eq!(csv.matches("FAILED(config)").count(), 2, "{csv}");
+            let table = poisoned.ipc_table().to_string();
+            assert_eq!(table.matches("FAILED(config)").count(), 2, "{table}");
             assert!(
                 poisoned.geomean_ipc(0) > 0.0,
                 "healthy columns still average"
@@ -832,8 +855,8 @@ mod tests {
                 CacheStatus::Miss,
                 "run {run}: failures are not cached"
             );
-            let csv = results.ipc_table().to_csv();
-            assert!(csv.contains("FAILED(watchdog)"), "{csv}");
+            let table = results.ipc_table().to_string();
+            assert!(table.contains("FAILED(watchdog)"), "{table}");
             assert!(results.aggregate_json().contains("\"failed\":\"watchdog\""));
             assert_eq!(results.stats.failed, 1);
             let expected = if run == 0 {
@@ -1031,9 +1054,9 @@ mod tests {
         assert!(doc.contains("\"failed\":\"malformed\""), "{doc}");
         assert!(doc.contains("\"failed\":\"trace\""), "{doc}");
         assert!(doc.contains("\"failed\":\"panic\""), "{doc}");
-        let csv = results.ipc_table().to_csv();
-        assert!(csv.contains("FAILED(trace)"), "{csv}");
-        assert!(csv.contains("FAILED(panic)"), "{csv}");
+        let table = results.ipc_table().to_string();
+        assert!(table.contains("FAILED(trace)"), "{table}");
+        assert!(table.contains("FAILED(panic)"), "{table}");
         assert_eq!(
             results.summary_number(0, 0, "ipc"),
             fresh.summary_number(0, 0, "ipc"),

@@ -33,8 +33,8 @@ fn two_worker_sweep_matches_the_serial_path_byte_for_byte() {
     let parallel = plan.run(2, None).expect("parallel sweep runs");
 
     assert_eq!(
-        serial.ipc_table().to_csv(),
-        parallel.ipc_table().to_csv(),
+        serial.ipc_table().to_string(),
+        parallel.ipc_table().to_string(),
         "IPC table must not depend on worker count"
     );
     assert_eq!(
@@ -67,9 +67,9 @@ fn cached_rerun_is_all_hits_and_byte_identical() {
     let reference = serial.aggregate_json();
     assert_eq!(reference, first.aggregate_json());
     assert_eq!(reference, second.aggregate_json());
-    let table = serial.ipc_table().to_csv();
-    assert_eq!(table, first.ipc_table().to_csv());
-    assert_eq!(table, second.ipc_table().to_csv());
+    let table = serial.ipc_table().to_string();
+    assert_eq!(table, first.ipc_table().to_string());
+    assert_eq!(table, second.ipc_table().to_string());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

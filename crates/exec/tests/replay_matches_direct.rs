@@ -3,21 +3,22 @@
 //! aggregate output to the direct path — same IPC table, same sweep
 //! metrics document, same per-cell schema-3 documents outside the
 //! host-timing self-profile — while recording each workload exactly
-//! once. Also pins the cache-key separation: entries written by one
-//! backend never serve the other.
+//! once. The grid covers every preset, the large-window cell and a
+//! machine that fetches down mispredicted paths. Also pins the cache-key
+//! separation: entries written by one backend never serve the other.
 
 use cpe_core::{parse_json, BackendKind, SimConfig};
 use cpe_exec::render::{member, render};
-use cpe_exec::{ResultCache, SweepPlan};
+use cpe_exec::{preset_configs, ResultCache, SweepPlan};
 use cpe_workloads::{Scale, Workload};
 
 fn plan(backend: BackendKind) -> SweepPlan {
+    let mut wrong_path = SimConfig::combined_single_port().named("1-port combined wrong-path");
+    wrong_path.cpu.wrong_path_fetch = true;
+    let mut configs = preset_configs();
+    configs.extend([SimConfig::big_window(), wrong_path]);
     SweepPlan {
-        configs: vec![
-            SimConfig::naive_single_port(),
-            SimConfig::dual_port(),
-            SimConfig::combined_single_port(),
-        ],
+        configs,
         workloads: vec![Workload::Compress, Workload::Sort, Workload::Fft],
         scale: Scale::Test,
         max_insts: Some(5_000),
@@ -46,8 +47,8 @@ fn replay_sweep_is_byte_identical_to_direct_and_records_once() {
     let replay = plan(BackendKind::Replay).run(2, None).expect("replay runs");
 
     assert_eq!(
-        direct.ipc_table().to_csv(),
-        replay.ipc_table().to_csv(),
+        direct.ipc_table().to_string(),
+        replay.ipc_table().to_string(),
         "IPC table must not depend on the backend"
     );
     assert_eq!(
@@ -79,16 +80,23 @@ fn replay_sweep_is_byte_identical_to_direct_and_records_once() {
     assert_eq!(direct.stats.traces_reused, 0);
 }
 
+/// Cells in the grid.
+fn grid_cells() -> usize {
+    let plan = plan(BackendKind::Direct);
+    plan.configs.len() * plan.workloads.len()
+}
+
 #[test]
 fn backends_never_serve_each_other_from_the_cache() {
     let dir = std::env::temp_dir().join(format!("cpe-replay-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = ResultCache::new(&dir);
+    let cells = grid_cells();
 
     let direct = plan(BackendKind::Direct)
         .run(2, Some(&cache))
         .expect("direct warms the cache");
-    assert_eq!(direct.stats.misses, 9, "cold cache computes every cell");
+    assert_eq!(direct.stats.misses, cells, "cold cache computes every cell");
 
     // Same grid through replay: all misses — the direct entries must not
     // serve it, or the byte-identity would be unfalsifiable from cache.
@@ -96,14 +104,14 @@ fn backends_never_serve_each_other_from_the_cache() {
         .run(2, Some(&cache))
         .expect("replay runs against the direct-warmed cache");
     assert_eq!(replay.stats.hits, 0, "no cross-backend hits");
-    assert_eq!(replay.stats.misses, 9);
+    assert_eq!(replay.stats.misses, cells);
     assert_eq!(direct.aggregate_json(), replay.aggregate_json());
 
     // And each backend hits its own entries on a re-run.
     let warm = plan(BackendKind::Replay)
         .run(2, Some(&cache))
         .expect("warm replay sweep runs");
-    assert_eq!(warm.stats.hits, 9);
+    assert_eq!(warm.stats.hits, cells);
     assert_eq!(
         warm.stats.traces_recorded, 0,
         "a grid the cache serves whole records nothing"

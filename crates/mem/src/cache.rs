@@ -60,7 +60,7 @@ impl Cache {
         Cache {
             geometry,
             ways: vec![Way::default(); sets * ways_per_set],
-            replacement: Replacement::new(geometry.replacement, sets, ways_per_set),
+            replacement: Replacement::new(sets, ways_per_set),
         }
     }
 
@@ -85,7 +85,7 @@ impl Cache {
         for (i, way) in self.ways[range.clone()].iter_mut().enumerate() {
             if way.valid && way.tag == tag {
                 way.dirty |= is_write;
-                self.replacement.on_hit(set, i);
+                self.replacement.touch(set, i);
                 return ProbeResult::Hit;
             }
         }
@@ -116,7 +116,7 @@ impl Cache {
         for (i, way) in self.ways[range.clone()].iter_mut().enumerate() {
             if way.valid && way.tag == tag {
                 way.dirty |= dirty;
-                self.replacement.on_hit(set, i);
+                self.replacement.touch(set, i);
                 return None;
             }
         }
@@ -128,7 +128,7 @@ impl Cache {
                     valid: true,
                     dirty,
                 };
-                self.replacement.on_fill(set, i);
+                self.replacement.touch(set, i);
                 return None;
             }
         }
@@ -144,7 +144,7 @@ impl Cache {
             valid: true,
             dirty,
         };
-        self.replacement.on_fill(set, victim_way);
+        self.replacement.touch(set, victim_way);
         Some(victim)
     }
 
@@ -174,7 +174,6 @@ impl Cache {
 mod tests {
     use super::*;
     use crate::config::CacheGeometry;
-    use crate::replacement::ReplacementPolicy;
     use proptest::prelude::*;
 
     fn tiny() -> Cache {
@@ -275,20 +274,6 @@ mod tests {
                 if c.probe(a, false) == ProbeResult::Miss {
                     c.fill(a, false);
                 }
-                prop_assert!(c.contains(a));
-                prop_assert!(c.resident_lines() <= 8);
-            }
-        }
-
-        /// Random replacement stays within capacity too.
-        #[test]
-        fn random_replacement_is_sound(addrs in prop::collection::vec(0u64..0x4000, 1..300)) {
-            let geometry = CacheGeometry::new(256, 4, 32)
-                .with_replacement(ReplacementPolicy::Random);
-            let mut c = Cache::new(geometry);
-            for &raw in &addrs {
-                let a = Addr::new(raw);
-                c.fill(a, false);
                 prop_assert!(c.contains(a));
                 prop_assert!(c.resident_lines() <= 8);
             }

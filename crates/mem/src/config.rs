@@ -2,10 +2,9 @@
 
 use std::fmt;
 
-use crate::replacement::ReplacementPolicy;
 use crate::tlb::TlbConfig;
 
-/// Geometry of one cache level.
+/// Geometry of one cache level. Every cache replaces LRU within a set.
 ///
 /// ```
 /// use cpe_mem::CacheGeometry;
@@ -21,12 +20,10 @@ pub struct CacheGeometry {
     pub ways: u32,
     /// Line size in bytes. Must be a power of two.
     pub line_bytes: u64,
-    /// Replacement policy within a set.
-    pub replacement: ReplacementPolicy,
 }
 
 impl CacheGeometry {
-    /// Construct and validate a geometry with LRU replacement.
+    /// Construct and validate a geometry.
     ///
     /// # Panics
     ///
@@ -38,16 +35,9 @@ impl CacheGeometry {
             capacity_bytes,
             ways,
             line_bytes,
-            replacement: ReplacementPolicy::Lru,
         };
         geometry.validate();
         geometry
-    }
-
-    /// The same geometry with a different replacement policy.
-    pub fn with_replacement(mut self, replacement: ReplacementPolicy) -> CacheGeometry {
-        self.replacement = replacement;
-        self
     }
 
     /// Check the geometry's invariants, returning the first violation as
@@ -104,11 +94,10 @@ impl fmt::Display for CacheGeometry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}KB {}-way {}B-line {}",
+            "{}KB {}-way {}B-line LRU",
             self.capacity_bytes / 1024,
             self.ways,
-            self.line_bytes,
-            self.replacement
+            self.line_bytes
         )
     }
 }

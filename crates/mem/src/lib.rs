@@ -73,7 +73,6 @@ pub use icache::{FetchOutcome, ICache};
 pub use l2::Backside;
 pub use line_buffer::LineBufferFile;
 pub use mshr::{MshrFile, MshrResult};
-pub use replacement::ReplacementPolicy;
 pub use stats::MemStats;
 pub use store_buffer::{ForwardResult, StoreBuffer, StoreEntry};
 pub use system::{MemDiagnostics, MemSystem};

@@ -62,12 +62,6 @@ impl Counter {
         self.0 as f64
     }
 
-    /// Reset to zero.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-
     /// Raise the count to `value` if it is larger (a running maximum,
     /// e.g. the longest observed commit gap).
     #[inline]
@@ -80,15 +74,6 @@ impl Counter {
         Ratio {
             numerator: self.0,
             denominator: denominator.0,
-        }
-    }
-
-    /// Events per thousand units of `per` (e.g. misses per kilo-instruction).
-    pub fn per_kilo(self, per: Counter) -> f64 {
-        if per.0 == 0 {
-            0.0
-        } else {
-            self.as_f64() * 1000.0 / per.as_f64()
         }
     }
 }
@@ -172,8 +157,6 @@ mod tests {
         c.add(41);
         c += 8;
         assert_eq!(c.get(), 50);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -187,14 +170,6 @@ mod tests {
     fn ratio_handles_zero_denominator() {
         assert_eq!(Ratio::new(5, 0).value(), 0.0);
         assert_eq!(Counter::from(5).ratio(Counter::new()).percent(), 0.0);
-    }
-
-    #[test]
-    fn per_kilo_computes_mpki_style_rates() {
-        let misses = Counter::from(20);
-        let insts = Counter::from(10_000);
-        assert_eq!(misses.per_kilo(insts), 2.0);
-        assert_eq!(misses.per_kilo(Counter::new()), 0.0);
     }
 
     #[test]
@@ -229,14 +204,6 @@ mod tests {
                     prop_assert!((0.0..=1.0).contains(&r.value()));
                 }
                 prop_assert!(r.percent() >= 0.0);
-            }
-
-            /// per_kilo is linear in the numerator.
-            #[test]
-            fn per_kilo_linearity(n in 0u64..1_000_000, per in 1u64..1_000_000) {
-                let a = Counter::from(n).per_kilo(Counter::from(per));
-                let b = Counter::from(2 * n).per_kilo(Counter::from(per));
-                prop_assert!((b - 2.0 * a).abs() < 1e-6);
             }
         }
     }

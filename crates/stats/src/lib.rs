@@ -31,6 +31,6 @@ mod timeseries;
 pub use counter::{Counter, Ratio};
 pub use histogram::Histogram;
 pub use log2hist::Log2Histogram;
-pub use summary::{geometric_mean, harmonic_mean, mean, percent, Summary};
+pub use summary::{geometric_mean, mean, percent};
 pub use table::Table;
 pub use timeseries::TimeSeries;

@@ -1,6 +1,4 @@
-//! Summary statistics over benchmark result sets.
-
-use std::fmt;
+//! Means and percentages over benchmark result sets.
 
 /// Arithmetic mean. Returns `None` for an empty input.
 pub fn mean(values: impl IntoIterator<Item = f64>) -> Option<f64> {
@@ -26,22 +24,6 @@ pub fn geometric_mean(values: impl IntoIterator<Item = f64>) -> Option<f64> {
     (n > 0).then(|| (log_sum / n as f64).exp())
 }
 
-/// Harmonic mean — appropriate for averaging rates such as IPC over equal
-/// instruction counts. Returns `None` for an empty input or when any value
-/// is non-positive.
-pub fn harmonic_mean(values: impl IntoIterator<Item = f64>) -> Option<f64> {
-    let mut inv_sum = 0.0;
-    let mut n = 0u64;
-    for v in values {
-        if v <= 0.0 {
-            return None;
-        }
-        inv_sum += 1.0 / v;
-        n += 1;
-    }
-    (n > 0).then(|| n as f64 / inv_sum)
-}
-
 /// Format a fraction as a fixed-width percentage string (`"91.3%"`).
 ///
 /// Non-finite input (a `0/0` ratio upstream) renders as `"-"` rather than
@@ -51,86 +33,6 @@ pub fn percent(fraction: f64) -> String {
         format!("{:.1}%", fraction * 100.0)
     } else {
         "-".to_string()
-    }
-}
-
-/// Five-number summary plus mean for a result set.
-///
-/// ```
-/// use cpe_stats::Summary;
-///
-/// let s = Summary::from_values([3.0, 1.0, 2.0]).unwrap();
-/// assert_eq!(s.min, 1.0);
-/// assert_eq!(s.median, 2.0);
-/// assert_eq!(s.max, 3.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Smallest value.
-    pub min: f64,
-    /// 25th percentile (linear interpolation).
-    pub p25: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile (linear interpolation).
-    pub p75: f64,
-    /// 95th percentile (linear interpolation).
-    pub p95: f64,
-    /// 99th percentile (linear interpolation).
-    pub p99: f64,
-    /// Largest value.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Number of samples.
-    pub count: usize,
-}
-
-impl Summary {
-    /// Summarise a set of values. Returns `None` when empty or when any
-    /// value is NaN.
-    pub fn from_values(values: impl IntoIterator<Item = f64>) -> Option<Summary> {
-        let mut v: Vec<f64> = values.into_iter().collect();
-        if v.is_empty() || v.iter().any(|x| x.is_nan()) {
-            return None;
-        }
-        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN filtered above"));
-        let q = |p: f64| -> f64 {
-            let idx = p * (v.len() - 1) as f64;
-            let lo = idx.floor() as usize;
-            let hi = idx.ceil() as usize;
-            let w = idx - lo as f64;
-            v[lo] * (1.0 - w) + v[hi] * w
-        };
-        Some(Summary {
-            min: v[0],
-            p25: q(0.25),
-            median: q(0.5),
-            p75: q(0.75),
-            p95: q(0.95),
-            p99: q(0.99),
-            max: v[v.len() - 1],
-            mean: v.iter().sum::<f64>() / v.len() as f64,
-            count: v.len(),
-        })
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} min={:.3} p25={:.3} median={:.3} p75={:.3} p95={:.3} p99={:.3} max={:.3} mean={:.3}",
-            self.count,
-            self.min,
-            self.p25,
-            self.median,
-            self.p75,
-            self.p95,
-            self.p99,
-            self.max,
-            self.mean
-        )
     }
 }
 
@@ -145,49 +47,13 @@ mod tests {
         assert_eq!(mean(std::iter::empty()), None);
         let g = geometric_mean([1.0, 4.0]).unwrap();
         assert!((g - 2.0).abs() < 1e-12);
-        let h = harmonic_mean([1.0, 3.0]).unwrap();
-        assert!((h - 1.5).abs() < 1e-12);
     }
 
     #[test]
-    fn non_positive_values_poison_geo_and_harmonic() {
+    fn non_positive_values_poison_the_geometric_mean() {
         assert_eq!(geometric_mean([1.0, 0.0]), None);
         assert_eq!(geometric_mean([1.0, -2.0]), None);
-        assert_eq!(harmonic_mean([0.0]), None);
         assert_eq!(geometric_mean(std::iter::empty()), None);
-        assert_eq!(harmonic_mean(std::iter::empty()), None);
-    }
-
-    #[test]
-    fn summary_quartiles_interpolate() {
-        let s = Summary::from_values([1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.p25, 1.75);
-        assert_eq!(s.median, 2.5);
-        assert_eq!(s.p75, 3.25);
-        assert!((s.p95 - 3.85).abs() < 1e-12);
-        assert!((s.p99 - 3.97).abs() < 1e-12);
-        assert_eq!(s.count, 4);
-    }
-
-    #[test]
-    fn summary_rejects_empty_and_nan() {
-        assert_eq!(Summary::from_values(std::iter::empty()), None);
-        assert_eq!(Summary::from_values([1.0, f64::NAN]), None);
-    }
-
-    #[test]
-    fn single_value_summary_is_degenerate() {
-        let s = Summary::from_values([7.5]).unwrap();
-        assert_eq!(s.min, 7.5);
-        assert_eq!(s.p25, 7.5);
-        assert_eq!(s.median, 7.5);
-        assert_eq!(s.p75, 7.5);
-        assert_eq!(s.p95, 7.5);
-        assert_eq!(s.p99, 7.5);
-        assert_eq!(s.max, 7.5);
-        assert_eq!(s.mean, 7.5);
-        assert_eq!(s.count, 1);
-        assert!(!s.to_string().is_empty());
     }
 
     #[test]
@@ -205,23 +71,9 @@ mod tests {
 
     proptest! {
         #[test]
-        fn ordering_invariants(values in prop::collection::vec(0.001f64..1e6, 1..100)) {
-            let s = Summary::from_values(values.iter().copied()).unwrap();
-            prop_assert!(s.min <= s.p25);
-            prop_assert!(s.p25 <= s.median);
-            prop_assert!(s.median <= s.p75);
-            prop_assert!(s.p75 <= s.p95);
-            prop_assert!(s.p95 <= s.p99);
-            prop_assert!(s.p99 <= s.max);
-            prop_assert!(s.min <= s.mean && s.mean <= s.max);
-        }
-
-        #[test]
-        fn am_gm_hm_inequality(values in prop::collection::vec(0.001f64..1e6, 1..100)) {
+        fn am_gm_inequality(values in prop::collection::vec(0.001f64..1e6, 1..100)) {
             let am = mean(values.iter().copied()).unwrap();
             let gm = geometric_mean(values.iter().copied()).unwrap();
-            let hm = harmonic_mean(values.iter().copied()).unwrap();
-            prop_assert!(hm <= gm * (1.0 + 1e-9));
             prop_assert!(gm <= am * (1.0 + 1e-9));
         }
     }

@@ -1,12 +1,11 @@
-//! Result-table rendering (markdown and CSV).
+//! Result-table rendering (markdown).
 
 use std::fmt;
 
 /// A simple column-labelled results table.
 ///
 /// The benchmark harness uses one `Table` per reconstructed paper table or
-/// figure series, rendered to markdown for the terminal and CSV for
-/// post-processing.
+/// figure series, rendered to markdown.
 ///
 /// ```
 /// use cpe_stats::Table;
@@ -14,7 +13,7 @@ use std::fmt;
 /// let mut t = Table::new(["config", "IPC", "relative"]);
 /// t.row(["1 port", "1.52", "0.78"]);
 /// t.row(["2 ports", "1.95", "1.00"]);
-/// assert_eq!(t.to_csv().lines().count(), 3);
+/// assert_eq!(t.to_markdown().lines().count(), 4); // header, rule, two rows
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Table {
@@ -94,23 +93,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (header row first). Cells containing commas or quotes
-    /// are quoted per RFC 4180.
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        std::iter::once(&self.header)
-            .chain(&self.rows)
-            .map(|row| row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
 }
 
 impl fmt::Display for Table {
@@ -137,17 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_escapes_special_cells() {
-        let mut t = Table::new(["a", "b"]);
-        t.row(["has,comma", "has\"quote"]);
-        let csv = t.to_csv();
-        assert_eq!(
-            csv.lines().nth(1).unwrap(),
-            "\"has,comma\",\"has\"\"quote\""
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "cells")]
     fn mismatched_row_width_panics() {
         let mut t = Table::new(["a", "b"]);
@@ -167,8 +138,7 @@ mod tests {
     fn empty_table_renders_header_and_rule_only() {
         let t = Table::new(["alpha", "beta"]);
         let md = t.to_markdown();
-        assert_eq!(md.lines().count(), 2);
-        assert_eq!(t.to_csv(), "alpha,beta");
+        assert_eq!(md, "| alpha | beta |\n|-------|------|\n");
     }
 
     #[test]

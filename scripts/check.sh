@@ -153,21 +153,28 @@ reused="$(echo "$footer" | grep -oE '[0-9]+ reused' | grep -oE '[0-9]+')"
 # which both backends pay identically — dominates each cell, so the
 # wall-time ratio sits well below the 6x reduction in functional
 # executions asserted above; the measured median-of-3 ratio is printed
-# for eyeballing drift.
+# for eyeballing drift. The runs alternate (direct, replay, direct, …)
+# so a burst of host noise lands on both backends, not on one.
 echo "== replay perf: median-of-3 wall-time ratio vs direct" >&2
 sweep_ms() {
-    local total start end
+    local start end
     start="$(date +%s%N)"
     "$cpe_bin" sweep --jobs 2 --max 50000 --workloads compress,sort \
         --no-cache --backend "$1" >/dev/null 2>&1
     end="$(date +%s%N)"
     echo $(( (end - start) / 1000000 ))
 }
+direct_runs=()
+replay_runs=()
+for _ in 1 2 3; do
+    direct_runs+=("$(sweep_ms direct)")
+    replay_runs+=("$(sweep_ms replay)")
+done
 median_of_3() {
-    { sweep_ms "$1"; sweep_ms "$1"; sweep_ms "$1"; } | sort -n | sed -n 2p
+    printf '%s\n' "$@" | sort -n | sed -n 2p
 }
-direct_ms="$(median_of_3 direct)"
-replay_ms="$(median_of_3 replay)"
+direct_ms="$(median_of_3 "${direct_runs[@]}")"
+replay_ms="$(median_of_3 "${replay_runs[@]}")"
 replay_speedup="$(awk -v d="$direct_ms" -v r="$replay_ms" \
     'BEGIN{printf "%.2f", (r > 0) ? d / r : 0}')"
 awk -v r="$replay_speedup" 'BEGIN{exit !(r >= 0.90)}' || {
@@ -270,7 +277,8 @@ done
 # Stdout-error gate: `println!` once panicked (exit 101, a backtrace on
 # stderr) when stdout failed. A reader that hangs up early must silence
 # `cpe` quietly, leaving the verb's own status (0 for `trace`); any
-# other write failure (`/dev/full`) exits 2 with one line on stderr.
+# other write failure (`/dev/full`) exits 2 with one line on stderr, in
+# `cpe` and in `reproduce` alike.
 echo "== stdout errors: broken pipe is quiet, a full device exits 2" >&2
 printf '.text\nmain: li t1, 20000\nloop: addi t1, t1, -1\n bnez t1, loop\n halt\n' \
     > "$scratch/long.s"
@@ -286,6 +294,14 @@ status=0
 "$cpe_bin" workloads > /dev/full 2> "$scratch/full.err" || status=$?
 [ "$status" = 2 ] && [ "$(wc -l < "$scratch/full.err")" = 1 ] || {
     echo "stdout gate: \`cpe workloads > /dev/full\` exited $status:" >&2
+    cat "$scratch/full.err" >&2
+    exit 1
+}
+status=0
+./target/release/reproduce T1 > /dev/full 2> "$scratch/full.err" || status=$?
+[ "$status" = 2 ] && [ "$(wc -l < "$scratch/full.err")" = 1 ] \
+    && ! grep -q "panicked" "$scratch/full.err" || {
+    echo "stdout gate: \`reproduce T1 > /dev/full\` exited $status:" >&2
     cat "$scratch/full.err" >&2
     exit 1
 }

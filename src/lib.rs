@@ -40,11 +40,11 @@
 //! ```
 
 pub use cpe_core::{
-    check_replayable, config_json, detailed_report, diff_json, explain_report, faultinject,
-    parse_json, peak_rss_bytes, profile_json, summary_json, validate_cpi_stacks, BackendKind,
-    ConfigError, CpiStack, DiffEntry, DiffReport, EpochMetrics, ExecBackend, JsonValue,
-    MetricsSeries, ProfileOptions, ProfiledRun, RecordedWorkload, RunSummary, SelfProfile,
-    SimConfig, SimError, Simulator, StallCause, METRICS_SCHEMA, RECORD_HEADROOM,
+    check_replayable, config_json, detailed_report, diff_json, explain_report, parse_json,
+    peak_rss_bytes, profile_json, summary_json, validate_cpi_stacks, BackendKind, ConfigError,
+    CpiStack, DiffEntry, DiffReport, EpochMetrics, JsonValue, MetricsSeries, ProfileOptions,
+    ProfiledRun, RecordedWorkload, RunSummary, SelfProfile, SimConfig, SimError, Simulator,
+    StallCause, METRICS_SCHEMA, RECORD_HEADROOM,
 };
 
 /// The miniature RISC ISA: instructions, assembler, functional emulator.
