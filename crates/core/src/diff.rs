@@ -390,9 +390,10 @@ fn relative_difference(a: f64, b: f64) -> f64 {
 
 /// Compare two JSON documents leaf-by-leaf.
 ///
-/// Numeric leaves are equal when their [`relative_difference`] is at most
-/// `tolerance`; strings, booleans and nulls must match exactly; a path
-/// present in only one document is always reported.
+/// Numeric leaves are equal when their relative difference,
+/// `|a - b| / max(|a|, |b|)`, is at most `tolerance`; strings, booleans
+/// and nulls must match exactly; a path present in only one document is
+/// always reported.
 ///
 /// # Errors
 ///

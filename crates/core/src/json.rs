@@ -7,7 +7,7 @@
 //! * [`profile_json`] — the `--metrics-json` artifact: the full
 //!   [`SimConfig`] (making the file self-describing), the end-of-run
 //!   [`RunSummary`], every raw scalar counter, the per-epoch
-//!   [`MetricsSeries`], and the [`SelfProfile`];
+//!   [`MetricsSeries`](crate::MetricsSeries), and the [`SelfProfile`];
 //! * [`config_json`] — the embedded configuration object, also useful on
 //!   its own.
 

@@ -1,6 +1,6 @@
 //! Content-addressed result cache.
 //!
-//! Every sweep cell is a pure function of its inputs: the [`SimConfig`],
+//! Every sweep cell is a pure function of its inputs: the [`SimConfig`](cpe_core::SimConfig),
 //! the workload, the scale, and the instruction window. The cache
 //! therefore keys each schema-stamped metrics document by a stable 64-bit FNV-1a hash of the **canonical** JSON
 //! encoding of those inputs — canonical meaning object members are

@@ -18,7 +18,7 @@ use std::sync::Mutex;
 /// What a run cost the scheduler itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerStats {
-    /// Worker threads actually spawned.
+    /// Worker threads used, the calling thread included.
     pub workers: usize,
     /// Items executed by a worker other than the one they were seeded to.
     pub steals: u64,
@@ -39,9 +39,9 @@ pub fn effective_workers(requested: usize, items: usize) -> usize {
 /// threads, returning the results in item order.
 ///
 /// `run` must not panic — job-level panic isolation belongs inside the
-/// closure (see [`crate::job::execute_jobs`]); a panic that does escape
-/// propagates out of this call after the remaining items finish on the
-/// surviving workers.
+/// closure (see [`crate::job::execute_jobs_traced`]); a panic that does
+/// escape propagates out of this call after the remaining items finish on
+/// the surviving workers.
 pub fn run_work_stealing<T, R>(
     items: &[T],
     workers: usize,
@@ -74,37 +74,40 @@ where
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let steals = AtomicU64::new(0);
 
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let steals = &steals;
-            let run = &run;
-            scope.spawn(move || loop {
-                // Own work first, front of the deque.
-                let mut next = queues[worker].lock().expect("queue lock").pop_front();
-                if next.is_none() {
-                    // Steal from the back of the first non-empty sibling.
-                    for victim in 1..workers {
-                        let victim = (worker + victim) % workers;
-                        let stolen = queues[victim].lock().expect("queue lock").pop_back();
-                        if stolen.is_some() {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                            next = stolen;
-                            break;
-                        }
-                    }
+    let work = |worker: usize| loop {
+        // Own work first, front of the deque.
+        let mut next = queues[worker].lock().expect("queue lock").pop_front();
+        if next.is_none() {
+            // Steal from the back of the first non-empty sibling.
+            for victim in 1..workers {
+                let victim = (worker + victim) % workers;
+                let stolen = queues[victim].lock().expect("queue lock").pop_back();
+                if stolen.is_some() {
+                    steals.fetch_add(1, Ordering::Relaxed);
+                    next = stolen;
+                    break;
                 }
-                match next {
-                    Some(index) => {
-                        let result = run(index, &items[index]);
-                        *slots[index].lock().expect("slot lock") = Some(result);
-                    }
-                    // Every queue is drained; nothing new ever arrives.
-                    None => break,
-                }
-            });
+            }
         }
+        match next {
+            Some(index) => {
+                let result = run(index, &items[index]);
+                *slots[index].lock().expect("slot lock") = Some(result);
+            }
+            // Every queue is drained; nothing new ever arrives.
+            None => break,
+        }
+    };
+    // The calling thread works as worker 0 instead of idling on the
+    // join: one thread fewer, and what it allocates and frees stays in
+    // its own allocator arena, where the caller's later work reuses it
+    // (a spawned thread's arena keeps that memory resident beside it).
+    std::thread::scope(|scope| {
+        for worker in 1..workers {
+            let work = &work;
+            scope.spawn(move || work(worker));
+        }
+        work(0);
     });
 
     let results = slots

@@ -164,6 +164,7 @@ impl SweepPlan {
         // replay sweep's functional cost is one recording per distinct
         // (workload, scale, max_insts) tuple, never one per cell. Only
         // cells the cache cannot serve replay, so only they are recorded.
+        let mut recording_seconds = 0.0;
         let traces = match self.backend {
             BackendKind::Direct => None,
             BackendKind::Replay => {
@@ -175,7 +176,9 @@ impl SweepPlan {
                     })
                     .cloned()
                     .collect();
+                let recording = Instant::now();
                 store.record_all(&misses);
+                recording_seconds = recording.elapsed().as_secs_f64();
                 Some(store)
             }
         };
@@ -195,6 +198,7 @@ impl SweepPlan {
             let (recorded, reused) = traces.counts();
             results.stats.traces_recorded = recorded;
             results.stats.traces_reused = reused;
+            results.stats.recording_seconds = recording_seconds;
         }
         Ok(results)
     }
@@ -223,6 +227,8 @@ pub struct SweepStats {
     pub traces_recorded: u64,
     /// Cells that replayed an existing recording.
     pub traces_reused: u64,
+    /// Wall seconds spent recording before any cell was scheduled.
+    pub recording_seconds: f64,
 }
 
 impl SweepStats {
@@ -256,8 +262,8 @@ impl fmt::Display for SweepStats {
         if self.traces_recorded + self.traces_reused > 0 {
             write!(
                 f,
-                ", trace: {} recorded, {} reused",
-                self.traces_recorded, self.traces_reused
+                ", trace: {} recorded, {} reused (recording {:.3}s)",
+                self.traces_recorded, self.traces_reused, self.recording_seconds
             )?;
         }
         Ok(())
@@ -725,7 +731,13 @@ mod tests {
         assert_eq!(replay.stats.traces_reused, 4, "every cell reuses");
         assert_eq!(direct.stats.traces_recorded, 0);
         let footer = replay.stats.to_string();
-        assert!(footer.ends_with("trace: 2 recorded, 4 reused"), "{footer}");
+        assert!(
+            footer.ends_with(&format!(
+                "trace: 2 recorded, 4 reused (recording {:.3}s)",
+                replay.stats.recording_seconds
+            )),
+            "{footer}"
+        );
         assert!(
             !direct.stats.to_string().contains("trace:"),
             "direct footer stays unchanged"

@@ -6,11 +6,12 @@
 //! is that guarantee: a thread-safe map from tuple to shared
 //! [`RecordedWorkload`], populated up front by
 //! [`TraceStore::record_all`] before any cell is scheduled, and consumed
-//! from the worker threads by [`TraceStore::get`]. The recorded/reused
-//! counters feed the sweep footer's `trace:` segment — observability
-//! only, never the results.
+//! from the worker threads by [`TraceStore::get`]. `record_all` records
+//! the tuples the store lacks in parallel, one per core, and inserts
+//! them in job order; a recording's bytes do not depend on the thread
+//! that made it. The recorded/reused counters feed the sweep footer's
+//! `trace:` segment — observability only, never the results.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -18,6 +19,7 @@ use cpe_core::RecordedWorkload;
 use cpe_workloads::{Scale, Workload};
 
 use crate::job::Job;
+use crate::scheduler::run_work_stealing;
 
 type TraceKey = (Workload, Scale, Option<u64>);
 
@@ -45,25 +47,27 @@ impl TraceStore {
     }
 
     /// Record every distinct `(workload, scale, max_insts)` tuple in
-    /// `jobs` that is not already in the store, in job order. Returns how
-    /// many recordings this call made.
+    /// `jobs` that is not already in the store, in parallel (workers as
+    /// for `--jobs 0`, at most one per tuple), and insert them in job
+    /// order. Returns how many recordings this call made.
     pub fn record_all(&self, jobs: &[Job]) -> u64 {
-        let mut made = 0;
-        for job in jobs {
-            let key = TraceStore::key(job);
-            // Recording outside the lock is tempting, but the pre-record
-            // pass is serial by design (one recording per tuple, before
-            // scheduling); holding the lock keeps `get` racing a
-            // concurrent `record_all` correct.
-            let mut guard = self.inner.lock().expect("trace store lock");
-            let inner = &mut *guard;
-            if let Entry::Vacant(slot) = inner.map.entry(key) {
-                let recorded = RecordedWorkload::record(job.workload, job.scale, job.max_insts);
-                slot.insert(Arc::new(recorded));
-                inner.recorded += 1;
-                made += 1;
+        // The lock is held across the recording: a `get` racing this
+        // call waits and then reuses, so no tuple is recorded twice.
+        let mut inner = self.inner.lock().expect("trace store lock");
+        let mut missing: Vec<TraceKey> = Vec::new();
+        for key in jobs.iter().map(TraceStore::key) {
+            if !inner.map.contains_key(&key) && !missing.contains(&key) {
+                missing.push(key);
             }
         }
+        let (recordings, _) = run_work_stealing(&missing, 0, |_, &(workload, scale, max_insts)| {
+            RecordedWorkload::record(workload, scale, max_insts)
+        });
+        let made = missing.len() as u64;
+        for (key, recorded) in missing.into_iter().zip(recordings) {
+            inner.map.insert(key, Arc::new(recorded));
+        }
+        inner.recorded += made;
         made
     }
 
@@ -99,7 +103,9 @@ impl TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SweepPlan;
     use cpe_core::SimConfig;
+    use cpe_isa::replay::write_recorded;
 
     fn job(workload: Workload, max_insts: Option<u64>) -> Job {
         Job {
@@ -109,6 +115,12 @@ mod tests {
             max_insts,
             backend: cpe_core::BackendKind::Replay,
         }
+    }
+
+    fn cper_bytes(recorded: &RecordedWorkload) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_recorded(&mut bytes, recorded.trace()).expect("writes to memory");
+        bytes
     }
 
     #[test]
@@ -123,6 +135,35 @@ mod tests {
         assert_eq!(store.record_all(&jobs), 3, "distinct tuples only");
         assert_eq!(store.record_all(&jobs), 0, "idempotent");
         assert_eq!(store.counts(), (3, 0));
+
+        // The default grid, recorded in parallel, holds the bytes a
+        // direct serial recording of each workload makes.
+        let grid = SweepPlan::standard(Scale::Test, Some(2_000))
+            .with_backend(cpe_core::BackendKind::Replay)
+            .jobs();
+        let store = TraceStore::new();
+        let workloads = Workload::ALL.len() as u64;
+        assert_eq!(store.record_all(&grid), workloads);
+        assert_eq!(store.counts(), (workloads, 0));
+        assert_eq!(store.record_all(&grid), 0, "a second call records nothing");
+        for workload in Workload::ALL {
+            let direct = RecordedWorkload::record(workload, Scale::Test, Some(2_000));
+            let shared = store.get(&job(workload, Some(2_000)));
+            assert_eq!(cper_bytes(&shared), cper_bytes(&direct), "{workload}");
+        }
+
+        // A `get` racing `record_all` from another thread: whichever
+        // takes the lock first records, the other reuses.
+        let store = TraceStore::new();
+        let (made, fetched) = std::thread::scope(|scope| {
+            let getter = scope.spawn(|| store.get(&jobs[2]));
+            let made = store.record_all(&jobs);
+            (made, getter.join().expect("get does not panic"))
+        });
+        let (recorded, reused) = store.counts();
+        assert_eq!(recorded, 3, "each tuple recorded exactly once");
+        assert_eq!(made + 1 - reused, 3, "the get recorded or reused, once");
+        assert!(Arc::ptr_eq(&fetched, &store.get(&jobs[2])));
     }
 
     #[test]

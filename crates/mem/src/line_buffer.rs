@@ -8,6 +8,7 @@
 //! invalidated when a store writes overlapping bytes or when the underlying
 //! cache line leaves the cache.
 
+use crate::replacement::Replacement;
 use crate::{Addr, Cycle};
 
 #[derive(Debug, Clone, Copy)]
@@ -16,7 +17,6 @@ struct Entry {
     /// When the chunk's data is available (a buffer can be allocated by a
     /// miss whose fill is still in flight).
     data_ready: Cycle,
-    stamp: u64,
     valid: bool,
 }
 
@@ -36,7 +36,7 @@ struct Entry {
 pub struct LineBufferFile {
     entries: Vec<Entry>,
     width_bytes: u64,
-    clock: u64,
+    lru: Replacement,
     hits: u64,
 }
 
@@ -57,13 +57,12 @@ impl LineBufferFile {
                 Entry {
                     chunk_addr: 0,
                     data_ready: 0,
-                    stamp: 0,
                     valid: false
                 };
                 entries
             ],
             width_bytes,
-            clock: 0,
+            lru: Replacement::new(1, entries),
             hits: 0,
         }
     }
@@ -85,15 +84,17 @@ impl LineBufferFile {
         if !addr.fits_in_block(bytes, self.width_bytes) {
             return None;
         }
-        let chunk = addr.align_down(self.width_bytes).get();
-        let entry = self
-            .entries
-            .iter_mut()
-            .find(|e| e.valid && e.chunk_addr == chunk)?;
-        self.clock += 1;
-        entry.stamp = self.clock;
+        let way = self.position(addr.align_down(self.width_bytes).get())?;
+        self.lru.touch(0, way);
         self.hits += 1;
-        Some(entry.data_ready)
+        Some(self.entries[way].data_ready)
+    }
+
+    /// The valid buffer holding `chunk`, if any.
+    fn position(&self, chunk: u64) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|e| e.valid && e.chunk_addr == chunk)
     }
 
     /// Capture the chunk at `chunk_addr` (already aligned by the caller),
@@ -110,28 +111,20 @@ impl LineBufferFile {
             0,
             "caller aligns chunks"
         );
-        self.clock += 1;
         let chunk = chunk_addr.get();
-        if let Some(entry) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.valid && e.chunk_addr == chunk)
-        {
-            entry.stamp = self.clock;
+        if let Some(way) = self.position(chunk) {
+            self.lru.touch(0, way);
+            let entry = &mut self.entries[way];
             entry.data_ready = entry.data_ready.min(data_ready);
             return;
         }
-        let slot = self
-            .entries
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.stamp } else { 0 })
-            .expect("nonempty checked above");
-        *slot = Entry {
+        let way = self.lru.victim(0);
+        self.entries[way] = Entry {
             chunk_addr: chunk,
             data_ready,
-            stamp: self.clock,
             valid: true,
         };
+        self.lru.touch(0, way);
     }
 
     /// Invalidate every buffer overlapping the `bytes`-wide range at
@@ -142,9 +135,10 @@ impl LineBufferFile {
         let end = start.saturating_add(bytes);
         let width = self.width_bytes;
         let mut dropped = 0;
-        for entry in &mut self.entries {
+        for (way, entry) in self.entries.iter_mut().enumerate() {
             if entry.valid && entry.chunk_addr < end && start < entry.chunk_addr + width {
                 entry.valid = false;
+                self.lru.forget(0, way);
                 dropped += 1;
             }
         }
@@ -156,6 +150,7 @@ impl LineBufferFile {
         for entry in &mut self.entries {
             entry.valid = false;
         }
+        self.lru.forget_all();
     }
 
     /// Buffers currently valid.

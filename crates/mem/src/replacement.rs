@@ -1,8 +1,10 @@
-//! Within-set LRU replacement.
+//! LRU replacement, shared by the caches (one set per index) and the
+//! fully associative TLB, line-buffer file and victim cache (one set).
 
-/// LRU state for a whole cache: one recency stamp per way, in one flat
-/// `sets × ways` array indexed like the cache's tag array, plus the
-/// clock that issues the stamps.
+/// LRU state for a whole structure: one recency stamp per way, in one
+/// flat `sets × ways` array indexed like the structure's entries, plus
+/// the clock that issues the stamps. Stamp 0 means never touched (or
+/// forgotten): such a way is chosen before any touched way.
 #[derive(Debug, Clone)]
 pub(crate) struct Replacement {
     ways: usize,
@@ -27,8 +29,18 @@ impl Replacement {
         self.stamps[set * self.ways + way] = self.clock;
     }
 
-    /// Choose a victim way in `set` (all ways full): the least recently
-    /// touched, the first way on ties.
+    /// Mark `way` of `set` invalid, so it reads as never touched.
+    pub(crate) fn forget(&mut self, set: usize, way: usize) {
+        self.stamps[set * self.ways + way] = 0;
+    }
+
+    /// Forget every way of every set.
+    pub(crate) fn forget_all(&mut self) {
+        self.stamps.fill(0);
+    }
+
+    /// Choose a victim way in `set`: the least recently touched (a
+    /// forgotten way first), the first way on ties.
     pub(crate) fn victim(&self, set: usize) -> usize {
         self.stamps[set * self.ways..(set + 1) * self.ways]
             .iter()
@@ -56,5 +68,11 @@ mod tests {
         // Set 0 is untouched by set 1's traffic: all stamps tie at 0 and
         // the first way wins.
         assert_eq!(r.victim(0), 0);
+        // A forgotten way goes first; the first of several wins.
+        r.forget(1, 3);
+        r.forget(1, 2);
+        assert_eq!(r.victim(1), 2);
+        r.forget_all();
+        assert_eq!(r.victim(1), 0);
     }
 }

@@ -8,6 +8,7 @@
 //! `EXPERIMENTS.md` ran without it — and enabled through
 //! [`TlbConfig::entries`] for the TLB-sensitivity extension experiment.
 
+use crate::replacement::Replacement;
 use crate::{Addr, Cycle};
 
 /// TLB provisioning.
@@ -44,13 +45,6 @@ impl TlbConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct TlbEntry {
-    page: u64,
-    stamp: u64,
-    valid: bool,
-}
-
 /// A fully associative, LRU-replaced TLB.
 ///
 /// ```
@@ -63,8 +57,9 @@ struct TlbEntry {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    entries: Vec<TlbEntry>,
-    clock: u64,
+    /// The mapped page per entry; `None` when the entry is invalid.
+    pages: Vec<Option<u64>>,
+    lru: Replacement,
     hits: u64,
     misses: u64,
 }
@@ -82,15 +77,8 @@ impl Tlb {
         );
         Tlb {
             config,
-            entries: vec![
-                TlbEntry {
-                    page: 0,
-                    stamp: 0,
-                    valid: false
-                };
-                config.entries
-            ],
-            clock: 0,
+            pages: vec![None; config.entries],
+            lru: Replacement::new(1, config.entries),
             hits: 0,
             misses: 0,
         }
@@ -100,39 +88,26 @@ impl Tlb {
     /// (0 on a hit or when the TLB is disabled; the refill penalty on a
     /// miss, which also installs the mapping).
     pub fn access(&mut self, addr: Addr) -> Cycle {
-        if self.entries.is_empty() {
+        if self.pages.is_empty() {
             return 0;
         }
         let page = addr.get() / self.config.page_bytes;
-        self.clock += 1;
-        if let Some(entry) = self
-            .entries
-            .iter_mut()
-            .find(|entry| entry.valid && entry.page == page)
-        {
-            entry.stamp = self.clock;
+        if let Some(way) = self.pages.iter().position(|&held| held == Some(page)) {
+            self.lru.touch(0, way);
             self.hits += 1;
             return 0;
         }
         self.misses += 1;
-        let victim = self
-            .entries
-            .iter_mut()
-            .min_by_key(|entry| if entry.valid { entry.stamp } else { 0 })
-            .expect("nonempty checked above");
-        *victim = TlbEntry {
-            page,
-            stamp: self.clock,
-            valid: true,
-        };
+        let way = self.lru.victim(0);
+        self.pages[way] = Some(page);
+        self.lru.touch(0, way);
         self.config.miss_penalty
     }
 
     /// Drop every mapping (an address-space switch).
     pub fn flush(&mut self) {
-        for entry in &mut self.entries {
-            entry.valid = false;
-        }
+        self.pages.fill(None);
+        self.lru.forget_all();
     }
 
     /// Lifetime hits.

@@ -7,13 +7,13 @@
 //! caches, and a useful companion to the port techniques (it reduces the
 //! misses the ports would otherwise idle on). Disabled by default.
 
+use crate::replacement::Replacement;
 use crate::{Addr, Cycle};
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     line_addr: u64,
     dirty: bool,
-    stamp: u64,
     valid: bool,
 }
 
@@ -21,7 +21,7 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct VictimCache {
     slots: Vec<Slot>,
-    clock: u64,
+    lru: Replacement,
     hits: u64,
 }
 
@@ -33,12 +33,11 @@ impl VictimCache {
                 Slot {
                     line_addr: 0,
                     dirty: false,
-                    stamp: 0,
                     valid: false
                 };
                 entries
             ],
-            clock: 0,
+            lru: Replacement::new(1, entries),
             hits: 0,
         }
     }
@@ -46,13 +45,18 @@ impl VictimCache {
     /// Remove and return the line containing `addr`, if buffered. The
     /// returned flag is the line's dirtiness.
     pub fn take(&mut self, line: Addr) -> Option<bool> {
-        let slot = self
-            .slots
-            .iter_mut()
-            .find(|slot| slot.valid && slot.line_addr == line.get())?;
-        slot.valid = false;
+        let way = self.position(line)?;
+        self.slots[way].valid = false;
+        self.lru.forget(0, way);
         self.hits += 1;
-        Some(slot.dirty)
+        Some(self.slots[way].dirty)
+    }
+
+    /// The valid slot holding `line`, if any.
+    fn position(&self, line: Addr) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|slot| slot.valid && slot.line_addr == line.get())
     }
 
     /// Buffer an evicted line. Returns a displaced `(line_addr, dirty)`
@@ -62,29 +66,21 @@ impl VictimCache {
             // No victim cache: the line passes straight through.
             return Some((line.get(), dirty));
         }
-        self.clock += 1;
         // Re-inserting a resident line just refreshes it.
-        if let Some(slot) = self
-            .slots
-            .iter_mut()
-            .find(|slot| slot.valid && slot.line_addr == line.get())
-        {
-            slot.dirty |= dirty;
-            slot.stamp = self.clock;
+        if let Some(way) = self.position(line) {
+            self.slots[way].dirty |= dirty;
+            self.lru.touch(0, way);
             return None;
         }
-        let slot = self
-            .slots
-            .iter_mut()
-            .min_by_key(|slot| if slot.valid { slot.stamp } else { 0 })
-            .expect("nonempty checked above");
+        let way = self.lru.victim(0);
+        let slot = &mut self.slots[way];
         let displaced = slot.valid.then_some((slot.line_addr, slot.dirty));
         *slot = Slot {
             line_addr: line.get(),
             dirty,
-            stamp: self.clock,
             valid: true,
         };
+        self.lru.touch(0, way);
         displaced
     }
 

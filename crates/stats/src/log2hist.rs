@@ -18,7 +18,7 @@ const LIMIT_BITS: u32 = EXACT_LIMIT.trailing_zeros(); // 6
 /// `LIMIT_BITS + 1 ..= 64`).
 const LOG_BUCKETS: usize = (64 - LIMIT_BITS) as usize;
 
-/// A histogram with exact buckets below [`EXACT_LIMIT`] and log2-width
+/// A histogram with exact buckets below `EXACT_LIMIT` (64) and log2-width
 /// buckets above, covering the full `u64` range in fixed space.
 ///
 /// This is the latency-distribution counterpart to the dense

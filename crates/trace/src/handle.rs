@@ -24,7 +24,7 @@ use std::cell::RefCell;
 #[cfg(feature = "capture")]
 use std::rc::Rc;
 
-/// A cheap, clonable reference to a shared [`Tracer`] ring — or an inert
+/// A cheap, clonable reference to a shared [`Tracer`](crate::Tracer) ring — or an inert
 /// stand-in, depending on build mode and construction. Clones share the
 /// same ring, which is how the cpu and mem sides interleave into one
 /// chronological stream.

@@ -244,7 +244,7 @@ pub mod strategy {
         }
     }
 
-    /// Weighted choice between strategies ([`prop_oneof!`]).
+    /// Weighted choice between strategies ([`prop_oneof!`](crate::prop_oneof)).
     pub struct Union<V> {
         arms: Vec<(u32, Rc<dyn DynStrategy<V>>)>,
     }
@@ -501,7 +501,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Acceptable size arguments for [`vec`]: an exact length or a
+    /// Acceptable size arguments for [`vec()`]: an exact length or a
     /// half-open range.
     pub trait IntoSizeRange {
         /// Inclusive minimum and maximum lengths.

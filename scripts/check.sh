@@ -15,6 +15,11 @@ cargo fmt --check
 echo "== cargo clippy --workspace -D warnings" >&2
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Every intra-doc link must resolve to a public item: a broken link is
+# a doc that points nowhere.
+echo "== docs: cargo doc --workspace --no-deps, warnings denied" >&2
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier-1: cargo build --release && cargo test" >&2
 cargo build --release
 cargo test -q

@@ -2,9 +2,10 @@
 //! trace written to bytes and parsed back must be bit-identical to
 //! timing the live emulator.
 
+use cpe::exec::fnv1a64;
 use cpe::isa::replay::{parse_recorded, write_recorded, RecordedTrace};
 use cpe::workloads::{Scale, Workload};
-use cpe::{SimConfig, Simulator};
+use cpe::{RecordedWorkload, SimConfig, Simulator};
 
 /// `workload`'s whole committed path, through a CPER byte buffer.
 fn file_roundtrip(workload: Workload) -> RecordedTrace {
@@ -59,4 +60,27 @@ fn trace_files_round_trip_kernel_mode() {
         .count();
     assert_eq!(kernel_records, kernel_live);
     assert!(kernel_records > 0);
+}
+
+#[test]
+fn cper_bytes_are_pinned() {
+    // Test scale under `cpe sweep`'s default 20k window, recorded as a
+    // replay sweep records it (window plus headroom). `pmake` carries
+    // kernel records. A change to the dictionary order or the encoding
+    // moves these numbers.
+    for (workload, len, digest) in [
+        (Workload::Compress, 50_710, 0xec7b_72fa_2926_83f1),
+        (Workload::Pmake, 105_888, 0xcf05_49ed_a20b_97c3),
+    ] {
+        let recorded = RecordedWorkload::record(workload, Scale::Test, Some(20_000));
+        let mut bytes = Vec::new();
+        write_recorded(&mut bytes, recorded.trace()).unwrap();
+        assert_eq!(
+            (bytes.len(), fnv1a64(&bytes)),
+            (len, digest),
+            "{workload}: {} bytes, digest {:#018x}",
+            bytes.len(),
+            fnv1a64(&bytes)
+        );
+    }
 }
