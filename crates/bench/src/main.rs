@@ -6,28 +6,28 @@
 //! reproduce [ID...]      # IDs from DESIGN.md's experiment index; none = all
 //! ```
 //!
-//! Every configs × workloads grid is a [`SweepPlan`] on the replay
-//! backend, run on all cores through one [`ResultCache`] in a fresh
-//! temporary directory that the whole run shares and that is removed at
-//! exit. A cell several experiments share (the 2-port reference, the
-//! combined preset) is simulated once, and no result outlives the run
-//! that computed it. F6's OS-intensity sweep and X2's user-only vs
-//! with-OS study run custom OS-injected traces that no `Workload` names,
-//! so they call [`Simulator::try_run_trace`] directly.
+//! Each experiment is data: its configs × workloads grids, as
+//! [`SweepPlan`]s on the replay backend, and a report that prints its
+//! banner, tables and verdict from their results. The selected
+//! experiments' grids run as one batch ([`SweepPlan::run_all`], all
+//! cores, no result cache), so each workload is recorded once and a cell
+//! several experiments share is simulated once. F6's OS-intensity rows
+//! and X2's user-only vs with-OS study run OS-injected traces that no
+//! `Workload` names, so their reports call [`Simulator::try_run_trace`].
 //!
 //! A failed cell prints `FAILED(<kind>)` where its number would be.
 //! Each experiment but T1 ends in a `SHAPE OK` or `SHAPE DEVIATION`
 //! verdict; the exit status is 1 when any verdict deviates, 2 for an
 //! unknown ID or a failed write to stdout, 0 otherwise. stderr carries
-//! one footer per grid, prefixed with its experiment's ID.
+//! the batch's footer, then the verdict tally, which names each
+//! deviating experiment.
 
 use std::io::Write;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use cpe_core::{BackendKind, RunSummary, SimConfig, SimError, Simulator};
 use cpe_cpu::DirPredictorKind;
-use cpe_exec::{ResultCache, SweepPlan, SweepResults};
+use cpe_exec::{SweepPlan, SweepResults};
 use cpe_isa::{Emulator, Mode};
 use cpe_mem::{CacheGeometry, TlbConfig, WritePolicy};
 use cpe_stats::Table;
@@ -60,47 +60,42 @@ static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
 /// A reader that stops early (`reproduce | head`) is not an error: the
 /// rest of the transcript is dropped quietly and the run still exits
 /// with its verdict status. Any other write failure exits 2 after a
-/// one-line diagnosis, removing the result cache first.
+/// one-line diagnosis.
 fn stdout_failed(error: std::io::Error) {
     if error.kind() == std::io::ErrorKind::BrokenPipe {
         STDOUT_CLOSED.store(true, Ordering::Relaxed);
         return;
     }
     eprintln!("cannot write to stdout: {error}");
-    let _ = std::fs::remove_dir_all(cache_dir());
     std::process::exit(2);
 }
 
-/// This run's result-cache directory, removed at exit.
-fn cache_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("cpe-reproduce-{}", std::process::id()))
-}
+type Grids = fn() -> Vec<SweepPlan>;
+type Report = fn(&[SweepResults], &mut Verdicts);
 
-/// An experiment: it prints its banner, tables and verdict.
-type Experiment = fn(&mut Reproduction);
-
-/// Every experiment by ID, in transcript order.
-const EXPERIMENTS: [(&str, Experiment); 20] = [
-    ("T1", t1_config),
-    ("T2", t2_workloads),
-    ("F1", f1_ports),
-    ("F2", f2_store_buffer),
-    ("F3", f3_wide_port),
-    ("F4", f4_line_buffers),
-    ("F5", f5_headline),
-    ("F6", f6_os_breakdown),
-    ("F7", f7_issue_width),
-    ("T3", t3_port_util),
-    ("T4", t4_ablation),
-    ("X1", x1_prefetch),
-    ("X2", x2_bpred),
-    ("X3", x3_tlb),
-    ("X4", x4_banking),
-    ("X5", x5_victim),
-    ("X6", x6_write_policy),
-    ("X7", x7_cache_size),
-    ("X8", x8_memory_latency),
-    ("X9", x9_wrong_path),
+/// Every experiment by ID, in transcript order, with the grids it needs
+/// and the report that prints its banner, tables and verdict from them.
+const EXPERIMENTS: [(&str, Grids, Report); 20] = [
+    ("T1", Vec::new, t1_config),
+    ("T2", t2_grids, t2_workloads),
+    ("F1", f1_grids, f1_ports),
+    ("F2", f2_grids, f2_store_buffer),
+    ("F3", f3_grids, f3_wide_port),
+    ("F4", f4_grids, f4_line_buffers),
+    ("F5", f5_grids, f5_headline),
+    ("F6", f6_grids, f6_os_breakdown),
+    ("F7", f7_grids, f7_issue_width),
+    ("T3", t3_grids, t3_port_util),
+    ("T4", t4_grids, t4_ablation),
+    ("X1", x1_grids, x1_prefetch),
+    ("X2", x2_grids, x2_bpred),
+    ("X3", x3_grids, x3_tlb),
+    ("X4", x4_grids, x4_banking),
+    ("X5", x5_grids, x5_victim),
+    ("X6", x6_grids, x6_write_policy),
+    ("X7", x7_grids, x7_cache_size),
+    ("X8", x8_grids, x8_memory_latency),
+    ("X9", x9_grids, x9_wrong_path),
 ];
 
 fn main() {
@@ -108,11 +103,11 @@ fn main() {
     for arg in std::env::args().skip(1) {
         match EXPERIMENTS
             .iter()
-            .find(|(id, _)| id.eq_ignore_ascii_case(&arg))
+            .find(|(id, ..)| id.eq_ignore_ascii_case(&arg))
         {
-            Some(&experiment) => selected.push(experiment),
+            Some(experiment) => selected.push(experiment),
             None => {
-                let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+                let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
                 eprintln!("reproduce: unknown experiment `{arg}`");
                 eprintln!("usage: reproduce [ID...]   (IDs: {})", ids.join(" "));
                 std::process::exit(2);
@@ -120,26 +115,36 @@ fn main() {
         }
     }
     if selected.is_empty() {
-        selected = EXPERIMENTS.to_vec();
+        selected = EXPERIMENTS.iter().collect();
     }
-    let mut run = Reproduction::new();
-    for (id, experiment) in selected {
-        run.id = id;
-        experiment(&mut run);
+    let grids: Vec<Vec<SweepPlan>> = selected.iter().map(|(_, grids, _)| grids()).collect();
+    let cells: usize = grids.iter().flatten().map(|plan| plan.jobs().len()).sum();
+    let results = SweepPlan::run_all(&grids.concat(), 0, None, None)
+        .expect("every grid has configurations and workloads");
+    if let Some(batch) = results.first() {
+        eprintln!("reproduce: {cells} grid cells as {}", batch.stats);
+    }
+    let mut verdicts = Verdicts::default();
+    let mut results = results.as_slice();
+    for (&(id, _, report), grids) in selected.iter().zip(&grids) {
+        let (mine, rest) = results.split_at(grids.len());
+        results = rest;
+        verdicts.id = id;
+        report(mine, &mut verdicts);
         outln!();
     }
-    let status = run.verdicts.exit_status();
-    eprintln!("{}", run.verdicts);
-    // Exiting skips destructors: remove the cache first.
-    drop(run);
-    std::process::exit(status);
+    eprintln!("{verdicts}");
+    std::process::exit(verdicts.exit_status());
 }
 
 /// The tally of shape verdicts, which decides the exit status.
 #[derive(Debug, Default)]
 struct Verdicts {
     ok: usize,
-    deviations: usize,
+    /// The ID of each experiment whose verdict deviated.
+    deviated: Vec<&'static str>,
+    /// The experiment reporting now.
+    id: &'static str,
 }
 
 impl Verdicts {
@@ -149,68 +154,36 @@ impl Verdicts {
             self.ok += 1;
             outln!("\nSHAPE OK: {message}");
         } else {
-            self.deviations += 1;
+            self.deviated.push(self.id);
             outln!("\nSHAPE DEVIATION: {message}");
         }
     }
 
     /// 1 when any verdict deviated, else 0.
     fn exit_status(&self) -> i32 {
-        i32::from(self.deviations > 0)
+        i32::from(!self.deviated.is_empty())
     }
 }
 
 impl std::fmt::Display for Verdicts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} shape check(s) OK, {} deviation(s)",
-            self.ok, self.deviations
-        )
-    }
-}
-
-/// One run of the binary: the shared result cache, the verdicts, and
-/// the ID of the experiment running.
-struct Reproduction {
-    cache: ResultCache,
-    verdicts: Verdicts,
-    id: &'static str,
-}
-
-impl Reproduction {
-    fn new() -> Reproduction {
-        let dir = cache_dir();
-        // A directory left behind by a killed run with a recycled pid
-        // must not serve this one.
-        let _ = std::fs::remove_dir_all(&dir);
-        Reproduction {
-            cache: ResultCache::new(dir),
-            verdicts: Verdicts::default(),
-            id: "",
+        let (ok, deviated) = (self.ok, self.deviated.len());
+        write!(f, "{ok} shape check(s) OK, {deviated} deviation(s)")?;
+        if deviated > 0 {
+            write!(f, ": {}", self.deviated.join(", "))?;
         }
-    }
-
-    /// Run `configs` × `workloads` on every core through the shared cache.
-    fn grid(&self, configs: Vec<SimConfig>, workloads: &[Workload]) -> SweepResults {
-        let plan = SweepPlan {
-            configs,
-            workloads: workloads.to_vec(),
-            scale: SCALE,
-            max_insts: WINDOW,
-            backend: BackendKind::Replay,
-        };
-        let results = plan
-            .run(0, Some(&self.cache))
-            .expect("every grid has configurations and workloads");
-        eprintln!("{}: {}", self.id, results.stats);
-        results
+        Ok(())
     }
 }
 
-impl Drop for Reproduction {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(self.cache.dir());
+/// `configs` × `workloads` at the reproduction's scale and window.
+fn grid(configs: impl IntoIterator<Item = SimConfig>, workloads: &[Workload]) -> SweepPlan {
+    SweepPlan {
+        configs: configs.into_iter().collect(),
+        workloads: workloads.to_vec(),
+        scale: SCALE,
+        max_insts: WINDOW,
+        backend: BackendKind::Replay,
     }
 }
 
@@ -226,6 +199,12 @@ fn banner(id: &str, title: &str, reconstructs: &str) {
 fn emit(caption: &str, table: &Table) {
     outln!("\n## {caption}\n");
     outln!("{table}");
+}
+
+/// The IPC table, then IPC relative to the `reference` column.
+fn emit_ipc(results: &SweepResults, caption: &str, reference: usize) {
+    emit("IPC", &results.ipc_table());
+    emit(caption, &results.relative_table(reference));
 }
 
 /// A `cpu` or `mem` counter of one cell per 1000 committed instructions.
@@ -288,7 +267,7 @@ fn pmake_with(os: OsConfig) -> OsInjector<Emulator> {
 
 /// T1 — the simulated-machine parameter table, read from the live default
 /// configuration so it can never drift from what the simulator runs.
-fn t1_config(_: &mut Reproduction) {
+fn t1_config(_: &[SweepResults], _: &mut Verdicts) {
     banner(
         "T1",
         "simulated machine parameters",
@@ -394,16 +373,20 @@ fn t1_config(_: &mut Reproduction) {
     emit("design points compared across the experiments", &designs);
 }
 
+fn t2_grids() -> Vec<SweepPlan> {
+    vec![grid(vec![SimConfig::dual_port()], &Workload::ALL)]
+}
+
 /// T2 — workload characterisation: dynamic instruction counts, reference
 /// mix, kernel share and baseline cache behaviour, measured on the
 /// dual-ported reference so it is not port-distorted.
-fn t2_workloads(run: &mut Reproduction) {
+fn t2_workloads(grids: &[SweepResults], verdicts: &mut Verdicts) {
     banner(
         "T2",
         "workload characterisation",
         "the paper's application table (instruction counts, reference mix, kernel share)",
     );
-    let results = run.grid(vec![SimConfig::dual_port()], &Workload::ALL);
+    let results = &grids[0];
     let mut table = Table::new([
         "workload",
         "description",
@@ -428,7 +411,7 @@ fn t2_workloads(run: &mut Reproduction) {
             max_kernel = (workload.name(), kernel_pct);
         }
         let field = |name: &str, format: fn(f64) -> String| {
-            cell_text(&results, w, 0, results.summary_number(w, 0, name), format)
+            cell_text(results, w, 0, results.summary_number(w, 0, name), format)
         };
         table.row([
             workload.name().to_string(),
@@ -446,7 +429,7 @@ fn t2_workloads(run: &mut Reproduction) {
         "the six-workload suite (measured on the 2-port reference)",
         &table,
     );
-    run.verdicts.record(
+    verdicts.record(
         max_kernel.0 == "pmake",
         &format!(
             "the build-driver workload has the largest kernel share ({} at {:.1}%), \
@@ -456,15 +439,8 @@ fn t2_workloads(run: &mut Reproduction) {
     );
 }
 
-/// F1 — the motivation figure: a second port buys real performance, a
-/// third and fourth almost nothing.
-fn f1_ports(run: &mut Reproduction) {
-    banner(
-        "F1",
-        "IPC vs true D-cache ports (1 / 2 / 4 / 8)",
-        "the paper's motivation figure",
-    );
-    let results = run.grid(
+fn f1_grids() -> Vec<SweepPlan> {
+    vec![grid(
         vec![
             SimConfig::single_port(),
             SimConfig::dual_port(),
@@ -472,16 +448,26 @@ fn f1_ports(run: &mut Reproduction) {
             SimConfig::ideal_ports(),
         ],
         &Workload::ALL,
+    )]
+}
+
+/// F1 — the motivation figure: a second port buys real performance, a
+/// third and fourth almost nothing.
+fn f1_ports(grids: &[SweepResults], verdicts: &mut Verdicts) {
+    banner(
+        "F1",
+        "IPC vs true D-cache ports (1 / 2 / 4 / 8)",
+        "the paper's motivation figure",
     );
-    emit("IPC", &results.ipc_table());
-    emit("normalised to one port", &results.relative_table(0));
+    let results = &grids[0];
+    emit_ipc(results, "normalised to one port", 0);
     emit(
         "port utilisation",
         &results.metric_table("port util", "port_utilisation", false),
     );
     let second = results.geomean_relative(1, 0);
     let beyond = results.geomean_relative(3, 0) / second;
-    run.verdicts.record(
+    verdicts.record(
         second > 1.05 && beyond < second,
         &format!(
             "second port: {:+.1}% geomean; ports 3-8 together add only {:+.1}% — \
@@ -492,14 +478,7 @@ fn f1_ports(run: &mut Reproduction) {
     );
 }
 
-/// F2 — store-buffer depth: committed stores wait for idle port slots
-/// instead of contending with loads at commit.
-fn f2_store_buffer(run: &mut Reproduction) {
-    banner(
-        "F2",
-        "store-buffer depth sweep on the single-ported cache",
-        "the paper's 'additional buffering in the processor' (store side)",
-    );
+fn f2_grids() -> Vec<SweepPlan> {
     let mut configs = vec![SimConfig::naive_single_port().named("no SB")];
     for depth in [2usize, 4, 8, 16] {
         configs.push(
@@ -513,14 +492,20 @@ fn f2_store_buffer(run: &mut Reproduction) {
             .with_store_buffer(8, true)
             .named("SB8+comb"),
     );
-    let reference = configs.len();
     configs.push(SimConfig::dual_port());
-    let results = run.grid(configs, &Workload::ALL);
-    emit("IPC", &results.ipc_table());
-    emit(
-        "relative to the dual-ported reference",
-        &results.relative_table(reference),
+    vec![grid(configs, &Workload::ALL)]
+}
+
+/// F2 — store-buffer depth: committed stores wait for idle port slots
+/// instead of contending with loads at commit.
+fn f2_store_buffer(grids: &[SweepResults], verdicts: &mut Verdicts) {
+    banner(
+        "F2",
+        "store-buffer depth sweep on the single-ported cache",
+        "the paper's 'additional buffering in the processor' (store side)",
     );
+    let results = &grids[0];
+    emit_ipc(results, "relative to the dual-ported reference", 6);
     emit(
         "commit cycles lost to rejected stores, per kilocycle",
         &results.metric_table("store stalls/kc", "store_stall_per_kcycle", false),
@@ -529,7 +514,7 @@ fn f2_store_buffer(run: &mut Reproduction) {
     let sb2 = results.geomean_ipc(1);
     let sb8 = results.geomean_ipc(3);
     let sb16 = results.geomean_ipc(4);
-    run.verdicts.record(
+    verdicts.record(
         sb2 > none && sb8 >= sb2 && (sb16 - sb8).abs() / sb8 < 0.05,
         &format!(
             "buffering helps immediately (none {:.3} → SB2 {:.3} → SB8 {:.3}) and \
@@ -539,14 +524,7 @@ fn f2_store_buffer(run: &mut Reproduction) {
     );
 }
 
-/// F3 — port width with and without load combining: width alone does
-/// nothing for timing unless same-chunk accesses share an access.
-fn f3_wide_port(run: &mut Reproduction) {
-    banner(
-        "F3",
-        "single-port width sweep (8/16/32B) × load combining",
-        "the paper's wider-cache-port results",
-    );
+fn f3_grids() -> Vec<SweepPlan> {
     // The same 8-entry combining store buffer everywhere isolates the
     // width/combining effect on the load side.
     let base = |width: u64, combining: bool| {
@@ -554,7 +532,7 @@ fn f3_wide_port(run: &mut Reproduction) {
             .with_store_buffer(8, true)
             .with_wide_port(width, combining)
     };
-    let results = run.grid(
+    vec![grid(
         vec![
             base(8, false).named("8B"),
             base(16, false).named("16B"),
@@ -564,12 +542,19 @@ fn f3_wide_port(run: &mut Reproduction) {
             SimConfig::dual_port(),
         ],
         &Workload::ALL,
+    )]
+}
+
+/// F3 — port width with and without load combining: width alone does
+/// nothing for timing unless same-chunk accesses share an access.
+fn f3_wide_port(grids: &[SweepResults], verdicts: &mut Verdicts) {
+    banner(
+        "F3",
+        "single-port width sweep (8/16/32B) × load combining",
+        "the paper's wider-cache-port results",
     );
-    emit("IPC", &results.ipc_table());
-    emit(
-        "relative to the dual-ported reference",
-        &results.relative_table(5),
-    );
+    let results = &grids[0];
+    emit_ipc(results, "relative to the dual-ported reference", 5);
     emit(
         "fraction of loads served without a port slot",
         &results.metric_table("portless loads", "portless_load_fraction", false),
@@ -582,7 +567,7 @@ fn f3_wide_port(run: &mut Reproduction) {
     let wide_only = results.geomean_ipc(1);
     let wide_combining = results.geomean_ipc(2);
     let wider_combining = results.geomean_ipc(4);
-    run.verdicts.record(
+    verdicts.record(
         wide_combining > wide_only
             && wide_combining > narrow
             && wider_combining >= wide_combining * 0.98,
@@ -594,14 +579,7 @@ fn f3_wide_port(run: &mut Reproduction) {
     );
 }
 
-/// F4 — line buffers ("load all"): a port access deposits its chunk in a
-/// small buffer file, and later loads hitting a buffer use no port.
-fn f4_line_buffers(run: &mut Reproduction) {
-    banner(
-        "F4",
-        "line-buffer count sweep (0/1/2/4/8 × 16B, plus 4 × 32B)",
-        "the paper's 'load all data at an index' technique",
-    );
+fn f4_grids() -> Vec<SweepPlan> {
     let base = || SimConfig::naive_single_port().with_store_buffer(8, true);
     let mut configs = vec![base().named("no LB")];
     for count in [1usize, 2, 4, 8] {
@@ -612,14 +590,20 @@ fn f4_line_buffers(run: &mut Reproduction) {
         );
     }
     configs.push(base().with_line_buffers(4, 32).named("LB4x32B"));
-    let reference = configs.len();
     configs.push(SimConfig::dual_port());
-    let results = run.grid(configs, &Workload::ALL);
-    emit("IPC", &results.ipc_table());
-    emit(
-        "relative to the dual-ported reference",
-        &results.relative_table(reference),
+    vec![grid(configs, &Workload::ALL)]
+}
+
+/// F4 — line buffers ("load all"): a port access deposits its chunk in a
+/// small buffer file, and later loads hitting a buffer use no port.
+fn f4_line_buffers(grids: &[SweepResults], verdicts: &mut Verdicts) {
+    banner(
+        "F4",
+        "line-buffer count sweep (0/1/2/4/8 × 16B, plus 4 × 32B)",
+        "the paper's 'load all data at an index' technique",
     );
+    let results = &grids[0];
+    emit_ipc(results, "relative to the dual-ported reference", 6);
     emit(
         "fraction of loads served by a line buffer",
         &results.table_with("LB loads", |w, c| {
@@ -633,7 +617,7 @@ fn f4_line_buffers(run: &mut Reproduction) {
     let four = results.geomean_ipc(3);
     let eight = results.geomean_ipc(4);
     let wide = results.geomean_ipc(5);
-    run.verdicts.record(
+    verdicts.record(
         one > none && four >= one && (eight - four).abs() / four < 0.04 && wide >= four,
         &format!(
             "the first buffer matters most ({none:.3} → {one:.3}), returns flatten by \
@@ -643,15 +627,8 @@ fn f4_line_buffers(run: &mut Reproduction) {
     );
 }
 
-/// F5 — the headline: "our techniques using a single-ported cache
-/// achieve 91% of the performance of a dual-ported cache."
-fn f5_headline(run: &mut Reproduction) {
-    banner(
-        "F5",
-        "combined single-port techniques vs the dual-ported cache",
-        "the paper's headline 91% claim",
-    );
-    let results = run.grid(
+fn f5_grids() -> Vec<SweepPlan> {
+    vec![grid(
         vec![
             SimConfig::naive_single_port(),
             SimConfig::single_port(),
@@ -659,12 +636,19 @@ fn f5_headline(run: &mut Reproduction) {
             SimConfig::dual_port(),
         ],
         &Workload::ALL,
+    )]
+}
+
+/// F5 — the headline: "our techniques using a single-ported cache
+/// achieve 91% of the performance of a dual-ported cache."
+fn f5_headline(grids: &[SweepResults], verdicts: &mut Verdicts) {
+    banner(
+        "F5",
+        "combined single-port techniques vs the dual-ported cache",
+        "the paper's headline 91% claim",
     );
-    emit("IPC", &results.ipc_table());
-    emit(
-        "relative to the dual-ported cache",
-        &results.relative_table(3),
-    );
+    let results = &grids[0];
+    emit_ipc(results, "relative to the dual-ported cache", 3);
     emit(
         "fraction of loads served without a port slot",
         &results.metric_table("portless loads", "portless_load_fraction", false),
@@ -679,7 +663,7 @@ fn f5_headline(run: &mut Reproduction) {
         plain * 100.0,
         combined * 100.0
     );
-    run.verdicts.record(
+    verdicts.record(
         naive < plain && plain < combined && combined > 0.85,
         &format!(
             "ordering naive < buffered < combined holds and the combined design \
@@ -690,9 +674,20 @@ fn f5_headline(run: &mut Reproduction) {
     );
 }
 
+fn f6_grids() -> Vec<SweepPlan> {
+    vec![grid(
+        vec![
+            SimConfig::naive_single_port(),
+            SimConfig::combined_single_port(),
+            SimConfig::dual_port(),
+        ],
+        &[Workload::Pmake, Workload::Db],
+    )]
+}
+
 /// F6 — user vs kernel: how the techniques behave in kernel mode, and
 /// how the picture changes with OS intensity.
-fn f6_os_breakdown(run: &mut Reproduction) {
+fn f6_os_breakdown(grids: &[SweepResults], verdicts: &mut Verdicts) {
     banner(
         "F6",
         "user vs kernel breakdown of the headline configs",
@@ -700,14 +695,7 @@ fn f6_os_breakdown(run: &mut Reproduction) {
     );
     // Part 1: per-mode IPC of the three headline machines on the two
     // OS-visible workloads.
-    let configs = vec![
-        SimConfig::naive_single_port(),
-        SimConfig::combined_single_port(),
-        SimConfig::dual_port(),
-    ];
-    let names: Vec<String> = configs.iter().map(|c| c.name.clone()).collect();
-    let workloads = [Workload::Pmake, Workload::Db];
-    let results = run.grid(configs, &workloads);
+    let results = &grids[0];
     let mut table = Table::new([
         "workload",
         "config",
@@ -716,22 +704,21 @@ fn f6_os_breakdown(run: &mut Reproduction) {
         "kernel IPC",
         "kernel cycles %",
     ]);
-    for (w, workload) in workloads.iter().enumerate() {
-        for (c, name) in names.iter().enumerate() {
-            let field = |name: &str| {
-                cell_text(&results, w, c, results.summary_number(w, c, name), fixed(3))
-            };
+    for (w, workload) in results.plan().workloads.iter().enumerate() {
+        for (c, config) in results.plan().configs.iter().enumerate() {
+            let field =
+                |name: &str| cell_text(results, w, c, results.summary_number(w, c, name), fixed(3));
             let kernel_cycles = results
                 .cell_number(w, c, &["counters", "cpu", "kernel_cycles"])
                 .zip(results.cell_number(w, c, &["counters", "cpu", "cycles"]))
                 .map(|(kernel, cycles)| kernel * 100.0 / cycles.max(1.0));
             table.row([
                 workload.name().to_string(),
-                name.clone(),
+                config.name.clone(),
                 field("ipc"),
                 field("user_ipc"),
                 field("kernel_ipc"),
-                cell_text(&results, w, c, kernel_cycles, fixed(1)),
+                cell_text(results, w, c, kernel_cycles, fixed(1)),
             ]);
         }
     }
@@ -763,7 +750,7 @@ fn f6_os_breakdown(run: &mut Reproduction) {
         sweep.row(row);
     }
     emit("OS-intensity sweep (combined single-port design)", &sweep);
-    run.verdicts.record(
+    verdicts.record(
         combined >= naive && dual > 0.0,
         &format!(
             "kernel-mode execution also benefits from the techniques \
@@ -773,65 +760,40 @@ fn f6_os_breakdown(run: &mut Reproduction) {
     );
 }
 
-/// The naive, combined and 2-port presets rebuilt by `vary`, with the
-/// given column names.
-fn headline_configs(vary: impl Fn(SimConfig) -> SimConfig, names: [&str; 3]) -> Vec<SimConfig> {
-    [
-        SimConfig::naive_single_port(),
-        SimConfig::combined_single_port(),
-        SimConfig::dual_port(),
-    ]
-    .into_iter()
-    .zip(names)
-    .map(|(config, name)| vary(config).named(name))
-    .collect()
+fn f7_grids() -> Vec<SweepPlan> {
+    headline_grids(
+        &[2, 4, 8],
+        ["1-port naive", "1-port combined", "2-port"],
+        SimConfig::with_issue_width,
+    )
 }
 
 /// F7 — superscalar width: the wider the machine, the more a single naive
 /// port costs, while the combined techniques track the dual port.
-fn f7_issue_width(run: &mut Reproduction) {
+fn f7_issue_width(grids: &[SweepResults], verdicts: &mut Verdicts) {
     banner(
         "F7",
         "issue-width sensitivity (2 / 4 / 8-wide) × headline configs",
         "the paper's machine-width scaling analysis",
     );
-    let mut summary_table = Table::new([
-        "width",
-        "naive 1-port",
-        "combined 1-port",
-        "2-port",
-        "naive/dual",
-        "combined/dual",
-    ]);
-    let mut gaps = Vec::new();
-    for width in [2u32, 4, 8] {
-        let results = run.grid(
-            headline_configs(
-                |config| config.with_issue_width(width),
-                ["1-port naive", "1-port combined", "2-port"],
-            ),
-            &Workload::ALL,
-        );
-        let naive_rel = results.geomean_relative(0, 2);
-        let combined_rel = results.geomean_relative(1, 2);
-        gaps.push((naive_rel, combined_rel));
-        summary_table.row([
-            format!("{width}-wide"),
-            format!("{:.3}", results.geomean_ipc(0)),
-            format!("{:.3}", results.geomean_ipc(1)),
-            format!("{:.3}", results.geomean_ipc(2)),
-            format!("{naive_rel:.3}"),
-            format!("{combined_rel:.3}"),
-        ]);
+    for results in grids {
+        let width = results.plan().configs[0].cpu.issue_width;
         emit(
             &format!("{width}-wide machine: IPC per workload"),
             &results.ipc_table(),
         );
     }
-    emit("geomean summary across widths", &summary_table);
-    let narrow_gap = 1.0 - gaps[0].0;
-    let wide_gap = 1.0 - gaps[2].0;
-    run.verdicts.record(
+    emit(
+        "geomean summary across widths",
+        &headline_summary(
+            ["width", "naive 1-port", "combined 1-port"],
+            grids,
+            |config| format!("{}-wide", config.cpu.issue_width),
+        ),
+    );
+    let narrow_gap = 1.0 - grids[0].geomean_relative(0, 2);
+    let wide_gap = 1.0 - grids[2].geomean_relative(0, 2);
+    verdicts.record(
         wide_gap > narrow_gap,
         &format!(
             "the naive single-port penalty grows with machine width \
@@ -840,26 +802,32 @@ fn f7_issue_width(run: &mut Reproduction) {
              problem exactly as the paper projects",
             narrow_gap * 100.0,
             wide_gap * 100.0,
-            (1.0 - gaps[2].1) * 100.0
+            (1.0 - grids[2].geomean_relative(1, 2)) * 100.0
         ),
     );
 }
 
+fn t3_grids() -> Vec<SweepPlan> {
+    vec![grid(
+        vec![
+            SimConfig::naive_single_port(),
+            SimConfig::combined_single_port(),
+        ],
+        &Workload::ALL,
+    )]
+}
+
 /// T3 — the mechanism table: where loads were satisfied, how busy the
 /// port was, and how many stores merged.
-fn t3_port_util(run: &mut Reproduction) {
+fn t3_port_util(grids: &[SweepResults], verdicts: &mut Verdicts) {
     banner(
         "T3",
         "port utilisation and load-source accounting",
         "the paper's technique-mechanism breakdown",
     );
-    let configs = vec![
-        SimConfig::naive_single_port(),
-        SimConfig::combined_single_port(),
-    ];
-    let names: Vec<String> = configs.iter().map(|c| c.name.clone()).collect();
-    let results = run.grid(configs, &Workload::ALL);
-    for (c, label) in names.iter().enumerate() {
+    let results = &grids[0];
+    for (c, config) in results.plan().configs.iter().enumerate() {
+        let label = &config.name;
         let mut table = Table::new([
             "workload",
             "port util %",
@@ -881,7 +849,7 @@ fn t3_port_util(run: &mut Reproduction) {
             let loads = mem(&["loads"]).map(|loads| loads.max(1.0));
             let share = |counters: &[&str]| {
                 let value = mem(counters).zip(loads).map(|(n, loads)| n * 100.0 / loads);
-                cell_text(&results, w, c, value, fixed(1))
+                cell_text(results, w, c, value, fixed(1))
             };
             let retries = mem(&["load_no_port", "load_mshr_full", "load_sb_conflicts"])
                 .zip(results.summary_number(w, c, "insts"))
@@ -889,15 +857,8 @@ fn t3_port_util(run: &mut Reproduction) {
             portless_sum += results
                 .summary_number(w, c, "portless_load_fraction")
                 .unwrap_or(0.0);
-            let field = |name: &str| {
-                cell_text(
-                    &results,
-                    w,
-                    c,
-                    results.summary_number(w, c, name),
-                    percent(1),
-                )
-            };
+            let number = |name| results.summary_number(w, c, name);
+            let field = |name| cell_text(results, w, c, number(name), percent(1));
             table.row([
                 workload.name().to_string(),
                 field("port_utilisation"),
@@ -906,12 +867,12 @@ fn t3_port_util(run: &mut Reproduction) {
                 share(&["load_combined"]),
                 share(&["load_sb_forwards"]),
                 field("store_combined_fraction"),
-                cell_text(&results, w, c, retries, fixed(1)),
+                cell_text(results, w, c, retries, fixed(1)),
             ]);
         }
         emit(&format!("load sourcing under `{label}`"), &table);
         if label == "1-port combined" {
-            run.verdicts.record(
+            verdicts.record(
                 portless_sum / Workload::ALL.len() as f64 > 0.15,
                 &format!(
                     "under the combined design, {:.0}% of loads (suite average) never \
@@ -923,16 +884,9 @@ fn t3_port_util(run: &mut Reproduction) {
     }
 }
 
-/// T4 — remove-one ablation of the combined design: what each technique
-/// contributes in context.
-fn t4_ablation(run: &mut Reproduction) {
-    banner(
-        "T4",
-        "remove-one ablation of the combined single-port design",
-        "the paper's per-technique contribution analysis",
-    );
+fn t4_grids() -> Vec<SweepPlan> {
     let combined = SimConfig::combined_single_port;
-    let results = run.grid(
+    vec![grid(
         vec![
             combined(),
             combined()
@@ -951,12 +905,19 @@ fn t4_ablation(run: &mut Reproduction) {
             SimConfig::dual_port(),
         ],
         &Workload::ALL,
+    )]
+}
+
+/// T4 — remove-one ablation of the combined design: what each technique
+/// contributes in context.
+fn t4_ablation(grids: &[SweepResults], verdicts: &mut Verdicts) {
+    banner(
+        "T4",
+        "remove-one ablation of the combined single-port design",
+        "the paper's per-technique contribution analysis",
     );
-    emit("IPC", &results.ipc_table());
-    emit(
-        "relative to the dual-ported reference",
-        &results.relative_table(6),
-    );
+    let results = &grids[0];
+    emit_ipc(results, "relative to the dual-ported reference", 6);
     let all = results.geomean_ipc(0);
     let mut worst: (String, f64) = (String::new(), f64::INFINITY);
     outln!("\nper-technique contribution (geomean IPC lost when removed):");
@@ -973,7 +934,7 @@ fn t4_ablation(run: &mut Reproduction) {
             worst = (label.to_string(), without);
         }
     }
-    run.verdicts.record(
+    verdicts.record(
         worst.1 < all,
         &format!(
             "every removal costs performance; `{}` is the single most valuable \
@@ -989,25 +950,44 @@ fn variant(mut config: SimConfig, name: &str, change: impl FnOnce(&mut SimConfig
     config.named(name)
 }
 
+/// One grid of `first`, the combined and the 2-port presets, each
+/// followed by its variant under `change` named from `names`, over
+/// `workloads`: the shape of X1, X3, X6 and X9.
+fn paired_grids(
+    workloads: &[Workload],
+    first: SimConfig,
+    names: [&str; 3],
+    change: impl Fn(&mut SimConfig),
+) -> Vec<SweepPlan> {
+    let presets = [
+        first,
+        SimConfig::combined_single_port(),
+        SimConfig::dual_port(),
+    ];
+    let configs = presets
+        .into_iter()
+        .zip(names)
+        .flat_map(|(config, name)| [config.clone(), variant(config, name, &change)]);
+    vec![grid(configs, workloads)]
+}
+
+fn x1_grids() -> Vec<SweepPlan> {
+    paired_grids(
+        &Workload::EXTENDED,
+        SimConfig::single_port(),
+        ["1-port +pf", "combined +pf", "2-port +pf"],
+        |c| c.mem.next_line_prefetch = true,
+    )
+}
+
 /// X1 — tagged next-line prefetching: latency tools vs bandwidth tools.
-fn x1_prefetch(run: &mut Reproduction) {
+fn x1_prefetch(grids: &[SweepResults], verdicts: &mut Verdicts) {
     banner(
         "X1 (extension)",
         "next-line prefetching × port configurations",
         "a follow-on the paper leaves open: latency tools vs bandwidth tools",
     );
-    let prefetch = |config, name| variant(config, name, |c| c.mem.next_line_prefetch = true);
-    let results = run.grid(
-        vec![
-            SimConfig::single_port(),
-            prefetch(SimConfig::single_port(), "1-port +pf"),
-            SimConfig::combined_single_port(),
-            prefetch(SimConfig::combined_single_port(), "combined +pf"),
-            SimConfig::dual_port(),
-            prefetch(SimConfig::dual_port(), "2-port +pf"),
-        ],
-        &Workload::EXTENDED,
-    );
+    let results = &grids[0];
     emit("IPC (extended 8-workload suite)", &results.ipc_table());
     emit(
         "prefetch accuracy (useful / issued)",
@@ -1036,7 +1016,7 @@ fn x1_prefetch(run: &mut Reproduction) {
             worst = (workload.name(), accuracy, ratio);
         }
     }
-    run.verdicts.record(
+    verdicts.record(
         winners >= Workload::EXTENDED.len() - 3 && worst.1 < 0.4,
         &format!(
             "prefetching follows its accuracy: {winners}/{} workloads gain (spatial codes, \
@@ -1072,9 +1052,20 @@ const PREDICTORS: [(&str, DirPredictorKind); 4] = [
     ),
 ];
 
+/// Each predictor on the branchy workloads, named `2-port` because the
+/// gshare one is the 2-port preset, whose cells other experiments share.
+fn x2_grids() -> Vec<SweepPlan> {
+    vec![grid(
+        PREDICTORS.iter().map(|&(_, kind)| {
+            variant(SimConfig::dual_port(), "2-port", |c| c.cpu.predictor = kind)
+        }),
+        &[Workload::Sort, Workload::Db, Workload::Vm],
+    )]
+}
+
 /// X2 — branch predictors under OS activity (the Gloy et al. ISCA '96
 /// interaction: kernel references change predictor conclusions).
-fn x2_bpred(run: &mut Reproduction) {
+fn x2_bpred(grids: &[SweepResults], verdicts: &mut Verdicts) {
     banner(
         "X2 (extension)",
         "branch predictors × OS activity",
@@ -1115,22 +1106,13 @@ fn x2_bpred(run: &mut Reproduction) {
     emit("predictor comparison on the build driver", &table);
 
     // The branchy workloads with their standard OS configs, for breadth.
-    // The configs keep the 2-port name: the gshare one is the 2-port
-    // preset itself, so other experiments' cells serve it.
-    let workloads = [Workload::Sort, Workload::Db, Workload::Vm];
-    let results = run.grid(
-        PREDICTORS
-            .iter()
-            .map(|&(_, kind)| variant(SimConfig::dual_port(), "2-port", |c| c.cpu.predictor = kind))
-            .collect(),
-        &workloads,
-    );
+    let results = &grids[0];
     let mut breadth = Table::new(["workload", "BTFN %", "bimodal %", "gshare %", "local %"]);
-    for (w, workload) in workloads.iter().enumerate() {
+    for (w, workload) in results.plan().workloads.iter().enumerate() {
         let mut row = vec![workload.name().to_string()];
         for c in 0..PREDICTORS.len() {
             let rate = results.summary_number(w, c, "mispredict_rate");
-            row.push(cell_text(&results, w, c, rate, percent(2)));
+            row.push(cell_text(results, w, c, rate, percent(2)));
         }
         breadth.row(row);
     }
@@ -1138,14 +1120,14 @@ fn x2_bpred(run: &mut Reproduction) {
 
     // The interpreter's single dispatch site defeats the BTB regardless
     // of direction predictor: report its indirect mispredict rate.
-    let vm = per_kinst(&results, 2, 2, "cpu", "indirect_mispredicts");
+    let vm = per_kinst(results, 2, 2, "cpu", "indirect_mispredicts");
     outln!(
         "\nindirect-dispatch stress (`vm`): {} indirect mispredicts per \
          kilo-instruction — the one-entry-per-pc BTB cannot capture a dispatch \
          site whose target changes every iteration.",
-        cell_text(&results, 2, 2, vm, fixed(1))
+        cell_text(results, 2, 2, vm, fixed(1))
     );
-    run.verdicts.record(
+    verdicts.record(
         true,
         &format!(
             "best predictor user-only: {} ({:.2}%); with the OS present: {} ({:.2}%) — \
@@ -1158,46 +1140,27 @@ fn x2_bpred(run: &mut Reproduction) {
     );
 }
 
-/// The naive, combined and 2-port presets, each followed by its variant
-/// under `change` named with `suffix` — the shape of X3, X6 and X9.
-fn paired_configs(
-    first: SimConfig,
-    names: [&str; 3],
-    change: impl Fn(&mut SimConfig),
-) -> Vec<SimConfig> {
-    [
-        first,
-        SimConfig::combined_single_port(),
-        SimConfig::dual_port(),
-    ]
-    .into_iter()
-    .zip(names)
-    .flat_map(|(config, name)| {
-        let changed = variant(config.clone(), name, &change);
-        [config, changed]
-    })
-    .collect()
+fn x3_grids() -> Vec<SweepPlan> {
+    paired_grids(
+        &Workload::ALL,
+        SimConfig::naive_single_port(),
+        ["naive +tlb", "combined +tlb", "2-port +tlb"],
+        |c| {
+            c.mem.dtlb = TlbConfig::classic();
+            c.mem.itlb = TlbConfig::classic();
+        },
+    )
 }
 
 /// X3 — 64-entry TLBs: the translation costs the paper's full-system
 /// traces carried, against the headline comparison.
-fn x3_tlb(run: &mut Reproduction) {
+fn x3_tlb(grids: &[SweepResults], verdicts: &mut Verdicts) {
     banner(
         "X3 (extension)",
         "64-entry TLBs vs no translation, across the headline configs",
         "the translation costs the paper's full-system substrate carried",
     );
-    let results = run.grid(
-        paired_configs(
-            SimConfig::naive_single_port(),
-            ["naive +tlb", "combined +tlb", "2-port +tlb"],
-            |c| {
-                c.mem.dtlb = TlbConfig::classic();
-                c.mem.itlb = TlbConfig::classic();
-            },
-        ),
-        &Workload::ALL,
-    );
+    let results = &grids[0];
     emit("IPC with and without TLBs", &results.ipc_table());
     let naive_rel_no = results.geomean_relative(0, 4);
     let naive_rel_tlb = results.geomean_relative(1, 5);
@@ -1211,7 +1174,7 @@ fn x3_tlb(run: &mut Reproduction) {
         combined_rel_no,
         combined_rel_tlb
     );
-    run.verdicts.record(
+    verdicts.record(
         (naive_rel_no - naive_rel_tlb).abs() < 0.05
             && (combined_rel_no - combined_rel_tlb).abs() < 0.05,
         "the port-technique conclusions are robust to translation costs: \
@@ -1219,15 +1182,8 @@ fn x3_tlb(run: &mut Reproduction) {
     );
 }
 
-/// X4 — interleaved banking: the era's third option, between one true
-/// port and two.
-fn x4_banking(run: &mut Reproduction) {
-    banner(
-        "X4 (extension)",
-        "interleaved banking (2/4/8 banks) vs true porting vs the techniques",
-        "the third design option of the era, absent from the abstract",
-    );
-    let results = run.grid(
+fn x4_grids() -> Vec<SweepPlan> {
+    vec![grid(
         vec![
             SimConfig::single_port(),
             SimConfig::banked(2),
@@ -1237,12 +1193,19 @@ fn x4_banking(run: &mut Reproduction) {
             SimConfig::dual_port(),
         ],
         &Workload::ALL,
+    )]
+}
+
+/// X4 — interleaved banking: the era's third option, between one true
+/// port and two.
+fn x4_banking(grids: &[SweepResults], verdicts: &mut Verdicts) {
+    banner(
+        "X4 (extension)",
+        "interleaved banking (2/4/8 banks) vs true porting vs the techniques",
+        "the third design option of the era, absent from the abstract",
     );
-    emit("IPC", &results.ipc_table());
-    emit(
-        "relative to the true dual-ported cache",
-        &results.relative_table(5),
-    );
+    let results = &grids[0];
+    emit_ipc(results, "relative to the true dual-ported cache", 5);
     emit(
         "bank conflicts per kilo-instruction",
         &results.metric_table("conflicts/ki", "bank_conflicts_per_kinst", false),
@@ -1252,7 +1215,7 @@ fn x4_banking(run: &mut Reproduction) {
     let banked8 = results.geomean_ipc(3);
     let combined = results.geomean_ipc(4);
     let dual = results.geomean_ipc(5);
-    run.verdicts.record(
+    verdicts.record(
         single < banked2 && banked2 <= banked8 && banked8 <= dual * 1.01,
         &format!(
             "banking sits between one true port and two ({single:.3} < {banked2:.3} ≤ \
@@ -1263,18 +1226,11 @@ fn x4_banking(run: &mut Reproduction) {
     );
 }
 
-/// X5 — a Jouppi victim cache (conflict misses) alongside the port
-/// techniques (port bandwidth), also on a direct-mapped L1.
-fn x5_victim(run: &mut Reproduction) {
-    banner(
-        "X5 (extension)",
-        "victim caching × associativity × the combined techniques",
-        "conflict-miss relief complementing the paper's bandwidth relief",
-    );
+fn x5_grids() -> Vec<SweepPlan> {
     let combined = SimConfig::combined_single_port;
     let victims = |c: &mut SimConfig| c.mem.victim_cache = 4;
     let direct_mapped = |c: &mut SimConfig| c.mem.dcache = CacheGeometry::new(32 * 1024, 1, 32);
-    let results = run.grid(
+    vec![grid(
         vec![
             combined(),
             variant(combined(), "combined +VC4", victims),
@@ -1286,7 +1242,18 @@ fn x5_victim(run: &mut Reproduction) {
             SimConfig::dual_port(),
         ],
         &Workload::ALL,
+    )]
+}
+
+/// X5 — a Jouppi victim cache (conflict misses) alongside the port
+/// techniques (port bandwidth), also on a direct-mapped L1.
+fn x5_victim(grids: &[SweepResults], verdicts: &mut Verdicts) {
+    banner(
+        "X5 (extension)",
+        "victim caching × associativity × the combined techniques",
+        "conflict-miss relief complementing the paper's bandwidth relief",
     );
+    let results = &grids[0];
     emit("IPC", &results.ipc_table());
     emit(
         "victim-cache hits per kilo-instruction",
@@ -1300,7 +1267,7 @@ fn x5_victim(run: &mut Reproduction) {
     let two_way_vc = results.geomean_ipc(1);
     let dm = results.geomean_ipc(2);
     let dm_vc = results.geomean_ipc(3);
-    run.verdicts.record(
+    verdicts.record(
         dm_vc > dm && dm <= two_way && two_way_vc >= two_way * 0.995,
         &format!(
             "the victim cache recovers conflict-miss losses on the direct-mapped L1 \
@@ -1311,27 +1278,29 @@ fn x5_victim(run: &mut Reproduction) {
     );
 }
 
+fn x6_grids() -> Vec<SweepPlan> {
+    paired_grids(
+        &Workload::ALL,
+        SimConfig::single_port(),
+        ["1-port WT", "combined WT", "2-port WT"],
+        |c| c.mem.write_policy = WritePolicy::WriteThroughNoAllocate,
+    )
+}
+
 /// X6 — writeback/allocate vs write-through/no-allocate beneath the
 /// store-side techniques.
-fn x6_write_policy(run: &mut Reproduction) {
+fn x6_write_policy(grids: &[SweepResults], verdicts: &mut Verdicts) {
     banner(
         "X6 (extension)",
         "writeback/allocate vs write-through/no-allocate",
         "the store-policy axis beneath the paper's buffering techniques",
     );
-    let results = run.grid(
-        paired_configs(
-            SimConfig::single_port(),
-            ["1-port WT", "combined WT", "2-port WT"],
-            |c| c.mem.write_policy = WritePolicy::WriteThroughNoAllocate,
-        ),
-        &Workload::ALL,
-    );
+    let results = &grids[0];
     emit("IPC", &results.ipc_table());
     emit(
         "write-through transfers per kilo-instruction (bus pressure)",
         &results.table_with("WT/ki", |w, c| {
-            per_kinst(&results, w, c, "mem", "write_throughs")
+            per_kinst(results, w, c, "mem", "write_throughs")
         }),
     );
     emit(
@@ -1340,7 +1309,7 @@ fn x6_write_policy(run: &mut Reproduction) {
     );
     let wb = results.geomean_ipc(2);
     let wt = results.geomean_ipc(3);
-    run.verdicts.record(
+    verdicts.record(
         wb >= wt,
         &format!(
             "under the combined techniques, writeback/allocate ({wb:.3}) is at least \
@@ -1350,54 +1319,85 @@ fn x6_write_policy(run: &mut Reproduction) {
     );
 }
 
-/// The geomean row X7 and X8 print per design point: naive, combined and
-/// 2-port IPC, then naive/dual and combined/dual.
-fn headline_geomeans(label: String, results: &SweepResults) -> [String; 6] {
-    [
-        label,
-        format!("{:.3}", results.geomean_ipc(0)),
-        format!("{:.3}", results.geomean_ipc(1)),
-        format!("{:.3}", results.geomean_ipc(2)),
-        format!("{:.3}", results.geomean_relative(0, 2)),
-        format!("{:.3}", results.geomean_relative(1, 2)),
-    ]
+/// One grid of the naive, combined and 2-port presets per value, each
+/// changed by `vary` and named `names`: the shape of F7, X7 and X8.
+fn headline_grids<T: Copy>(
+    values: &[T],
+    names: [&str; 3],
+    vary: impl Fn(SimConfig, T) -> SimConfig,
+) -> Vec<SweepPlan> {
+    let presets = [
+        SimConfig::naive_single_port(),
+        SimConfig::combined_single_port(),
+        SimConfig::dual_port(),
+    ];
+    values
+        .iter()
+        .map(|&value| {
+            let configs = presets.iter().zip(names);
+            let configs = configs.map(|(config, name)| vary(config.clone(), value).named(name));
+            grid(configs, &Workload::ALL)
+        })
+        .collect()
+}
+
+/// The geomean table F7, X7 and X8 print, a row per grid labelled by
+/// `label` of its machine: naive, combined and 2-port IPC, then
+/// naive/dual and combined/dual.
+fn headline_summary(
+    [axis, naive, combined]: [&str; 3],
+    grids: &[SweepResults],
+    label: impl Fn(&SimConfig) -> String,
+) -> Table {
+    let mut table = Table::new([
+        axis,
+        naive,
+        combined,
+        "2-port",
+        "naive/dual",
+        "combined/dual",
+    ]);
+    for results in grids {
+        table.row([
+            label(&results.plan().configs[0]),
+            format!("{:.3}", results.geomean_ipc(0)),
+            format!("{:.3}", results.geomean_ipc(1)),
+            format!("{:.3}", results.geomean_ipc(2)),
+            format!("{:.3}", results.geomean_relative(0, 2)),
+            format!("{:.3}", results.geomean_relative(1, 2)),
+        ]);
+    }
+    table
+}
+
+fn x7_grids() -> Vec<SweepPlan> {
+    headline_grids(
+        &[8, 16, 32, 64],
+        ["naive", "combined", "2-port"],
+        |mut config, kib| {
+            config.mem.dcache = CacheGeometry::new(kib * 1024, 2, 32);
+            config
+        },
+    )
 }
 
 /// X7 — L1 size: shrinking the cache turns port-bound time into
 /// miss-bound time.
-fn x7_cache_size(run: &mut Reproduction) {
+fn x7_cache_size(grids: &[SweepResults], verdicts: &mut Verdicts) {
     banner(
         "X7 (extension)",
         "L1 D-cache size (8/16/32/64 KiB) × headline configs",
         "how cache capacity modulates the port-bandwidth story",
     );
-    let mut summary_table = Table::new([
-        "L1 size",
-        "naive 1-port",
-        "combined",
-        "2-port",
-        "naive/dual",
-        "combined/dual",
-    ]);
-    let mut gaps = Vec::new();
-    for kib in [8u64, 16, 32, 64] {
-        let results = run.grid(
-            headline_configs(
-                |mut config| {
-                    config.mem.dcache = CacheGeometry::new(kib * 1024, 2, 32);
-                    config
-                },
-                ["naive", "combined", "2-port"],
-            ),
-            &Workload::ALL,
-        );
-        gaps.push(results.geomean_relative(0, 2));
-        summary_table.row(headline_geomeans(format!("{kib} KiB"), &results));
-    }
-    emit("geomean IPC by L1 capacity", &summary_table);
-    let small_gap = 1.0 - gaps[0];
-    let large_gap = 1.0 - gaps[3];
-    run.verdicts.record(
+    emit(
+        "geomean IPC by L1 capacity",
+        &headline_summary(["L1 size", "naive 1-port", "combined"], grids, |config| {
+            format!("{} KiB", config.mem.dcache.capacity_bytes / 1024)
+        }),
+    );
+    let small_gap = 1.0 - grids[0].geomean_relative(0, 2);
+    let large_gap = 1.0 - grids[3].geomean_relative(0, 2);
+    verdicts.record(
         large_gap >= small_gap * 0.8,
         &format!(
             "with a tiny (8 KiB) L1 the naive port penalty is {:.1}% and at 64 KiB it \
@@ -1409,42 +1409,38 @@ fn x7_cache_size(run: &mut Reproduction) {
     );
 }
 
+fn x8_grids() -> Vec<SweepPlan> {
+    headline_grids(
+        &[25, 50, 100, 200],
+        ["naive", "combined", "2-port"],
+        |mut config, dram| {
+            config.mem.latencies.dram = dram;
+            config
+        },
+    )
+}
+
 /// X8 — DRAM latency: the headline comparison is a hit-bandwidth story,
 /// so relative standings barely move as misses get dearer.
-fn x8_memory_latency(run: &mut Reproduction) {
+fn x8_memory_latency(grids: &[SweepResults], verdicts: &mut Verdicts) {
     banner(
         "X8 (extension)",
         "DRAM latency (25/50/100/200 cycles) × headline configs",
         "separating the techniques' hit-bandwidth effect from miss latency",
     );
-    let mut summary_table = Table::new([
-        "DRAM latency",
-        "naive 1-port",
-        "combined",
-        "2-port",
-        "naive/dual",
-        "combined/dual",
-    ]);
-    let mut relatives = Vec::new();
-    for dram in [25u64, 50, 100, 200] {
-        let results = run.grid(
-            headline_configs(
-                |mut config| {
-                    config.mem.latencies.dram = dram;
-                    config
-                },
-                ["naive", "combined", "2-port"],
-            ),
-            &Workload::ALL,
-        );
-        relatives.push(results.geomean_relative(0, 2));
-        summary_table.row(headline_geomeans(format!("{dram} cycles"), &results));
-    }
-    emit("geomean IPC by DRAM latency", &summary_table);
-    let (lo, hi) = relatives
+    emit(
+        "geomean IPC by DRAM latency",
+        &headline_summary(
+            ["DRAM latency", "naive 1-port", "combined"],
+            grids,
+            |config| format!("{} cycles", config.mem.latencies.dram),
+        ),
+    );
+    let (lo, hi) = grids
         .iter()
-        .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    run.verdicts.record(
+        .map(|results| results.geomean_relative(0, 2))
+        .fold((f64::MAX, f64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+    verdicts.record(
         hi - lo < 0.08,
         &format!(
             "the naive-vs-dual gap moves only {:.1} points across an 8x latency range \
@@ -1455,22 +1451,24 @@ fn x8_memory_latency(run: &mut Reproduction) {
     );
 }
 
+fn x9_grids() -> Vec<SweepPlan> {
+    paired_grids(
+        &Workload::ALL,
+        SimConfig::naive_single_port(),
+        ["naive +wp", "combined +wp", "2-port +wp"],
+        |c| c.cpu.wrong_path_fetch = true,
+    )
+}
+
 /// X9 — wrong-path instruction fetch: how much the committed-path
 /// simplification (threat to validity #2 in EXPERIMENTS.md) could matter.
-fn x9_wrong_path(run: &mut Reproduction) {
+fn x9_wrong_path(grids: &[SweepResults], verdicts: &mut Verdicts) {
     banner(
         "X9 (extension)",
         "wrong-path instruction fetch × headline configs",
         "bounding threat-to-validity #2 of the reproduction",
     );
-    let results = run.grid(
-        paired_configs(
-            SimConfig::naive_single_port(),
-            ["naive +wp", "combined +wp", "2-port +wp"],
-            |c| c.cpu.wrong_path_fetch = true,
-        ),
-        &Workload::ALL,
-    );
+    let results = &grids[0];
     emit(
         "IPC with and without wrong-path fetch",
         &results.ipc_table(),
@@ -1478,7 +1476,7 @@ fn x9_wrong_path(run: &mut Reproduction) {
     emit(
         "wrong-path blocks fetched per kilo-instruction",
         &results.table_with("wp blocks/ki", |w, c| {
-            per_kinst(&results, w, c, "cpu", "wrong_path_blocks")
+            per_kinst(results, w, c, "cpu", "wrong_path_blocks")
         }),
     );
     emit(
@@ -1493,7 +1491,7 @@ fn x9_wrong_path(run: &mut Reproduction) {
         "\nrelative-to-dual geomeans: naive {naive_rel:.3} → {naive_rel_wp:.3} with \
          wrong-path fetch; combined {combined_rel:.3} → {combined_rel_wp:.3}"
     );
-    run.verdicts.record(
+    verdicts.record(
         (naive_rel - naive_rel_wp).abs() < 0.03 && (combined_rel - combined_rel_wp).abs() < 0.03,
         "wrong-path instruction fetch shifts the relative standings by under 3 points: \
          the committed-path simplification documented in EXPERIMENTS.md does not drive \
@@ -1512,19 +1510,31 @@ mod tests {
         verdicts.record(true, "holds");
         verdicts.record(true, "holds too");
         assert_eq!(verdicts.exit_status(), 0);
+        assert_eq!(verdicts.to_string(), "2 shape check(s) OK, 0 deviation(s)");
+        verdicts.id = "F5";
         verdicts.record(false, "moved");
+        verdicts.id = "X8";
         verdicts.record(true, "holds again");
         assert_eq!(verdicts.exit_status(), 1, "one deviation is enough");
-        assert_eq!(verdicts.to_string(), "3 shape check(s) OK, 1 deviation(s)");
+        assert_eq!(
+            verdicts.to_string(),
+            "3 shape check(s) OK, 1 deviation(s): F5",
+            "the tally names the experiment that deviated"
+        );
+        verdicts.record(false, "moved too");
+        assert_eq!(
+            verdicts.to_string(),
+            "3 shape check(s) OK, 2 deviation(s): F5, X8"
+        );
     }
 
     #[test]
     fn experiment_ids_are_unique() {
-        for (index, (id, _)) in EXPERIMENTS.iter().enumerate() {
+        for (index, (id, ..)) in EXPERIMENTS.iter().enumerate() {
             assert!(
                 EXPERIMENTS[..index]
                     .iter()
-                    .all(|(other, _)| !other.eq_ignore_ascii_case(id)),
+                    .all(|(other, ..)| !other.eq_ignore_ascii_case(id)),
                 "{id} listed twice"
             );
         }
@@ -1532,9 +1542,13 @@ mod tests {
 
     #[test]
     fn paired_and_headline_configs_keep_grid_order() {
-        let paired = paired_configs(SimConfig::naive_single_port(), ["a", "b", "c"], |c| {
-            c.cpu.wrong_path_fetch = true
-        });
+        let paired = &paired_grids(
+            &Workload::ALL,
+            SimConfig::naive_single_port(),
+            ["a", "b", "c"],
+            |c| c.cpu.wrong_path_fetch = true,
+        )[0]
+        .configs;
         let names: Vec<&str> = paired.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(
             names,
@@ -1542,7 +1556,10 @@ mod tests {
         );
         assert_eq!(paired[0], SimConfig::naive_single_port());
         assert!(paired[1].cpu.wrong_path_fetch && !paired[0].cpu.wrong_path_fetch);
-        let headline = headline_configs(|c| c.with_issue_width(4), ["x", "y", "2-port"]);
-        assert_eq!(headline[2], SimConfig::dual_port().with_issue_width(4));
+        let headline = &headline_grids(&[4], ["x", "y", "2-port"], SimConfig::with_issue_width)[0];
+        assert_eq!(
+            headline.configs[2],
+            SimConfig::dual_port().with_issue_width(4)
+        );
     }
 }

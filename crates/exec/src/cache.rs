@@ -14,7 +14,7 @@
 //! defaults to [`DEFAULT_CACHE_DIR`] and is created on first store.
 
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use cpe_core::{config_json, parse_json, BackendKind, JsonValue, METRICS_SCHEMA};
 use cpe_workloads::Scale;
@@ -182,11 +182,6 @@ impl ResultCache {
     /// A cache rooted at `dir` (not created until the first store).
     pub fn new(dir: impl Into<PathBuf>) -> ResultCache {
         ResultCache { dir: dir.into() }
-    }
-
-    /// The directory entries live in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn entry_path(&self, key: &CacheKey) -> PathBuf {

@@ -195,7 +195,7 @@ pub fn run_job_traced(
 /// when attached. Replay-backend cells pull their workload's recording
 /// from `traces` instead of re-running the functional emulator per cell;
 /// the sweep layer pre-populates the store before scheduling (see
-/// `SweepPlan::run_with_progress`). `progress`, when attached, is fed
+/// `SweepPlan::run_all`). `progress`, when attached, is fed
 /// from the worker threads as cells finish (completion order, not
 /// submission order — progress is observability, not output).
 ///

@@ -16,7 +16,7 @@
 //! - [`job`]: the `(SimConfig, workload)` unit of work with panic
 //!   isolation and hoisted config validation, plus the stderr progress
 //!   line a sweep feeds as cells finish.
-//! - [`sweep`]: the cached, parallel grid behind `cpe sweep`.
+//! - [`sweep`]: the cached, parallel grid batches behind `cpe sweep` and `reproduce`.
 //! - [`traces`]: the record-once store replay-backend cells share.
 //!
 //! The layer's core promise, pinned by

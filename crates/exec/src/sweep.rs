@@ -2,9 +2,11 @@
 //!
 //! A [`SweepPlan`] is the grid `cpe sweep` runs: every cell is one
 //! [`Job`], executed through the work-stealing scheduler with the result
-//! cache in front. Aggregates (the IPC table and the sweep metrics
-//! document) are built exclusively from what each cell's document says
-//! once parsed, via the deterministic renderer, so they are
+//! cache in front. [`SweepPlan::run_all`] runs many grids as one batch
+//! (the path `reproduce` takes): each distinct cell once, each trace
+//! recorded once, one scheduler pass. Aggregates (the IPC table and the
+//! sweep metrics document) are built exclusively from what each cell's
+//! document says once parsed, via the deterministic renderer, so they are
 //! **byte-identical** across worker counts and across fresh-vs-cached
 //! runs — the property `crates/exec/tests/parallel_matches_serial.rs`
 //! pins down.
@@ -20,6 +22,7 @@
 //! aggregate built from the whole tree would splice, so the bytes
 //! cannot differ; a test keeps that tree-holding path as an oracle.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -128,8 +131,7 @@ impl SweepPlan {
     }
 
     /// Execute the grid across `workers` threads, through `cache` when
-    /// attached. Cell failures land in their cells; this call only fails
-    /// when the grid itself is invalid (see [`SweepPlan::validate`]).
+    /// attached: [`SweepPlan::run_all`] over this plan alone.
     ///
     /// # Errors
     ///
@@ -139,75 +141,125 @@ impl SweepPlan {
         workers: usize,
         cache: Option<&ResultCache>,
     ) -> Result<SweepResults, SimError> {
-        self.run_with_progress(workers, cache, None)
+        Ok(SweepPlan::run_all(std::slice::from_ref(self), workers, cache, None)?.remove(0))
     }
 
-    /// [`SweepPlan::run`] with an optional live progress line on stderr.
-    /// Progress never touches the results — the table and metrics stay
-    /// byte-identical to an unobserved run.
+    /// Execute every plan's grid as one batch across `workers` threads,
+    /// through `cache` when attached, and return each plan's results in
+    /// order, every one carrying the batch's [`SweepStats`]. A cell
+    /// several plans hold (equal [`Job::cache_key`], so equal config *and*
+    /// name) runs once; each trace a cache-missing replay cell needs is
+    /// recorded once before any cell is scheduled; the distinct cells run
+    /// in one scheduler pass. Each plan's results equal that plan run
+    /// alone, and `progress`, which counts the distinct cells as they
+    /// finish, never touches them. Cell failures land in their cells.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] when the grid is empty.
-    pub fn run_with_progress(
-        &self,
+    /// [`SimError::InvalidConfig`] when some plan's grid is empty.
+    pub fn run_all(
+        plans: &[SweepPlan],
         workers: usize,
         cache: Option<&ResultCache>,
         progress: Option<&SweepProgress>,
-    ) -> Result<SweepResults, SimError> {
-        if self.configs.is_empty() || self.workloads.is_empty() {
-            self.validate()?;
+    ) -> Result<Vec<SweepResults>, SimError> {
+        let empty = plans
+            .iter()
+            .find(|plan| plan.configs.is_empty() || plan.workloads.is_empty());
+        if let Some(plan) = empty {
+            plan.validate()?;
         }
         let started = Instant::now();
-        let jobs = self.jobs();
-        // Record-once happens here, before any cell is scheduled: a
-        // replay sweep's functional cost is one recording per distinct
-        // (workload, scale, max_insts) tuple, never one per cell. Only
-        // cells the cache cannot serve replay, so only they are recorded.
-        let mut recording_seconds = 0.0;
-        let traces = match self.backend {
-            BackendKind::Direct => None,
-            BackendKind::Replay => {
-                let store = TraceStore::new();
-                let misses: Vec<Job> = jobs
-                    .iter()
-                    .filter(|job| {
-                        cache.is_none_or(|cache| cache.lookup(&job.cache_key()).is_none())
-                    })
-                    .cloned()
-                    .collect();
-                let recording = Instant::now();
-                store.record_all(&misses);
-                recording_seconds = recording.elapsed().as_secs_f64();
-                Some(store)
-            }
+        // Each plan's cells, as indices into the distinct jobs.
+        let (mut seen, mut distinct) = (HashMap::new(), Vec::new());
+        let mut cell_of = |job: Job| {
+            *seen.entry(job.cache_key()).or_insert_with(|| {
+                distinct.push(job);
+                distinct.len() - 1
+            })
         };
+        let grids: Vec<Vec<usize>> = plans
+            .iter()
+            .map(|plan| plan.jobs().into_iter().map(&mut cell_of).collect())
+            .collect();
+        // Only replay cells the cache cannot serve need their traces.
+        let misses: Vec<Job> = distinct
+            .iter()
+            .filter(|job| job.backend == BackendKind::Replay)
+            .filter(|job| cache.is_none_or(|cache| cache.lookup(&job.cache_key()).is_none()))
+            .cloned()
+            .collect();
+        let traces = (!misses.is_empty()).then(TraceStore::new);
+        let recording_seconds = traces.as_ref().map_or(0.0, |store| {
+            let recording = Instant::now();
+            store.record_all(&misses);
+            recording.elapsed().as_secs_f64()
+        });
         let (outcomes, scheduler) =
-            execute_jobs_traced(&jobs, workers, cache, progress, traces.as_ref());
+            execute_jobs_traced(&distinct, workers, cache, progress, traces.as_ref());
+        let (traces_recorded, traces_reused) = traces.map_or((0, 0), |store| store.counts());
+        let mut stats = SweepStats {
+            cells: outcomes.len(),
+            wall_seconds: started.elapsed().as_secs_f64(),
+            workers: scheduler.workers,
+            steals: scheduler.steals,
+            traces_recorded,
+            traces_reused,
+            recording_seconds,
+            ..SweepStats::default()
+        };
+        for outcome in &outcomes {
+            match (&outcome.document, outcome.cache) {
+                (Err(_), _) => stats.failed += 1,
+                (Ok(_), CacheStatus::Hit) => stats.hits += 1,
+                (Ok(_), CacheStatus::Miss) => stats.misses += 1,
+                (Ok(_), CacheStatus::Bypass) => stats.bypassed += 1,
+            }
+        }
+
+        // A distinct outcome is cloned into each grid cell that holds it
+        // but the last, which takes it: no document is held twice.
+        let mut uses = vec![0usize; outcomes.len()];
+        grids.iter().flatten().for_each(|&cell| uses[cell] += 1);
+        let mut outcomes: Vec<Option<JobOutcome>> = outcomes.into_iter().map(Some).collect();
+        let mut cell_outcome = |cell: usize| {
+            uses[cell] -= 1;
+            let outcome = match uses[cell] {
+                0 => outcomes[cell].take(),
+                _ => outcomes[cell].clone(),
+            };
+            outcome.expect("an outcome is taken only at its last use")
+        };
+        let results = plans
+            .iter()
+            .zip(&grids)
+            .map(|(plan, grid)| {
+                let outcomes = grid
+                    .iter()
+                    .enumerate()
+                    .map(|(index, &cell)| JobOutcome {
+                        index,
+                        ..cell_outcome(cell)
+                    })
+                    .collect();
+                // The batch's stats replace the plan's own tally.
+                let assembled = SweepResults::assemble(plan.clone(), outcomes, 0, 0, 0.0);
+                SweepResults { stats, ..assembled }
+            })
+            .collect();
         if let Some(progress) = progress {
             progress.finish();
-        }
-        let mut results = SweepResults::assemble(
-            self.clone(),
-            outcomes,
-            scheduler.workers,
-            scheduler.steals,
-            started.elapsed().as_secs_f64(),
-        );
-        if let Some(traces) = &traces {
-            let (recorded, reused) = traces.counts();
-            results.stats.traces_recorded = recorded;
-            results.stats.traces_reused = reused;
-            results.stats.recording_seconds = recording_seconds;
         }
         Ok(results)
     }
 }
 
-/// What a sweep cost and how the cache served it.
+/// What a sweep cost and how the cache served it. Under
+/// [`SweepPlan::run_all`] these are the whole batch's, shared by each
+/// plan's results.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SweepStats {
-    /// Grid cells executed.
+    /// Cells executed: each distinct cell of the batch once.
     pub cells: usize,
     /// Cells served from the cache.
     pub hits: usize,
@@ -319,7 +371,8 @@ pub struct SweepResults {
     plan: SweepPlan,
     outcomes: Vec<JobOutcome>,
     cells: Vec<Result<CellAggregate, SimError>>,
-    /// Cost and cache accounting for the run.
+    /// Cost and cache accounting for the run (the batch, under
+    /// [`SweepPlan::run_all`]).
     pub stats: SweepStats,
 }
 

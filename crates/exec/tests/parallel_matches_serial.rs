@@ -2,7 +2,7 @@
 //! sweep produces **byte-identical** aggregate output to the serial,
 //! uncached path — same IPC table, same sweep metrics document — and a
 //! repeated sweep is served entirely from the cache without changing a
-//! byte.
+//! byte. A batch of overlapping plans equals each plan run alone.
 
 use cpe_core::{BackendKind, SimConfig};
 use cpe_exec::{CacheStatus, ResultCache, SweepPlan};
@@ -95,5 +95,84 @@ fn cache_survives_across_plan_objects_but_not_across_parameters() {
     assert_eq!(shifted.stats.hits, 0);
     assert_eq!(shifted.stats.misses, 9);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Three overlapping replay plans: the second shares a config with the
+/// first, and the third holds the first's naive config under another
+/// name beside a cell the first already has.
+fn overlapping_plans() -> Vec<SweepPlan> {
+    let replay = |configs, workloads| SweepPlan {
+        configs,
+        workloads,
+        scale: Scale::Test,
+        max_insts: Some(4_000),
+        backend: BackendKind::Replay,
+    };
+    vec![
+        replay(
+            vec![SimConfig::naive_single_port(), SimConfig::dual_port()],
+            vec![Workload::Compress, Workload::Sort],
+        ),
+        replay(
+            vec![SimConfig::dual_port(), SimConfig::combined_single_port()],
+            vec![Workload::Sort, Workload::Fft],
+        ),
+        replay(
+            vec![
+                SimConfig::naive_single_port().named("naive, renamed"),
+                SimConfig::dual_port(),
+            ],
+            vec![Workload::Compress],
+        ),
+    ]
+}
+
+#[test]
+fn a_batch_equals_each_plan_run_alone() {
+    let plans = overlapping_plans();
+    // 10 grid cells; the second plan's 2-port/sort and the third's
+    // 2-port/compress repeat cells of the first, while the renamed
+    // naive config is a cell of its own.
+    let distinct = 8;
+    let batch = SweepPlan::run_all(&plans, 2, None, None).expect("every grid is valid");
+    assert_eq!(batch.len(), plans.len());
+    let stats = batch[0].stats;
+    assert!(
+        batch.iter().all(|results| results.stats == stats),
+        "the plans share the batch's stats"
+    );
+    for (plan, batched) in plans.iter().zip(&batch) {
+        let alone = plan.run(2, None).expect("the plan runs alone");
+        assert_eq!(batched.aggregate_json(), alone.aggregate_json());
+        assert_eq!(
+            batched.ipc_table().to_string(),
+            alone.ipc_table().to_string()
+        );
+    }
+    assert!(batch[2]
+        .aggregate_json()
+        .contains("\"config\":\"naive, renamed\""));
+    assert_eq!(stats.cells, distinct, "each distinct cell runs once");
+    assert_eq!(
+        stats.traces_recorded, 3,
+        "compress, sort and fft are each recorded once"
+    );
+    assert_eq!(stats.traces_reused, distinct as u64);
+    assert_eq!(stats.bypassed, distinct);
+
+    let dir = scratch_dir("batch");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = ResultCache::new(&dir);
+    let cached = SweepPlan::run_all(&plans, 2, Some(&cache), None).expect("every grid is valid");
+    assert_eq!(
+        cache.stats().entries,
+        distinct,
+        "one entry per distinct cell"
+    );
+    assert_eq!(cached[0].stats.misses, distinct);
+    for (batched, cached) in batch.iter().zip(&cached) {
+        assert_eq!(batched.aggregate_json(), cached.aggregate_json());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

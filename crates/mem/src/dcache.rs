@@ -617,6 +617,7 @@ impl DCache {
                 Err(()) => break, // MSHR full: try again next cycle
             }
         }
+        debug_assert!(self.slots_used <= self.ports.count);
         stats.port_slots_used.add(u64::from(self.slots_used));
         stats.port_slots_offered.add(u64::from(self.ports.count));
         stats.slots_per_cycle.record(u64::from(self.slots_used));

@@ -312,7 +312,7 @@ status=0
 }
 
 # Full-scale reproduction gate: `reproduce` regenerates every table and
-# figure of the evaluation (about 35 s on 2 cores). It exits 1 when any
+# figure of the evaluation (about 30 s on 2 cores). It exits 1 when any
 # shape verdict reads SHAPE DEVIATION, and its transcript must equal the
 # committed experiment_results.md byte for byte, so no number quoted
 # from it can move unnoticed. Regenerate deliberately with
@@ -324,6 +324,30 @@ cmp experiment_results.md "$scratch/reproduce.md" || {
     echo "reproduction gate: the transcript differs from" \
          "experiment_results.md:" >&2
     diff experiment_results.md "$scratch/reproduce.md" | head -20 >&2
+    exit 1
+}
+
+# Subset gate: a run of one experiment batches only its own grids, so
+# any cell it shares with another experiment in a full run (X8's
+# 50-cycle grid is X7's 32 KiB grid under the same names) is simulated
+# here on its own. Its transcript must still equal that experiment's
+# section of the full one byte for byte: a section runs from the `===`
+# line above its `ID:` banner line to the `===` line above the next.
+echo "== subset reproduction: reproduce X8 equals its section" >&2
+section() {
+    awk -v id="$1" '
+        /^[TFX][0-9]+( \(extension\))?: / { on = ($1 == id || $1 == id ":") }
+        on && NR > 1 { print held }
+        { held = $0 }
+        END { if (on) print held }
+    ' "$2"
+}
+./target/release/reproduce X8 > "$scratch/x8.md"
+section X8 experiment_results.md > "$scratch/x8_section.md"
+cmp "$scratch/x8_section.md" "$scratch/x8.md" || {
+    echo "subset gate: \`reproduce X8\` differs from its section of" \
+         "experiment_results.md:" >&2
+    diff "$scratch/x8_section.md" "$scratch/x8.md" | head -20 >&2
     exit 1
 }
 

@@ -5,8 +5,8 @@
 #   output.md  transcript destination (default: experiment_results.md)
 #
 # The transcript is `reproduce`'s stdout (crates/bench): every experiment
-# at Full scale through one cached, parallel sweep runner. The script
-# fails when any shape verdict reads SHAPE DEVIATION.
+# at Full scale, all of their grids run as one parallel batch. The
+# script fails when any shape verdict reads SHAPE DEVIATION.
 #
 # Set CPE_SKIP_CHECKS=1 to skip the pre-flight quality gate (useful when
 # iterating on one experiment with a tree scripts/check.sh already

@@ -630,9 +630,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let cache = open_cache(args);
     let progress = (!args.iter().any(|arg| arg == "--no-progress"))
         .then(|| SweepProgress::auto(plan.jobs().len()));
-    let results = plan
-        .run_with_progress(jobs, cache.as_ref(), progress.as_ref())
-        .map_err(|error| error.to_string())?;
+    let results = SweepPlan::run_all(&[plan], jobs, cache.as_ref(), progress.as_ref())
+        .map_err(|error| error.to_string())?
+        .remove(0);
     outln!("{}", results.ipc_table());
     if let Some(out) = parse_flag(args, "--metrics-json") {
         write_file(&out, &results.aggregate_json())?;

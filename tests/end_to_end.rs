@@ -198,6 +198,33 @@ fn assert_load_sources_reconcile(label: &str, aggregate: &str) -> usize {
     cells.len()
 }
 
+/// Port-slot conservation on every cycle, stepped or skipped: each
+/// cycle records one `slots_per_cycle` sample, the samples' weighted sum
+/// is the slots used, and every cycle offers one slot per port.
+#[test]
+fn port_slots_are_conserved_on_every_cycle() {
+    let mut configs = cpe::exec::preset_configs();
+    configs.push(SimConfig::banked(2));
+    for config in configs {
+        let ports = u64::from(config.mem.ports.count);
+        for workload in Workload::EXTENDED {
+            let cell = format!("{} / {workload}", config.name);
+            let summary = run(config.clone(), workload, Some(20_000));
+            let (mem, cycles) = (&summary.raw.mem, summary.cycles);
+            let slots = &mem.slots_per_cycle;
+            assert_eq!(slots.total(), cycles, "{cell}: one sample per cycle");
+            assert_eq!(slots.overflow(), 0, "{cell}: a cycle beyond the ports");
+            let weighted: u64 = slots.iter().map(|(k, count)| k as u64 * count).sum();
+            assert_eq!(weighted, mem.port_slots_used.get(), "{cell}: slots used");
+            assert_eq!(
+                mem.port_slots_offered.get(),
+                ports * cycles,
+                "{cell}: slots offered"
+            );
+        }
+    }
+}
+
 /// Load-source conservation over the committed golden grid and a fresh
 /// sweep of every preset.
 #[test]
