@@ -14,7 +14,7 @@ use crate::fu::FuPool;
 #[cfg(test)]
 use crate::lsq::ranges_overlap;
 use crate::lsq::{range_covers, LoadGate, LsqTracker};
-use crate::rob::{EntryState, RobEntry, WaitKind};
+use crate::rob::{Rob, RobEntry, WaitKind};
 use crate::sched::Scheduler;
 use crate::stats::CpuStats;
 use crate::watchdog::WatchdogReport;
@@ -47,6 +47,8 @@ impl SimResult {
 #[derive(Debug, Clone, Copy)]
 struct Fetched {
     di: DynInst,
+    /// The opcode's class, decoded once at fetch.
+    class: OpClass,
     mispredicted: bool,
     available_at: Cycle,
 }
@@ -74,8 +76,8 @@ pub struct Core<I: Iterator<Item = DynInst>> {
     /// needs for block-boundary and end-of-stream decisions.
     trace: Peekable<I>,
     now: Cycle,
-    next_seq: u64,
-    rob: VecDeque<RobEntry>,
+    /// The reorder buffer; its tail is the next sequence number.
+    rob: Rob,
     fetch_buffer: VecDeque<Fetched>,
     /// Architectural register → sequence number of its latest in-flight
     /// producer.
@@ -109,9 +111,6 @@ pub struct Core<I: Iterator<Item = DynInst>> {
     /// add count read when its issue walk began; see
     /// [`Core::try_skip_idle`].
     parked: Option<(Cycle, u64)>,
-    /// Spare waiter-list allocations, recycled between ROB entries so
-    /// wakeup registration stays allocation-free in steady state.
-    waiter_pool: Vec<Vec<u64>>,
     /// Cycle-skipping never jumps past a multiple of this count of
     /// `stats.cycles` (0 = unbounded); see [`Core::set_step_quantum`].
     step_quantum: u64,
@@ -144,6 +143,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         config.validate();
         let lsq = LsqTracker::new(config.load_queue, config.store_queue);
         let sched = Scheduler::new(config.rob_entries);
+        let rob = Rob::new(config.rob_entries);
         Core {
             predictor: DirectionPredictor::new(config.predictor),
             btb: Btb::new(config.btb_entries),
@@ -159,8 +159,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             mem,
             trace: trace.peekable(),
             now: 0,
-            next_seq: 0,
-            rob: VecDeque::new(),
+            rob,
             fetch_buffer: VecDeque::new(),
             map: [None; Reg::COUNT],
             fetch_resume_at: 0,
@@ -172,7 +171,6 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             stuck_cycles: 0,
             sched,
             parked: None,
-            waiter_pool: Vec::new(),
             step_quantum: 0,
             tracer: TraceHandle::off(),
             #[cfg(test)]
@@ -314,7 +312,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                 (
                     head.di.pc,
                     head.di.inst.op.to_string(),
-                    format!("{:?}", head.state),
+                    if head.issued() { "Issued" } else { "Waiting" }.to_string(),
                 )
             }),
             fetch_buffer_len: self.fetch_buffer.len(),
@@ -331,31 +329,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         }
     }
 
-    // --- dependency plumbing -------------------------------------------------
-
-    /// Is the producer with sequence number `seq` ready at `now`?
-    fn seq_ready(rob: &VecDeque<RobEntry>, seq: u64, now: Cycle) -> bool {
-        let front = match rob.front() {
-            Some(front) => front.seq,
-            None => return true,
-        };
-        if seq < front {
-            return true; // retired
-        }
-        rob[(seq - front) as usize].done(now)
-    }
-
-    fn dep_ready(rob: &VecDeque<RobEntry>, dep: Option<u64>, now: Cycle) -> bool {
-        dep.is_none_or(|seq| Self::seq_ready(rob, seq, now))
-    }
-
     // --- event-driven wakeup ----------------------------------------------
-
-    /// ROB index of the in-flight instruction `seq`.
-    fn rob_index(&self, seq: u64) -> usize {
-        let front = self.rob.front().expect("seq is in flight").seq;
-        (seq - front) as usize
-    }
 
     /// Process every completion wakeup due by `now`: drain the producer's
     /// waiter list and reconsider each waiter for the candidate set.
@@ -363,22 +337,19 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     /// holds its waiters when its event fires.
     fn wake(&mut self, now: Cycle) {
         while let Some(seq) = self.sched.pop_due(now) {
-            let idx = self.rob_index(seq);
-            debug_assert_eq!(self.rob[idx].seq, seq);
-            let waiters = std::mem::take(&mut self.rob[idx].waiters);
-            for &waiter in &waiters {
-                self.reconsider(waiter, now);
-            }
-            self.recycle_waiters(waiters);
+            self.drain_waiters(seq, now);
         }
     }
 
-    /// Return a drained waiter list's allocation to the pool.
-    fn recycle_waiters(&mut self, mut waiters: Vec<u64>) {
-        if waiters.capacity() > 0 && self.waiter_pool.len() < 64 {
-            waiters.clear();
-            self.waiter_pool.push(waiters);
+    /// Reconsider every consumer parked on `producer`, leaving its
+    /// waiter list empty (the slot keeps the allocation).
+    fn drain_waiters(&mut self, producer: u64, now: Cycle) {
+        let mut waiters = std::mem::take(&mut self.rob[producer].waiters);
+        for &waiter in &waiters {
+            self.reconsider(waiter, now);
         }
+        waiters.clear();
+        self.rob[producer].waiters = waiters;
     }
 
     /// Re-evaluate a woken instruction's candidacy. Deliberately an
@@ -387,29 +358,29 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     /// within a cycle cannot matter, and a not-yet-eligible waiter simply
     /// stays parked on its remaining producers.
     fn reconsider(&mut self, seq: u64, now: Cycle) {
-        let Some(front) = self.rob.front().map(|e| e.seq) else {
-            return;
-        };
-        if seq < front {
+        if seq < self.rob.head() {
             return; // already retired
         }
-        let entry = &self.rob[(seq - front) as usize];
-        debug_assert_eq!(entry.seq, seq);
-        if entry.state != EntryState::Waiting {
+        let entry = &self.rob[seq];
+        if entry.issued() {
             return;
         }
-        let eligible = match entry.di.inst.op.class() {
-            // Memory ops enter the window on address-operand readiness;
-            // data readiness (stores) and ordering (loads) are checked at
-            // examination, exactly as the broadcast scan did.
-            OpClass::Load | OpClass::Store => Self::dep_ready(&self.rob, entry.addr_seq, now),
+        if self.operands_ready(entry, now) {
+            self.sched.add_candidate(seq);
+        }
+    }
+
+    /// Does `entry` belong in the candidate set at `now`? Memory ops
+    /// enter the window on address-operand readiness; data readiness
+    /// (stores) and ordering (loads) are checked at examination, exactly
+    /// as the broadcast scan did.
+    fn operands_ready(&self, entry: &RobEntry, now: Cycle) -> bool {
+        match entry.class {
+            OpClass::Load | OpClass::Store => self.rob.dep_ready(entry.addr_seq, now),
             _ => entry
                 .src_seqs
                 .iter()
-                .all(|&dep| Self::dep_ready(&self.rob, dep, now)),
-        };
-        if eligible {
-            self.sched.add_candidate(seq);
+                .all(|&dep| self.rob.dep_ready(dep, now)),
         }
     }
 
@@ -419,24 +390,20 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     /// since consumers are always younger than their producer, the
     /// ongoing candidate walk still visits them this cycle — exactly when
     /// the broadcast scan would have seen the result.
-    fn finish_issue(&mut self, idx: usize, seq: u64, now: Cycle) {
+    fn finish_issue(&mut self, seq: u64, now: Cycle) {
         #[cfg(test)]
         self.issue_log.push((now, seq));
         self.sched.remove_candidate(seq);
-        let ready_at = self.rob[idx].ready_at;
+        let ready_at = self.rob[seq].ready_at;
         // Future-dated: stamped with the completion cycle at issue time.
         self.tracer.emit(
             ready_at,
             EventKind::Complete,
-            self.rob[idx].di.pc,
+            self.rob[seq].di.pc,
             seq as u32,
         );
         if ready_at <= now {
-            let waiters = std::mem::take(&mut self.rob[idx].waiters);
-            for &waiter in &waiters {
-                self.reconsider(waiter, now);
-            }
-            self.recycle_waiters(waiters);
+            self.drain_waiters(seq, now);
         } else {
             self.sched.push_event(ready_at, seq);
             self.stats
@@ -527,9 +494,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                     DispatchIdle::Silent
                 } else if self.rob.len() >= self.config.rob_entries {
                     DispatchIdle::RobFull
-                } else if (op.is_load() && !self.lsq.can_accept_load())
-                    || (op.is_store() && !self.lsq.can_accept_store())
-                {
+                } else if self.lsq_refuses(front.class) {
                     DispatchIdle::LsqFull
                 } else {
                     DispatchIdle::Busy
@@ -629,15 +594,15 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         Ok(true)
     }
 
-    /// May the load at ROB index `load_idx` leave for the cache? The
-    /// legacy backwards window walk, kept as the oracle the event-driven
+    /// May the load `load_seq` leave for the cache? The legacy backwards
+    /// window walk, kept as the oracle the event-driven
     /// [`Core::gate_load_indexed`] is property-tested against.
     #[cfg(test)]
-    fn gate_load(rob: &VecDeque<RobEntry>, load_idx: usize, now: Cycle) -> LoadGate {
-        let load_range = rob[load_idx].mem_range().expect("loads have addresses");
+    fn gate_load(rob: &Rob, load_seq: u64, now: Cycle) -> LoadGate {
+        let load_range = rob[load_seq].mem_range().expect("loads have addresses");
         // Youngest older store that overlaps decides forwarding.
-        for j in (0..load_idx).rev() {
-            let store = &rob[j];
+        for older in (rob.head()..load_seq).rev() {
+            let store = &rob[older];
             if !store.is_store() {
                 continue;
             }
@@ -648,7 +613,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             if store.addr_known_at.is_none_or(|t| t > now) {
                 return LoadGate::Wait;
             }
-            if range_covers(store_range, load_range) && Self::dep_ready(rob, store.data_seq, now) {
+            if range_covers(store_range, load_range) && rob.dep_ready(store.data_seq, now) {
                 return LoadGate::Forward;
             }
             return LoadGate::Wait;
@@ -656,7 +621,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         LoadGate::Go
     }
 
-    /// May the load `seq` at ROB index `load_idx` leave for the cache?
+    /// May the load `seq` leave for the cache?
     ///
     /// Loads order against older stores by oracle disambiguation: only
     /// the youngest older store that actually overlaps the load decides.
@@ -665,24 +630,21 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     /// waits for the store to commit. Same decision as the backwards
     /// window walk, answered from the in-flight store queue, which holds
     /// only the stores of the window.
-    fn gate_load_indexed(&self, load_idx: usize, seq: u64, now: Cycle) -> LoadGate {
-        let load_range = self.rob[load_idx]
-            .mem_range()
-            .expect("loads have addresses");
+    fn gate_load_indexed(&self, seq: u64, now: Cycle) -> LoadGate {
+        let load_range = self.rob[seq].mem_range().expect("loads have addresses");
         let Some(store_seq) = self
             .sched
             .youngest_overlapping_store_before(seq, load_range)
         else {
             return LoadGate::Go;
         };
-        let store = &self.rob[self.rob_index(store_seq)];
+        let store = &self.rob[store_seq];
         debug_assert!(store.is_store());
         let store_range = store.mem_range().expect("stores have addresses");
         if store.addr_known_at.is_none_or(|t| t > now) {
             return LoadGate::Wait;
         }
-        if range_covers(store_range, load_range) && Self::dep_ready(&self.rob, store.data_seq, now)
-        {
+        if range_covers(store_range, load_range) && self.rob.dep_ready(store.data_seq, now) {
             return LoadGate::Forward;
         }
         LoadGate::Wait
@@ -707,20 +669,23 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                     break;
                 }
             }
-            let entry = self.rob.pop_front().expect("checked above");
-            let op = entry.di.inst.op;
-            self.tracer
-                .emit(now, EventKind::Commit, entry.di.pc, entry.seq as u32);
+            let seq = self.rob.head();
+            let (class, op, pc, mode) = (head.class, head.di.inst.op, head.di.pc, head.di.mode);
+            self.rob.pop_front();
+            self.tracer.emit(now, EventKind::Commit, pc, seq as u32);
             #[cfg(test)]
-            self.commit_log.push((now, entry.seq));
-            if op.is_load() {
-                self.lsq.retire_load();
-                self.stats.loads.inc();
-            }
-            if op.is_store() {
-                self.lsq.retire_store();
-                self.stats.stores.inc();
-                self.sched.retire_store(entry.seq);
+            self.commit_log.push((now, seq));
+            match class {
+                OpClass::Load => {
+                    self.lsq.retire_load();
+                    self.stats.loads.inc();
+                }
+                OpClass::Store => {
+                    self.lsq.retire_store();
+                    self.stats.stores.inc();
+                    self.sched.retire_store(seq);
+                }
+                _ => {}
             }
             // In the event-driven path a committed instruction has issued,
             // which already removed it from the candidate set; only the
@@ -728,13 +693,13 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             // the cleanup.
             #[cfg(test)]
             if self.oracle {
-                self.sched.retire(entry.seq);
+                self.sched.retire(seq);
             }
             if matches!(op, Op::Syscall | Op::Eret) {
                 self.serialize = false;
             }
             self.stats.committed.inc();
-            match entry.di.mode {
+            match mode {
                 Mode::User => self.stats.committed_user.inc(),
                 Mode::Kernel => self.stats.committed_kernel.inc(),
             }
@@ -827,12 +792,19 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         if self.rob.len() >= self.config.rob_entries {
             return Some(StallCause::RobFull);
         }
-        if (op.is_load() && !self.lsq.can_accept_load())
-            || (op.is_store() && !self.lsq.can_accept_store())
-        {
+        if self.lsq_refuses(front.class) {
             return Some(StallCause::LsqFull);
         }
         None
+    }
+
+    /// Is the load or store queue too full to take an op of `class`?
+    fn lsq_refuses(&self, class: OpClass) -> bool {
+        match class {
+            OpClass::Load => !self.lsq.can_accept_load(),
+            OpClass::Store => !self.lsq.can_accept_store(),
+            _ => false,
+        }
     }
 
     /// Conservation check, compiled to nothing in release builds.
@@ -862,40 +834,35 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             self.issue_broadcast(now);
             return false;
         }
-        let Some(front_seq) = self.rob.front().map(|e| e.seq) else {
-            return true;
-        };
         // The walk's live bounds are fixed for the whole cycle: dispatch
         // runs after issue, and commit ran before it.
-        let end_seq = front_seq + self.rob.len() as u64;
+        let end_seq = self.rob.tail();
         let mut issued = 0u32;
         let (mut examined, mut refused_by_memory) = (0u32, 0u32);
-        let mut cursor = front_seq;
+        let mut cursor = self.rob.head();
         while issued < self.config.issue_width {
             let Some(seq) = self.sched.next_candidate_in(cursor, end_seq) else {
                 break;
             };
             cursor = seq + 1;
             examined += 1;
-            let i = self.rob_index(seq);
-            debug_assert_eq!(self.rob[i].seq, seq);
-            debug_assert_eq!(self.rob[i].state, EntryState::Waiting);
-            let op = self.rob[i].di.inst.op;
-            match op.class() {
+            debug_assert!(!self.rob[seq].issued());
+            let class = self.rob[seq].class;
+            match class {
                 OpClass::Load => {
-                    if !Self::dep_ready(&self.rob, self.rob[i].addr_seq, now) {
-                        self.rob[i].wait = WaitKind::Deps;
+                    if !self.rob.dep_ready(self.rob[seq].addr_seq, now) {
+                        self.rob[seq].wait = WaitKind::Deps;
                         continue;
                     }
                     // Address generation needs an AGU whichever path the
                     // data takes.
                     if !self.fu.can_start(OpClass::Load, now) {
-                        self.rob[i].wait = WaitKind::Fu;
+                        self.rob[seq].wait = WaitKind::Fu;
                         continue;
                     }
-                    match self.gate_load_indexed(i, seq, now) {
+                    match self.gate_load_indexed(seq, now) {
                         LoadGate::Wait => {
-                            self.rob[i].wait = WaitKind::Order;
+                            self.rob[seq].wait = WaitKind::Order;
                             self.stats.lsq_order_stalls.inc();
                             continue;
                         }
@@ -903,54 +870,56 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                             self.fu
                                 .try_start(OpClass::Load, now)
                                 .expect("can_start checked");
-                            let entry = &mut self.rob[i];
-                            entry.state = EntryState::Issued;
+                            let entry = &mut self.rob[seq];
                             entry.ready_at = now + self.config.lsq_forward_latency;
                             entry.wait = WaitKind::Exec;
                             self.stats.lsq_forwards.inc();
-                            self.tracer
-                                .emit(now, EventKind::Issue, self.rob[i].di.pc, seq as u32);
+                            self.tracer.emit(
+                                now,
+                                EventKind::Issue,
+                                self.rob[seq].di.pc,
+                                seq as u32,
+                            );
                             issued += 1;
-                            self.finish_issue(i, seq, now);
+                            self.finish_issue(seq, now);
                         }
                         LoadGate::Go => {
-                            let addr = Addr::new(self.rob[i].di.mem_addr.expect("load address"));
-                            let bytes = self.rob[i].di.mem_bytes();
+                            let addr = Addr::new(self.rob[seq].di.mem_addr.expect("load address"));
+                            let bytes = self.rob[seq].di.mem_bytes();
                             match self.mem.try_load(now, addr, bytes) {
                                 LoadOutcome::Ready { at, source } => {
                                     self.fu
                                         .try_start(OpClass::Load, now)
                                         .expect("can_start checked");
-                                    let entry = &mut self.rob[i];
-                                    entry.state = EntryState::Issued;
+                                    let entry = &mut self.rob[seq];
                                     entry.ready_at = at;
                                     entry.wait = Self::serving_wait(source);
                                     self.tracer.emit(
                                         now,
                                         EventKind::Issue,
-                                        self.rob[i].di.pc,
+                                        self.rob[seq].di.pc,
                                         seq as u32,
                                     );
                                     issued += 1;
-                                    self.finish_issue(i, seq, now);
+                                    self.finish_issue(seq, now);
                                 }
                                 LoadOutcome::MshrFull => {
-                                    self.rob[i].wait = WaitKind::MshrFull;
+                                    self.rob[seq].wait = WaitKind::MshrFull;
                                     self.tracer.emit(
                                         now,
                                         EventKind::PortRetry,
-                                        self.rob[i].di.pc,
+                                        self.rob[seq].di.pc,
                                         seq as u32,
                                     );
                                     refused_by_memory += 1;
                                     continue;
                                 }
                                 LoadOutcome::NoPort | LoadOutcome::Conflict => {
-                                    self.rob[i].wait = WaitKind::NoPort;
+                                    self.rob[seq].wait = WaitKind::NoPort;
                                     self.tracer.emit(
                                         now,
                                         EventKind::PortRetry,
-                                        self.rob[i].di.pc,
+                                        self.rob[seq].di.pc,
                                         seq as u32,
                                     );
                                     refused_by_memory += 1;
@@ -961,53 +930,50 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                     }
                 }
                 OpClass::Store => {
-                    let addr_ok = Self::dep_ready(&self.rob, self.rob[i].addr_seq, now);
-                    if addr_ok && self.rob[i].addr_known_at.is_none() {
+                    let addr_ok = self.rob.dep_ready(self.rob[seq].addr_seq, now);
+                    if addr_ok && self.rob[seq].addr_known_at.is_none() {
                         // Address generation fires as soon as the base
                         // register is ready, independent of the data.
-                        self.rob[i].addr_known_at = Some(now);
+                        self.rob[seq].addr_known_at = Some(now);
                     }
                     if !addr_ok {
-                        self.rob[i].wait = WaitKind::Deps;
+                        self.rob[seq].wait = WaitKind::Deps;
                         continue;
                     }
-                    if !Self::dep_ready(&self.rob, self.rob[i].data_seq, now) {
+                    if !self.rob.dep_ready(self.rob[seq].data_seq, now) {
                         // Address generation has fired; nothing further
                         // happens until the data arrives. Park on the
                         // data producer (registered at dispatch — the
                         // data was unready then too), whose wakeup
                         // re-adds this store.
-                        self.rob[i].wait = WaitKind::Deps;
+                        self.rob[seq].wait = WaitKind::Deps;
                         self.sched.remove_candidate(seq);
                         continue;
                     }
                     if let Some(done_at) = self.fu.try_start(OpClass::Store, now) {
-                        let entry = &mut self.rob[i];
-                        entry.state = EntryState::Issued;
+                        let entry = &mut self.rob[seq];
                         entry.ready_at = done_at;
                         entry.wait = WaitKind::Exec;
                         self.tracer
-                            .emit(now, EventKind::Issue, self.rob[i].di.pc, seq as u32);
+                            .emit(now, EventKind::Issue, self.rob[seq].di.pc, seq as u32);
                         issued += 1;
-                        self.finish_issue(i, seq, now);
+                        self.finish_issue(seq, now);
                     } else {
-                        self.rob[i].wait = WaitKind::Fu;
+                        self.rob[seq].wait = WaitKind::Fu;
                     }
                 }
                 _ => {
-                    let deps = self.rob[i].src_seqs;
-                    if !deps.iter().all(|&dep| Self::dep_ready(&self.rob, dep, now)) {
-                        self.rob[i].wait = WaitKind::Deps;
+                    if !self.operands_ready(&self.rob[seq], now) {
+                        self.rob[seq].wait = WaitKind::Deps;
                         continue;
                     }
-                    if let Some(done_at) = self.fu.try_start(op.class(), now) {
-                        let mispredicted = self.rob[i].mispredicted;
-                        let entry = &mut self.rob[i];
-                        entry.state = EntryState::Issued;
+                    if let Some(done_at) = self.fu.try_start(class, now) {
+                        let mispredicted = self.rob[seq].mispredicted;
+                        let entry = &mut self.rob[seq];
                         entry.ready_at = done_at;
                         entry.wait = WaitKind::Exec;
                         self.tracer
-                            .emit(now, EventKind::Issue, self.rob[i].di.pc, seq as u32);
+                            .emit(now, EventKind::Issue, self.rob[seq].di.pc, seq as u32);
                         issued += 1;
                         if mispredicted {
                             // The redirect leaves when the branch resolves.
@@ -1018,9 +984,9 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                             self.fetch_blocked_on_branch = false;
                             self.wrong_path = None;
                         }
-                        self.finish_issue(i, seq, now);
+                        self.finish_issue(seq, now);
                     } else {
-                        self.rob[i].wait = WaitKind::Fu;
+                        self.rob[seq].wait = WaitKind::Fu;
                     }
                 }
             }
@@ -1044,29 +1010,29 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     #[cfg(test)]
     fn issue_broadcast(&mut self, now: Cycle) {
         let mut issued = 0u32;
-        for i in 0..self.rob.len() {
+        for seq in self.rob.head()..self.rob.tail() {
             if issued >= self.config.issue_width {
                 break;
             }
-            if self.rob[i].state != EntryState::Waiting {
+            if self.rob[seq].issued() {
                 continue;
             }
-            let op = self.rob[i].di.inst.op;
-            match op.class() {
+            let class = self.rob[seq].class;
+            match class {
                 OpClass::Load => {
-                    if !Self::dep_ready(&self.rob, self.rob[i].addr_seq, now) {
-                        self.rob[i].wait = WaitKind::Deps;
+                    if !self.rob.dep_ready(self.rob[seq].addr_seq, now) {
+                        self.rob[seq].wait = WaitKind::Deps;
                         continue;
                     }
                     // Address generation needs an AGU whichever path the
                     // data takes.
                     if !self.fu.can_start(OpClass::Load, now) {
-                        self.rob[i].wait = WaitKind::Fu;
+                        self.rob[seq].wait = WaitKind::Fu;
                         continue;
                     }
-                    match Self::gate_load(&self.rob, i, now) {
+                    match Self::gate_load(&self.rob, seq, now) {
                         LoadGate::Wait => {
-                            self.rob[i].wait = WaitKind::Order;
+                            self.rob[seq].wait = WaitKind::Order;
                             self.stats.lsq_order_stalls.inc();
                             continue;
                         }
@@ -1074,45 +1040,45 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                             self.fu
                                 .try_start(OpClass::Load, now)
                                 .expect("can_start checked");
-                            let entry = &mut self.rob[i];
-                            entry.state = EntryState::Issued;
+                            let entry = &mut self.rob[seq];
                             entry.ready_at = now + self.config.lsq_forward_latency;
                             entry.wait = WaitKind::Exec;
                             self.stats.lsq_forwards.inc();
-                            let seq = self.rob[i].seq;
-                            self.tracer
-                                .emit(now, EventKind::Issue, self.rob[i].di.pc, seq as u32);
+                            self.tracer.emit(
+                                now,
+                                EventKind::Issue,
+                                self.rob[seq].di.pc,
+                                seq as u32,
+                            );
                             issued += 1;
                             self.issue_log.push((now, seq));
                         }
                         LoadGate::Go => {
-                            let addr = Addr::new(self.rob[i].di.mem_addr.expect("load address"));
-                            let bytes = self.rob[i].di.mem_bytes();
+                            let addr = Addr::new(self.rob[seq].di.mem_addr.expect("load address"));
+                            let bytes = self.rob[seq].di.mem_bytes();
                             match self.mem.try_load(now, addr, bytes) {
                                 LoadOutcome::Ready { at, source } => {
                                     self.fu
                                         .try_start(OpClass::Load, now)
                                         .expect("can_start checked");
-                                    let entry = &mut self.rob[i];
-                                    entry.state = EntryState::Issued;
+                                    let entry = &mut self.rob[seq];
                                     entry.ready_at = at;
                                     entry.wait = Self::serving_wait(source);
-                                    let seq = self.rob[i].seq;
                                     self.tracer.emit(
                                         now,
                                         EventKind::Issue,
-                                        self.rob[i].di.pc,
+                                        self.rob[seq].di.pc,
                                         seq as u32,
                                     );
                                     issued += 1;
                                     self.issue_log.push((now, seq));
                                 }
                                 LoadOutcome::MshrFull => {
-                                    self.rob[i].wait = WaitKind::MshrFull;
+                                    self.rob[seq].wait = WaitKind::MshrFull;
                                     continue;
                                 }
                                 LoadOutcome::NoPort | LoadOutcome::Conflict => {
-                                    self.rob[i].wait = WaitKind::NoPort;
+                                    self.rob[seq].wait = WaitKind::NoPort;
                                     continue;
                                 }
                             }
@@ -1120,45 +1086,40 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                     }
                 }
                 OpClass::Store => {
-                    let addr_ok = Self::dep_ready(&self.rob, self.rob[i].addr_seq, now);
-                    if addr_ok && self.rob[i].addr_known_at.is_none() {
+                    let addr_ok = self.rob.dep_ready(self.rob[seq].addr_seq, now);
+                    if addr_ok && self.rob[seq].addr_known_at.is_none() {
                         // Address generation fires as soon as the base
                         // register is ready, independent of the data.
-                        self.rob[i].addr_known_at = Some(now);
+                        self.rob[seq].addr_known_at = Some(now);
                     }
-                    if !addr_ok || !Self::dep_ready(&self.rob, self.rob[i].data_seq, now) {
-                        self.rob[i].wait = WaitKind::Deps;
+                    if !addr_ok || !self.rob.dep_ready(self.rob[seq].data_seq, now) {
+                        self.rob[seq].wait = WaitKind::Deps;
                         continue;
                     }
                     if let Some(done_at) = self.fu.try_start(OpClass::Store, now) {
-                        let entry = &mut self.rob[i];
-                        entry.state = EntryState::Issued;
+                        let entry = &mut self.rob[seq];
                         entry.ready_at = done_at;
                         entry.wait = WaitKind::Exec;
-                        let seq = self.rob[i].seq;
                         self.tracer
-                            .emit(now, EventKind::Issue, self.rob[i].di.pc, seq as u32);
+                            .emit(now, EventKind::Issue, self.rob[seq].di.pc, seq as u32);
                         issued += 1;
                         self.issue_log.push((now, seq));
                     } else {
-                        self.rob[i].wait = WaitKind::Fu;
+                        self.rob[seq].wait = WaitKind::Fu;
                     }
                 }
                 _ => {
-                    let deps = self.rob[i].src_seqs;
-                    if !deps.iter().all(|&dep| Self::dep_ready(&self.rob, dep, now)) {
-                        self.rob[i].wait = WaitKind::Deps;
+                    if !self.operands_ready(&self.rob[seq], now) {
+                        self.rob[seq].wait = WaitKind::Deps;
                         continue;
                     }
-                    if let Some(done_at) = self.fu.try_start(op.class(), now) {
-                        let mispredicted = self.rob[i].mispredicted;
-                        let entry = &mut self.rob[i];
-                        entry.state = EntryState::Issued;
+                    if let Some(done_at) = self.fu.try_start(class, now) {
+                        let mispredicted = self.rob[seq].mispredicted;
+                        let entry = &mut self.rob[seq];
                         entry.ready_at = done_at;
                         entry.wait = WaitKind::Exec;
-                        let seq = self.rob[i].seq;
                         self.tracer
-                            .emit(now, EventKind::Issue, self.rob[i].di.pc, seq as u32);
+                            .emit(now, EventKind::Issue, self.rob[seq].di.pc, seq as u32);
                         issued += 1;
                         self.issue_log.push((now, seq));
                         if mispredicted {
@@ -1171,7 +1132,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                             self.wrong_path = None;
                         }
                     } else {
-                        self.rob[i].wait = WaitKind::Fu;
+                        self.rob[seq].wait = WaitKind::Fu;
                     }
                 }
             }
@@ -1190,7 +1151,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             if front.available_at > now {
                 break;
             }
-            let op = front.di.inst.op;
+            let (op, class) = (front.di.inst.op, front.class);
             let serializing = matches!(op, Op::Syscall | Op::Eret);
             if serializing && !self.rob.is_empty() {
                 break;
@@ -1199,49 +1160,47 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                 self.stats.dispatch_rob_full.inc();
                 break;
             }
-            if op.is_load() && !self.lsq.can_accept_load() {
-                self.stats.dispatch_lsq_full.inc();
-                break;
-            }
-            if op.is_store() && !self.lsq.can_accept_store() {
+            if self.lsq_refuses(class) {
                 self.stats.dispatch_lsq_full.inc();
                 break;
             }
 
             let fetched = self.fetch_buffer.pop_front().expect("checked above");
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let inst = fetched.di.inst;
+            // Rename: read the producers before this instruction's own
+            // destination mapping can shadow them.
+            let (src_seqs, addr_seq, data_seq) = match class {
+                OpClass::Load => ([None, None], self.producer(inst.rs1), None),
+                OpClass::Store => (
+                    [None, None],
+                    self.producer(inst.rs1),
+                    self.producer(inst.rs2),
+                ),
+                _ => {
+                    let mut src_seqs = [None, None];
+                    for (slot, reg) in inst.sources().enumerate().take(2) {
+                        src_seqs[slot] = self.producer(reg);
+                    }
+                    (src_seqs, None, None)
+                }
+            };
+            let seq = self.rob.push(fetched.di, class, fetched.mispredicted);
             self.tracer
                 .emit(now, EventKind::Dispatch, fetched.di.pc, seq as u32);
-            let mut entry = RobEntry::new(seq, fetched.di);
-            entry.mispredicted = fetched.mispredicted;
-
-            // Rename.
-            let inst = fetched.di.inst;
-            match op.class() {
-                OpClass::Load => {
-                    entry.addr_seq = self.producer(inst.rs1);
-                }
-                OpClass::Store => {
-                    entry.addr_seq = self.producer(inst.rs1);
-                    entry.data_seq = self.producer(inst.rs2);
-                }
-                _ => {
-                    for (slot, reg) in inst.sources().enumerate().take(2) {
-                        entry.src_seqs[slot] = self.producer(reg);
-                    }
-                }
-            }
+            let entry = &mut self.rob[seq];
+            entry.src_seqs = src_seqs;
+            entry.addr_seq = addr_seq;
+            entry.data_seq = data_seq;
             if let Some(dest) = inst.dest() {
                 self.map[dest.index()] = Some(seq);
             }
-            if op.is_load() {
+            if class == OpClass::Load {
                 self.lsq.add_load();
             }
-            if op.is_store() {
+            if class == OpClass::Store {
                 self.lsq.add_store();
-                self.sched
-                    .add_store(seq, entry.mem_range().expect("stores have addresses"));
+                let range = self.rob[seq].mem_range().expect("stores have addresses");
+                self.sched.add_store(seq, range);
                 debug_assert!(self.sched.stores_in_flight() <= self.config.store_queue);
             }
             if serializing {
@@ -1252,36 +1211,15 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             // that is not yet done; its completion event re-evaluates the
             // consumer. Producers of unready operands are necessarily
             // still in flight (retired sequence numbers count as ready).
-            let deps = [
-                entry.src_seqs[0],
-                entry.src_seqs[1],
-                entry.addr_seq,
-                entry.data_seq,
-            ];
+            let deps = [src_seqs[0], src_seqs[1], addr_seq, data_seq];
             for dep in deps.into_iter().flatten() {
-                if !Self::seq_ready(&self.rob, dep, now) {
-                    let idx = self.rob_index(dep);
-                    let waiters = &mut self.rob[idx].waiters;
-                    if waiters.capacity() == 0 {
-                        if let Some(spare) = self.waiter_pool.pop() {
-                            *waiters = spare;
-                        }
-                    }
-                    waiters.push(seq);
+                if !self.rob.seq_ready(dep, now) {
+                    self.rob[dep].waiters.push(seq);
                 }
             }
-            let eligible = match op.class() {
-                OpClass::Load | OpClass::Store => Self::dep_ready(&self.rob, entry.addr_seq, now),
-                _ => entry
-                    .src_seqs
-                    .iter()
-                    .all(|&dep| Self::dep_ready(&self.rob, dep, now)),
-            };
-            if eligible {
+            if self.operands_ready(&self.rob[seq], now) {
                 self.sched.add_candidate(seq);
             }
-
-            self.rob.push_back(entry);
             dispatched += 1;
             self.stuck_cycles = 0;
         }
@@ -1345,18 +1283,20 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             let di = self.trace.next().expect("peeked above");
             // Fetch buffer and dispatch are strictly FIFO, so the seq
             // this instruction will receive is already determined:
-            // next_seq plus everything fetched ahead of it.
-            let will_be_seq = self.next_seq + self.fetch_buffer.len() as u64;
+            // the ROB tail plus everything fetched ahead of it.
+            let will_be_seq = self.rob.tail() + self.fetch_buffer.len() as u64;
             self.tracer
                 .emit(now, EventKind::Fetch, di.pc, will_be_seq as u32);
             fetched += 1;
-            let misprediction = self.predict(now, &di);
+            let class = di.inst.op.class();
+            let misprediction = self.predict(now, &di, class);
             let mispredicted = misprediction.is_some();
             let stop = mispredicted
                 || di.diverted()
                 || matches!(di.inst.op, Op::Syscall | Op::Eret | Op::Halt);
             self.fetch_buffer.push_back(Fetched {
                 di,
+                class,
                 mispredicted,
                 available_at: now + 1,
             });
@@ -1381,9 +1321,9 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     /// until resolve — where `wrong_path_start` is the address the
     /// frontend *would* have fetched next (`None` when unknowable, e.g.
     /// an indirect jump with no prediction at all).
-    fn predict(&mut self, now: Cycle, di: &DynInst) -> Option<Option<u64>> {
+    fn predict(&mut self, now: Cycle, di: &DynInst, class: OpClass) -> Option<Option<u64>> {
         let pc = di.pc;
-        match di.inst.op.class() {
+        match class {
             OpClass::Branch => {
                 self.stats.branches.inc();
                 let predicted = match self.predictor.kind() {
@@ -2035,6 +1975,11 @@ mod oracle_props {
     use cpe_mem::MemConfig;
     use proptest::prelude::*;
 
+    /// Window sizes every equivalence property runs: the presets' powers
+    /// of two, plus sizes that fill only part of the slot ring (5, 48)
+    /// and the one-entry window whose every slot is the head.
+    pub(super) const WINDOWS: [usize; 6] = [1, 5, 8, 32, 48, 128];
+
     /// Operand pool for generated programs. `t0` holds the data-buffer
     /// base and `s1` the loop counter, so neither appears here.
     const POOL: [&str; 12] = [
@@ -2256,7 +2201,7 @@ mod oracle_props {
             body in prop::collection::vec(arb_inst(), 1..40),
         ) {
             let src = program_text(&seeds, &body);
-            for window in [8usize, 32, 128] {
+            for window in WINDOWS {
                 let event = run_mode(&src, window, false);
                 let oracle = run_mode(&src, window, true);
                 prop_assert!(
@@ -2275,7 +2220,7 @@ mod oracle_props {
             let src = program_text(&seeds, &body);
             let program = assemble(&src).expect("generated programs assemble");
             for mem in parking_mems() {
-                for window in [32usize, 128, 8] {
+                for window in WINDOWS {
                     let (event, _) = run_core(Emulator::new(program.clone()), window, mem, false);
                     let (oracle, _) = run_core(Emulator::new(program.clone()), window, mem, true);
                     prop_assert_eq!(
@@ -2297,7 +2242,7 @@ mod oracle_props {
 /// record-once / replay-many contract the sweep relies on.
 #[cfg(test)]
 mod replay_props {
-    use super::oracle_props::{arb_inst, program_text, run_stream};
+    use super::oracle_props::{arb_inst, program_text, run_stream, WINDOWS};
     use cpe_isa::asm::assemble;
     use cpe_isa::replay::RecordedTrace;
     use cpe_isa::Emulator;
@@ -2315,7 +2260,7 @@ mod replay_props {
             // Record once; replay through every timing configuration.
             let recorded = RecordedTrace::record(Emulator::new(program.clone()), None);
             prop_assert!(recorded.complete());
-            for window in [8usize, 32, 128] {
+            for window in WINDOWS {
                 let direct = run_stream(Emulator::new(program.clone()), window, false);
                 let replay = run_stream(recorded.iter(), window, false);
                 prop_assert_eq!(&direct, &replay, "window {}", window);

@@ -58,6 +58,6 @@ pub use cpi::{CpiStack, StallCause};
 // re-exported here because it is one half of every simulation.
 pub use cpe_isa::{EmuError, Emulator, SparseMem};
 pub use fu::FuPool;
-pub use rob::{EntryState, RobEntry, WaitKind};
+pub use rob::WaitKind;
 pub use stats::CpuStats;
 pub use watchdog::WatchdogReport;

@@ -16,7 +16,8 @@
 //!   walk began;
 //! * a **completion event queue** — each issued instruction schedules one
 //!   wakeup at its `ready_at` cycle, at which point its waiters (recorded
-//!   on the producer's ROB entry) are re-evaluated;
+//!   in the producer's slot of the seq-indexed reorder buffer) are
+//!   re-evaluated;
 //! * an **in-flight store queue** — every dispatched, uncommitted store
 //!   as `(seq, byte range)` in age order, so
 //!   load/store disambiguation is a short backwards scan of at most

@@ -48,17 +48,31 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
+    /// `log2(line_bytes)` and `sets - 1`, fixed at construction: both
+    /// counts are validated powers of two, so a set index is a shift and
+    /// a mask rather than the geometry's two divisions.
+    line_shift: u32,
+    set_mask: u64,
     ways: Vec<Way>,
     replacement: Replacement,
 }
 
 impl Cache {
     /// An empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `geometry` fails [`CacheGeometry::try_validate`].
     pub fn new(geometry: CacheGeometry) -> Cache {
+        if let Err(message) = geometry.try_validate() {
+            panic!("{message}");
+        }
         let sets = geometry.sets() as usize;
         let ways_per_set = geometry.ways as usize;
         Cache {
             geometry,
+            line_shift: geometry.line_bytes.trailing_zeros(),
+            set_mask: sets as u64 - 1,
             ways: vec![Way::default(); sets * ways_per_set],
             replacement: Replacement::new(sets, ways_per_set),
         }
@@ -69,8 +83,13 @@ impl Cache {
         &self.geometry
     }
 
+    /// The set holding `addr`; equal to [`CacheGeometry::set_index`].
+    fn set_index(&self, addr: Addr) -> usize {
+        ((addr.get() >> self.line_shift) & self.set_mask) as usize
+    }
+
     fn set_range(&self, addr: Addr) -> std::ops::Range<usize> {
-        let set = self.geometry.set_index(addr.get());
+        let set = self.set_index(addr);
         let ways = self.geometry.ways as usize;
         set * ways..(set + 1) * ways
     }
@@ -80,7 +99,7 @@ impl Cache {
     /// [`Cache::fill`] so callers can model fill latency.
     pub fn probe(&mut self, addr: Addr, is_write: bool) -> ProbeResult {
         let tag = self.geometry.tag(addr.get());
-        let set = self.geometry.set_index(addr.get());
+        let set = self.set_index(addr);
         let range = self.set_range(addr);
         for (i, way) in self.ways[range.clone()].iter_mut().enumerate() {
             if way.valid && way.tag == tag {
@@ -109,7 +128,7 @@ impl Cache {
     /// merges them first).
     pub fn fill(&mut self, addr: Addr, dirty: bool) -> Option<Victim> {
         let tag = self.geometry.tag(addr.get());
-        let set = self.geometry.set_index(addr.get());
+        let set = self.set_index(addr);
         let range = self.set_range(addr);
 
         // Already present: refresh.
@@ -249,6 +268,17 @@ mod tests {
         c.fill(b, false);
         let victim = c.fill(d, false).unwrap();
         assert!(victim.dirty);
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn a_geometry_that_cannot_index_by_shift_is_refused() {
+        // Fields are public, so a literal skips `CacheGeometry::new`.
+        Cache::new(CacheGeometry {
+            capacity_bytes: 1024,
+            ways: 2,
+            line_bytes: 48,
+        });
     }
 
     #[test]

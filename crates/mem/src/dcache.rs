@@ -362,7 +362,7 @@ impl DCache {
         self.cycle_port_rejects = 0;
         self.cycle_marks = CycleMarks::read(stats);
         let line_bytes = self.line_bytes();
-        for (line_addr, dirty, allocated_at) in self.mshr.take_completed(now) {
+        while let Some((line_addr, dirty, allocated_at)) = self.mshr.pop_completed(now) {
             stats
                 .mshr_residency
                 .record(now.saturating_sub(allocated_at));

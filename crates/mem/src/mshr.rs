@@ -28,8 +28,8 @@ struct MshrEntry {
 /// The file of outstanding misses for one cache.
 ///
 /// Entries are allocated when a miss leaves for the next level, merged when
-/// further references touch the same line, and retired by
-/// [`MshrFile::take_completed`] once their fill has arrived.
+/// further references touch the same line, and retired one by one by
+/// [`MshrFile::pop_completed`] once their fill has arrived.
 ///
 /// ```
 /// use cpe_mem::{MshrFile, MshrResult};
@@ -39,14 +39,24 @@ struct MshrEntry {
 /// assert_eq!(mshrs.request(5, 0x100, 25, true), MshrResult::Merged(20));
 /// assert_eq!(mshrs.request(2, 0x200, 22, false), MshrResult::Allocated(22));
 /// assert_eq!(mshrs.request(3, 0x300, 23, false), MshrResult::Full);
-/// let done = mshrs.take_completed(20);
-/// assert_eq!(done, vec![(0x100, true, 0)]); // dirty: the merged store's data
+/// assert_eq!(mshrs.pop_completed(19), None);
+/// assert_eq!(mshrs.pop_completed(20), Some((0x100, true, 0))); // the merged store's data
+/// assert_eq!(mshrs.pop_completed(20), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     entries: Vec<MshrEntry>,
+    /// Fills a cycle's first [`MshrFile::pop_completed`] retired from
+    /// `entries`, as `(line_addr, dirty, allocated_at)`, highest line
+    /// first so each pop is a `Vec::pop`. Drained within the cycle; the
+    /// allocation (one slot per entry) persists.
+    arrived: Vec<(u64, bool, Cycle)>,
     capacity: usize,
     merges: u64,
+    /// The earliest `ready_at` among `entries` (`Cycle::MAX` when
+    /// empty), so the skip bound and the per-cycle "anything arrived?"
+    /// check are O(1).
+    next_ready: Cycle,
 }
 
 impl MshrFile {
@@ -54,8 +64,10 @@ impl MshrFile {
     pub fn new(capacity: usize) -> MshrFile {
         MshrFile {
             entries: Vec::with_capacity(capacity),
+            arrived: Vec::with_capacity(capacity),
             capacity,
             merges: 0,
+            next_ready: Cycle::MAX,
         }
     }
 
@@ -87,6 +99,7 @@ impl MshrFile {
             ready_at: fill_at,
             dirty: write,
         });
+        self.next_ready = self.next_ready.min(fill_at);
         MshrResult::Allocated(fill_at)
     }
 
@@ -98,26 +111,40 @@ impl MshrFile {
             .map(|e| e.ready_at)
     }
 
-    /// Retire every entry whose fill has arrived by `now`, returning
-    /// `(line_addr, dirty, allocated_at)` triples for the caller to
-    /// install (and account residency from the allocation cycle).
-    pub fn take_completed(&mut self, now: Cycle) -> Vec<(u64, bool, Cycle)> {
-        // Most stepped cycles install nothing: skip the retain and sort.
-        if !self.entries.iter().any(|e| e.ready_at <= now) {
-            return Vec::new();
+    /// Retire the entry with the lowest line address among those whose
+    /// fill has arrived by `now`, returning `(line_addr, dirty,
+    /// allocated_at)` for the caller to install (and account residency
+    /// from the allocation cycle); `None` once none has arrived. Callers
+    /// pop until `None` each cycle, installing the cycle's fills in
+    /// address order, which keeps victim selection deterministic.
+    #[inline]
+    pub fn pop_completed(&mut self, now: Cycle) -> Option<(u64, bool, Cycle)> {
+        if self.arrived.is_empty() {
+            if self.next_ready > now {
+                return None;
+            }
+            self.retire_arrived(now);
         }
-        let mut done = Vec::new();
+        self.arrived.pop()
+    }
+
+    /// Move every fill that has arrived by `now` into `arrived`, in one
+    /// pass that also finds the remaining entries' earliest fill.
+    fn retire_arrived(&mut self, now: Cycle) {
+        let mut next_ready = Cycle::MAX;
+        let arrived = &mut self.arrived;
         self.entries.retain(|e| {
             if e.ready_at <= now {
-                done.push((e.line_addr, e.dirty, e.allocated_at));
+                arrived.push((e.line_addr, e.dirty, e.allocated_at));
                 false
             } else {
+                next_ready = next_ready.min(e.ready_at);
                 true
             }
         });
-        // Install in arrival order for deterministic victim selection.
-        done.sort_by_key(|&(line, _, _)| line);
-        done
+        self.next_ready = next_ready;
+        // Line addresses are unique, so the order is total.
+        arrived.sort_unstable_by_key(|&(line, _, _)| std::cmp::Reverse(line));
     }
 
     /// Earliest cycle at which any outstanding fill arrives, if one is
@@ -125,8 +152,9 @@ impl MshrFile {
     /// a skip: a fill must be installed by `begin_cycle` on exactly the
     /// cycle it becomes ready, so residency accounting and victim
     /// selection are unchanged by skipping.
+    #[inline]
     pub fn next_ready_at(&self) -> Option<Cycle> {
-        self.entries.iter().map(|e| e.ready_at).min()
+        (self.next_ready != Cycle::MAX).then_some(self.next_ready)
     }
 
     /// Outstanding entries.
@@ -162,8 +190,9 @@ mod tests {
         assert_eq!(m.lookup(0x40), Some(10));
         assert_eq!(m.request(4, 0x40, 99, false), MshrResult::Merged(10));
         assert_eq!(m.merges(), 1);
-        assert!(m.take_completed(9).is_empty());
-        assert_eq!(m.take_completed(10), vec![(0x40, false, 3)]);
+        assert_eq!(m.pop_completed(9), None);
+        assert_eq!(m.pop_completed(10), Some((0x40, false, 3)));
+        assert_eq!(m.pop_completed(10), None);
         assert!(m.is_empty());
         assert_eq!(m.lookup(0x40), None);
     }
@@ -183,8 +212,7 @@ mod tests {
         m.request(0, 0x40, 10, false);
         m.request(2, 0x40, 12, true);
         m.request(1, 0x80, 11, true);
-        let done = m.take_completed(20);
-        assert_eq!(done, vec![(0x40, true, 0), (0x80, true, 1)]);
+        assert_eq!(drain(&mut m, 20), vec![(0x40, true, 0), (0x80, true, 1)]);
     }
 
     #[test]
@@ -192,7 +220,7 @@ mod tests {
         let mut m = MshrFile::new(4);
         m.request(5, 0x40, 10, false);
         m.request(6, 0x80, 20, false);
-        assert_eq!(m.take_completed(15), vec![(0x40, false, 5)]);
+        assert_eq!(drain(&mut m, 15), vec![(0x40, false, 5)]);
         assert_eq!(m.len(), 1);
         assert_eq!(m.lookup(0x80), Some(20));
     }
@@ -204,9 +232,33 @@ mod tests {
         m.request(0, 0x40, 30, false);
         m.request(0, 0x80, 10, false);
         assert_eq!(m.next_ready_at(), Some(10));
-        m.take_completed(10);
+        drain(&mut m, 10);
         assert_eq!(m.next_ready_at(), Some(30));
-        m.take_completed(30);
+        drain(&mut m, 30);
         assert_eq!(m.next_ready_at(), None);
+    }
+
+    #[test]
+    fn arrived_fills_pop_in_address_order_whatever_their_arrival() {
+        let mut m = MshrFile::new(4);
+        m.request(0, 0x300, 12, false);
+        m.request(1, 0x100, 14, true);
+        m.request(2, 0x200, 11, false);
+        m.request(3, 0x400, 20, false);
+        assert_eq!(m.next_ready_at(), Some(11));
+        assert_eq!(
+            drain(&mut m, 14),
+            vec![(0x100, true, 1), (0x200, false, 2), (0x300, false, 0)]
+        );
+        assert_eq!(m.next_ready_at(), Some(20));
+        // A line allocated after a drain lowers the bound again.
+        m.request(15, 0x500, 16, false);
+        assert_eq!(m.next_ready_at(), Some(16));
+        assert_eq!(m.lookup(0x400), Some(20));
+    }
+
+    /// Everything that has arrived by `now`, in pop order.
+    fn drain(m: &mut MshrFile, now: Cycle) -> Vec<(u64, bool, Cycle)> {
+        std::iter::from_fn(|| m.pop_completed(now)).collect()
     }
 }

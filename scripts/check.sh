@@ -36,6 +36,10 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 echo "== trace feature off: cargo build --release --no-default-features" >&2
 cargo build --release -p cpe --no-default-features
 cargo test -q -p cpe-core --no-default-features --lib
+# The core and memory crates' own suites (the scheduler oracles and the
+# parked-skip properties among them) with `TraceHandle` a zero-sized
+# no-op: a root `cargo test` only ever builds them with tracing on.
+cargo test -q -p cpe-cpu -p cpe-mem
 
 # Host-speed gate: the benchmark BENCHMARK.json declares, three 6 s runs
 # per gating workload. Every run must be correct with no failed cell,

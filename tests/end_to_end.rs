@@ -2,10 +2,13 @@
 //! core → memory system, checked end to end.
 
 use cpe::exec::render::{member, member_path, number_at};
-use cpe::exec::SweepPlan;
+use cpe::exec::{fnv1a64, SweepPlan};
 use cpe::isa::{asm::assemble, Emulator, Mode};
 use cpe::workloads::{Scale, Workload};
-use cpe::{parse_json, BackendKind, JsonValue, RunSummary, SimConfig, Simulator};
+use cpe::{
+    parse_json, profile_json, BackendKind, JsonValue, ProfileOptions, RunSummary, SimConfig,
+    Simulator,
+};
 
 /// One Test-scale run of `workload` on `config`.
 fn run(config: SimConfig, workload: Workload, max_insts: Option<u64>) -> RunSummary {
@@ -243,4 +246,78 @@ fn load_latency_count_equals_the_sum_over_load_paths() {
         assert_load_sources_reconcile("fresh sweep", &fresh.aggregate_json()),
         36
     );
+}
+
+/// Windows no preset uses — one entry, and sizes off a power of two —
+/// keep the documents they produced when pinned: an FNV-1a-64 digest of
+/// each extended workload's metrics document (Test scale under `cpe
+/// sweep`'s default 20k window), its host-timed `self_profile` member
+/// cut. Any moved counter, CPI slot, distribution or epoch moves a
+/// digest.
+#[test]
+fn odd_window_documents_are_pinned() {
+    const PINNED: [(usize, [u64; 8]); 3] = [
+        (
+            1,
+            [
+                0xb3ed_928c_122e_2f92,
+                0x47f9_21d7_354d_9654,
+                0x6d56_ff88_87b1_ee45,
+                0x60bb_4936_58f4_290a,
+                0x1298_6a99_0555_2fc9,
+                0xe0cb_d125_48c5_567f,
+                0xf9c7_c268_e96e_6fa7,
+                0xbdac_44f1_8d41_d577,
+            ],
+        ),
+        (
+            48,
+            [
+                0x3611_0a80_31af_f240,
+                0xed02_4de8_7aa0_83f4,
+                0x2515_be2d_2878_6178,
+                0xfd22_aad3_f263_aea5,
+                0x79d5_f280_6673_727c,
+                0x0994_3279_51e5_bf4c,
+                0xb59c_47c5_ee56_6e55,
+                0x6df2_9917_0c8e_018d,
+            ],
+        ),
+        (
+            100,
+            [
+                0x55b1_a9cf_4649_631d,
+                0x4d16_a765_6b09_3a06,
+                0x057c_6e94_9994_2b7a,
+                0x7499_fc0d_dc6a_ffde,
+                0x9442_3b15_fa11_47a5,
+                0x6878_3820_dd3b_9389,
+                0xca12_3c5a_9238_629e,
+                0xd670_701f_a440_096b,
+            ],
+        ),
+    ];
+    let mut actual = Vec::new();
+    for (rob_entries, _) in PINNED {
+        let mut config = SimConfig::combined_single_port();
+        config.cpu.rob_entries = rob_entries;
+        let sim = Simulator::try_new(config).expect("the config validates");
+        let digests = Workload::EXTENDED.map(|workload| {
+            let run = sim
+                .try_profile(
+                    workload,
+                    Scale::Test,
+                    Some(20_000),
+                    ProfileOptions::default(),
+                )
+                .expect("the run completes");
+            let document = profile_json(&run, sim.config());
+            let (timed, _) = document
+                .split_once(",\"self_profile\":")
+                .expect("the document ends with its self-profile");
+            fnv1a64(timed.as_bytes())
+        });
+        actual.push((rob_entries, digests));
+    }
+    assert_eq!(actual, PINNED, "{actual:#018x?}");
 }
