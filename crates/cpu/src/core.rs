@@ -59,6 +59,41 @@ enum StallReason {
     ICache,
 }
 
+/// What fetch would do at a cycle: [`Core::fetch_gate`]'s answer, read by
+/// fetch itself, the cycle skipper and the commit-slot attribution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FetchGate {
+    /// Fetch the next block.
+    Go,
+    /// Blocked on a mispredicted branch, dragging a wrong-path block
+    /// through the instruction cache.
+    WrongPath,
+    /// The stream is drained.
+    Drained,
+    /// Blocked on a mispredicted branch with no wrong path to fetch.
+    Blocked,
+    /// Stalled until `fetch_resume_at` for a redirect or an icache miss.
+    Stalled(StallReason),
+    /// The fetch buffer is full.
+    Full,
+}
+
+/// What dispatch would do with the fetch-buffer front at a cycle:
+/// [`Core::dispatch_gate`]'s answer, read by dispatch itself, the cycle
+/// skipper and the commit-slot attribution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DispatchGate {
+    /// Dispatch the front.
+    Go,
+    /// Nothing to dispatch, or a serialising instruction must wait;
+    /// `Some(t)` when the front becomes dispatchable by itself at `t`.
+    Wait(Option<Cycle>),
+    /// The reorder buffer is full.
+    RobFull,
+    /// The front's load or store queue is full.
+    LsqFull,
+}
+
 /// The dynamic superscalar timing model.
 ///
 /// Consumes a committed-path [`DynInst`] stream from any iterator —
@@ -263,11 +298,29 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             && self.stats.committed.get() == committed_before
             && self.mem.last_cycle_parked();
         self.parked = parked.then_some((now, adds_at_walk));
+        self.close_cycles(now, 1, self.stats.committed.get() != committed_before)?;
+        self.assert_cpi_conservation();
+        self.now += 1;
+        Ok(true)
+    }
 
-        // Bookkeeping.
-        self.stats.cycles.inc();
-        self.stats.rob_occupancy.record(self.rob.len() as u64);
-        self.stats.lsq_occupancy.record(self.lsq.total() as u64);
+    /// The bookkeeping every closed cycle records, for the `n` cycles
+    /// from `now` on (one stepped cycle, or a skipped span): the cycle
+    /// count, window and queue occupancy, user/kernel mode, and a step
+    /// of the stuck-cycle watchdog. `committed` says whether any of them
+    /// committed. `Err` when the watchdog fires; its report names the
+    /// last of the `n` cycles.
+    fn close_cycles(
+        &mut self,
+        now: Cycle,
+        n: u64,
+        committed: bool,
+    ) -> Result<(), Box<WatchdogReport>> {
+        self.stats.cycles.add(n);
+        self.stats.rob_occupancy.record_n(self.rob.len() as u64, n);
+        self.stats
+            .lsq_occupancy
+            .record_n(self.lsq.total() as u64, n);
         let mode = self
             .rob
             .front()
@@ -276,23 +329,20 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             .unwrap_or(self.last_mode);
         self.last_mode = mode;
         match mode {
-            Mode::User => self.stats.user_cycles.inc(),
-            Mode::Kernel => self.stats.kernel_cycles.inc(),
+            Mode::User => self.stats.user_cycles.add(n),
+            Mode::Kernel => self.stats.kernel_cycles.add(n),
         }
-
-        if self.stats.committed.get() == committed_before {
-            self.stuck_cycles += 1;
-            self.stats.max_commit_gap.record_max(self.stuck_cycles);
-            let limit = self.config.watchdog_cycles;
-            if limit > 0 && self.stuck_cycles >= limit {
-                return Err(Box::new(self.watchdog_report(now, limit)));
-            }
-        } else {
+        if committed {
             self.stuck_cycles = 0;
+            return Ok(());
         }
-        self.assert_cpi_conservation();
-        self.now += 1;
-        Ok(true)
+        self.stuck_cycles += n;
+        self.stats.max_commit_gap.record_max(self.stuck_cycles);
+        let limit = self.config.watchdog_cycles;
+        if limit > 0 && self.stuck_cycles >= limit {
+            return Err(Box::new(self.watchdog_report(now + n - 1, limit)));
+        }
+        Ok(())
     }
 
     /// Snapshot everything the stalled machine could be waiting on.
@@ -419,13 +469,14 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     /// statistics the idle cycles would have recorded one by one.
     /// Returns `true` when a skip was taken (the step is complete).
     ///
-    /// Eligibility mirrors each stage's first-exit path: commit needs an
-    /// undone head, select an empty candidate set, the store buffer must
-    /// be empty (else `end_cycle` would drain it), and fetch/dispatch
-    /// must be blocked for a reason that cannot clear by itself. The skip
-    /// is bounded by every externally scheduled event: completion
-    /// wakeups, MSHR fills, the fetch-resume cycle, fetch-buffer
-    /// availability, the profiler's step quantum, and the watchdog.
+    /// Eligibility reads each stage's own gate: commit needs an undone
+    /// head, select an empty candidate set, the store buffer must be
+    /// empty (else `end_cycle` would drain it), and [`Core::fetch_gate`]
+    /// and [`Core::dispatch_gate`] must answer that their stage cannot
+    /// act by itself. The skip is bounded by every externally scheduled
+    /// event: completion wakeups, MSHR fills, the fetch-resume cycle,
+    /// fetch-buffer availability, the profiler's step quantum, and the
+    /// watchdog.
     ///
     /// Candidates and buffered stores are also admitted when the previous
     /// cycle was *parked*: it committed nothing, its issue walk issued
@@ -447,63 +498,12 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         if self.rob.front().is_some_and(|head| head.done(now)) {
             return Ok(false); // commit would act
         }
-
-        // Mirror fetch()'s cascade: where would it bail out, and does
-        // that path record a stall statistic?
-        enum FetchIdle {
-            Busy,
-            Silent,
-            Stalled,
-        }
-        let fetch_idle = if self.trace.peek().is_none() {
-            FetchIdle::Silent
-        } else if self.fetch_blocked_on_branch {
-            if self.wrong_path.is_some() {
-                FetchIdle::Busy // wrong-path fetch touches the icache
-            } else {
-                FetchIdle::Silent
-            }
-        } else if now < self.fetch_resume_at {
-            FetchIdle::Stalled
-        } else if self.fetch_buffer.len() >= 2 * self.config.fetch_width as usize {
-            FetchIdle::Silent
-        } else {
-            FetchIdle::Busy
-        };
-        if matches!(fetch_idle, FetchIdle::Busy) {
+        let fetch = self.fetch_gate(now);
+        if matches!(fetch, FetchGate::Go | FetchGate::WrongPath) {
             return Ok(false);
         }
-
-        // Mirror dispatch()'s first-iteration cascade likewise.
-        enum DispatchIdle {
-            Busy,
-            Silent,
-            RobFull,
-            LsqFull,
-        }
-        let mut dispatch_ready_at = None;
-        let dispatch_idle = if self.serialize {
-            DispatchIdle::Silent
-        } else if let Some(front) = self.fetch_buffer.front() {
-            if front.available_at > now {
-                dispatch_ready_at = Some(front.available_at);
-                DispatchIdle::Silent
-            } else {
-                let op = front.di.inst.op;
-                if matches!(op, Op::Syscall | Op::Eret) && !self.rob.is_empty() {
-                    DispatchIdle::Silent
-                } else if self.rob.len() >= self.config.rob_entries {
-                    DispatchIdle::RobFull
-                } else if self.lsq_refuses(front.class) {
-                    DispatchIdle::LsqFull
-                } else {
-                    DispatchIdle::Busy
-                }
-            }
-        } else {
-            DispatchIdle::Silent
-        };
-        if matches!(dispatch_idle, DispatchIdle::Busy) {
+        let dispatch = self.dispatch_gate(now);
+        if dispatch == DispatchGate::Go {
             return Ok(false);
         }
 
@@ -516,10 +516,12 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         };
         bound(self.sched.next_event_at());
         bound(self.mem.next_event_at());
-        if matches!(fetch_idle, FetchIdle::Stalled) {
+        if let FetchGate::Stalled(_) = fetch {
             bound(Some(self.fetch_resume_at));
         }
-        bound(dispatch_ready_at);
+        if let DispatchGate::Wait(ready_at) = dispatch {
+            bound(ready_at);
+        }
         let Some(until) = until else {
             return Ok(false); // nothing scheduled: step normally
         };
@@ -537,42 +539,17 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         }
 
         // Bulk-record what n idle cycles would have recorded.
-        self.stats.cycles.add(n);
-        self.stats.rob_occupancy.record_n(self.rob.len() as u64, n);
-        self.stats
-            .lsq_occupancy
-            .record_n(self.lsq.total() as u64, n);
         self.stats.commits_per_cycle.record_n(0, n);
         // The skip preconditions freeze everything the slot-cause
-        // function reads (head state and wait reason, fetch/dispatch
-        // blockage, the skip bounds), so each skipped cycle would have
-        // attributed its commit_width empty slots to this same cause.
+        // function reads (head state and wait reason, both gates, the
+        // skip bounds), so each skipped cycle would have attributed its
+        // commit_width empty slots to this same cause.
         let cause = self.stall_slot_cause(now, false);
         self.stats
             .cpi_stack
             .record(cause, n * u64::from(self.config.commit_width));
-        let mode = self
-            .rob
-            .front()
-            .map(|e| e.di.mode)
-            .or_else(|| self.fetch_buffer.front().map(|f| f.di.mode))
-            .unwrap_or(self.last_mode);
-        self.last_mode = mode;
-        match mode {
-            Mode::User => self.stats.user_cycles.add(n),
-            Mode::Kernel => self.stats.kernel_cycles.add(n),
-        }
-        if matches!(fetch_idle, FetchIdle::Stalled) {
-            match self.stall_reason {
-                StallReason::Redirect => self.stats.fetch_redirect_stall_cycles.add(n),
-                StallReason::ICache => self.stats.fetch_icache_stall_cycles.add(n),
-            }
-        }
-        match dispatch_idle {
-            DispatchIdle::RobFull => self.stats.dispatch_rob_full.add(n),
-            DispatchIdle::LsqFull => self.stats.dispatch_lsq_full.add(n),
-            _ => {}
-        }
+        self.count_fetch_stall(fetch, n);
+        self.count_dispatch_stall(dispatch, n);
         self.mem.record_skipped_cycles(n, parked);
         if parked {
             // The skipped cycles repeated the parked one; the last of them
@@ -583,13 +560,8 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                 self.parked_skips += 1;
             }
         }
-        self.stuck_cycles += n;
-        self.stats.max_commit_gap.record_max(self.stuck_cycles);
-        if limit > 0 && self.stuck_cycles >= limit {
-            // The report cycle is the one the per-cycle watchdog would
-            // have aborted on; like the stepped path, `self.now` stays.
-            return Err(Box::new(self.watchdog_report(now + n - 1, limit)));
-        }
+        // Like the stepped path, a watchdog abort leaves `self.now`.
+        self.close_cycles(now, n, false)?;
         self.now = now + n;
         Ok(true)
     }
@@ -746,7 +718,11 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             WaitKind::Fu | WaitKind::Exec => StallCause::FuBusy,
             WaitKind::Deps => StallCause::DependencyWait,
         };
-        self.dispatch_blocked_by(now).unwrap_or(generic)
+        match self.dispatch_gate(now) {
+            DispatchGate::RobFull => StallCause::RobFull,
+            DispatchGate::LsqFull => StallCause::LsqFull,
+            _ => generic,
+        }
     }
 
     /// The empty-ROB half of [`Core::stall_slot_cause`]: nothing is in
@@ -757,53 +733,86 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             // Fetched but not yet dispatchable: decode latency.
             return StallCause::FetchStarved;
         }
+        match self.fetch_gate(now) {
+            FetchGate::Drained => StallCause::Idle,
+            FetchGate::WrongPath
+            | FetchGate::Blocked
+            | FetchGate::Stalled(StallReason::Redirect) => StallCause::BranchRecovery,
+            FetchGate::Stalled(StallReason::ICache) | FetchGate::Full | FetchGate::Go => {
+                StallCause::FetchStarved
+            }
+        }
+    }
+
+    /// What fetch would do at `now`, read top-down: a drained stream, a
+    /// block on a mispredicted branch (running down its wrong path while
+    /// blocks remain), a redirect or icache stall, a full buffer, or go.
+    fn fetch_gate(&mut self, now: Cycle) -> FetchGate {
         if self.trace.peek().is_none() {
-            return StallCause::Idle;
+            FetchGate::Drained
+        } else if self.fetch_blocked_on_branch {
+            if self.wrong_path.is_some() {
+                FetchGate::WrongPath
+            } else {
+                FetchGate::Blocked
+            }
+        } else if now < self.fetch_resume_at {
+            FetchGate::Stalled(self.stall_reason)
+        } else if self.fetch_buffer.len() >= 2 * self.config.fetch_width as usize {
+            FetchGate::Full
+        } else {
+            FetchGate::Go
         }
-        if self.fetch_blocked_on_branch {
-            return StallCause::BranchRecovery;
-        }
-        if now < self.fetch_resume_at {
-            return match self.stall_reason {
-                StallReason::Redirect => StallCause::BranchRecovery,
-                StallReason::ICache => StallCause::FetchStarved,
-            };
-        }
-        StallCause::FetchStarved
     }
 
-    /// Would dispatch refuse the fetch-buffer front this cycle because
-    /// the window or the load/store queue is full? A read-only mirror of
-    /// [`Core::dispatch`]'s first-exit cascade (and of the cycle
-    /// skipper's `DispatchIdle` classification), used to refine generic
-    /// head waits into window-pressure causes.
-    fn dispatch_blocked_by(&self, now: Cycle) -> Option<StallCause> {
+    /// Count `n` cycles of a fetch stall, when `gate` is one.
+    fn count_fetch_stall(&mut self, gate: FetchGate, n: u64) {
+        match gate {
+            FetchGate::Stalled(StallReason::Redirect) => {
+                self.stats.fetch_redirect_stall_cycles.add(n)
+            }
+            FetchGate::Stalled(StallReason::ICache) => self.stats.fetch_icache_stall_cycles.add(n),
+            _ => {}
+        }
+    }
+
+    /// What dispatch would do with the fetch-buffer front at `now`, read
+    /// top-down: wait (serialising, nothing fetched, the front not yet
+    /// decoded, or a serialising front behind a non-empty window), stop
+    /// on a full window or load/store queue, or go.
+    fn dispatch_gate(&self, now: Cycle) -> DispatchGate {
         if self.serialize {
-            return None;
+            return DispatchGate::Wait(None);
         }
-        let front = self.fetch_buffer.front()?;
+        let Some(front) = self.fetch_buffer.front() else {
+            return DispatchGate::Wait(None);
+        };
         if front.available_at > now {
-            return None;
+            return DispatchGate::Wait(Some(front.available_at));
         }
-        let op = front.di.inst.op;
-        if matches!(op, Op::Syscall | Op::Eret) && !self.rob.is_empty() {
-            return None;
-        }
-        if self.rob.len() >= self.config.rob_entries {
-            return Some(StallCause::RobFull);
-        }
-        if self.lsq_refuses(front.class) {
-            return Some(StallCause::LsqFull);
-        }
-        None
-    }
-
-    /// Is the load or store queue too full to take an op of `class`?
-    fn lsq_refuses(&self, class: OpClass) -> bool {
-        match class {
+        let lsq_full = match front.class {
             OpClass::Load => !self.lsq.can_accept_load(),
             OpClass::Store => !self.lsq.can_accept_store(),
             _ => false,
+        };
+        if matches!(front.di.inst.op, Op::Syscall | Op::Eret) && !self.rob.is_empty() {
+            DispatchGate::Wait(None)
+        } else if self.rob.len() >= self.config.rob_entries {
+            DispatchGate::RobFull
+        } else if lsq_full {
+            DispatchGate::LsqFull
+        } else {
+            DispatchGate::Go
+        }
+    }
+
+    /// Count `n` cycles of dispatch refused for a full window or queue,
+    /// when `gate` is one.
+    fn count_dispatch_stall(&mut self, gate: DispatchGate, n: u64) {
+        match gate {
+            DispatchGate::RobFull => self.stats.dispatch_rob_full.add(n),
+            DispatchGate::LsqFull => self.stats.dispatch_lsq_full.add(n),
+            _ => {}
         }
     }
 
@@ -870,18 +879,10 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                             self.fu
                                 .try_start(OpClass::Load, now)
                                 .expect("can_start checked");
-                            let entry = &mut self.rob[seq];
-                            entry.ready_at = now + self.config.lsq_forward_latency;
-                            entry.wait = WaitKind::Exec;
                             self.stats.lsq_forwards.inc();
-                            self.tracer.emit(
-                                now,
-                                EventKind::Issue,
-                                self.rob[seq].di.pc,
-                                seq as u32,
-                            );
+                            let ready_at = now + self.config.lsq_forward_latency;
+                            self.issue_entry(seq, now, ready_at, WaitKind::Exec);
                             issued += 1;
-                            self.finish_issue(seq, now);
                         }
                         LoadGate::Go => {
                             let addr = Addr::new(self.rob[seq].di.mem_addr.expect("load address"));
@@ -891,39 +892,18 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                                     self.fu
                                         .try_start(OpClass::Load, now)
                                         .expect("can_start checked");
-                                    let entry = &mut self.rob[seq];
-                                    entry.ready_at = at;
-                                    entry.wait = Self::serving_wait(source);
-                                    self.tracer.emit(
-                                        now,
-                                        EventKind::Issue,
-                                        self.rob[seq].di.pc,
-                                        seq as u32,
-                                    );
+                                    self.issue_entry(seq, now, at, Self::serving_wait(source));
                                     issued += 1;
-                                    self.finish_issue(seq, now);
                                 }
-                                LoadOutcome::MshrFull => {
-                                    self.rob[seq].wait = WaitKind::MshrFull;
-                                    self.tracer.emit(
-                                        now,
-                                        EventKind::PortRetry,
-                                        self.rob[seq].di.pc,
-                                        seq as u32,
-                                    );
+                                refused => {
+                                    self.rob[seq].wait = if refused == LoadOutcome::MshrFull {
+                                        WaitKind::MshrFull
+                                    } else {
+                                        WaitKind::NoPort
+                                    };
+                                    let pc = self.rob[seq].di.pc;
+                                    self.tracer.emit(now, EventKind::PortRetry, pc, seq as u32);
                                     refused_by_memory += 1;
-                                    continue;
-                                }
-                                LoadOutcome::NoPort | LoadOutcome::Conflict => {
-                                    self.rob[seq].wait = WaitKind::NoPort;
-                                    self.tracer.emit(
-                                        now,
-                                        EventKind::PortRetry,
-                                        self.rob[seq].di.pc,
-                                        seq as u32,
-                                    );
-                                    refused_by_memory += 1;
-                                    continue;
                                 }
                             }
                         }
@@ -951,13 +931,8 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                         continue;
                     }
                     if let Some(done_at) = self.fu.try_start(OpClass::Store, now) {
-                        let entry = &mut self.rob[seq];
-                        entry.ready_at = done_at;
-                        entry.wait = WaitKind::Exec;
-                        self.tracer
-                            .emit(now, EventKind::Issue, self.rob[seq].di.pc, seq as u32);
+                        self.issue_entry(seq, now, done_at, WaitKind::Exec);
                         issued += 1;
-                        self.finish_issue(seq, now);
                     } else {
                         self.rob[seq].wait = WaitKind::Fu;
                     }
@@ -968,14 +943,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                         continue;
                     }
                     if let Some(done_at) = self.fu.try_start(class, now) {
-                        let mispredicted = self.rob[seq].mispredicted;
-                        let entry = &mut self.rob[seq];
-                        entry.ready_at = done_at;
-                        entry.wait = WaitKind::Exec;
-                        self.tracer
-                            .emit(now, EventKind::Issue, self.rob[seq].di.pc, seq as u32);
-                        issued += 1;
-                        if mispredicted {
+                        if self.rob[seq].mispredicted {
                             // The redirect leaves when the branch resolves.
                             self.fetch_resume_at = self
                                 .fetch_resume_at
@@ -984,7 +952,8 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                             self.fetch_blocked_on_branch = false;
                             self.wrong_path = None;
                         }
-                        self.finish_issue(seq, now);
+                        self.issue_entry(seq, now, done_at, WaitKind::Exec);
+                        issued += 1;
                     } else {
                         self.rob[seq].wait = WaitKind::Fu;
                     }
@@ -992,6 +961,17 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             }
         }
         issued == 0 && refused_by_memory == examined
+    }
+
+    /// Issue `seq` at `now`: its result is ready at `ready_at`, and until
+    /// then it waits as `wait`.
+    fn issue_entry(&mut self, seq: u64, now: Cycle, ready_at: Cycle, wait: WaitKind) {
+        let entry = &mut self.rob[seq];
+        entry.ready_at = ready_at;
+        entry.wait = wait;
+        let pc = entry.di.pc;
+        self.tracer.emit(now, EventKind::Issue, pc, seq as u32);
+        self.finish_issue(seq, now);
     }
 
     /// The in-flight service class a just-issued load settles into,
@@ -1142,31 +1122,14 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     fn dispatch(&mut self, now: Cycle) {
         let mut dispatched = 0u32;
         while dispatched < self.config.dispatch_width {
-            if self.serialize {
+            let gate = self.dispatch_gate(now);
+            if gate != DispatchGate::Go {
+                self.count_dispatch_stall(gate, 1);
                 break;
             }
-            let Some(front) = self.fetch_buffer.front() else {
-                break;
-            };
-            if front.available_at > now {
-                break;
-            }
-            let (op, class) = (front.di.inst.op, front.class);
-            let serializing = matches!(op, Op::Syscall | Op::Eret);
-            if serializing && !self.rob.is_empty() {
-                break;
-            }
-            if self.rob.len() >= self.config.rob_entries {
-                self.stats.dispatch_rob_full.inc();
-                break;
-            }
-            if self.lsq_refuses(class) {
-                self.stats.dispatch_lsq_full.inc();
-                break;
-            }
-
-            let fetched = self.fetch_buffer.pop_front().expect("checked above");
-            let inst = fetched.di.inst;
+            let fetched = self.fetch_buffer.pop_front().expect("the gate saw a front");
+            let (inst, class) = (fetched.di.inst, fetched.class);
+            let serializing = matches!(inst.op, Op::Syscall | Op::Eret);
             // Rename: read the producers before this instruction's own
             // destination mapping can shadow them.
             let (src_seqs, addr_seq, data_seq) = match class {
@@ -1233,34 +1196,27 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     }
 
     fn fetch(&mut self, now: Cycle) {
-        if self.trace.peek().is_none() {
-            return;
-        }
-        if self.fetch_blocked_on_branch {
-            // The real frontend does not idle on a misprediction: it runs
-            // down the wrong path until the redirect, dragging wrong-path
-            // blocks through the instruction cache.
-            if let Some((pc, blocks_left)) = self.wrong_path.take() {
+        match self.fetch_gate(now) {
+            FetchGate::Go => {}
+            FetchGate::WrongPath => {
+                // The real frontend does not idle on a misprediction: it
+                // runs down the wrong path until the redirect, dragging
+                // wrong-path blocks through the instruction cache.
+                let (pc, blocks_left) = self.wrong_path.take().expect("the gate saw it");
                 let block = pc & !(self.config.fetch_bytes - 1);
                 let _ = self.mem.fetch(now, Addr::new(block));
                 self.stats.wrong_path_blocks.inc();
                 if blocks_left > 1 {
                     self.wrong_path = Some((block + self.config.fetch_bytes, blocks_left - 1));
                 }
+                return;
             }
-            return;
-        }
-        if now < self.fetch_resume_at {
-            match self.stall_reason {
-                StallReason::Redirect => self.stats.fetch_redirect_stall_cycles.inc(),
-                StallReason::ICache => self.stats.fetch_icache_stall_cycles.inc(),
+            gate => {
+                self.count_fetch_stall(gate, 1);
+                return;
             }
-            return;
         }
         let capacity = 2 * self.config.fetch_width as usize;
-        if self.fetch_buffer.len() >= capacity {
-            return;
-        }
 
         // One instruction block per cycle through the instruction cache.
         let block_mask = !(self.config.fetch_bytes - 1);
@@ -1719,6 +1675,47 @@ mod tests {
         );
     }
 
+    /// A loop of loads behind a long divide chain, whose head waits on
+    /// the divider while younger loads fill the window or the load queue.
+    const DIVIDE_AND_LOAD: &str = r#"
+        .data
+        buf: .space 64
+        .text
+        main:
+            la   t0, buf
+            li   t1, 40
+            li   a0, 1000
+            li   a1, 3
+        loop:
+            div  a0, a0, a1
+            ld   t2, 0(t0)
+            ld   t3, 8(t0)
+            ld   t4, 16(t0)
+            ld   t5, 24(t0)
+            addi t1, t1, -1
+            bnez t1, loop
+            halt
+    "#;
+
+    #[test]
+    fn a_full_window_and_a_full_load_queue_are_told_apart() {
+        let mut tiny_rob = CpuConfig::default();
+        tiny_rob.rob_entries = 4;
+        let rob = run_src(DIVIDE_AND_LOAD, tiny_rob, MemConfig::default()).cpu;
+        assert!(rob.dispatch_rob_full.get() > 0);
+        assert_eq!(rob.dispatch_lsq_full.get(), 0);
+        assert!(rob.cpi_stack.get(StallCause::RobFull) > 0);
+        assert_eq!(rob.cpi_stack.get(StallCause::LsqFull), 0);
+
+        let mut tiny_lsq = CpuConfig::default();
+        tiny_lsq.load_queue = 2;
+        let lsq = run_src(DIVIDE_AND_LOAD, tiny_lsq, MemConfig::default()).cpu;
+        assert!(lsq.dispatch_lsq_full.get() > 0);
+        assert_eq!(lsq.dispatch_rob_full.get(), 0);
+        assert!(lsq.cpi_stack.get(StallCause::LsqFull) > 0);
+        assert_eq!(lsq.cpi_stack.get(StallCause::RobFull), 0);
+    }
+
     #[test]
     fn commit_width_bounds_per_cycle_commits() {
         let result = run_src(SUM_LOOP, CpuConfig::default(), MemConfig::default());
@@ -1777,6 +1774,18 @@ mod tests {
             "misfetches: {}",
             result.cpu.misfetches.get()
         );
+    }
+
+    #[test]
+    fn fetch_stalls_are_counted_by_reason() {
+        let cpu = CpuConfig::default();
+        let result = run_src(SUM_LOOP, cpu, MemConfig::default());
+        // The cold instruction-cache miss holds fetch, and so does the
+        // redirect after the loop exit's mispredicted branch resolves.
+        assert!(result.cpu.fetch_icache_stall_cycles.get() > 0);
+        assert!(result.cpu.mispredicts.get() > 0);
+        assert!(result.cpu.fetch_redirect_stall_cycles.get() >= cpu.mispredict_penalty);
+        assert!(result.cpu.cpi_stack.get(StallCause::BranchRecovery) > 0);
     }
 
     #[test]

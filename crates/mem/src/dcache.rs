@@ -6,6 +6,10 @@
 //! 1. `begin_cycle` — completed misses install, port slots reset;
 //! 2. `try_load` / `commit_store` — loads take slots with priority;
 //! 3. `end_cycle` — the store buffer drains into idle slots.
+//!
+//! Every port access — a load, an unbuffered store, a drain — claims its
+//! slot and bank through one claim (`claim_port`), and every L1 miss
+//! runs one miss sequence (`access`).
 
 use std::collections::HashSet;
 
@@ -64,6 +68,15 @@ pub enum LoadOutcome {
     /// Buffered stores overlap the load only partially; it must wait for
     /// the store buffer to drain past them.
     Conflict,
+}
+
+/// Why [`DCache::claim_port`] turned an access away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PortDenied {
+    /// Every port slot this cycle was already claimed.
+    NoSlot,
+    /// Another access this cycle already claimed the address's bank.
+    Bank,
 }
 
 /// Outcome of presenting a committed store.
@@ -282,30 +295,6 @@ impl DCache {
         }
     }
 
-    /// On an L1 miss, try to swap the line in from the victim cache.
-    /// Returns the data-ready cycle on a victim hit.
-    fn try_victim_swap(
-        &mut self,
-        now: Cycle,
-        line: Addr,
-        write: bool,
-        backside: &mut Backside,
-        stats: &mut MemStats,
-    ) -> Option<Cycle> {
-        let dirty = self.victims.take(line)?;
-        stats.victim_hits.inc();
-        // The line moves back into the L1; whatever it displaces takes
-        // its slot in the victim cache.
-        if let Some(evicted) = self.cache.fill(line, dirty || write) {
-            let line_bytes = self.line_bytes();
-            self.line_buffers
-                .invalidate_overlapping(Addr::new(evicted.line_addr), line_bytes);
-            self.forget_prefetch(evicted.line_addr);
-            self.retire_victim(now, evicted.line_addr, evicted.dirty, backside, stats);
-        }
-        Some(now + self.latencies.l1_hit + VictimCache::SWAP_LATENCY)
-    }
-
     /// On a demand miss for `line`, also request the next sequential line
     /// (tagged next-line prefetching) when it is absent and an MSHR is
     /// free. Prefetches ride the ordinary miss machinery, so they contend
@@ -321,16 +310,16 @@ impl DCache {
             return;
         }
         let next = Addr::new(line.get() + self.line_bytes());
-        if self.cache.contains(next)
-            || self.mshr.lookup(next.get()).is_some()
-            || self.mshr.is_full()
-        {
+        if self.cache.contains(next) {
             return;
         }
-        let fill_at = backside.fetch_line(now, next, stats);
-        self.mshr.request(now, next.get(), fill_at, false);
-        self.prefetched_pending.insert(next.get());
-        stats.prefetches.inc();
+        // An outstanding line merges (a clean merge changes nothing) and a
+        // full file declines; only an allocation fetches.
+        let fetch = || backside.fetch_line(now, next, stats);
+        if let MshrResult::Allocated(_) = self.mshr.request(now, next.get(), false, fetch) {
+            self.prefetched_pending.insert(next.get());
+            stats.prefetches.inc();
+        }
     }
 
     /// A demand access touched `line`; if a prefetch brought it, credit it.
@@ -436,57 +425,22 @@ impl DCache {
         }
 
         // 4. A real port access.
-        if self.slots_used >= self.ports.count {
+        if let Err(denied) = self.claim_port(now, addr.get(), stats) {
             stats.load_no_port.inc();
             self.cycle_port_rejects += 1;
-            self.trace.emit(now, EventKind::PortConflict, addr.get(), 0);
+            if denied == PortDenied::NoSlot {
+                self.trace.emit(now, EventKind::PortConflict, addr.get(), 0);
+            }
             return LoadOutcome::NoPort;
         }
-        if let Some(bank) = self.ports.bank_of(addr.get()) {
-            if self.cycle_banks.contains(&bank) {
-                stats.bank_conflicts.inc();
-                stats.load_no_port.inc();
-                self.cycle_port_rejects += 1;
-                self.trace
-                    .emit(now, EventKind::BankConflict, addr.get(), bank);
-                return LoadOutcome::NoPort;
-            }
-            self.cycle_banks.push(bank);
-        }
-        let line = Addr::new(self.cache.geometry().tag(addr.get()));
-        let (at, source) = match self.cache.probe(addr, false) {
-            ProbeResult::Hit => {
-                self.credit_prefetch(line.get(), stats);
-                (now + self.latencies.l1_hit, LoadSource::L1Hit)
-            }
-            ProbeResult::Miss => {
-                if let Some(ready) = self.try_victim_swap(now, line, false, backside, stats) {
-                    (ready, LoadSource::VictimHit)
-                } else if let Some(fill_at) = self.mshr.lookup(line.get()) {
-                    self.mshr.request(now, line.get(), fill_at, false);
-                    self.credit_prefetch(line.get(), stats);
-                    self.trace.emit(now, EventKind::MshrMerge, line.get(), 0);
-                    (
-                        fill_at.max(now + self.latencies.l1_hit),
-                        LoadSource::MissMerged,
-                    )
-                } else if self.mshr.is_full() {
-                    self.slots_used += 1;
-                    stats.load_mshr_full.inc();
-                    self.trace.emit(now, EventKind::MshrFull, addr.get(), 0);
-                    return LoadOutcome::MshrFull;
-                } else {
-                    let fill_at = backside.fetch_line(now, line, stats);
-                    let result = self.mshr.request(now, line.get(), fill_at, false);
-                    debug_assert_eq!(result, MshrResult::Allocated(fill_at));
-                    self.maybe_prefetch(now, line, backside, stats);
-                    self.trace.emit(now, EventKind::MshrAlloc, line.get(), 0);
-                    (fill_at, LoadSource::Miss)
-                }
-            }
+        let Some((at, source)) = self.access(now, addr, false, backside, stats) else {
+            // The tag probe consumed the slot.
+            stats.load_mshr_full.inc();
+            self.trace.emit(now, EventKind::MshrFull, addr.get(), 0);
+            return LoadOutcome::MshrFull;
         };
-        self.slots_used += 1;
         stats.loads.inc();
+        let line = self.cache.geometry().tag(addr.get());
         let grant_code = match source {
             LoadSource::L1Hit => {
                 stats.load_l1_hits.inc();
@@ -498,10 +452,12 @@ impl DCache {
             }
             LoadSource::MissMerged => {
                 stats.load_miss_merged.inc();
+                self.trace.emit(now, EventKind::MshrMerge, line, 0);
                 PORT_GRANT_MISS_MERGED
             }
             LoadSource::Miss => {
                 stats.load_misses.inc();
+                self.trace.emit(now, EventKind::MshrAlloc, line, 0);
                 PORT_GRANT_MISS
             }
             _ => unreachable!("port path sources only"),
@@ -551,71 +507,51 @@ impl DCache {
             }
         } else {
             // Unbuffered: the store needs a port slot right now.
-            if self.slots_used >= self.ports.count {
+            if let Err(denied) = self.claim_port(now, addr.get(), stats) {
                 stats.store_rejected.inc();
                 self.cycle_port_rejects += 1;
+                if denied == PortDenied::NoSlot {
+                    self.trace.emit(now, EventKind::StoreReject, addr.get(), 0);
+                }
+                return StoreOutcome::Rejected;
+            }
+            if self.write_access(now, addr, backside, stats).is_err() {
+                // MSHR full: the tag probe consumed the slot.
+                stats.store_rejected.inc();
                 self.trace.emit(now, EventKind::StoreReject, addr.get(), 0);
                 return StoreOutcome::Rejected;
             }
-            if let Some(bank) = self.ports.bank_of(addr.get()) {
-                if self.cycle_banks.contains(&bank) {
-                    stats.bank_conflicts.inc();
-                    stats.store_rejected.inc();
-                    self.cycle_port_rejects += 1;
-                    self.trace
-                        .emit(now, EventKind::BankConflict, addr.get(), bank);
-                    return StoreOutcome::Rejected;
-                }
-                self.cycle_banks.push(bank);
-            }
-            match self.write_access(now, addr, backside, stats) {
-                Ok(()) => {
-                    self.slots_used += 1;
-                    stats.stores.inc();
-                    // A direct write never waited in the buffer.
-                    stats.store_commit_latency.record(0);
-                    self.line_buffers.invalidate_overlapping(addr, bytes);
-                    self.trace.emit(now, EventKind::StoreCommit, addr.get(), 0);
-                    StoreOutcome::Accepted
-                }
-                Err(()) => {
-                    // MSHR full: the tag probe consumed the slot.
-                    self.slots_used += 1;
-                    stats.store_rejected.inc();
-                    self.trace.emit(now, EventKind::StoreReject, addr.get(), 0);
-                    StoreOutcome::Rejected
-                }
-            }
+            stats.stores.inc();
+            // A direct write never waited in the buffer.
+            stats.store_commit_latency.record(0);
+            self.line_buffers.invalidate_overlapping(addr, bytes);
+            self.trace.emit(now, EventKind::StoreCommit, addr.get(), 0);
+            StoreOutcome::Accepted
         }
     }
 
     /// Phase 3: drain buffered stores through idle port slots and account
     /// for the cycle's port usage.
     pub fn end_cycle(&mut self, now: Cycle, backside: &mut Backside, stats: &mut MemStats) {
-        while self.slots_used < self.ports.count {
-            let Some(entry) = self.store_buffer.peek().copied() else {
+        while let Some(entry) = self.store_buffer.peek().copied() {
+            if self.claim_port(now, entry.chunk_addr, stats).is_err() {
                 break;
-            };
-            if let Some(bank) = self.ports.bank_of(entry.chunk_addr) {
-                if self.cycle_banks.contains(&bank) {
-                    stats.bank_conflicts.inc();
-                    break;
-                }
-                self.cycle_banks.push(bank);
             }
-            match self.write_access(now, Addr::new(entry.chunk_addr), backside, stats) {
-                Ok(()) => {
-                    self.slots_used += 1;
-                    self.store_buffer.pop();
-                    stats.store_drains.inc();
-                    stats
-                        .store_commit_latency
-                        .record(now.saturating_sub(entry.pushed_at));
-                    self.trace
-                        .emit(now, EventKind::StoreDrain, entry.chunk_addr, 0);
-                }
-                Err(()) => break, // MSHR full: try again next cycle
+            let addr = Addr::new(entry.chunk_addr);
+            if self.write_access(now, addr, backside, stats).is_err() {
+                // MSHR full: try again next cycle. Unlike a refused load
+                // or unbuffered store, a refused drain hands its slot
+                // back (its bank stays taken; nothing claims after it).
+                self.slots_used -= 1;
+                break;
             }
+            self.store_buffer.pop();
+            stats.store_drains.inc();
+            stats
+                .store_commit_latency
+                .record(now.saturating_sub(entry.pushed_at));
+            self.trace
+                .emit(now, EventKind::StoreDrain, entry.chunk_addr, 0);
         }
         debug_assert!(self.slots_used <= self.ports.count);
         stats.port_slots_used.add(u64::from(self.slots_used));
@@ -639,8 +575,91 @@ impl DCache {
         });
     }
 
-    /// Write `addr`'s line in the cache (hit) or route it through the MSHR
-    /// file (miss, write-allocate). `Err(())` means the MSHR file is full.
+    /// Claim a port slot, and `addr`'s bank when the ports are banked,
+    /// for an access during cycle `now`: the one arbitration rule loads,
+    /// unbuffered stores and store-buffer drains share. A slot is free
+    /// while fewer than `ports.count` were claimed this cycle, a bank
+    /// while no access this cycle claimed it. Losing the bank counts and
+    /// traces a bank conflict; every other consequence of a refusal is
+    /// the caller's.
+    fn claim_port(
+        &mut self,
+        now: Cycle,
+        addr: u64,
+        stats: &mut MemStats,
+    ) -> Result<(), PortDenied> {
+        if self.slots_used >= self.ports.count {
+            return Err(PortDenied::NoSlot);
+        }
+        if let Some(bank) = self.ports.bank_of(addr) {
+            if self.cycle_banks.contains(&bank) {
+                stats.bank_conflicts.inc();
+                self.trace.emit(now, EventKind::BankConflict, addr, bank);
+                return Err(PortDenied::Bank);
+            }
+            self.cycle_banks.push(bank);
+            debug_assert!(
+                (1..self.cycle_banks.len())
+                    .all(|i| !self.cycle_banks[..i].contains(&self.cycle_banks[i])),
+                "a bank was granted twice in cycle {now}"
+            );
+        }
+        self.slots_used += 1;
+        Ok(())
+    }
+
+    /// Probe the tags for `addr` (a store when `write`) through a claimed
+    /// port, and run an L1 miss through the one miss sequence: swap the
+    /// line back from the victim cache, else merge into an outstanding
+    /// miss, else give up when the MSHR file is full (`None`), else
+    /// allocate (the only case that fetches from the backside) and let the
+    /// prefetcher follow. Returns when the data is ready and where the
+    /// line was found.
+    fn access(
+        &mut self,
+        now: Cycle,
+        addr: Addr,
+        write: bool,
+        backside: &mut Backside,
+        stats: &mut MemStats,
+    ) -> Option<(Cycle, LoadSource)> {
+        let line = Addr::new(self.cache.geometry().tag(addr.get()));
+        if self.cache.probe(addr, write) == ProbeResult::Hit {
+            self.credit_prefetch(line.get(), stats);
+            return Some((now + self.latencies.l1_hit, LoadSource::L1Hit));
+        }
+        if let Some(dirty) = self.victims.take(line) {
+            stats.victim_hits.inc();
+            // The line moves back into the L1; whatever it displaces takes
+            // its slot in the victim cache.
+            if let Some(evicted) = self.cache.fill(line, dirty || write) {
+                let line_bytes = self.line_bytes();
+                self.line_buffers
+                    .invalidate_overlapping(Addr::new(evicted.line_addr), line_bytes);
+                self.forget_prefetch(evicted.line_addr);
+                self.retire_victim(now, evicted.line_addr, evicted.dirty, backside, stats);
+            }
+            let ready = now + self.latencies.l1_hit + VictimCache::SWAP_LATENCY;
+            return Some((ready, LoadSource::VictimHit));
+        }
+        let fetch = || backside.fetch_line(now, line, stats);
+        match self.mshr.request(now, line.get(), write, fetch) {
+            MshrResult::Merged(fill_at) => {
+                self.credit_prefetch(line.get(), stats);
+                let ready = fill_at.max(now + self.latencies.l1_hit);
+                Some((ready, LoadSource::MissMerged))
+            }
+            MshrResult::Full => None,
+            MshrResult::Allocated(fill_at) => {
+                self.maybe_prefetch(now, line, backside, stats);
+                Some((fill_at, LoadSource::Miss))
+            }
+        }
+    }
+
+    /// Write `addr`'s line through a claimed port: in the cache (hit) or
+    /// through the miss sequence (write-allocate), or, write-through, to
+    /// the L2. `Err(())` means the MSHR file is full.
     fn write_access(
         &mut self,
         now: Cycle,
@@ -648,7 +667,6 @@ impl DCache {
         backside: &mut Backside,
         stats: &mut MemStats,
     ) -> Result<(), ()> {
-        let line = Addr::new(self.cache.geometry().tag(addr.get()));
         if self.write_policy == WritePolicy::WriteThroughNoAllocate {
             // The store updates the L1 copy when present (clean — the
             // write goes through) and always travels to L2 on the bus;
@@ -657,39 +675,15 @@ impl DCache {
                 ProbeResult::Hit => stats.store_l1_hits.inc(),
                 ProbeResult::Miss => stats.store_misses.inc(),
             }
+            let line = Addr::new(self.cache.geometry().tag(addr.get()));
             backside.write_through(now, line, stats);
             return Ok(());
         }
-        match self.cache.probe(addr, true) {
-            ProbeResult::Hit => {
-                self.credit_prefetch(line.get(), stats);
-                stats.store_l1_hits.inc();
-                Ok(())
-            }
-            ProbeResult::Miss => {
-                if self
-                    .try_victim_swap(now, line, true, backside, stats)
-                    .is_some()
-                {
-                    stats.store_l1_hits.inc();
-                    return Ok(());
-                }
-                if let Some(fill_at) = self.mshr.lookup(line.get()) {
-                    self.mshr.request(now, line.get(), fill_at, true);
-                    self.credit_prefetch(line.get(), stats);
-                    stats.store_misses.inc();
-                    return Ok(());
-                }
-                if self.mshr.is_full() {
-                    return Err(());
-                }
-                let fill_at = backside.fetch_line(now, line, stats);
-                self.mshr.request(now, line.get(), fill_at, true);
-                self.maybe_prefetch(now, line, backside, stats);
-                stats.store_misses.inc();
-                Ok(())
-            }
+        match self.access(now, addr, true, backside, stats).ok_or(())? {
+            (_, LoadSource::L1Hit | LoadSource::VictimHit) => stats.store_l1_hits.inc(),
+            _ => stats.store_misses.inc(),
         }
+        Ok(())
     }
 
     /// `true` when the last closed cycle accepted no load, accepted,
@@ -1071,6 +1065,85 @@ mod tests {
         assert_eq!(source, LoadSource::MissMerged);
         assert_eq!(second_at, first_at);
         assert_eq!(r.s.load_miss_merged.get(), 1);
+    }
+
+    /// L2 accesses so far and when the fill bus is next free: the
+    /// backside state a fetch changes.
+    fn backside_state(r: &Rig) -> (u64, Cycle) {
+        (r.s.l2_hits.get() + r.s.l2_misses.get(), r.b.bus_free_at())
+    }
+
+    #[test]
+    fn only_an_mshr_allocation_reaches_the_backside() {
+        let mut r = rig(|c| {
+            c.mshrs = 1;
+            c.ports.count = 2;
+        });
+        r.d.begin_cycle(0, &mut r.b, &mut r.s);
+        let before = backside_state(&r);
+        let first = r.d.try_load(0, Addr::new(0x1000), 8, &mut r.b, &mut r.s);
+        assert!(matches!(
+            first,
+            LoadOutcome::Ready {
+                source: LoadSource::Miss,
+                ..
+            }
+        ));
+        let after_alloc = backside_state(&r);
+        assert_eq!(after_alloc.0, before.0 + 1, "one fetch per allocation");
+        assert_eq!(after_alloc.1, before.1 + r.d.latencies.fill_interval);
+        // A merge into the outstanding line and a refusal for the full
+        // file both leave the L2 and the fill bus alone.
+        let merged = r.d.try_load(0, Addr::new(0x1010), 8, &mut r.b, &mut r.s);
+        assert!(matches!(
+            merged,
+            LoadOutcome::Ready {
+                source: LoadSource::MissMerged,
+                ..
+            }
+        ));
+        assert_eq!(backside_state(&r), after_alloc);
+        r.d.end_cycle(0, &mut r.b, &mut r.s);
+        r.d.begin_cycle(1, &mut r.b, &mut r.s);
+        let full = r.d.try_load(1, Addr::new(0x2000), 8, &mut r.b, &mut r.s);
+        assert_eq!(full, LoadOutcome::MshrFull);
+        // Stores take the same path.
+        assert_eq!(
+            r.d.commit_store(1, Addr::new(0x3000), 8, &mut r.b, &mut r.s),
+            StoreOutcome::Rejected
+        );
+        assert_eq!(backside_state(&r), after_alloc);
+        assert_eq!(r.s.load_miss_merged.get(), 1);
+        assert_eq!(r.s.load_mshr_full.get(), 1);
+    }
+
+    #[test]
+    fn a_prefetch_probe_of_an_outstanding_line_is_not_a_merge() {
+        let mut r = rig(|c| {
+            c.next_line_prefetch = true;
+            c.ports.count = 2;
+        });
+        r.d.begin_cycle(0, &mut r.b, &mut r.s);
+        // 0x1020 misses and prefetches 0x1040; 0x1000 misses, and its
+        // prefetch finds 0x1020 already outstanding.
+        for addr in [0x1020, 0x1000] {
+            let out = r.d.try_load(0, Addr::new(addr), 8, &mut r.b, &mut r.s);
+            assert!(matches!(
+                out,
+                LoadOutcome::Ready {
+                    source: LoadSource::Miss,
+                    ..
+                }
+            ));
+        }
+        assert_eq!(r.s.prefetches.get(), 1);
+        assert_eq!(r.s.load_miss_merged.get(), 0);
+        assert_eq!(r.d.outstanding_misses(), 3);
+        assert_eq!(
+            backside_state(&r).0,
+            3,
+            "two demand fetches and one prefetch"
+        );
     }
 
     #[test]

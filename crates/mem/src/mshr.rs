@@ -35,10 +35,11 @@ struct MshrEntry {
 /// use cpe_mem::{MshrFile, MshrResult};
 ///
 /// let mut mshrs = MshrFile::new(2);
-/// assert_eq!(mshrs.request(0, 0x100, 20, false), MshrResult::Allocated(20));
-/// assert_eq!(mshrs.request(5, 0x100, 25, true), MshrResult::Merged(20));
-/// assert_eq!(mshrs.request(2, 0x200, 22, false), MshrResult::Allocated(22));
-/// assert_eq!(mshrs.request(3, 0x300, 23, false), MshrResult::Full);
+/// // The fill time is asked for only when an entry is allocated.
+/// assert_eq!(mshrs.request(0, 0x100, false, || 20), MshrResult::Allocated(20));
+/// assert_eq!(mshrs.request(5, 0x100, true, || unreachable!()), MshrResult::Merged(20));
+/// assert_eq!(mshrs.request(2, 0x200, false, || 22), MshrResult::Allocated(22));
+/// assert_eq!(mshrs.request(3, 0x300, false, || unreachable!()), MshrResult::Full);
 /// assert_eq!(mshrs.pop_completed(19), None);
 /// assert_eq!(mshrs.pop_completed(20), Some((0x100, true, 0))); // the merged store's data
 /// assert_eq!(mshrs.pop_completed(20), None);
@@ -52,7 +53,6 @@ pub struct MshrFile {
     /// allocation (one slot per entry) persists.
     arrived: Vec<(u64, bool, Cycle)>,
     capacity: usize,
-    merges: u64,
     /// The earliest `ready_at` among `entries` (`Cycle::MAX` when
     /// empty), so the skip bound and the per-cycle "anything arrived?"
     /// check are O(1).
@@ -66,33 +66,34 @@ impl MshrFile {
             entries: Vec::with_capacity(capacity),
             arrived: Vec::with_capacity(capacity),
             capacity,
-            merges: 0,
             next_ready: Cycle::MAX,
         }
     }
 
-    /// Track a miss to `line_addr`, requested at cycle `now`, whose fill
-    /// would arrive at `fill_at`.
+    /// Track a miss to `line_addr`, requested at cycle `now`, in one scan
+    /// of the file.
     ///
     /// When the line is already outstanding the reference merges (the
     /// earlier fill time and allocation cycle stand, and `write` marks
-    /// the eventual fill dirty). `fill_at` is ignored on a merge —
-    /// callers get the authoritative completion cycle in the result.
+    /// the eventual fill dirty). Otherwise, when an entry is free, one is
+    /// allocated whose fill arrives at the cycle `fetch` returns; `fetch`
+    /// runs only then, so a merge or a full file sends nothing to the
+    /// next level.
     pub fn request(
         &mut self,
         now: Cycle,
         line_addr: u64,
-        fill_at: Cycle,
         write: bool,
+        fetch: impl FnOnce() -> Cycle,
     ) -> MshrResult {
         if let Some(entry) = self.entries.iter_mut().find(|e| e.line_addr == line_addr) {
             entry.dirty |= write;
-            self.merges += 1;
             return MshrResult::Merged(entry.ready_at);
         }
         if self.entries.len() >= self.capacity {
             return MshrResult::Full;
         }
+        let fill_at = fetch();
         self.entries.push(MshrEntry {
             line_addr,
             allocated_at: now,
@@ -166,16 +167,6 @@ impl MshrFile {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// `true` when no further line can be tracked.
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
-    /// Total number of merged (secondary) references.
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
 }
 
 #[cfg(test)]
@@ -186,10 +177,9 @@ mod tests {
     fn allocate_merge_retire_cycle() {
         let mut m = MshrFile::new(4);
         assert!(m.is_empty());
-        assert_eq!(m.request(3, 0x40, 10, false), MshrResult::Allocated(10));
+        assert_eq!(m.request(3, 0x40, false, || 10), MshrResult::Allocated(10));
         assert_eq!(m.lookup(0x40), Some(10));
-        assert_eq!(m.request(4, 0x40, 99, false), MshrResult::Merged(10));
-        assert_eq!(m.merges(), 1);
+        assert_eq!(m.request(4, 0x40, false, || 99), MshrResult::Merged(10));
         assert_eq!(m.pop_completed(9), None);
         assert_eq!(m.pop_completed(10), Some((0x40, false, 3)));
         assert_eq!(m.pop_completed(10), None);
@@ -200,26 +190,25 @@ mod tests {
     #[test]
     fn full_rejects_new_lines_but_still_merges() {
         let mut m = MshrFile::new(1);
-        m.request(0, 0x40, 10, false);
-        assert!(m.is_full());
-        assert_eq!(m.request(0, 0x80, 10, false), MshrResult::Full);
-        assert_eq!(m.request(1, 0x40, 50, true), MshrResult::Merged(10));
+        m.request(0, 0x40, false, || 10);
+        assert_eq!(m.request(0, 0x80, false, || 10), MshrResult::Full);
+        assert_eq!(m.request(1, 0x40, true, || 50), MshrResult::Merged(10));
     }
 
     #[test]
     fn write_merges_dirty_the_fill() {
         let mut m = MshrFile::new(2);
-        m.request(0, 0x40, 10, false);
-        m.request(2, 0x40, 12, true);
-        m.request(1, 0x80, 11, true);
+        m.request(0, 0x40, false, || 10);
+        m.request(2, 0x40, true, || 12);
+        m.request(1, 0x80, true, || 11);
         assert_eq!(drain(&mut m, 20), vec![(0x40, true, 0), (0x80, true, 1)]);
     }
 
     #[test]
     fn retirement_is_selective() {
         let mut m = MshrFile::new(4);
-        m.request(5, 0x40, 10, false);
-        m.request(6, 0x80, 20, false);
+        m.request(5, 0x40, false, || 10);
+        m.request(6, 0x80, false, || 20);
         assert_eq!(drain(&mut m, 15), vec![(0x40, false, 5)]);
         assert_eq!(m.len(), 1);
         assert_eq!(m.lookup(0x80), Some(20));
@@ -229,8 +218,8 @@ mod tests {
     fn next_ready_at_tracks_the_earliest_fill() {
         let mut m = MshrFile::new(4);
         assert_eq!(m.next_ready_at(), None);
-        m.request(0, 0x40, 30, false);
-        m.request(0, 0x80, 10, false);
+        m.request(0, 0x40, false, || 30);
+        m.request(0, 0x80, false, || 10);
         assert_eq!(m.next_ready_at(), Some(10));
         drain(&mut m, 10);
         assert_eq!(m.next_ready_at(), Some(30));
@@ -241,10 +230,10 @@ mod tests {
     #[test]
     fn arrived_fills_pop_in_address_order_whatever_their_arrival() {
         let mut m = MshrFile::new(4);
-        m.request(0, 0x300, 12, false);
-        m.request(1, 0x100, 14, true);
-        m.request(2, 0x200, 11, false);
-        m.request(3, 0x400, 20, false);
+        m.request(0, 0x300, false, || 12);
+        m.request(1, 0x100, true, || 14);
+        m.request(2, 0x200, false, || 11);
+        m.request(3, 0x400, false, || 20);
         assert_eq!(m.next_ready_at(), Some(11));
         assert_eq!(
             drain(&mut m, 14),
@@ -252,9 +241,28 @@ mod tests {
         );
         assert_eq!(m.next_ready_at(), Some(20));
         // A line allocated after a drain lowers the bound again.
-        m.request(15, 0x500, 16, false);
+        m.request(15, 0x500, false, || 16);
         assert_eq!(m.next_ready_at(), Some(16));
         assert_eq!(m.lookup(0x400), Some(20));
+    }
+
+    #[test]
+    fn only_an_allocation_asks_for_a_fill() {
+        let mut m = MshrFile::new(1);
+        let fetches = &std::cell::Cell::new(0);
+        let fetch = |fill_at| {
+            move || {
+                fetches.set(fetches.get() + 1);
+                fill_at
+            }
+        };
+        assert_eq!(
+            m.request(0, 0x40, false, fetch(10)),
+            MshrResult::Allocated(10)
+        );
+        assert_eq!(m.request(1, 0x40, true, fetch(11)), MshrResult::Merged(10));
+        assert_eq!(m.request(2, 0x80, false, fetch(12)), MshrResult::Full);
+        assert_eq!(fetches.get(), 1);
     }
 
     /// Everything that has arrived by `now`, in pop order.

@@ -22,7 +22,6 @@ struct Slot {
 pub struct VictimCache {
     slots: Vec<Slot>,
     lru: Replacement,
-    hits: u64,
 }
 
 impl VictimCache {
@@ -38,7 +37,6 @@ impl VictimCache {
                 entries
             ],
             lru: Replacement::new(1, entries),
-            hits: 0,
         }
     }
 
@@ -48,7 +46,6 @@ impl VictimCache {
         let way = self.position(line)?;
         self.slots[way].valid = false;
         self.lru.forget(0, way);
-        self.hits += 1;
         Some(self.slots[way].dirty)
     }
 
@@ -89,11 +86,6 @@ impl VictimCache {
         self.slots.iter().filter(|slot| slot.valid).count()
     }
 
-    /// Lifetime hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
     /// Cycles a victim-cache swap adds over an ordinary L1 hit.
     pub const SWAP_LATENCY: Cycle = 1;
 }
@@ -109,7 +101,6 @@ mod tests {
         assert_eq!(v.take(Addr::new(0x100)), Some(true));
         assert_eq!(v.take(Addr::new(0x100)), None, "taken lines leave");
         assert_eq!(v.occupancy(), 0);
-        assert_eq!(v.hits(), 1);
     }
 
     #[test]

@@ -265,3 +265,36 @@ proptest! {
         );
     }
 }
+
+/// The `BankConflict` event stands for every access that lost bank
+/// arbitration, whichever requester lost it: a load, an unbuffered store
+/// or a store-buffer drain. On a banked machine with a ring large enough
+/// to drop nothing, the events count exactly what the counter counts.
+#[test]
+fn every_bank_conflict_is_traced() {
+    let sim = Simulator::try_new(SimConfig::banked(2)).expect("the config validates");
+    for workload in [Workload::Compress, Workload::Sort] {
+        let profiled = sim
+            .try_profile(
+                workload,
+                Scale::Test,
+                Some(20_000),
+                ProfileOptions {
+                    ring_capacity: 1 << 20,
+                    ..ProfileOptions::default()
+                },
+            )
+            .expect("profiled run completes");
+        let label = workload.name();
+        let ring = profiled.self_profile.ring.expect("a ring was attached");
+        assert_eq!(ring.dropped, 0, "{label}: the ring must keep every event");
+        let traced = profiled
+            .events
+            .iter()
+            .filter(|event| event.kind == EventKind::BankConflict)
+            .count() as u64;
+        let counted = profiled.summary.raw.mem.bank_conflicts.get();
+        assert!(counted > 0, "{label}: the run must see bank conflicts");
+        assert_eq!(traced, counted, "{label}: one event per counted conflict");
+    }
+}
