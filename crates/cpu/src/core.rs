@@ -13,7 +13,7 @@ use crate::cpi::StallCause;
 use crate::fu::FuPool;
 #[cfg(test)]
 use crate::lsq::ranges_overlap;
-use crate::lsq::{range_covers, LoadGate, LsqTracker};
+use crate::lsq::{range_covers, LoadGate};
 use crate::rob::{Rob, RobEntry, WaitKind};
 use crate::sched::Scheduler;
 use crate::stats::CpuStats;
@@ -131,9 +131,10 @@ pub struct Core<I: Iterator<Item = DynInst>> {
     wrong_path: Option<(u64, u32)>,
     /// A serialising instruction (syscall/eret) is in flight.
     serialize: bool,
-    /// Load/store-queue occupancy: claimed at dispatch, released at
-    /// commit, sampled into `stats.lsq_occupancy` each cycle.
-    lsq: LsqTracker,
+    /// Load-queue occupancy: claimed at dispatch, released at commit.
+    /// The store queue's is the scheduler's in-flight store count; their
+    /// sum is sampled into `stats.lsq_occupancy` each cycle.
+    loads_in_flight: usize,
     stats: CpuStats,
     last_mode: Mode,
     /// Deadlock detector: cycles since the last commit or dispatch.
@@ -176,7 +177,6 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     /// Panics when `config` fails [`CpuConfig::validate`].
     pub fn new(config: CpuConfig, mem: MemSystem, trace: I) -> Core<I> {
         config.validate();
-        let lsq = LsqTracker::new(config.load_queue, config.store_queue);
         let sched = Scheduler::new(config.rob_entries);
         let rob = Rob::new(config.rob_entries);
         Core {
@@ -187,9 +187,9 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             stats: CpuStats::new(
                 config.rob_entries,
                 config.commit_width as usize,
-                lsq.capacity(),
+                config.load_queue + config.store_queue,
             ),
-            lsq,
+            loads_in_flight: 0,
             config,
             mem,
             trace: trace.peekable(),
@@ -318,9 +318,10 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     ) -> Result<(), Box<WatchdogReport>> {
         self.stats.cycles.add(n);
         self.stats.rob_occupancy.record_n(self.rob.len() as u64, n);
-        self.stats
-            .lsq_occupancy
-            .record_n(self.lsq.total() as u64, n);
+        self.stats.lsq_occupancy.record_n(
+            (self.loads_in_flight + self.sched.stores_in_flight()) as u64,
+            n,
+        );
         let mode = self
             .rob
             .front()
@@ -371,8 +372,8 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                 .front()
                 .map(|fetched| fetched.di.pc)
                 .or_else(|| self.trace.peek().map(|di| di.pc)),
-            loads_in_flight: self.lsq.loads(),
-            stores_in_flight: self.lsq.stores(),
+            loads_in_flight: self.loads_in_flight,
+            stores_in_flight: self.sched.stores_in_flight(),
             serialize: self.serialize,
             fetch_blocked_on_branch: self.fetch_blocked_on_branch,
             mem: self.mem.diagnostics(),
@@ -649,11 +650,11 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             self.commit_log.push((now, seq));
             match class {
                 OpClass::Load => {
-                    self.lsq.retire_load();
+                    debug_assert!(self.loads_in_flight > 0, "retiring a load never dispatched");
+                    self.loads_in_flight -= 1;
                     self.stats.loads.inc();
                 }
                 OpClass::Store => {
-                    self.lsq.retire_store();
                     self.stats.stores.inc();
                     self.sched.retire_store(seq);
                 }
@@ -791,8 +792,8 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             return DispatchGate::Wait(Some(front.available_at));
         }
         let lsq_full = match front.class {
-            OpClass::Load => !self.lsq.can_accept_load(),
-            OpClass::Store => !self.lsq.can_accept_store(),
+            OpClass::Load => self.loads_in_flight >= self.config.load_queue,
+            OpClass::Store => self.sched.stores_in_flight() >= self.config.store_queue,
             _ => false,
         };
         if matches!(front.di.inst.op, Op::Syscall | Op::Eret) && !self.rob.is_empty() {
@@ -1158,10 +1159,10 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                 self.map[dest.index()] = Some(seq);
             }
             if class == OpClass::Load {
-                self.lsq.add_load();
+                debug_assert!(self.loads_in_flight < self.config.load_queue);
+                self.loads_in_flight += 1;
             }
             if class == OpClass::Store {
-                self.lsq.add_store();
                 let range = self.rob[seq].mem_range().expect("stores have addresses");
                 self.sched.add_store(seq, range);
                 debug_assert!(self.sched.stores_in_flight() <= self.config.store_queue);
@@ -1697,6 +1698,28 @@ mod tests {
             halt
     "#;
 
+    /// [`DIVIDE_AND_LOAD`] with a store of each quotient ahead of the
+    /// loads: the store holds its store-queue entry until the divide
+    /// commits.
+    const DIVIDE_STORE_AND_LOAD: &str = r#"
+        .data
+        buf: .space 64
+        .text
+        main:
+            la   t0, buf
+            li   t1, 40
+            li   a0, 1000
+            li   a1, 3
+        loop:
+            div  a0, a0, a1
+            sd   a0, 32(t0)
+            ld   t2, 0(t0)
+            ld   t3, 8(t0)
+            addi t1, t1, -1
+            bnez t1, loop
+            halt
+    "#;
+
     #[test]
     fn a_full_window_and_a_full_load_queue_are_told_apart() {
         let mut tiny_rob = CpuConfig::default();
@@ -1714,6 +1737,35 @@ mod tests {
         assert_eq!(lsq.dispatch_rob_full.get(), 0);
         assert!(lsq.cpi_stack.get(StallCause::LsqFull) > 0);
         assert_eq!(lsq.cpi_stack.get(StallCause::RobFull), 0);
+
+        // A full store queue refuses the next store but not a load.
+        let mut one_store = CpuConfig::default();
+        one_store.store_queue = 1;
+        let program = assemble(DIVIDE_STORE_AND_LOAD).expect("assembles");
+        let mem = MemSystem::new(MemConfig::default());
+        let mut core = Core::new(one_store, mem, Emulator::new(program));
+        let (mut loads_past_a_full_queue, mut stores_refused) = (0, 0);
+        while core.try_step().expect("the run completes") {
+            let now = core.now;
+            let Some(front) = core.fetch_buffer.front() else {
+                continue;
+            };
+            if core.sched.stores_in_flight() == 0 || front.available_at > now {
+                continue;
+            }
+            let refused = core.dispatch_gate(now) == DispatchGate::LsqFull;
+            match front.class {
+                OpClass::Load => {
+                    assert!(!refused, "a full store queue refused a load at {now}");
+                    loads_past_a_full_queue += 1;
+                }
+                OpClass::Store => stores_refused += u32::from(refused),
+                _ => {}
+            }
+        }
+        assert!(loads_past_a_full_queue > 0 && stores_refused > 0);
+        assert!(core.stats.dispatch_lsq_full.get() > 0);
+        assert!(core.stats.cpi_stack.get(StallCause::LsqFull) > 0);
     }
 
     #[test]

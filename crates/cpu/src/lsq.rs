@@ -31,91 +31,6 @@ pub(crate) enum LoadGate {
     Wait,
 }
 
-/// Occupancy tracking for the split load/store queues.
-///
-/// Entries are claimed at dispatch and released at commit; the core
-/// samples [`LsqTracker::total`] once per cycle into the
-/// `lsq_occupancy` histogram.
-#[derive(Debug, Clone)]
-pub(crate) struct LsqTracker {
-    loads: usize,
-    stores: usize,
-    load_capacity: usize,
-    store_capacity: usize,
-}
-
-impl LsqTracker {
-    /// Empty queues with the given per-queue capacities.
-    pub(crate) fn new(load_capacity: usize, store_capacity: usize) -> LsqTracker {
-        LsqTracker {
-            loads: 0,
-            stores: 0,
-            load_capacity,
-            store_capacity,
-        }
-    }
-
-    /// `true` when a load can be dispatched this cycle.
-    pub(crate) fn can_accept_load(&self) -> bool {
-        self.loads < self.load_capacity
-    }
-
-    /// `true` when a store can be dispatched this cycle.
-    pub(crate) fn can_accept_store(&self) -> bool {
-        self.stores < self.store_capacity
-    }
-
-    /// Claim a load-queue entry at dispatch.
-    pub(crate) fn add_load(&mut self) {
-        debug_assert!(self.can_accept_load(), "dispatch past load-queue capacity");
-        self.loads += 1;
-    }
-
-    /// Claim a store-queue entry at dispatch.
-    pub(crate) fn add_store(&mut self) {
-        debug_assert!(
-            self.can_accept_store(),
-            "dispatch past store-queue capacity"
-        );
-        self.stores += 1;
-    }
-
-    /// Release a load-queue entry at commit.
-    pub(crate) fn retire_load(&mut self) {
-        debug_assert!(self.loads > 0, "retiring a load that was never dispatched");
-        self.loads -= 1;
-    }
-
-    /// Release a store-queue entry at commit.
-    pub(crate) fn retire_store(&mut self) {
-        debug_assert!(
-            self.stores > 0,
-            "retiring a store that was never dispatched"
-        );
-        self.stores -= 1;
-    }
-
-    /// Loads currently in flight.
-    pub(crate) fn loads(&self) -> usize {
-        self.loads
-    }
-
-    /// Stores currently in flight.
-    pub(crate) fn stores(&self) -> usize {
-        self.stores
-    }
-
-    /// Combined occupancy across both queues.
-    pub(crate) fn total(&self) -> usize {
-        self.loads + self.stores
-    }
-
-    /// Combined capacity across both queues.
-    pub(crate) fn capacity(&self) -> usize {
-        self.load_capacity + self.store_capacity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,23 +55,5 @@ mod tests {
         assert!(range_covers((0, 8), (2, 6)));
         assert!(!range_covers((0, 8), (2, 10)));
         assert!(!range_covers((2, 6), (0, 8)));
-    }
-
-    #[test]
-    fn tracker_enforces_split_capacities() {
-        let mut lsq = LsqTracker::new(2, 1);
-        assert_eq!(lsq.capacity(), 3);
-        lsq.add_load();
-        lsq.add_load();
-        assert!(!lsq.can_accept_load(), "load queue is full");
-        assert!(lsq.can_accept_store(), "store queue is independent");
-        lsq.add_store();
-        assert!(!lsq.can_accept_store());
-        assert_eq!((lsq.loads(), lsq.stores(), lsq.total()), (2, 1, 3));
-        lsq.retire_load();
-        assert!(lsq.can_accept_load());
-        lsq.retire_load();
-        lsq.retire_store();
-        assert_eq!(lsq.total(), 0);
     }
 }

@@ -200,7 +200,6 @@ impl SweepPlan {
         let (traces_recorded, traces_reused) = traces.map_or((0, 0), |store| store.counts());
         let mut stats = SweepStats {
             cells: outcomes.len(),
-            wall_seconds: started.elapsed().as_secs_f64(),
             workers: scheduler.workers,
             steals: scheduler.steals,
             traces_recorded,
@@ -230,7 +229,7 @@ impl SweepPlan {
             };
             outcome.expect("an outcome is taken only at its last use")
         };
-        let results = plans
+        let mut results: Vec<SweepResults> = plans
             .iter()
             .zip(&grids)
             .map(|(plan, grid)| {
@@ -242,11 +241,15 @@ impl SweepPlan {
                         ..cell_outcome(cell)
                     })
                     .collect();
-                // The batch's stats replace the plan's own tally.
-                let assembled = SweepResults::assemble(plan.clone(), outcomes, 0, 0, 0.0);
-                SweepResults { stats, ..assembled }
+                SweepResults::assemble(plan.clone(), outcomes, 0, 0, 0.0)
             })
             .collect();
+        // The batch's stats, timed over the whole sweep (assembly too),
+        // replace each plan's own tally.
+        stats.wall_seconds = started.elapsed().as_secs_f64();
+        for result in &mut results {
+            result.stats = stats;
+        }
         if let Some(progress) = progress {
             progress.finish();
         }

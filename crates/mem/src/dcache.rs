@@ -8,8 +8,11 @@
 //! 3. `end_cycle` — the store buffer drains into idle slots.
 //!
 //! Every port access — a load, an unbuffered store, a drain — claims its
-//! slot and bank through one claim (`claim_port`), and every L1 miss
-//! runs one miss sequence (`access`).
+//! slot and bank through one claim (`claim_port`), which records the
+//! grant in the cycle's one grant list; the bank check and load combining
+//! both read that list. Every L1 miss runs one miss sequence (`access`).
+//! Stepped and skipped cycles record their per-cycle statistics through
+//! one close (`close_cycles`).
 
 use std::collections::HashSet;
 
@@ -88,84 +91,28 @@ pub enum StoreOutcome {
     Rejected,
 }
 
-/// Fixed-size per-cycle map from port-width chunk address to the cycle
-/// that chunk's data becomes ready, for load combining.
-///
-/// The map is consulted once per access per cycle, so the old linear
-/// `Vec::iter().find()` scan sat on the hot path. Only port-granted
-/// accesses insert (at most one per slot, so at most `ports.count` per
-/// cycle); a table of twice the port count therefore never fills, probes
-/// stay short, and clearing is a generation bump instead of a scan.
-/// A duplicate insert keeps the existing entry, matching the old
-/// find-first-match semantics exactly.
-#[derive(Debug, Clone)]
-struct ChunkSlotMap {
-    /// `(generation, chunk_addr, data_ready)`; a stale generation marks
-    /// the slot empty for the current cycle.
-    slots: Vec<(u64, u64, Cycle)>,
-    generation: u64,
-    mask: usize,
+/// One port slot granted this cycle.
+#[derive(Debug, Clone, Copy)]
+struct Grant {
+    /// The bank the access claimed (banked ports only).
+    bank: Option<u32>,
+    /// For a load that fits one port-width chunk: that chunk and the cycle
+    /// its data is ready, which later loads to the chunk share when
+    /// combining.
+    chunk: Option<(u64, Cycle)>,
 }
 
-impl ChunkSlotMap {
-    fn new(ports: u32) -> ChunkSlotMap {
-        let capacity = (ports.max(1) as usize * 2).next_power_of_two();
-        ChunkSlotMap {
-            slots: vec![(0, 0, 0); capacity],
-            generation: 1,
-            mask: capacity - 1,
-        }
-    }
-
-    /// Forget every entry (start a new cycle).
-    fn clear(&mut self) {
-        self.generation += 1;
-    }
-
-    fn index(&self, chunk: u64) -> usize {
-        // Fibonacci hashing spreads the port-width-aligned addresses,
-        // whose low bits are all zero.
-        (chunk.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask
-    }
-
-    /// The data-ready cycle of `chunk`, when it was read this cycle.
-    fn get(&self, chunk: u64) -> Option<Cycle> {
-        let mut i = self.index(chunk);
-        loop {
-            let (generation, key, ready) = self.slots[i];
-            if generation != self.generation {
-                return None;
-            }
-            if key == chunk {
-                return Some(ready);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn insert(&mut self, chunk: u64, ready: Cycle) {
-        let mut i = self.index(chunk);
-        loop {
-            let (generation, key, _) = self.slots[i];
-            if generation != self.generation {
-                self.slots[i] = (self.generation, chunk, ready);
-                return;
-            }
-            if key == chunk {
-                return; // the first access this cycle stands
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-}
-
-/// What one cycle did at the data-cache ports without changing any
-/// state: the slots its MSHR-full probes took, the requests turned away,
-/// and the rejection counters they bumped. A parked cycle's tally is
-/// what each of its exact repeats would record again.
+/// What one cycle did at the data-cache ports: the slots it granted, the
+/// port requests it refused and the refusal counters it bumped. A parked
+/// cycle's tally is what each of its exact repeats records again.
 #[derive(Debug, Clone, Copy, Default)]
-struct ParkedTally {
+struct CycleTally {
+    /// Slots granted. Not the grant count: a drain refused for a full
+    /// MSHR file hands its slot back but keeps its grant's bank.
     slots_used: u32,
+    /// Port requests denied (no free slot or bank conflict); the CPU holds
+    /// these in its queues and retries, so the count is the depth of the
+    /// implicit port request queue.
     port_rejects: u32,
     mshr_full: u64,
     no_port: u64,
@@ -211,21 +158,17 @@ pub struct DCache {
     store_buffer: StoreBuffer,
     ports: PortConfig,
     latencies: Latencies,
-    slots_used: u32,
-    /// Chunks already read through a port this cycle, with their data-ready
-    /// times, for load combining.
-    cycle_chunks: ChunkSlotMap,
-    /// Banks already accessed this cycle (banked configurations only).
-    cycle_banks: Vec<u32>,
-    /// Port requests denied this cycle (no free slot or bank conflict);
-    /// the CPU holds these in its queues and retries, so the count is the
-    /// depth of the implicit port request queue.
-    cycle_port_rejects: u32,
+    /// This cycle's port grants, in grant order (never more than
+    /// `ports.count`).
+    grants: Vec<Grant>,
+    /// This cycle's slots and port refusals so far; `end_cycle` adds the
+    /// refusal counters from `cycle_marks`.
+    tally: CycleTally,
     /// Counter readings at the start of this cycle.
     cycle_marks: CycleMarks,
     /// The last closed cycle's tally, when that cycle accepted, drained
     /// and rejected nothing (it was parked on the memory system).
-    parked: Option<ParkedTally>,
+    parked: Option<CycleTally>,
     /// Tagged next-line prefetching on demand misses.
     next_line_prefetch: bool,
     /// Prefetched lines not yet touched by a demand access.
@@ -256,10 +199,8 @@ impl DCache {
             store_buffer: StoreBuffer::new(sb_entries, combining, config.ports.width_bytes),
             ports: config.ports,
             latencies: config.latencies,
-            slots_used: 0,
-            cycle_chunks: ChunkSlotMap::new(config.ports.count),
-            cycle_banks: Vec::with_capacity(config.ports.count as usize),
-            cycle_port_rejects: 0,
+            grants: Vec::with_capacity(config.ports.count as usize),
+            tally: CycleTally::default(),
             cycle_marks: CycleMarks::default(),
             parked: None,
             next_line_prefetch: config.next_line_prefetch,
@@ -345,10 +286,8 @@ impl DCache {
 
     /// Phase 1: install completed fills and reset the port slots.
     pub fn begin_cycle(&mut self, now: Cycle, backside: &mut Backside, stats: &mut MemStats) {
-        self.slots_used = 0;
-        self.cycle_chunks.clear();
-        self.cycle_banks.clear();
-        self.cycle_port_rejects = 0;
+        self.grants.clear();
+        self.tally = CycleTally::default();
         self.cycle_marks = CycleMarks::read(stats);
         let line_bytes = self.line_bytes();
         while let Some((line_addr, dirty, allocated_at)) = self.mshr.pop_completed(now) {
@@ -410,10 +349,15 @@ impl DCache {
 
         // 3. Load combining: share a chunk already read this cycle.
         let width = self.ports.width_bytes;
-        let fits_chunk = addr.fits_in_block(bytes, width);
-        let chunk = addr.align_down(width);
-        if self.ports.load_combining && fits_chunk {
-            if let Some(ready) = self.cycle_chunks.get(chunk.get()) {
+        let chunk = addr
+            .fits_in_block(bytes, width)
+            .then(|| addr.align_down(width).get());
+        if let Some(chunk) = chunk.filter(|_| self.ports.load_combining) {
+            let first = self
+                .grants
+                .iter()
+                .find_map(|g| g.chunk.filter(|c| c.0 == chunk));
+            if let Some((_, ready)) = first {
                 stats.loads.inc();
                 stats.load_combined.inc();
                 self.trace.emit(now, EventKind::LoadCombine, addr.get(), 0);
@@ -427,7 +371,7 @@ impl DCache {
         // 4. A real port access.
         if let Err(denied) = self.claim_port(now, addr.get(), stats) {
             stats.load_no_port.inc();
-            self.cycle_port_rejects += 1;
+            self.tally.port_rejects += 1;
             if denied == PortDenied::NoSlot {
                 self.trace.emit(now, EventKind::PortConflict, addr.get(), 0);
             }
@@ -464,8 +408,8 @@ impl DCache {
         };
         self.trace
             .emit(now, EventKind::PortGrant, addr.get(), grant_code);
-        if fits_chunk {
-            self.cycle_chunks.insert(chunk.get(), at);
+        if let Some(chunk) = chunk {
+            self.grants.last_mut().expect("this load's grant").chunk = Some((chunk, at));
         }
         // "Load-all": the data array read captures a line-buffer chunk
         // around the access. The buffer may be wider than the port (the
@@ -509,7 +453,7 @@ impl DCache {
             // Unbuffered: the store needs a port slot right now.
             if let Err(denied) = self.claim_port(now, addr.get(), stats) {
                 stats.store_rejected.inc();
-                self.cycle_port_rejects += 1;
+                self.tally.port_rejects += 1;
                 if denied == PortDenied::NoSlot {
                     self.trace.emit(now, EventKind::StoreReject, addr.get(), 0);
                 }
@@ -542,7 +486,7 @@ impl DCache {
                 // MSHR full: try again next cycle. Unlike a refused load
                 // or unbuffered store, a refused drain hands its slot
                 // back (its bank stays taken; nothing claims after it).
-                self.slots_used -= 1;
+                self.tally.slots_used -= 1;
                 break;
             }
             self.store_buffer.pop();
@@ -553,58 +497,66 @@ impl DCache {
             self.trace
                 .emit(now, EventKind::StoreDrain, entry.chunk_addr, 0);
         }
-        debug_assert!(self.slots_used <= self.ports.count);
-        stats.port_slots_used.add(u64::from(self.slots_used));
-        stats.port_slots_offered.add(u64::from(self.ports.count));
-        stats.slots_per_cycle.record(u64::from(self.slots_used));
-        stats.mshr_occupancy.record(self.mshr.len() as u64);
-        stats
-            .store_buffer_occupancy
-            .record(self.store_buffer.len() as u64);
-        stats
-            .port_queue_depth
-            .record(u64::from(self.cycle_port_rejects));
+        debug_assert!(self.tally.slots_used <= self.ports.count);
         let (start, end) = (self.cycle_marks, CycleMarks::read(stats));
-        self.parked = (start.activity == end.activity).then_some(ParkedTally {
-            slots_used: self.slots_used,
-            port_rejects: self.cycle_port_rejects,
+        let tally = CycleTally {
             mshr_full: end.mshr_full - start.mshr_full,
             no_port: end.no_port - start.no_port,
             bank_conflicts: end.bank_conflicts - start.bank_conflicts,
             sb_conflicts: end.sb_conflicts - start.sb_conflicts,
-        });
+            ..self.tally
+        };
+        self.close_cycles(1, tally, stats);
+        self.parked = (start.activity == end.activity).then_some(tally);
+    }
+
+    /// Record the per-cycle statistics of `n` closed cycles that each did
+    /// what `tally` says at the ports, with the MSHR file and store buffer
+    /// as they stand: the one close stepped and skipped cycles share.
+    fn close_cycles(&self, n: u64, tally: CycleTally, stats: &mut MemStats) {
+        let slots = u64::from(tally.slots_used);
+        stats.port_slots_used.add(slots.saturating_mul(n));
+        stats
+            .port_slots_offered
+            .add(u64::from(self.ports.count).saturating_mul(n));
+        stats.slots_per_cycle.record_n(slots, n);
+        stats.mshr_occupancy.record_n(self.mshr.len() as u64, n);
+        stats
+            .store_buffer_occupancy
+            .record_n(self.store_buffer.len() as u64, n);
+        stats
+            .port_queue_depth
+            .record_n(u64::from(tally.port_rejects), n);
     }
 
     /// Claim a port slot, and `addr`'s bank when the ports are banked,
     /// for an access during cycle `now`: the one arbitration rule loads,
     /// unbuffered stores and store-buffer drains share. A slot is free
     /// while fewer than `ports.count` were claimed this cycle, a bank
-    /// while no access this cycle claimed it. Losing the bank counts and
-    /// traces a bank conflict; every other consequence of a refusal is
-    /// the caller's.
+    /// while no access this cycle claimed it. A grant joins the cycle's
+    /// grant list. Losing the bank counts and traces a bank conflict;
+    /// every other consequence of a refusal is the caller's.
     fn claim_port(
         &mut self,
         now: Cycle,
         addr: u64,
         stats: &mut MemStats,
     ) -> Result<(), PortDenied> {
-        if self.slots_used >= self.ports.count {
+        if self.tally.slots_used >= self.ports.count {
             return Err(PortDenied::NoSlot);
         }
-        if let Some(bank) = self.ports.bank_of(addr) {
-            if self.cycle_banks.contains(&bank) {
-                stats.bank_conflicts.inc();
-                self.trace.emit(now, EventKind::BankConflict, addr, bank);
-                return Err(PortDenied::Bank);
-            }
-            self.cycle_banks.push(bank);
-            debug_assert!(
-                (1..self.cycle_banks.len())
-                    .all(|i| !self.cycle_banks[..i].contains(&self.cycle_banks[i])),
-                "a bank was granted twice in cycle {now}"
-            );
+        let bank = self.ports.bank_of(addr);
+        if let Some(taken) = bank.filter(|&b| self.grants.iter().any(|g| g.bank == Some(b))) {
+            stats.bank_conflicts.inc();
+            self.trace.emit(now, EventKind::BankConflict, addr, taken);
+            return Err(PortDenied::Bank);
         }
-        self.slots_used += 1;
+        self.grants.push(Grant { bank, chunk: None });
+        debug_assert!(
+            bank.is_none() || self.grants.iter().filter(|g| g.bank == bank).count() == 1,
+            "a bank was granted twice in cycle {now}"
+        );
+        self.tally.slots_used += 1;
         Ok(())
     }
 
@@ -696,33 +648,20 @@ impl DCache {
     /// Account `n` cycles the CPU skipped. Idle cycles (`parked` false)
     /// saw no access, an empty store buffer and no fill; parked cycles
     /// repeated the last closed cycle, which [`DCache::last_cycle_parked`]
-    /// reported. Either way this mirrors the accounting
-    /// [`end_cycle`] would have performed on each of those cycles, so
-    /// skipping leaves every statistic bit-identical to stepping.
+    /// reported. Either way the cycles close through the one close
+    /// [`end_cycle`] uses, with the parked cycle's tally or an empty one,
+    /// and each refusal the parked cycle counted counts again, so skipping
+    /// leaves every statistic bit-identical to stepping.
     ///
     /// [`end_cycle`]: DCache::end_cycle
     pub fn record_skipped_cycles(&self, n: u64, parked: bool, stats: &mut MemStats) {
         let tally = if parked {
             self.parked.expect("the last closed cycle was parked")
         } else {
-            ParkedTally::default()
+            CycleTally::default()
         };
-        stats
-            .port_slots_used
-            .add(u64::from(tally.slots_used).saturating_mul(n));
-        stats
-            .port_slots_offered
-            .add(u64::from(self.ports.count).saturating_mul(n));
-        stats
-            .slots_per_cycle
-            .record_n(u64::from(tally.slots_used), n);
-        stats.mshr_occupancy.record_n(self.mshr.len() as u64, n);
-        stats
-            .store_buffer_occupancy
-            .record_n(self.store_buffer.len() as u64, n);
-        stats
-            .port_queue_depth
-            .record_n(u64::from(tally.port_rejects), n);
+        self.close_cycles(n, tally, stats);
+        // A stepped cycle counts its refusals where they happen.
         stats.load_mshr_full.add(tally.mshr_full.saturating_mul(n));
         stats.load_no_port.add(tally.no_port.saturating_mul(n));
         stats

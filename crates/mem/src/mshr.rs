@@ -104,14 +104,6 @@ impl MshrFile {
         MshrResult::Allocated(fill_at)
     }
 
-    /// The completion cycle of an outstanding miss to `line_addr`, if any.
-    pub fn lookup(&self, line_addr: u64) -> Option<Cycle> {
-        self.entries
-            .iter()
-            .find(|e| e.line_addr == line_addr)
-            .map(|e| e.ready_at)
-    }
-
     /// Retire the entry with the lowest line address among those whose
     /// fill has arrived by `now`, returning `(line_addr, dirty,
     /// allocated_at)` for the caller to install (and account residency
@@ -178,13 +170,14 @@ mod tests {
         let mut m = MshrFile::new(4);
         assert!(m.is_empty());
         assert_eq!(m.request(3, 0x40, false, || 10), MshrResult::Allocated(10));
-        assert_eq!(m.lookup(0x40), Some(10));
+        assert_eq!(m.next_ready_at(), Some(10));
         assert_eq!(m.request(4, 0x40, false, || 99), MshrResult::Merged(10));
         assert_eq!(m.pop_completed(9), None);
         assert_eq!(m.pop_completed(10), Some((0x40, false, 3)));
         assert_eq!(m.pop_completed(10), None);
         assert!(m.is_empty());
-        assert_eq!(m.lookup(0x40), None);
+        // Retired, the line misses afresh.
+        assert_eq!(m.request(11, 0x40, false, || 30), MshrResult::Allocated(30));
     }
 
     #[test]
@@ -211,7 +204,11 @@ mod tests {
         m.request(6, 0x80, false, || 20);
         assert_eq!(drain(&mut m, 15), vec![(0x40, false, 5)]);
         assert_eq!(m.len(), 1);
-        assert_eq!(m.lookup(0x80), Some(20));
+        // A clean merge reads the fill cycle and changes nothing.
+        assert_eq!(
+            m.request(15, 0x80, false, || unreachable!()),
+            MshrResult::Merged(20)
+        );
     }
 
     #[test]
@@ -243,7 +240,10 @@ mod tests {
         // A line allocated after a drain lowers the bound again.
         m.request(15, 0x500, false, || 16);
         assert_eq!(m.next_ready_at(), Some(16));
-        assert_eq!(m.lookup(0x400), Some(20));
+        assert_eq!(
+            m.request(15, 0x400, false, || unreachable!()),
+            MshrResult::Merged(20)
+        );
     }
 
     #[test]

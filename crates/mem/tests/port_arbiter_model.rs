@@ -14,7 +14,11 @@
 //! * a `NoPort` (or a store turned away at the port) happens only when
 //!   the slots or that bank were already taken;
 //! * the cycle's `port_slots_used` and `bank_conflicts` are exactly what
-//!   the model's grants and lost banks add up to.
+//!   the model's grants and lost banks add up to;
+//! * a parked cycle (one that accepted, drained and rejected nothing)
+//!   presented again with the same requests repeats exactly: stepping a
+//!   few repeats on a clone records the same statistics as skipping them
+//!   with `record_skipped_cycles`.
 
 use cpe_mem::{
     Addr, Backside, DCache, LoadOutcome, LoadSource, MemConfig, MemStats, StoreBuffer, StoreOutcome,
@@ -250,7 +254,68 @@ fn check_machine(machine: Machine, cycles: &[(u64, Vec<Request>)]) -> Result<(),
             "cycle {}: bank conflicts",
             cycle
         );
+        if dcache.last_cycle_parked() {
+            check_parked_repeats(&dcache, &backside, &stats, now, requests, cycle)?;
+        }
     }
+    Ok(())
+}
+
+/// The most repeats of a parked cycle [`check_parked_repeats`] steps.
+const PARKED_REPEATS: u64 = 5;
+
+/// Step up to [`PARKED_REPEATS`] repeats of the parked cycle just closed
+/// at `now` on clones of the cache, backside and statistics, presenting
+/// the same `requests`, and skip as many on another clone of the
+/// statistics: the two must be equal. The repeats stop short of the next
+/// fill, which installs at the start of its cycle and ends the parking.
+fn check_parked_repeats(
+    dcache: &DCache,
+    backside: &Backside,
+    stats: &MemStats,
+    now: u64,
+    requests: &[Request],
+    cycle: usize,
+) -> Result<(), TestCaseError> {
+    let repeats = dcache.next_fill_at().map_or(PARKED_REPEATS, |fill_at| {
+        (fill_at - now - 1).min(PARKED_REPEATS)
+    });
+    if repeats == 0 {
+        return Ok(());
+    }
+    let mut stepped = dcache.clone();
+    let mut stepped_backside = backside.clone();
+    let mut stepped_stats = stats.clone();
+    for at in now + 1..=now + repeats {
+        stepped.begin_cycle(at, &mut stepped_backside, &mut stepped_stats);
+        for &request in requests {
+            let b = &mut stepped_backside;
+            match request {
+                Request::Load { addr, bytes } => {
+                    stepped.try_load(at, Addr::new(addr), bytes, b, &mut stepped_stats);
+                }
+                Request::Store { addr, bytes } => {
+                    stepped.commit_store(at, Addr::new(addr), bytes, b, &mut stepped_stats);
+                }
+            }
+        }
+        stepped.end_cycle(at, &mut stepped_backside, &mut stepped_stats);
+        prop_assert!(
+            stepped.last_cycle_parked(),
+            "cycle {}: repeat at {} did not park",
+            cycle,
+            at
+        );
+    }
+    let mut skipped_stats = stats.clone();
+    dcache.record_skipped_cycles(repeats, true, &mut skipped_stats);
+    prop_assert_eq!(
+        format!("{stepped_stats:?}"),
+        format!("{skipped_stats:?}"),
+        "cycle {}: {} parked repeats stepped and skipped",
+        cycle,
+        repeats
+    );
     Ok(())
 }
 
