@@ -11,8 +11,9 @@
 //! slot and bank through one claim (`claim_port`), which records the
 //! grant in the cycle's one grant list; the bank check and load combining
 //! both read that list. Every L1 miss runs one miss sequence (`access`).
-//! Stepped and skipped cycles record their per-cycle statistics through
-//! one close (`close_cycles`).
+//! A port refusal is counted into the cycle's tally where it happens, and
+//! stepped and skipped cycles record their per-cycle statistics, the
+//! refusal counters among them, through one close (`close_cycles`).
 
 use std::collections::HashSet;
 
@@ -102,9 +103,10 @@ struct Grant {
     chunk: Option<(u64, Cycle)>,
 }
 
-/// What one cycle did at the data-cache ports: the slots it granted, the
-/// port requests it refused and the refusal counters it bumped. A parked
-/// cycle's tally is what each of its exact repeats records again.
+/// What one cycle did at the data-cache ports besides its grants: the
+/// port requests it refused, counted where each refusal happens. Only
+/// [`DCache::close_cycles`] adds them to [`MemStats`]; a parked cycle's
+/// tally is what each of its exact repeats records again.
 #[derive(Debug, Clone, Copy, Default)]
 struct CycleTally {
     /// Slots granted. Not the grant count: a drain refused for a full
@@ -113,40 +115,23 @@ struct CycleTally {
     /// Port requests denied (no free slot or bank conflict); the CPU holds
     /// these in its queues and retries, so the count is the depth of the
     /// implicit port request queue.
-    port_rejects: u32,
+    port_rejects: u64,
+    /// Loads refused for a full MSHR file (`load_mshr_full`).
     mshr_full: u64,
+    /// Loads refused a port (`load_no_port`).
     no_port: u64,
+    /// Accesses that lost their bank (`bank_conflicts`).
     bank_conflicts: u64,
+    /// Loads refused by a partial store-buffer overlap
+    /// (`load_sb_conflicts`).
     sb_conflicts: u64,
 }
 
-/// Counter readings taken at `begin_cycle`, so `end_cycle` can tell what
-/// the cycle did from the differences.
-#[derive(Debug, Clone, Copy, Default)]
-struct CycleMarks {
-    /// Loads accepted + stores accepted + stores drained + stores
-    /// rejected: any change means the cycle moved state (or, for a
-    /// rejected committed store, retries on the CPU side).
-    activity: u64,
-    mshr_full: u64,
-    no_port: u64,
-    bank_conflicts: u64,
-    sb_conflicts: u64,
-}
-
-impl CycleMarks {
-    fn read(stats: &MemStats) -> CycleMarks {
-        CycleMarks {
-            activity: stats.loads.get()
-                + stats.stores.get()
-                + stats.store_drains.get()
-                + stats.store_rejected.get(),
-            mshr_full: stats.load_mshr_full.get(),
-            no_port: stats.load_no_port.get(),
-            bank_conflicts: stats.bank_conflicts.get(),
-            sb_conflicts: stats.load_sb_conflicts.get(),
-        }
-    }
+/// Loads accepted + stores accepted + stores drained + stores rejected:
+/// a cycle that changes this moved state (or, for a rejected committed
+/// store, retries on the CPU side).
+fn activity(stats: &MemStats) -> u64 {
+    stats.loads.get() + stats.stores.get() + stats.store_drains.get() + stats.store_rejected.get()
 }
 
 /// The L1 data cache and its port-efficiency structures.
@@ -161,13 +146,13 @@ pub struct DCache {
     /// This cycle's port grants, in grant order (never more than
     /// `ports.count`).
     grants: Vec<Grant>,
-    /// This cycle's slots and port refusals so far; `end_cycle` adds the
-    /// refusal counters from `cycle_marks`.
+    /// This cycle's port refusals so far.
     tally: CycleTally,
-    /// Counter readings at the start of this cycle.
-    cycle_marks: CycleMarks,
+    /// [`activity`] at the start of this cycle.
+    activity_at_begin: u64,
     /// The last closed cycle's tally, when that cycle accepted, drained
-    /// and rejected nothing (it was parked on the memory system).
+    /// and rejected nothing (it was parked on the memory system); its
+    /// grants stay in `grants` until the next `begin_cycle`.
     parked: Option<CycleTally>,
     /// Tagged next-line prefetching on demand misses.
     next_line_prefetch: bool,
@@ -201,7 +186,7 @@ impl DCache {
             latencies: config.latencies,
             grants: Vec::with_capacity(config.ports.count as usize),
             tally: CycleTally::default(),
-            cycle_marks: CycleMarks::default(),
+            activity_at_begin: 0,
             parked: None,
             next_line_prefetch: config.next_line_prefetch,
             prefetched_pending: HashSet::new(),
@@ -288,7 +273,7 @@ impl DCache {
     pub fn begin_cycle(&mut self, now: Cycle, backside: &mut Backside, stats: &mut MemStats) {
         self.grants.clear();
         self.tally = CycleTally::default();
-        self.cycle_marks = CycleMarks::read(stats);
+        self.activity_at_begin = activity(stats);
         let line_bytes = self.line_bytes();
         while let Some((line_addr, dirty, allocated_at)) = self.mshr.pop_completed(now) {
             stats
@@ -327,7 +312,7 @@ impl DCache {
                 };
             }
             ForwardResult::Partial => {
-                stats.load_sb_conflicts.inc();
+                self.tally.sb_conflicts += 1;
                 self.trace.emit(now, EventKind::SbConflict, addr.get(), 0);
                 return LoadOutcome::Conflict;
             }
@@ -369,8 +354,8 @@ impl DCache {
         }
 
         // 4. A real port access.
-        if let Err(denied) = self.claim_port(now, addr.get(), stats) {
-            stats.load_no_port.inc();
+        if let Err(denied) = self.claim_port(now, addr.get()) {
+            self.tally.no_port += 1;
             self.tally.port_rejects += 1;
             if denied == PortDenied::NoSlot {
                 self.trace.emit(now, EventKind::PortConflict, addr.get(), 0);
@@ -379,7 +364,7 @@ impl DCache {
         }
         let Some((at, source)) = self.access(now, addr, false, backside, stats) else {
             // The tag probe consumed the slot.
-            stats.load_mshr_full.inc();
+            self.tally.mshr_full += 1;
             self.trace.emit(now, EventKind::MshrFull, addr.get(), 0);
             return LoadOutcome::MshrFull;
         };
@@ -451,7 +436,7 @@ impl DCache {
             }
         } else {
             // Unbuffered: the store needs a port slot right now.
-            if let Err(denied) = self.claim_port(now, addr.get(), stats) {
+            if let Err(denied) = self.claim_port(now, addr.get()) {
                 stats.store_rejected.inc();
                 self.tally.port_rejects += 1;
                 if denied == PortDenied::NoSlot {
@@ -478,7 +463,7 @@ impl DCache {
     /// for the cycle's port usage.
     pub fn end_cycle(&mut self, now: Cycle, backside: &mut Backside, stats: &mut MemStats) {
         while let Some(entry) = self.store_buffer.peek().copied() {
-            if self.claim_port(now, entry.chunk_addr, stats).is_err() {
+            if self.claim_port(now, entry.chunk_addr).is_err() {
                 break;
             }
             let addr = Addr::new(entry.chunk_addr);
@@ -498,23 +483,15 @@ impl DCache {
                 .emit(now, EventKind::StoreDrain, entry.chunk_addr, 0);
         }
         debug_assert!(self.tally.slots_used <= self.ports.count);
-        let (start, end) = (self.cycle_marks, CycleMarks::read(stats));
-        let tally = CycleTally {
-            mshr_full: end.mshr_full - start.mshr_full,
-            no_port: end.no_port - start.no_port,
-            bank_conflicts: end.bank_conflicts - start.bank_conflicts,
-            sb_conflicts: end.sb_conflicts - start.sb_conflicts,
-            ..self.tally
-        };
-        self.close_cycles(1, tally, stats);
-        self.parked = (start.activity == end.activity).then_some(tally);
+        self.close_cycles(1, u64::from(self.tally.slots_used), self.tally, stats);
+        self.parked = (activity(stats) == self.activity_at_begin).then_some(self.tally);
     }
 
-    /// Record the per-cycle statistics of `n` closed cycles that each did
-    /// what `tally` says at the ports, with the MSHR file and store buffer
-    /// as they stand: the one close stepped and skipped cycles share.
-    fn close_cycles(&self, n: u64, tally: CycleTally, stats: &mut MemStats) {
-        let slots = u64::from(tally.slots_used);
+    /// Record the per-cycle statistics of `n` closed cycles that each used
+    /// `slots` port slots and refused what `tally` says, with the MSHR file
+    /// and store buffer as they stand: the one close stepped and skipped
+    /// cycles share, and the only writer of the refusal counters.
+    fn close_cycles(&self, n: u64, slots: u64, tally: CycleTally, stats: &mut MemStats) {
         stats.port_slots_used.add(slots.saturating_mul(n));
         stats
             .port_slots_offered
@@ -524,9 +501,15 @@ impl DCache {
         stats
             .store_buffer_occupancy
             .record_n(self.store_buffer.len() as u64, n);
+        stats.port_queue_depth.record_n(tally.port_rejects, n);
+        stats.load_mshr_full.add(tally.mshr_full.saturating_mul(n));
+        stats.load_no_port.add(tally.no_port.saturating_mul(n));
         stats
-            .port_queue_depth
-            .record_n(u64::from(tally.port_rejects), n);
+            .bank_conflicts
+            .add(tally.bank_conflicts.saturating_mul(n));
+        stats
+            .load_sb_conflicts
+            .add(tally.sb_conflicts.saturating_mul(n));
     }
 
     /// Claim a port slot, and `addr`'s bank when the ports are banked,
@@ -534,20 +517,15 @@ impl DCache {
     /// unbuffered stores and store-buffer drains share. A slot is free
     /// while fewer than `ports.count` were claimed this cycle, a bank
     /// while no access this cycle claimed it. A grant joins the cycle's
-    /// grant list. Losing the bank counts and traces a bank conflict;
+    /// grant list. Losing the bank tallies and traces a bank conflict;
     /// every other consequence of a refusal is the caller's.
-    fn claim_port(
-        &mut self,
-        now: Cycle,
-        addr: u64,
-        stats: &mut MemStats,
-    ) -> Result<(), PortDenied> {
+    fn claim_port(&mut self, now: Cycle, addr: u64) -> Result<(), PortDenied> {
         if self.tally.slots_used >= self.ports.count {
             return Err(PortDenied::NoSlot);
         }
         let bank = self.ports.bank_of(addr);
         if let Some(taken) = bank.filter(|&b| self.grants.iter().any(|g| g.bank == Some(b))) {
-            stats.bank_conflicts.inc();
+            self.tally.bank_conflicts += 1;
             self.trace.emit(now, EventKind::BankConflict, addr, taken);
             return Err(PortDenied::Bank);
         }
@@ -649,27 +627,18 @@ impl DCache {
     /// saw no access, an empty store buffer and no fill; parked cycles
     /// repeated the last closed cycle, which [`DCache::last_cycle_parked`]
     /// reported. Either way the cycles close through the one close
-    /// [`end_cycle`] uses, with the parked cycle's tally or an empty one,
-    /// and each refusal the parked cycle counted counts again, so skipping
-    /// leaves every statistic bit-identical to stepping.
+    /// [`end_cycle`] uses, with the parked cycle's slots and tally or none,
+    /// so skipping leaves every statistic bit-identical to stepping.
     ///
     /// [`end_cycle`]: DCache::end_cycle
     pub fn record_skipped_cycles(&self, n: u64, parked: bool, stats: &mut MemStats) {
-        let tally = if parked {
-            self.parked.expect("the last closed cycle was parked")
+        let (slots, tally) = if parked {
+            let tally = self.parked.expect("the last closed cycle was parked");
+            (u64::from(tally.slots_used), tally)
         } else {
-            CycleTally::default()
+            (0, CycleTally::default())
         };
-        self.close_cycles(n, tally, stats);
-        // A stepped cycle counts its refusals where they happen.
-        stats.load_mshr_full.add(tally.mshr_full.saturating_mul(n));
-        stats.load_no_port.add(tally.no_port.saturating_mul(n));
-        stats
-            .bank_conflicts
-            .add(tally.bank_conflicts.saturating_mul(n));
-        stats
-            .load_sb_conflicts
-            .add(tally.sb_conflicts.saturating_mul(n));
+        self.close_cycles(n, slots, tally, stats);
     }
 
     /// Earliest cycle an outstanding fill arrives, if any — the bound the
@@ -762,6 +731,9 @@ mod tests {
         ));
         let second = r.d.try_load(now, Addr::new(0x2000), 8, &mut r.b, &mut r.s);
         assert_eq!(second, LoadOutcome::NoPort);
+        // Refusals reach the statistics when the cycle closes.
+        assert_eq!(r.s.load_no_port.get(), 0);
+        r.d.end_cycle(now, &mut r.b, &mut r.s);
         assert_eq!(r.s.load_no_port.get(), 1);
     }
 
@@ -927,6 +899,7 @@ mod tests {
         ));
         let partial = r.d.try_load(now, Addr::new(0x3004), 8, &mut r.b, &mut r.s);
         assert_eq!(partial, LoadOutcome::Conflict);
+        r.d.end_cycle(now, &mut r.b, &mut r.s);
         assert_eq!(r.s.load_sb_forwards.get(), 1);
         assert_eq!(r.s.load_sb_conflicts.get(), 1);
     }
@@ -1052,6 +1025,7 @@ mod tests {
             StoreOutcome::Rejected
         );
         assert_eq!(backside_state(&r), after_alloc);
+        r.d.end_cycle(1, &mut r.b, &mut r.s);
         assert_eq!(r.s.load_miss_merged.get(), 1);
         assert_eq!(r.s.load_mshr_full.get(), 1);
     }
@@ -1223,12 +1197,13 @@ mod tests {
         assert!(matches!(first, LoadOutcome::Ready { .. }), "{first:?}");
         let conflict = r.d.try_load(now, Addr::new(0x1010), 8, &mut r.b, &mut r.s);
         assert_eq!(conflict, LoadOutcome::NoPort, "same bank must conflict");
-        assert_eq!(r.s.bank_conflicts.get(), 1);
         let other_bank = r.d.try_load(now, Addr::new(0x1008), 8, &mut r.b, &mut r.s);
         assert!(
             matches!(other_bank, LoadOutcome::Ready { .. }),
             "different bank must proceed: {other_bank:?}"
         );
+        r.d.end_cycle(now, &mut r.b, &mut r.s);
+        assert_eq!(r.s.bank_conflicts.get(), 1);
     }
 
     #[test]
@@ -1237,6 +1212,7 @@ mod tests {
         let now = warm(&mut r, 0x1000);
         let _ = r.d.try_load(now, Addr::new(0x1000), 8, &mut r.b, &mut r.s);
         let _ = r.d.try_load(now, Addr::new(0x1010), 8, &mut r.b, &mut r.s);
+        r.d.end_cycle(now, &mut r.b, &mut r.s);
         assert_eq!(r.s.bank_conflicts.get(), 0);
     }
 

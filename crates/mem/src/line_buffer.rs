@@ -8,17 +8,8 @@
 //! invalidated when a store writes overlapping bytes or when the underlying
 //! cache line leaves the cache.
 
-use crate::replacement::Replacement;
+use crate::replacement::LruTable;
 use crate::{Addr, Cycle};
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    chunk_addr: u64,
-    /// When the chunk's data is available (a buffer can be allocated by a
-    /// miss whose fill is still in flight).
-    data_ready: Cycle,
-    valid: bool,
-}
 
 /// A fully associative file of recently read chunks, LRU-replaced.
 ///
@@ -34,10 +25,10 @@ struct Entry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LineBufferFile {
-    entries: Vec<Entry>,
+    /// Each buffer's chunk address, and when its data is available (a
+    /// buffer can be allocated by a miss whose fill is still in flight).
+    buffers: LruTable<Cycle>,
     width_bytes: u64,
-    lru: Replacement,
-    hits: u64,
 }
 
 impl LineBufferFile {
@@ -53,28 +44,14 @@ impl LineBufferFile {
             "line-buffer width must be a power of two"
         );
         LineBufferFile {
-            entries: vec![
-                Entry {
-                    chunk_addr: 0,
-                    data_ready: 0,
-                    valid: false
-                };
-                entries
-            ],
+            buffers: LruTable::new(entries),
             width_bytes,
-            lru: Replacement::new(1, entries),
-            hits: 0,
         }
     }
 
     /// The chunk size captured per buffer.
     pub fn width_bytes(&self) -> u64 {
         self.width_bytes
-    }
-
-    /// Number of buffers.
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
     }
 
     /// Look for a buffer whose chunk fully covers the `bytes`-wide access
@@ -84,17 +61,8 @@ impl LineBufferFile {
         if !addr.fits_in_block(bytes, self.width_bytes) {
             return None;
         }
-        let way = self.position(addr.align_down(self.width_bytes).get())?;
-        self.lru.touch(0, way);
-        self.hits += 1;
-        Some(self.entries[way].data_ready)
-    }
-
-    /// The valid buffer holding `chunk`, if any.
-    fn position(&self, chunk: u64) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.valid && e.chunk_addr == chunk)
+        let chunk = addr.align_down(self.width_bytes).get();
+        self.buffers.touch(chunk).copied()
     }
 
     /// Capture the chunk at `chunk_addr` (already aligned by the caller),
@@ -103,7 +71,7 @@ impl LineBufferFile {
     ///
     /// Does nothing when the file has zero buffers.
     pub fn insert(&mut self, chunk_addr: Addr, data_ready: Cycle) {
-        if self.entries.is_empty() {
+        if self.buffers.is_empty() {
             return;
         }
         debug_assert_eq!(
@@ -112,19 +80,11 @@ impl LineBufferFile {
             "caller aligns chunks"
         );
         let chunk = chunk_addr.get();
-        if let Some(way) = self.position(chunk) {
-            self.lru.touch(0, way);
-            let entry = &mut self.entries[way];
-            entry.data_ready = entry.data_ready.min(data_ready);
-            return;
+        if let Some(ready) = self.buffers.touch(chunk) {
+            *ready = (*ready).min(data_ready);
+        } else {
+            self.buffers.insert(chunk, data_ready);
         }
-        let way = self.lru.victim(0);
-        self.entries[way] = Entry {
-            chunk_addr: chunk,
-            data_ready,
-            valid: true,
-        };
-        self.lru.touch(0, way);
     }
 
     /// Invalidate every buffer overlapping the `bytes`-wide range at
@@ -134,33 +94,8 @@ impl LineBufferFile {
         let start = addr.get();
         let end = start.saturating_add(bytes);
         let width = self.width_bytes;
-        let mut dropped = 0;
-        for (way, entry) in self.entries.iter_mut().enumerate() {
-            if entry.valid && entry.chunk_addr < end && start < entry.chunk_addr + width {
-                entry.valid = false;
-                self.lru.forget(0, way);
-                dropped += 1;
-            }
-        }
-        dropped
-    }
-
-    /// Drop every buffer (used on privilege-mode changes if configured).
-    pub fn clear(&mut self) {
-        for entry in &mut self.entries {
-            entry.valid = false;
-        }
-        self.lru.forget_all();
-    }
-
-    /// Buffers currently valid.
-    pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits
+        self.buffers
+            .remove_where(|chunk| chunk < end && start < chunk + width)
     }
 }
 
@@ -197,7 +132,6 @@ mod tests {
         let mut lb = LineBufferFile::new(0, 16);
         lb.insert(Addr::new(0x100), 0);
         assert_eq!(lb.lookup(Addr::new(0x100), 8), None);
-        assert_eq!(lb.occupancy(), 0);
     }
 
     #[test]
@@ -222,16 +156,11 @@ mod tests {
         lb.insert(Addr::new(0x100), 50);
         lb.insert(Addr::new(0x100), 10);
         assert_eq!(lb.lookup(Addr::new(0x100), 8), Some(10));
-        assert_eq!(lb.occupancy(), 1);
-    }
-
-    #[test]
-    fn clear_empties_the_file() {
-        let mut lb = LineBufferFile::new(2, 16);
-        lb.insert(Addr::new(0x100), 0);
-        lb.clear();
-        assert_eq!(lb.occupancy(), 0);
-        assert!(lb.lookup(Addr::new(0x100), 8).is_none());
+        assert_eq!(
+            lb.invalidate_overlapping(Addr::new(0x100), 16),
+            1,
+            "refreshed in place, not held twice"
+        );
     }
 
     proptest! {
@@ -254,9 +183,6 @@ mod tests {
                 }
                 // Hits must be a subset of live chunks (capacity may have
                 // dropped live ones, so the converse need not hold).
-                for &chunk in &live {
-                    let _ = chunk;
-                }
                 if lb.lookup(addr, 8).is_some() {
                     prop_assert!(live.contains(&addr.get()));
                 }

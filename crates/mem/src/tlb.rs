@@ -8,7 +8,7 @@
 //! `EXPERIMENTS.md` ran without it — and enabled through
 //! [`TlbConfig::entries`] for the TLB-sensitivity extension experiment.
 
-use crate::replacement::Replacement;
+use crate::replacement::LruTable;
 use crate::{Addr, Cycle};
 
 /// TLB provisioning.
@@ -57,9 +57,8 @@ impl TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    /// The mapped page per entry; `None` when the entry is invalid.
-    pages: Vec<Option<u64>>,
-    lru: Replacement,
+    /// The mapped page numbers.
+    pages: LruTable<()>,
     hits: u64,
     misses: u64,
 }
@@ -77,8 +76,7 @@ impl Tlb {
         );
         Tlb {
             config,
-            pages: vec![None; config.entries],
-            lru: Replacement::new(1, config.entries),
+            pages: LruTable::new(config.entries),
             hits: 0,
             misses: 0,
         }
@@ -92,22 +90,13 @@ impl Tlb {
             return 0;
         }
         let page = addr.get() / self.config.page_bytes;
-        if let Some(way) = self.pages.iter().position(|&held| held == Some(page)) {
-            self.lru.touch(0, way);
+        if self.pages.touch(page).is_some() {
             self.hits += 1;
             return 0;
         }
         self.misses += 1;
-        let way = self.lru.victim(0);
-        self.pages[way] = Some(page);
-        self.lru.touch(0, way);
+        self.pages.insert(page, ());
         self.config.miss_penalty
-    }
-
-    /// Drop every mapping (an address-space switch).
-    pub fn flush(&mut self) {
-        self.pages.fill(None);
-        self.lru.forget_all();
     }
 
     /// Lifetime hits.
@@ -166,14 +155,6 @@ mod tests {
         t.access(Addr::new(0x3000)); // evicts page 2
         assert_eq!(t.access(Addr::new(0x1000)), 0);
         assert_eq!(t.access(Addr::new(0x2000)), 25, "page 2 was evicted");
-    }
-
-    #[test]
-    fn flush_empties_everything() {
-        let mut t = tlb(4);
-        t.access(Addr::new(0x1000));
-        t.flush();
-        assert_eq!(t.access(Addr::new(0x1000)), 25);
     }
 
     #[test]
