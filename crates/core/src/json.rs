@@ -131,7 +131,7 @@ fn distributions_json(summary: &RunSummary) -> String {
         "{{\"load_latency\":{},\"load_latency_paths\":{{{}}},\"store_commit_latency\":{},\
          \"mshr_residency\":{},\"occupancy\":{{\"rob\":{},\"lsq\":{},\"mshr\":{},\
          \"store_buffer\":{},\"port_queue\":{}}}}}",
-        log2hist_json(&mem.load_latency),
+        log2hist_json(&mem.load_latency()),
         paths.join(","),
         log2hist_json(&mem.store_commit_latency),
         log2hist_json(&mem.mshr_residency),

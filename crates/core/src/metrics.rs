@@ -70,6 +70,7 @@ impl RunSummary {
         let insts = raw.committed.max(1);
         let user_cycles = cpu.user_cycles.get().max(1);
         let kernel_cycles = cpu.kernel_cycles.get();
+        let load_latency = mem.load_latency();
         RunSummary {
             config: config.to_string(),
             workload: workload.to_string(),
@@ -99,9 +100,9 @@ impl RunSummary {
             prefetch_accuracy: mem.prefetch_useful.get() as f64
                 / mem.prefetches.get().max(1) as f64,
             victim_hits_per_kinst: mem.victim_hits.get() as f64 * 1000.0 / insts as f64,
-            load_latency_p50: mem.load_latency.p50(),
-            load_latency_p95: mem.load_latency.p95(),
-            load_latency_p99: mem.load_latency.p99(),
+            load_latency_p50: load_latency.p50(),
+            load_latency_p95: load_latency.p95(),
+            load_latency_p99: load_latency.p99(),
             raw,
         }
     }

@@ -123,7 +123,7 @@ impl Snapshot {
             slots_used: mem.port_slots_used.get(),
             slots_offered: mem.port_slots_offered.get(),
             store_combined: mem.store_combined.get(),
-            load_latency: mem.load_latency.clone(),
+            load_latency: mem.load_latency(),
             cpi: cpu.cpi_stack.slots(),
         }
     }

@@ -191,7 +191,8 @@ pub fn detailed_report(summary: &RunSummary) -> String {
     section(&mut out, "load latency by path");
     let pct = |value: Option<u64>| value.map_or_else(|| "-".to_string(), |v| v.to_string());
     let mut t = Table::new(["path", "n", "mean", "p50", "p95", "p99", "max"]);
-    let mut latency_rows = vec![("all loads", &mem.load_latency)];
+    let all_loads = mem.load_latency();
+    let mut latency_rows = vec![("all loads", &all_loads)];
     latency_rows.extend(mem.load_latency_paths());
     latency_rows.push(("store commit wait", &mem.store_commit_latency));
     latency_rows.push(("MSHR residency", &mem.mshr_residency));

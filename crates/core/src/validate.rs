@@ -7,7 +7,9 @@
 //! document that embeds one: a `--metrics-json` profile, a sweep
 //! aggregate, a `cpe compare` bundle. The check is exact integer
 //! equality, zero tolerance: a single leaked or double-counted commit
-//! slot is an error.
+//! slot is an error. The stack's cycle count also checks a sibling
+//! `distributions` object: one occupancy sample per cycle, none beyond
+//! the structure, and one latency sample per load on exactly one path.
 
 use crate::diff::JsonValue;
 
@@ -30,22 +32,18 @@ fn require_integer(members: &[(String, JsonValue)], key: &str, path: &str) -> Re
     integer(value).ok_or_else(|| format!("{path}: \"{key}\" is not a non-negative integer"))
 }
 
-/// Check one `cpi_stack` object; returns its `commit_width` so sibling
-/// epochs can be checked against it.
-fn check_stack(stack: &JsonValue, path: &str) -> Result<u64, String> {
-    let JsonValue::Object(members) = stack else {
-        return Err(format!("{path}: cpi_stack is not an object"));
-    };
+/// Check one `cpi_stack` object; returns its `commit_width` and the
+/// cycles it covers, so sibling epochs and distributions can be checked
+/// against them.
+fn check_stack(stack: &JsonValue, path: &str) -> Result<(u64, u64), String> {
+    let members = object(Some(stack), path)?;
     let commit_width = require_integer(members, "commit_width", path)?;
     if commit_width == 0 {
         return Err(format!("{path}: commit_width is zero"));
     }
     let commit_slots = require_integer(members, "commit_slots", path)?;
     let total = require_integer(members, "total", path)?;
-    let causes = match member(members, "causes") {
-        Some(JsonValue::Object(causes)) => causes,
-        _ => return Err(format!("{path}: missing \"causes\" object")),
-    };
+    let causes = object(member(members, "causes"), &format!("{path}.causes"))?;
     let mut sum: u64 = 0;
     for (name, slots) in causes {
         let slots = integer(slots)
@@ -65,7 +63,54 @@ fn check_stack(stack: &JsonValue, path: &str) -> Result<u64, String> {
              (cycles × commit_width) — commit slots leaked"
         ));
     }
-    Ok(commit_width)
+    Ok((commit_width, commit_slots / commit_width))
+}
+
+/// The members of `value`, which must be an object.
+fn object<'a>(
+    value: Option<&'a JsonValue>,
+    path: &str,
+) -> Result<&'a [(String, JsonValue)], String> {
+    match value {
+        Some(JsonValue::Object(members)) => Ok(members),
+        _ => Err(format!("{path}: missing or not an object")),
+    }
+}
+
+/// Check one `distributions` object against the `cycles` its sibling
+/// stack covers: every occupancy histogram holds one sample per cycle,
+/// the ones bounded by a structure's size (`rob`, `lsq`, `mshr`,
+/// `store_buffer`) never overflow, and `load_latency` counts exactly the
+/// loads its per-path histograms count.
+fn check_distributions(distributions: &JsonValue, cycles: u64, path: &str) -> Result<(), String> {
+    let members = object(Some(distributions), path)?;
+    let occupancy = format!("{path}.occupancy");
+    for (name, histogram) in object(member(members, "occupancy"), &occupancy)? {
+        let at = format!("{occupancy}.{name}");
+        let histogram = object(Some(histogram), &at)?;
+        let count = require_integer(histogram, "count", &at)?;
+        if count != cycles {
+            return Err(format!("{at}: {count} samples over {cycles} cycles"));
+        }
+        let bounded = ["rob", "lsq", "mshr", "store_buffer"].contains(&name.as_str());
+        if bounded && require_integer(histogram, "overflow", &at)? != 0 {
+            return Err(format!("{at}: samples beyond the structure's size"));
+        }
+    }
+    let at = format!("{path}.load_latency");
+    let loads = require_integer(object(member(members, "load_latency"), &at)?, "count", &at)?;
+    let paths = format!("{path}.load_latency_paths");
+    let mut by_path = 0;
+    for (name, histogram) in object(member(members, "load_latency_paths"), &paths)? {
+        let at = format!("{paths}.{name}");
+        by_path += require_integer(object(Some(histogram), &at)?, "count", &at)?;
+    }
+    if loads != by_path {
+        return Err(format!(
+            "{at}: {loads} loads, but its paths count {by_path}"
+        ));
+    }
+    Ok(())
 }
 
 /// Check one epoch's `cpi_slots` against the document's commit width.
@@ -73,9 +118,7 @@ fn check_epoch(epoch: &JsonValue, commit_width: u64, path: &str) -> Result<(), S
     let JsonValue::Object(members) = epoch else {
         return Ok(());
     };
-    let Some(JsonValue::Object(slots)) = member(members, "cpi_slots") else {
-        return Err(format!("{path}: missing \"cpi_slots\""));
-    };
+    let slots = object(member(members, "cpi_slots"), &format!("{path}.cpi_slots"))?;
     let start = require_integer(members, "start_cycle", path)?;
     let end = require_integer(members, "end_cycle", path)?;
     let mut sum: u64 = 0;
@@ -105,19 +148,22 @@ fn walk(value: &JsonValue, path: &str, checked: &mut usize) -> Result<(), String
                 } else {
                     format!("{path}.cpi_stack")
                 };
-                let width = check_stack(stack, &stack_path)?;
+                let (width, cycles) = check_stack(stack, &stack_path)?;
                 *checked += 1;
+                let base = if path.is_empty() {
+                    String::new()
+                } else {
+                    format!("{path}.")
+                };
                 // Conservation holds per epoch too, when the document
                 // carries the series alongside the stack.
                 if let Some(JsonValue::Array(epochs)) = member(members, "epochs") {
-                    let base = if path.is_empty() {
-                        String::new()
-                    } else {
-                        format!("{path}.")
-                    };
                     for (index, epoch) in epochs.iter().enumerate() {
                         check_epoch(epoch, width, &format!("{base}epochs[{index}]"))?;
                     }
+                }
+                if let Some(distributions) = member(members, "distributions") {
+                    check_distributions(distributions, cycles, &format!("{base}distributions"))?;
                 }
             }
             for (key, child) in members {
@@ -143,7 +189,9 @@ fn walk(value: &JsonValue, path: &str, checked: &mut usize) -> Result<(), String
 }
 
 /// Walk a parsed document and check every embedded `cpi_stack` (and any
-/// sibling `epochs` series) for exact commit-slot conservation.
+/// sibling `epochs` series) for exact commit-slot conservation, and any
+/// sibling `distributions` for one occupancy sample per cycle, no
+/// overflow of a bounded structure and one latency path per load.
 ///
 /// Returns the number of stacks checked — `Ok(0)` means the document is
 /// well-formed but carries no CPI accounting (the caller decides whether
@@ -217,6 +265,38 @@ mod tests {
         let doc = parse_json(&corrupt).expect("still valid JSON");
         let err = validate_cpi_stacks(&doc).expect_err("epoch leak detected");
         assert!(err.contains("epochs[0]"), "{err}");
+    }
+
+    /// `text` with the integer after the first `needle` raised by one.
+    fn bump_after(text: &str, needle: &str) -> String {
+        let at = text.find(needle).expect("needle present") + needle.len();
+        let end = at
+            + text[at..]
+                .find(|c: char| !c.is_ascii_digit())
+                .expect("number ends");
+        let value: u64 = text[at..end].parse().expect("an integer");
+        format!("{}{}{}", &text[..at], value + 1, &text[end..])
+    }
+
+    #[test]
+    fn distribution_faults_are_caught() {
+        let text = profile_doc();
+        for (needle, error) in [
+            ("\"occupancy\":{\"rob\":{\"count\":", "occupancy.rob: "),
+            ("\"port_queue\":{\"count\":", "occupancy.port_queue: "),
+            ("\"mshr\":{\"count\":", "occupancy.mshr: "),
+            ("\"store_buffer\":{\"count\":", "occupancy.store_buffer: "),
+            ("\"overflow\":", "beyond the structure's size"),
+            (
+                "\"distributions\":{\"load_latency\":{\"count\":",
+                "paths count",
+            ),
+            ("\"miss\":{\"count\":", "paths count"),
+        ] {
+            let doc = parse_json(&bump_after(&text, needle)).expect("still valid JSON");
+            let err = validate_cpi_stacks(&doc).expect_err(needle);
+            assert!(err.contains(error), "{needle}: {err}");
+        }
     }
 
     #[test]

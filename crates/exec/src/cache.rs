@@ -31,8 +31,11 @@ pub const DEFAULT_CACHE_DIR: &str = ".cpe-cache";
 /// History: 2 added the execution backend and its trace-format version
 /// to the key document (the record-once/replay-many backend). 3 marks the
 /// cell document's `counters` member: an entry stored without it must
-/// never serve, so a cached document always equals a fresh one.
-pub const CACHE_SCHEMA: u32 = 3;
+/// never serve, so a cached document always equals a fresh one. 4: a
+/// store-buffer drain refused for a full MSHR file keeps the port slot
+/// its tag probe used, which moves the port-slot statistics of cells
+/// where that happens.
+pub const CACHE_SCHEMA: u32 = 4;
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

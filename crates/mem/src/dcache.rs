@@ -109,9 +109,6 @@ struct Grant {
 /// tally is what each of its exact repeats records again.
 #[derive(Debug, Clone, Copy, Default)]
 struct CycleTally {
-    /// Slots granted. Not the grant count: a drain refused for a full
-    /// MSHR file hands its slot back but keeps its grant's bank.
-    slots_used: u32,
     /// Port requests denied (no free slot or bank conflict); the CPU holds
     /// these in its queues and retries, so the count is the depth of the
     /// implicit port request queue.
@@ -468,10 +465,8 @@ impl DCache {
             }
             let addr = Addr::new(entry.chunk_addr);
             if self.write_access(now, addr, backside, stats).is_err() {
-                // MSHR full: try again next cycle. Unlike a refused load
-                // or unbuffered store, a refused drain hands its slot
-                // back (its bank stays taken; nothing claims after it).
-                self.tally.slots_used -= 1;
+                // MSHR full: the tag probe consumed the slot; try again
+                // next cycle.
                 break;
             }
             self.store_buffer.pop();
@@ -482,8 +477,8 @@ impl DCache {
             self.trace
                 .emit(now, EventKind::StoreDrain, entry.chunk_addr, 0);
         }
-        debug_assert!(self.tally.slots_used <= self.ports.count);
-        self.close_cycles(1, u64::from(self.tally.slots_used), self.tally, stats);
+        debug_assert!(self.grants.len() <= self.ports.count as usize);
+        self.close_cycles(1, self.grants.len() as u64, self.tally, stats);
         self.parked = (activity(stats) == self.activity_at_begin).then_some(self.tally);
     }
 
@@ -520,7 +515,7 @@ impl DCache {
     /// grant list. Losing the bank tallies and traces a bank conflict;
     /// every other consequence of a refusal is the caller's.
     fn claim_port(&mut self, now: Cycle, addr: u64) -> Result<(), PortDenied> {
-        if self.tally.slots_used >= self.ports.count {
+        if self.grants.len() >= self.ports.count as usize {
             return Err(PortDenied::NoSlot);
         }
         let bank = self.ports.bank_of(addr);
@@ -534,7 +529,6 @@ impl DCache {
             bank.is_none() || self.grants.iter().filter(|g| g.bank == bank).count() == 1,
             "a bank was granted twice in cycle {now}"
         );
-        self.tally.slots_used += 1;
         Ok(())
     }
 
@@ -634,7 +628,7 @@ impl DCache {
     pub fn record_skipped_cycles(&self, n: u64, parked: bool, stats: &mut MemStats) {
         let (slots, tally) = if parked {
             let tally = self.parked.expect("the last closed cycle was parked");
-            (u64::from(tally.slots_used), tally)
+            (self.grants.len() as u64, tally)
         } else {
             (0, CycleTally::default())
         };

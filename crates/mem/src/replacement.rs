@@ -65,13 +65,9 @@ impl<V: Copy + Default> LruTable<V> {
     /// An empty table of `ways` ways (0 makes an inert table its users
     /// guard with [`LruTable::is_empty`]).
     pub(crate) fn new(ways: usize) -> LruTable<V> {
-        let empty = Way {
-            key: 0,
-            value: V::default(),
-            stamp: 0,
-        };
+        let (key, value, stamp) = (0, V::default(), 0);
         LruTable {
-            ways: vec![empty; ways],
+            ways: vec![Way { key, value, stamp }; ways],
             clock: 0,
         }
     }
@@ -81,12 +77,14 @@ impl<V: Copy + Default> LruTable<V> {
         self.ways.is_empty()
     }
 
+    /// The way holding `key`, if any.
+    fn holding(ways: &mut [Way<V>], key: u64) -> Option<&mut Way<V>> {
+        ways.iter_mut().find(|way| way.key == key && way.stamp != 0)
+    }
+
     /// The value held under `key`, if any, made the most recently used.
     pub(crate) fn touch(&mut self, key: u64) -> Option<&mut V> {
-        let way = self
-            .ways
-            .iter_mut()
-            .find(|way| way.key == key && way.stamp != 0)?;
+        let way = Self::holding(&mut self.ways, key)?;
         self.clock += 1;
         way.stamp = self.clock;
         Some(&mut way.value)
@@ -107,20 +105,14 @@ impl<V: Copy + Default> LruTable<V> {
             .expect("a table with ways");
         let displaced = (way.stamp != 0).then_some((way.key, way.value));
         self.clock += 1;
-        *way = Way {
-            key,
-            value,
-            stamp: self.clock,
-        };
+        let stamp = self.clock;
+        *way = Way { key, value, stamp };
         displaced
     }
 
     /// Remove and return the value held under `key`, if any.
     pub(crate) fn remove(&mut self, key: u64) -> Option<V> {
-        let way = self
-            .ways
-            .iter_mut()
-            .find(|way| way.key == key && way.stamp != 0)?;
+        let way = Self::holding(&mut self.ways, key)?;
         way.stamp = 0;
         Some(way.value)
     }
@@ -128,8 +120,8 @@ impl<V: Copy + Default> LruTable<V> {
     /// Remove every entry whose key satisfies `doomed`; returns how many.
     pub(crate) fn remove_where(&mut self, mut doomed: impl FnMut(u64) -> bool) -> usize {
         let mut removed = 0;
-        for way in &mut self.ways {
-            if way.stamp != 0 && doomed(way.key) {
+        for way in self.ways.iter_mut().filter(|way| way.stamp != 0) {
+            if doomed(way.key) {
                 way.stamp = 0;
                 removed += 1;
             }

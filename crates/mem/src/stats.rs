@@ -68,8 +68,8 @@ pub struct MemStats {
     pub slots_per_cycle: Histogram,
 
     // --- Latency distributions (cycles from initiation to data-ready) ----
-    /// All successfully initiated loads, regardless of serving path.
-    pub load_latency: Log2Histogram,
+    // Each initiated load is recorded once, in its serving path's
+    // histogram; `load_latency()` merges them.
     /// Loads that took a port and hit (L1 or victim-cache swap).
     pub load_latency_l1: Log2Histogram,
     /// Loads served by a line buffer.
@@ -146,7 +146,6 @@ impl MemStats {
             port_slots_used: Counter::new(),
             port_slots_offered: Counter::new(),
             slots_per_cycle: Histogram::new(max_slots),
-            load_latency: Log2Histogram::new(),
             load_latency_l1: Log2Histogram::new(),
             load_latency_lb: Log2Histogram::new(),
             load_latency_forward: Log2Histogram::new(),
@@ -170,10 +169,9 @@ impl MemStats {
         }
     }
 
-    /// Record a completed load's latency, both in the aggregate
-    /// distribution and in its serving path's.
+    /// Record an initiated load's latency in its serving path's
+    /// distribution.
     pub fn record_load_latency(&mut self, source: LoadSource, latency: u64) {
-        self.load_latency.record(latency);
         let path = match source {
             LoadSource::L1Hit | LoadSource::VictimHit => &mut self.load_latency_l1,
             LoadSource::LineBuffer => &mut self.load_latency_lb,
@@ -196,6 +194,17 @@ impl MemStats {
             ("mshr_merge", &self.load_latency_merged),
             ("miss", &self.load_latency_miss),
         ]
+    }
+
+    /// Every initiated load's latency, whatever its path: the per-path
+    /// histograms merged, which loses nothing (buckets, sum, count and
+    /// maximum all merge exactly).
+    pub fn load_latency(&self) -> Log2Histogram {
+        let mut all = Log2Histogram::new();
+        for (_, path) in self.load_latency_paths() {
+            all.merge(path);
+        }
+        all
     }
 
     /// Fraction of offered port slots actually used.
@@ -259,7 +268,6 @@ impl MemStats {
             write_throughs,
         } not {
             slots_per_cycle,
-            load_latency,
             load_latency_l1,
             load_latency_lb,
             load_latency_forward,
@@ -313,7 +321,7 @@ mod tests {
         assert_eq!(s.port_utilisation().percent(), 0.0);
         assert_eq!(s.portless_load_fraction().percent(), 0.0);
         assert_eq!(s.data_refs(), 0);
-        assert_eq!(s.load_latency.p99(), None);
+        assert_eq!(s.load_latency().p99(), None);
     }
 
     #[test]
@@ -323,13 +331,12 @@ mod tests {
         s.record_load_latency(LoadSource::VictimHit, 4);
         s.record_load_latency(LoadSource::LineBuffer, 1);
         s.record_load_latency(LoadSource::Miss, 80);
-        assert_eq!(s.load_latency.total(), 4);
+        assert_eq!(s.load_latency().total(), 4);
         assert_eq!(s.load_latency_l1.total(), 2, "victim hits fold into l1");
         assert_eq!(s.load_latency_lb.total(), 1);
         assert_eq!(s.load_latency_miss.total(), 1);
         assert_eq!(s.load_latency_forward.total(), 0);
-        let per_path: u64 = s.load_latency_paths().iter().map(|(_, h)| h.total()).sum();
-        assert_eq!(per_path, s.load_latency.total(), "paths partition loads");
-        assert_eq!(s.load_latency.max_seen(), 80);
+        assert_eq!(s.load_latency().max_seen(), 80);
+        assert_eq!(s.load_latency().sum(), 2 + 4 + 1 + 80);
     }
 }

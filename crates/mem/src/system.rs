@@ -304,13 +304,19 @@ mod tests {
             assert!(cycles < 10_000, "machine must quiesce");
         }
         let s = mem.stats();
-        // Every initiated load recorded exactly one latency sample, and
-        // the per-path histograms partition the aggregate.
-        assert_eq!(s.load_latency.total(), s.loads.get());
-        let per_path: u64 = s.load_latency_paths().iter().map(|(_, h)| h.total()).sum();
-        assert_eq!(per_path, s.load_latency.total());
-        assert!(s.load_latency.p50().is_some());
-        assert!(s.load_latency.p99().unwrap() <= s.load_latency.max_seen());
+        // Every initiated load recorded exactly one latency sample, on the
+        // path its source counter names.
+        let load_latency = s.load_latency();
+        assert_eq!(load_latency.total(), s.loads.get());
+        let sources = s.load_l1_hits.get()
+            + s.load_lb_hits.get()
+            + s.load_sb_forwards.get()
+            + s.load_combined.get()
+            + s.load_miss_merged.get()
+            + s.load_misses.get();
+        assert_eq!(s.loads.get(), sources, "each load has one source");
+        assert!(load_latency.p50().is_some());
+        assert!(load_latency.p99().unwrap() <= load_latency.max_seen());
         // A cold stream misses: the miss path saw real memory latencies.
         assert!(s.load_latency_miss.total() > 0);
         assert!(s.load_latency_miss.mean() > 1.0);

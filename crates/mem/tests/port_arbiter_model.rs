@@ -5,6 +5,8 @@
 //! combining could not serve, an unbuffered store, a store-buffer drain)
 //! is granted while fewer than `ports.count` slots were claimed this
 //! cycle and, on a banked cache, no access this cycle claimed its bank.
+//! A granted access keeps its slot whatever its tag probe finds, a full
+//! MSHR file included.
 //! The model keeps its own slot count and bank set, and a shadow
 //! [`StoreBuffer`] fed the same stores, whose front is what each drain
 //! writes. Per cycle it checks:
@@ -229,14 +231,11 @@ fn check_machine(machine: Machine, cycles: &[(u64, Vec<Request>)]) -> Result<(),
             ports.grant(entry.chunk_addr);
         }
         // The first store left behind stopped the drain: no slot, a lost
-        // bank, or (slot and bank free) a full MSHR file, which claims the
-        // bank but hands the slot back.
+        // bank, or (slot and bank free) a full MSHR file after its tag
+        // probe took the slot.
         if let Some(entry) = shadow.peek() {
-            let addr = entry.chunk_addr;
-            if ports.free(addr) {
-                if let Some(bank) = ports.bank_of(addr) {
-                    ports.claimed.push(bank);
-                }
+            if ports.free(entry.chunk_addr) {
+                ports.grant(entry.chunk_addr);
             }
         }
         prop_assert_eq!(dcache.store_buffer_len(), shadow.len(), "cycle {}", cycle);

@@ -197,14 +197,20 @@ echo "   direct $direct_ms ms vs replay $replay_ms ms (speedup" \
      "$cells -> $recorded)" >&2
 
 # Cycle-accounting gate (see docs/OBSERVABILITY.md "CPI stacks"): every
-# cpi_stack in the fresh golden document and the smoke-sweep document
-# must conserve commit slots exactly — sum(causes) == total ==
-# cycles × commit_width, integer equality, no tolerance. Then the
-# per-instruction pipeline view must round-trip: a Konata export over a
-# traced run has to pass the Konata validator.
+# cpi_stack in the fresh golden document, the smoke-sweep document and a
+# profiled run's document (with its counters and epochs) must conserve
+# commit slots exactly — sum(causes) == total == cycles × commit_width,
+# integer equality, no tolerance — and every epoch likewise; each
+# sibling distributions object must hold one occupancy sample per cycle,
+# no sample beyond a structure's size, and one load-latency path per
+# load. Then the per-instruction pipeline view must round-trip: a Konata
+# export over a traced run has to pass the Konata validator.
 echo "== CPI stacks conserve + Konata pipeline-view artifact" >&2
+"$cpe_bin" run --workload pmake --max 20000 --interval 5000 \
+    --metrics-json "$scratch/profile.json" >/dev/null
 cargo run --release --bin cpe -q -- validate --cpi \
-    "$scratch/golden_fresh.json" "$scratch/sweep1.json" >/dev/null
+    "$scratch/golden_fresh.json" "$scratch/sweep1.json" \
+    "$scratch/profile.json" >/dev/null
 "$cpe_bin" run --workload compress --max 2000 --trace-format konata \
     --trace-out "$scratch/pipe.kanata" >/dev/null
 "$cpe_bin" validate "$scratch/pipe.kanata" >/dev/null

@@ -1,13 +1,13 @@
 //! Whole-stack integration: assembler → emulator → OS injection → timing
 //! core → memory system, checked end to end.
 
-use cpe::exec::render::{member, member_path, number_at};
 use cpe::exec::{fnv1a64, SweepPlan};
 use cpe::isa::{asm::assemble, Emulator, Mode};
+use cpe::stats::Histogram;
 use cpe::workloads::{Scale, Workload};
 use cpe::{
-    parse_json, profile_json, BackendKind, JsonValue, ProfileOptions, RunSummary, SimConfig,
-    Simulator,
+    parse_json, profile_json, validate_cpi_stacks, BackendKind, ProfileOptions, RunSummary,
+    SimConfig, Simulator,
 };
 
 /// One Test-scale run of `workload` on `config`.
@@ -167,43 +167,13 @@ fn instruction_windows_align_comparisons() {
     );
 }
 
-/// Assert that every cell of a sweep aggregate counts each timed load on
-/// exactly one path: `load_latency.count` equals the sum of the
-/// `load_latency_paths.*.count`. Returns the number of cells checked.
-fn assert_load_sources_reconcile(label: &str, aggregate: &str) -> usize {
-    let doc = parse_json(aggregate).expect("aggregate parses");
-    let Some(JsonValue::Array(cells)) = member(&doc, "cells") else {
-        panic!("{label}: no `cells` array");
-    };
-    for cell in cells {
-        let name = |key| match member(cell, key) {
-            Some(JsonValue::Text(text)) => text.clone(),
-            _ => panic!("{label}: a cell has no `{key}`"),
-        };
-        let cell_name = format!("{label}: {} / {}", name("config"), name("workload"));
-        let total = number_at(cell, &["distributions", "load_latency", "count"])
-            .unwrap_or_else(|| panic!("{cell_name}: no load_latency count"));
-        let Some(JsonValue::Object(paths)) =
-            member_path(cell, &["distributions", "load_latency_paths"])
-        else {
-            panic!("{cell_name}: no load_latency_paths");
-        };
-        let by_path: f64 = paths
-            .iter()
-            .map(|(path, histogram)| {
-                number_at(histogram, &["count"])
-                    .unwrap_or_else(|| panic!("{cell_name}: path `{path}` has no count"))
-            })
-            .sum();
-        assert!(total > 0.0, "{cell_name}: no loads were timed");
-        assert_eq!(total, by_path, "{cell_name}: load sources do not reconcile");
-    }
-    cells.len()
-}
-
-/// Port-slot conservation on every cycle, stepped or skipped: each
-/// cycle records one `slots_per_cycle` sample, the samples' weighted sum
-/// is the slots used, and every cycle offers one slot per port.
+/// Port-slot and MSHR conservation on every cycle, stepped or skipped,
+/// over whole runs: each cycle records one `slots_per_cycle` sample, the
+/// samples' weighted sum is the slots used, and every cycle offers one
+/// slot per port. A miss is outstanding at the end of each cycle from its
+/// allocation to the one before its fill, and a whole run leaves none in
+/// flight, so the `mshr_occupancy` samples' weighted sum is the retired
+/// misses' total `mshr_residency`.
 #[test]
 fn port_slots_are_conserved_on_every_cycle() {
     let mut configs = cpe::exec::preset_configs();
@@ -212,40 +182,55 @@ fn port_slots_are_conserved_on_every_cycle() {
         let ports = u64::from(config.mem.ports.count);
         for workload in Workload::EXTENDED {
             let cell = format!("{} / {workload}", config.name);
-            let summary = run(config.clone(), workload, Some(20_000));
+            let summary = run(config.clone(), workload, None);
             let (mem, cycles) = (&summary.raw.mem, summary.cycles);
+            let weighted = |histogram: &Histogram| -> u64 {
+                histogram.iter().map(|(k, n)| k as u64 * n).sum()
+            };
             let slots = &mem.slots_per_cycle;
             assert_eq!(slots.total(), cycles, "{cell}: one sample per cycle");
             assert_eq!(slots.overflow(), 0, "{cell}: a cycle beyond the ports");
-            let weighted: u64 = slots.iter().map(|(k, count)| k as u64 * count).sum();
-            assert_eq!(weighted, mem.port_slots_used.get(), "{cell}: slots used");
+            assert_eq!(
+                weighted(slots),
+                mem.port_slots_used.get(),
+                "{cell}: slots used"
+            );
             assert_eq!(
                 mem.port_slots_offered.get(),
                 ports * cycles,
                 "{cell}: slots offered"
             );
+            let occupancy = &mem.mshr_occupancy;
+            assert_eq!(
+                occupancy.total(),
+                cycles,
+                "{cell}: one MSHR sample per cycle"
+            );
+            assert_eq!(occupancy.overflow(), 0, "{cell}: more misses than MSHRs");
+            assert_eq!(
+                u128::from(weighted(occupancy)),
+                mem.mshr_residency.sum(),
+                "{cell}: MSHR-cycles"
+            );
         }
     }
 }
 
-/// Load-source conservation over the committed golden grid and a fresh
-/// sweep of every preset.
+/// Load-source conservation, with the rest of the document validator's
+/// checks, over the committed golden grid and a fresh sweep of every
+/// preset: each cell's `load_latency.count` equals the sum of its
+/// `load_latency_paths` counts.
 #[test]
 fn load_latency_count_equals_the_sum_over_load_paths() {
-    let golden = include_str!("../GOLDEN_metrics.json");
-    assert_eq!(
-        assert_load_sources_reconcile("GOLDEN_metrics.json", golden),
-        12
-    );
+    let golden = parse_json(include_str!("../GOLDEN_metrics.json")).expect("GOLDEN parses");
+    assert_eq!(validate_cpi_stacks(&golden), Ok(12));
     let fresh = SweepPlan::standard(Scale::Test, Some(20_000))
         .with_backend(BackendKind::Replay)
         .run(0, None)
         .expect("the preset grid is valid");
     assert_eq!(fresh.stats.failed, 0);
-    assert_eq!(
-        assert_load_sources_reconcile("fresh sweep", &fresh.aggregate_json()),
-        36
-    );
+    let fresh = parse_json(&fresh.aggregate_json()).expect("the aggregate parses");
+    assert_eq!(validate_cpi_stacks(&fresh), Ok(36));
 }
 
 /// Windows no preset uses — one entry, and sizes off a power of two —
@@ -278,7 +263,7 @@ fn odd_window_documents_are_pinned() {
                 0x2515_be2d_2878_6178,
                 0xfd22_aad3_f263_aea5,
                 0x79d5_f280_6673_727c,
-                0x0994_3279_51e5_bf4c,
+                0x33f8_b3d2_aee8_66fa,
                 0xb59c_47c5_ee56_6e55,
                 0x6df2_9917_0c8e_018d,
             ],
@@ -291,7 +276,7 @@ fn odd_window_documents_are_pinned() {
                 0x057c_6e94_9994_2b7a,
                 0x7499_fc0d_dc6a_ffde,
                 0x9442_3b15_fa11_47a5,
-                0x6878_3820_dd3b_9389,
+                0xd8e3_ce44_2600_c42c,
                 0xca12_3c5a_9238_629e,
                 0xd670_701f_a440_096b,
             ],
