@@ -237,36 +237,6 @@ mod tests {
         assert_eq!(validate_cpi_stacks(&doc), Ok(1));
     }
 
-    #[test]
-    fn a_leaked_slot_is_caught() {
-        let text = profile_doc();
-        // Corrupt the stack's own total.
-        let needle = "\"total\":";
-        let at = text.find(needle).expect("total present") + needle.len();
-        let end = text[at..].find(',').expect("number ends") + at;
-        let total: u64 = text[at..end].parse().expect("integer total");
-        let corrupt = format!("{}{}{}", &text[..at], total + 1, &text[end..]);
-        let doc = parse_json(&corrupt).expect("still valid JSON");
-        let err = validate_cpi_stacks(&doc).expect_err("leak detected");
-        assert!(err.contains("cpi_stack"), "{err}");
-    }
-
-    #[test]
-    fn an_epoch_leak_is_caught() {
-        let text = profile_doc();
-        let needle = "\"cpi_slots\":{\"base\":";
-        let at = text.find(needle).expect("epoch slots present") + needle.len();
-        let end = at
-            + text[at..]
-                .find(|c: char| !c.is_ascii_digit())
-                .expect("number ends");
-        let base: u64 = text[at..end].parse().expect("integer base");
-        let corrupt = format!("{}{}{}", &text[..at], base + 1, &text[end..]);
-        let doc = parse_json(&corrupt).expect("still valid JSON");
-        let err = validate_cpi_stacks(&doc).expect_err("epoch leak detected");
-        assert!(err.contains("epochs[0]"), "{err}");
-    }
-
     /// `text` with the integer after the first `needle` raised by one.
     fn bump_after(text: &str, needle: &str) -> String {
         let at = text.find(needle).expect("needle present") + needle.len();
@@ -276,6 +246,23 @@ mod tests {
                 .expect("number ends");
         let value: u64 = text[at..end].parse().expect("an integer");
         format!("{}{}{}", &text[..at], value + 1, &text[end..])
+    }
+
+    #[test]
+    fn a_leaked_slot_is_caught() {
+        // Corrupt the stack's own total.
+        let corrupt = bump_after(&profile_doc(), "\"total\":");
+        let doc = parse_json(&corrupt).expect("still valid JSON");
+        let err = validate_cpi_stacks(&doc).expect_err("leak detected");
+        assert!(err.contains("cpi_stack"), "{err}");
+    }
+
+    #[test]
+    fn an_epoch_leak_is_caught() {
+        let corrupt = bump_after(&profile_doc(), "\"cpi_slots\":{\"base\":");
+        let doc = parse_json(&corrupt).expect("still valid JSON");
+        let err = validate_cpi_stacks(&doc).expect_err("epoch leak detected");
+        assert!(err.contains("epochs[0]"), "{err}");
     }
 
     #[test]
