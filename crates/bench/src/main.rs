@@ -10,8 +10,8 @@
 //! [`SweepPlan`]s on the replay backend, and a report that prints its
 //! banner, tables and verdict from their results. The selected
 //! experiments' grids run as one batch ([`SweepPlan::run_all`], all
-//! cores, no result cache), so each workload is recorded once and a cell
-//! several experiments share is simulated once. F6's OS-intensity rows
+//! cores), so each workload is recorded once and a cell several
+//! experiments share is simulated once. F6's OS-intensity rows
 //! and X2's user-only vs with-OS study run OS-injected traces that no
 //! `Workload` names, so their reports call [`Simulator::try_run_trace`].
 //!
@@ -119,7 +119,7 @@ fn main() {
     }
     let grids: Vec<Vec<SweepPlan>> = selected.iter().map(|(_, grids, _)| grids()).collect();
     let cells: usize = grids.iter().flatten().map(|plan| plan.jobs().len()).sum();
-    let results = SweepPlan::run_all(&grids.concat(), 0, None, None)
+    let results = SweepPlan::run_all(&grids.concat(), 0, None)
         .expect("every grid has configurations and workloads");
     if let Some(batch) = results.first() {
         eprintln!("reproduce: {cells} grid cells as {}", batch.stats);

@@ -3,7 +3,7 @@
 //!
 //! The timing model takes any committed-path instruction iterator (see
 //! [`cpe_cpu::Core`]); what this module adds is the *policy* layer: a
-//! named [`BackendKind`] that front ends select with `--backend`, and
+//! named [`BackendKind`] that sweep cells carry, and
 //! [`RecordedWorkload`] — one workload's committed path captured once
 //! into a compact [`RecordedTrace`] and replayed through any number of
 //! timing configurations. Replay is byte-identical to direct execution by
@@ -31,23 +31,12 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Every backend, in presentation order.
-    pub const ALL: [BackendKind; 2] = [BackendKind::Direct, BackendKind::Replay];
-
-    /// The stable name (`"direct"`, `"replay"`), used in cache keys and
-    /// CLI flags.
+    /// The stable name (`"direct"`, `"replay"`), used in cache keys.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Direct => "direct",
             BackendKind::Replay => "replay",
         }
-    }
-
-    /// Parse a backend name (the inverse of [`BackendKind::name`]).
-    pub fn from_name(name: &str) -> Option<BackendKind> {
-        BackendKind::ALL
-            .into_iter()
-            .find(|backend| backend.name() == name)
     }
 
     /// The trace-format version this backend's results depend on — folded
@@ -180,11 +169,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_names_roundtrip() {
-        for backend in BackendKind::ALL {
-            assert_eq!(BackendKind::from_name(backend.name()), Some(backend));
-        }
-        assert_eq!(BackendKind::from_name("quantum"), None);
+    fn backend_names_are_stable() {
+        // Result-cache keys hash these names.
+        assert_eq!(BackendKind::Direct.name(), "direct");
+        assert_eq!(BackendKind::Replay.name(), "replay");
         assert_eq!(BackendKind::default(), BackendKind::Direct);
     }
 

@@ -30,6 +30,32 @@ pub enum JsonValue {
     Object(Vec<(String, JsonValue)>),
 }
 
+impl JsonValue {
+    /// The member named `key`, when this is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        match self {
+            JsonValue::Object(members) => members
+                .iter()
+                .find(|(name, _)| name == key)
+                .map(|(_, member)| member),
+            _ => None,
+        }
+    }
+
+    /// The value at a member path such as `["summary", "ipc"]`.
+    pub fn at(&self, path: &[&str]) -> Option<&JsonValue> {
+        path.iter().try_fold(self, |value, key| value.get(key))
+    }
+
+    /// The number at a member path, when there is one.
+    pub fn number_at(&self, path: &[&str]) -> Option<f64> {
+        match self.at(path)? {
+            JsonValue::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+}
+
 /// Deepest array/object nesting the reader accepts. The documents `cpe`
 /// writes nest a handful of levels; the cap only keeps hostile input
 /// (say, 200,000 `[`) from exhausting the stack of the recursive reader.
@@ -471,6 +497,21 @@ pub fn diff_json(a: &str, b: &str, tolerance: f64) -> Result<DiffReport, String>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn member_paths_navigate_nested_documents() {
+        let doc = parse_json("{\"summary\":{\"ipc\":1.25,\"config\":\"2-port\"}}").unwrap();
+        assert_eq!(doc.number_at(&["summary", "ipc"]), Some(1.25));
+        assert_eq!(
+            doc.at(&["summary", "config"]),
+            Some(&JsonValue::Text("2-port".to_string()))
+        );
+        assert_eq!(doc.at(&[]), Some(&doc));
+        assert_eq!(doc.number_at(&["summary", "missing"]), None);
+        assert_eq!(doc.number_at(&["summary", "config"]), None);
+        assert_eq!(doc.at(&["summary", "ipc", "deeper"]), None);
+        assert_eq!(JsonValue::Number(1.0).get("summary"), None);
+    }
 
     #[test]
     fn parser_handles_every_value_kind() {

@@ -13,10 +13,6 @@
 
 use crate::diff::JsonValue;
 
-fn member<'a>(members: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonValue> {
-    members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
 /// A JSON number that is an exact non-negative integer.
 fn integer(value: &JsonValue) -> Option<u64> {
     match value {
@@ -27,8 +23,10 @@ fn integer(value: &JsonValue) -> Option<u64> {
     }
 }
 
-fn require_integer(members: &[(String, JsonValue)], key: &str, path: &str) -> Result<u64, String> {
-    let value = member(members, key).ok_or_else(|| format!("{path}: missing \"{key}\""))?;
+fn require_integer(object: &JsonValue, key: &str, path: &str) -> Result<u64, String> {
+    let value = object
+        .get(key)
+        .ok_or_else(|| format!("{path}: missing \"{key}\""))?;
     integer(value).ok_or_else(|| format!("{path}: \"{key}\" is not a non-negative integer"))
 }
 
@@ -36,16 +34,16 @@ fn require_integer(members: &[(String, JsonValue)], key: &str, path: &str) -> Re
 /// cycles it covers, so sibling epochs and distributions can be checked
 /// against them.
 fn check_stack(stack: &JsonValue, path: &str) -> Result<(u64, u64), String> {
-    let members = object(Some(stack), path)?;
-    let commit_width = require_integer(members, "commit_width", path)?;
+    let stack = object(Some(stack), path)?;
+    let commit_width = require_integer(stack, "commit_width", path)?;
     if commit_width == 0 {
         return Err(format!("{path}: commit_width is zero"));
     }
-    let commit_slots = require_integer(members, "commit_slots", path)?;
-    let total = require_integer(members, "total", path)?;
-    let causes = object(member(members, "causes"), &format!("{path}.causes"))?;
+    let commit_slots = require_integer(stack, "commit_slots", path)?;
+    let total = require_integer(stack, "total", path)?;
+    let causes = object(stack.get("causes"), &format!("{path}.causes"))?;
     let mut sum: u64 = 0;
-    for (name, slots) in causes {
+    for (name, slots) in members(causes) {
         let slots = integer(slots)
             .ok_or_else(|| format!("{path}: cause \"{name}\" is not a non-negative integer"))?;
         sum = sum
@@ -66,14 +64,19 @@ fn check_stack(stack: &JsonValue, path: &str) -> Result<(u64, u64), String> {
     Ok((commit_width, commit_slots / commit_width))
 }
 
-/// The members of `value`, which must be an object.
-fn object<'a>(
-    value: Option<&'a JsonValue>,
-    path: &str,
-) -> Result<&'a [(String, JsonValue)], String> {
+/// `value`, which must be an object.
+fn object<'a>(value: Option<&'a JsonValue>, path: &str) -> Result<&'a JsonValue, String> {
     match value {
-        Some(JsonValue::Object(members)) => Ok(members),
+        Some(object @ JsonValue::Object(_)) => Ok(object),
         _ => Err(format!("{path}: missing or not an object")),
+    }
+}
+
+/// The members of an object (none for any other value).
+fn members(object: &JsonValue) -> &[(String, JsonValue)] {
+    match object {
+        JsonValue::Object(members) => members,
+        _ => &[],
     }
 }
 
@@ -83,9 +86,9 @@ fn object<'a>(
 /// `store_buffer`) never overflow, and `load_latency` counts exactly the
 /// loads its per-path histograms count.
 fn check_distributions(distributions: &JsonValue, cycles: u64, path: &str) -> Result<(), String> {
-    let members = object(Some(distributions), path)?;
+    let distributions = object(Some(distributions), path)?;
     let occupancy = format!("{path}.occupancy");
-    for (name, histogram) in object(member(members, "occupancy"), &occupancy)? {
+    for (name, histogram) in members(object(distributions.get("occupancy"), &occupancy)?) {
         let at = format!("{occupancy}.{name}");
         let histogram = object(Some(histogram), &at)?;
         let count = require_integer(histogram, "count", &at)?;
@@ -98,10 +101,14 @@ fn check_distributions(distributions: &JsonValue, cycles: u64, path: &str) -> Re
         }
     }
     let at = format!("{path}.load_latency");
-    let loads = require_integer(object(member(members, "load_latency"), &at)?, "count", &at)?;
+    let loads = require_integer(
+        object(distributions.get("load_latency"), &at)?,
+        "count",
+        &at,
+    )?;
     let paths = format!("{path}.load_latency_paths");
     let mut by_path = 0;
-    for (name, histogram) in object(member(members, "load_latency_paths"), &paths)? {
+    for (name, histogram) in members(object(distributions.get("load_latency_paths"), &paths)?) {
         let at = format!("{paths}.{name}");
         by_path += require_integer(object(Some(histogram), &at)?, "count", &at)?;
     }
@@ -115,14 +122,14 @@ fn check_distributions(distributions: &JsonValue, cycles: u64, path: &str) -> Re
 
 /// Check one epoch's `cpi_slots` against the document's commit width.
 fn check_epoch(epoch: &JsonValue, commit_width: u64, path: &str) -> Result<(), String> {
-    let JsonValue::Object(members) = epoch else {
+    if !matches!(epoch, JsonValue::Object(_)) {
         return Ok(());
-    };
-    let slots = object(member(members, "cpi_slots"), &format!("{path}.cpi_slots"))?;
-    let start = require_integer(members, "start_cycle", path)?;
-    let end = require_integer(members, "end_cycle", path)?;
+    }
+    let slots = object(epoch.get("cpi_slots"), &format!("{path}.cpi_slots"))?;
+    let start = require_integer(epoch, "start_cycle", path)?;
+    let end = require_integer(epoch, "end_cycle", path)?;
     let mut sum: u64 = 0;
-    for (name, value) in slots {
+    for (name, value) in members(slots) {
         sum += integer(value)
             .ok_or_else(|| format!("{path}: cause \"{name}\" is not a non-negative integer"))?;
     }
@@ -142,7 +149,7 @@ fn check_epoch(epoch: &JsonValue, commit_width: u64, path: &str) -> Result<(), S
 fn walk(value: &JsonValue, path: &str, checked: &mut usize) -> Result<(), String> {
     match value {
         JsonValue::Object(members) => {
-            if let Some(stack) = member(members, "cpi_stack") {
+            if let Some(stack) = value.get("cpi_stack") {
                 let stack_path = if path.is_empty() {
                     "cpi_stack".to_string()
                 } else {
@@ -157,12 +164,12 @@ fn walk(value: &JsonValue, path: &str, checked: &mut usize) -> Result<(), String
                 };
                 // Conservation holds per epoch too, when the document
                 // carries the series alongside the stack.
-                if let Some(JsonValue::Array(epochs)) = member(members, "epochs") {
+                if let Some(JsonValue::Array(epochs)) = value.get("epochs") {
                     for (index, epoch) in epochs.iter().enumerate() {
                         check_epoch(epoch, width, &format!("{base}epochs[{index}]"))?;
                     }
                 }
-                if let Some(distributions) = member(members, "distributions") {
+                if let Some(distributions) = value.get("distributions") {
                     check_distributions(distributions, cycles, &format!("{base}distributions"))?;
                 }
             }

@@ -1,5 +1,10 @@
 //! Content-addressed result cache.
 //!
+//! A job-level library API: [`run_job`](crate::run_job) and
+//! [`execute_jobs_traced`](crate::job::execute_jobs_traced) consult it
+//! when a caller attaches one (the perfbench harness times it). Sweeps
+//! never do: `cpe sweep` and `reproduce` replay every cell uncached.
+//!
 //! Every sweep cell is a pure function of its inputs: the [`SimConfig`](cpe_core::SimConfig),
 //! the workload, the scale, and the instruction window. The cache
 //! therefore keys each schema-stamped metrics document by a stable 64-bit FNV-1a hash of the **canonical** JSON
@@ -10,8 +15,8 @@
 //!
 //! Layout on disk is one file per entry, `<dir>/<16-hex-digits>.json`,
 //! written atomically (temp file + rename) so concurrent workers racing
-//! on the same key can never expose a torn document. The directory
-//! defaults to [`DEFAULT_CACHE_DIR`] and is created on first store.
+//! on the same key can never expose a torn document. The directory is
+//! created on first store.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -21,9 +26,6 @@ use cpe_workloads::Scale;
 
 use crate::job::{scale_name, Job};
 use crate::render::render;
-
-/// Default on-disk location, relative to the working directory.
-pub const DEFAULT_CACHE_DIR: &str = ".cpe-cache";
 
 /// Version of the key derivation itself, folded into every hash: bump it
 /// and every prior entry is a clean miss (never a wrong hit).
@@ -155,26 +157,6 @@ impl CacheKey {
     }
 }
 
-/// Entry count and total size of a cache directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Number of `*.json` entries.
-    pub entries: usize,
-    /// Their total size in bytes.
-    pub bytes: u64,
-}
-
-impl std::fmt::Display for CacheStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} entries, {:.1} KiB",
-            self.entries,
-            self.bytes as f64 / 1024.0
-        )
-    }
-}
-
 /// A content-addressed store of metrics documents.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
@@ -219,50 +201,6 @@ impl ResultCache {
             file.write_all(document.as_bytes())?;
         }
         std::fs::rename(&tmp, self.entry_path(key))
-    }
-
-    /// Entry count and total bytes (an absent directory is an empty
-    /// cache).
-    pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return stats;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) == Some("json") {
-                stats.entries += 1;
-                stats.bytes += entry.metadata().map(|m| m.len()).unwrap_or(0);
-            }
-        }
-        stats
-    }
-
-    /// Delete every `*.json` entry, returning how many were removed.
-    ///
-    /// # Errors
-    ///
-    /// On any I/O failure other than the directory not existing.
-    pub fn clear(&self) -> std::io::Result<usize> {
-        let entries = match std::fs::read_dir(&self.dir) {
-            Ok(entries) => entries,
-            Err(error) if error.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(error) => return Err(error),
-        };
-        let mut removed = 0;
-        for entry in entries {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) == Some("json") {
-                match std::fs::remove_file(&path) {
-                    Ok(()) => removed += 1,
-                    // Another clearer (or an entry replaced mid-scan)
-                    // got there first; the entry is gone either way.
-                    Err(error) if error.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(error) => return Err(error),
-                }
-            }
-        }
-        Ok(removed)
     }
 }
 
@@ -425,15 +363,18 @@ mod tests {
         let cache = ResultCache::new(&dir);
         let key = CacheKey::for_job(&job(SimConfig::dual_port()));
         assert!(cache.lookup(&key).is_none());
-        assert_eq!(cache.stats(), CacheStats::default());
 
         cache.store(&key, "{\"schema\":2}").unwrap();
+        cache.store(&key, "{\"schema\":2}").unwrap();
         assert_eq!(cache.lookup(&key).as_deref(), Some("{\"schema\":2}"));
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 1);
-        assert!(stats.bytes > 0);
+        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(entries.len(), 1, "one key, one file, no temporaries left");
+        assert_eq!(
+            entries[0].file_name(),
+            format!("{}.json", key.hex()).as_str()
+        );
 
-        assert_eq!(cache.clear().unwrap(), 1);
+        std::fs::remove_file(entries[0].path()).unwrap();
         assert!(cache.lookup(&key).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

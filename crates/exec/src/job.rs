@@ -1,5 +1,5 @@
-//! Jobs: one `(SimConfig, workload)` cell, the cached parallel executor
-//! a sweep goes through, and the progress line it feeds.
+//! Jobs: one `(SimConfig, workload)` cell, the parallel executor a
+//! sweep goes through, and the progress line it feeds.
 
 use std::io::IsTerminal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -237,7 +237,7 @@ pub fn execute_jobs_traced(
             ..run_job_traced(&jobs[job_index], cache, traces)
         };
         if let Some(progress) = progress {
-            progress.cell_done(outcome.cache, outcome.document.is_err());
+            progress.cell_done(outcome.document.is_err());
         }
         outcome
     });
@@ -248,7 +248,7 @@ pub fn execute_jobs_traced(
         .map(|(index, verdict)| {
             verdict.map(|error| {
                 if let Some(progress) = progress {
-                    progress.cell_done(CacheStatus::Bypass, true);
+                    progress.cell_done(true);
                 }
                 JobOutcome {
                     index,
@@ -281,9 +281,6 @@ pub fn execute_jobs_traced(
 pub struct SweepProgress {
     total: usize,
     done: AtomicUsize,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    bypassed: AtomicUsize,
     failed: AtomicUsize,
     tty: bool,
     started: Instant,
@@ -301,9 +298,6 @@ impl SweepProgress {
         SweepProgress {
             total,
             done: AtomicUsize::new(0),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            bypassed: AtomicUsize::new(0),
             failed: AtomicUsize::new(0),
             tty,
             started: Instant::now(),
@@ -312,15 +306,9 @@ impl SweepProgress {
     }
 
     /// Record one finished cell and redraw when due.
-    pub fn cell_done(&self, cache: CacheStatus, failed: bool) {
+    pub fn cell_done(&self, failed: bool) {
         if failed {
             self.failed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            match cache {
-                CacheStatus::Hit => self.hits.fetch_add(1, Ordering::Relaxed),
-                CacheStatus::Miss => self.misses.fetch_add(1, Ordering::Relaxed),
-                CacheStatus::Bypass => self.bypassed.fetch_add(1, Ordering::Relaxed),
-            };
         }
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         self.maybe_render(done);
@@ -328,11 +316,8 @@ impl SweepProgress {
 
     fn line(&self, done: usize) -> String {
         format!(
-            "sweep: {done}/{} cell(s) — {} hit(s), {} miss(es), {} uncached, {} failed ({:.1}s)",
+            "sweep: {done}/{} cell(s), {} failed ({:.1}s)",
             self.total,
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.bypassed.load(Ordering::Relaxed),
             self.failed.load(Ordering::Relaxed),
             self.started.elapsed().as_secs_f64()
         )
@@ -396,7 +381,6 @@ mod tests {
     /// The deterministic projection of a document: everything except the
     /// host-timing `self_profile`, rendered canonically.
     fn deterministic_part(document: &str) -> String {
-        use crate::render::{member, render};
         let parsed = cpe_core::parse_json(document).expect("document parses");
         let cpe_core::JsonValue::Object(members) = &parsed else {
             panic!("document is an object");
@@ -404,7 +388,7 @@ mod tests {
         members
             .iter()
             .filter(|(key, _)| key != "self_profile")
-            .map(|(key, _)| render(member(&parsed, key).unwrap()))
+            .map(|(_, member)| crate::render::render(member))
             .collect::<Vec<_>>()
             .join(",")
     }
@@ -501,14 +485,10 @@ mod tests {
     #[test]
     fn progress_line_reports_the_running_tally() {
         let progress = SweepProgress::with_tty(4, false);
-        progress.cell_done(CacheStatus::Hit, false);
-        progress.cell_done(CacheStatus::Miss, false);
-        progress.cell_done(CacheStatus::Bypass, true);
+        progress.cell_done(false);
+        progress.cell_done(false);
+        progress.cell_done(true);
         let line = progress.line(3);
-        assert!(line.contains("3/4"), "{line}");
-        assert!(
-            line.contains("1 hit(s), 1 miss(es), 0 uncached, 1 failed"),
-            "{line}"
-        );
+        assert!(line.starts_with("sweep: 3/4 cell(s), 1 failed ("), "{line}");
     }
 }

@@ -1,5 +1,5 @@
-//! Parallel execution of simulation jobs: a work-stealing scheduler and a
-//! content-addressed result cache.
+//! Parallel execution of simulation jobs: a work-stealing scheduler, a
+//! record-once trace store, and the sweep grids built on them.
 //!
 //! The simulator itself is deliberately single-threaded and
 //! deterministic; what *is* parallel is the experiment space around it —
@@ -9,20 +9,23 @@
 //! - [`scheduler`]: dependency-free work stealing over `std::thread`,
 //!   with results returned in submission order so aggregates are
 //!   independent of worker count.
-//! - [`cache`]: an on-disk result cache addressed by an FNV-1a hash of
-//!   the canonical (key-sorted) configuration JSON plus workload, scale,
-//!   instruction window, and schema versions. A cache hit returns the
-//!   byte-identical schema-stamped metrics document a fresh run would produce.
+//! - [`cache`]: a job-level on-disk result cache addressed by an FNV-1a
+//!   hash of the canonical (key-sorted) configuration JSON plus workload,
+//!   scale, instruction window, and schema versions. Only callers of
+//!   [`run_job`] and [`job::execute_jobs_traced`] that attach one use it
+//!   (the perfbench harness measures it); sweeps never do.
 //! - [`job`]: the `(SimConfig, workload)` unit of work with panic
 //!   isolation and hoisted config validation, plus the stderr progress
 //!   line a sweep feeds as cells finish.
-//! - [`sweep`]: the cached, parallel grid batches behind `cpe sweep` and `reproduce`.
+//! - [`sweep`]: the parallel, replayed grid batches behind `cpe sweep` and
+//!   `reproduce`.
 //! - [`traces`]: the record-once store replay-backend cells share.
 //!
 //! The layer's core promise, pinned by
-//! `crates/exec/tests/parallel_matches_serial.rs`: for any worker count
-//! and any cache state, a sweep's aggregate table and metrics document
-//! are **byte-identical** to the serial, uncached run's.
+//! `crates/exec/tests/parallel_matches_serial.rs` and
+//! `crates/exec/tests/replay_matches_direct.rs`: for any worker count, a
+//! sweep's aggregate table and metrics document are **byte-identical** to
+//! the serial run's, and a replayed sweep's to the direct one's.
 
 pub mod cache;
 pub mod job;
@@ -31,7 +34,7 @@ pub mod scheduler;
 pub mod sweep;
 pub mod traces;
 
-pub use cache::{canonical_json, fnv1a64, CacheKey, CacheStats, ResultCache, DEFAULT_CACHE_DIR};
+pub use cache::{canonical_json, fnv1a64, CacheKey, ResultCache};
 pub use job::{
     preset_configs, run_job, run_job_traced, scale_name, CacheStatus, Job, JobOutcome,
     SweepProgress,

@@ -1,14 +1,15 @@
 //! Deterministic rendering of parsed JSON.
 //!
-//! The scheduler promises byte-identical aggregate output whether a
-//! cell's document was freshly computed or read back from the cache, and
-//! whether one worker ran or eight. The way that promise is kept is to
-//! route *every* cell document — fresh or cached — through the same
-//! parse → render pipeline before it touches an aggregate, so the only
-//! thing that matters is that this renderer is a pure function of the
-//! parsed value. Member order is preserved (the suite's own documents
-//! are emitted in a fixed order); numbers render integrally when they
-//! are integral, via the shortest round-trip form otherwise.
+//! The scheduler promises byte-identical aggregate output whether one
+//! worker ran or eight, and whether a cell replayed a recording or ran
+//! the emulator live (or, through the job-level cache, was read back from
+//! disk). The way that promise is kept is to route *every* cell document
+//! through the same parse → render pipeline before it touches an
+//! aggregate, so the only thing that matters is that this renderer is a
+//! pure function of the parsed value. Member order is preserved (the
+//! suite's own documents are emitted in a fixed order); numbers render
+//! integrally when they are integral, via the shortest round-trip form
+//! otherwise.
 
 use cpe_core::json::escape;
 use cpe_core::JsonValue;
@@ -72,30 +73,6 @@ pub fn render(value: &JsonValue) -> String {
     out
 }
 
-/// The named member of an object, when `value` is an object that has it.
-pub fn member<'a>(value: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
-    match value {
-        JsonValue::Object(members) => members
-            .iter()
-            .find(|(name, _)| name == key)
-            .map(|(_, member)| member),
-        _ => None,
-    }
-}
-
-/// Walk a dotted member path from `value`.
-pub fn member_path<'a>(value: &'a JsonValue, path: &[&str]) -> Option<&'a JsonValue> {
-    path.iter().try_fold(value, |value, key| member(value, key))
-}
-
-/// The number at a dotted member path, if present.
-pub fn number_at(value: &JsonValue, path: &[&str]) -> Option<f64> {
-    match member_path(value, path)? {
-        JsonValue::Number(n) => Some(*n),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,17 +96,5 @@ mod tests {
         assert_eq!(number(-2.0), "-2");
         assert_eq!(number(0.25), "0.25");
         assert_eq!(number(0.0), "0");
-    }
-
-    #[test]
-    fn member_paths_navigate_nested_documents() {
-        let doc = parse("{\"summary\":{\"ipc\":1.25,\"config\":\"2-port\"}}");
-        assert_eq!(number_at(&doc, &["summary", "ipc"]), Some(1.25));
-        assert_eq!(
-            member_path(&doc, &["summary", "config"]),
-            Some(&JsonValue::Text("2-port".to_string()))
-        );
-        assert_eq!(number_at(&doc, &["summary", "missing"]), None);
-        assert_eq!(number_at(&doc, &["summary", "config"]), None);
     }
 }

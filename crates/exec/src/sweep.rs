@@ -1,15 +1,14 @@
-//! Cached, parallel configuration × workload sweeps.
+//! Parallel configuration × workload sweeps.
 //!
 //! A [`SweepPlan`] is the grid `cpe sweep` runs: every cell is one
-//! [`Job`], executed through the work-stealing scheduler with the result
-//! cache in front. [`SweepPlan::run_all`] runs many grids as one batch
-//! (the path `reproduce` takes): each distinct cell once, each trace
-//! recorded once, one scheduler pass. Aggregates (the IPC table and the
-//! sweep metrics document) are built exclusively from what each cell's
-//! document says once parsed, via the deterministic renderer, so they are
-//! **byte-identical** across worker counts and across fresh-vs-cached
-//! runs — the property `crates/exec/tests/parallel_matches_serial.rs`
-//! pins down.
+//! [`Job`], executed through the work-stealing scheduler, no result cache
+//! involved. [`SweepPlan::run_all`] runs many grids as one batch (the
+//! path `cpe sweep` and `reproduce` both take): each distinct cell once,
+//! each trace recorded once, one scheduler pass. Aggregates (the IPC
+//! table and the sweep metrics document) are built exclusively from what
+//! each cell's document says once parsed, via the deterministic renderer,
+//! so they are **byte-identical** across worker counts and backends —
+//! the property `crates/exec/tests/parallel_matches_serial.rs` pins down.
 //!
 //! [`SweepResults::assemble`] parses each document once and keeps only
 //! what the aggregates read: the parsed `summary` (the table's source)
@@ -18,7 +17,7 @@
 //! tree — `epochs`, `config` and `self_profile` included — is dropped
 //! before the next document is parsed, so a result set holds each
 //! cell's document plus about 4.3 KB instead of a ~105 KB tree. The
-//! fragment is the same `parse` → `member` → `render` output an
+//! fragment is the same `parse` → `get` → `render` output an
 //! aggregate built from the whole tree would splice, so the bytes
 //! cannot differ; a test keeps that tree-holding path as an oracle.
 
@@ -31,11 +30,8 @@ use cpe_core::{parse_json, BackendKind, JsonValue, SimConfig, SimError, METRICS_
 use cpe_stats::{geometric_mean, Table};
 use cpe_workloads::{Scale, Workload};
 
-use crate::cache::ResultCache;
-use crate::job::{
-    execute_jobs_traced, preset_configs, scale_name, CacheStatus, Job, JobOutcome, SweepProgress,
-};
-use crate::render::{member, number_at, render};
+use crate::job::{execute_jobs_traced, preset_configs, scale_name, Job, JobOutcome, SweepProgress};
+use crate::render::render;
 use crate::traces::TraceStore;
 
 /// The grid a sweep executes: configurations × workloads at one scale
@@ -53,7 +49,7 @@ use crate::traces::TraceStore;
 ///     max_insts: Some(200_000),
 ///     backend: BackendKind::Replay,
 /// };
-/// let results = plan.run(0, None).expect("the grid is not empty");
+/// let results = plan.run(0).expect("the grid is not empty");
 /// println!("{}", results.ipc_table());
 /// println!("{}", results.relative_table(1));
 /// ```
@@ -68,23 +64,23 @@ pub struct SweepPlan {
     /// Committed-instruction window for every cell.
     pub max_insts: Option<u64>,
     /// Execution backend for every cell. With [`BackendKind::Replay`],
-    /// each distinct `(workload, scale, max_insts)` tuple that some
-    /// cache-missing cell needs is recorded exactly once *before* any
-    /// cell is scheduled, and every such cell replays the shared
-    /// recording.
+    /// each distinct `(workload, scale, max_insts)` tuple is recorded
+    /// exactly once *before* any cell is scheduled, and every cell
+    /// replays the shared recording. [`BackendKind::Direct`] remains as
+    /// the oracle that replay is checked against.
     pub backend: BackendKind,
 }
 
 impl SweepPlan {
     /// The standard port-count grid: every preset configuration over the
-    /// six paper workloads.
+    /// six paper workloads, replayed.
     pub fn standard(scale: Scale, max_insts: Option<u64>) -> SweepPlan {
         SweepPlan {
             configs: preset_configs(),
             workloads: Workload::ALL.to_vec(),
             scale,
             max_insts,
-            backend: BackendKind::Direct,
+            backend: BackendKind::Replay,
         }
     }
 
@@ -130,27 +126,22 @@ impl SweepPlan {
         Ok(())
     }
 
-    /// Execute the grid across `workers` threads, through `cache` when
-    /// attached: [`SweepPlan::run_all`] over this plan alone.
+    /// Execute the grid across `workers` threads: [`SweepPlan::run_all`]
+    /// over this plan alone.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] when the grid is empty.
-    pub fn run(
-        &self,
-        workers: usize,
-        cache: Option<&ResultCache>,
-    ) -> Result<SweepResults, SimError> {
-        Ok(SweepPlan::run_all(std::slice::from_ref(self), workers, cache, None)?.remove(0))
+    pub fn run(&self, workers: usize) -> Result<SweepResults, SimError> {
+        Ok(SweepPlan::run_all(std::slice::from_ref(self), workers, None)?.remove(0))
     }
 
-    /// Execute every plan's grid as one batch across `workers` threads,
-    /// through `cache` when attached, and return each plan's results in
-    /// order, every one carrying the batch's [`SweepStats`]. A cell
-    /// several plans hold (equal [`Job::cache_key`], so equal config *and*
-    /// name) runs once; each trace a cache-missing replay cell needs is
-    /// recorded once before any cell is scheduled; the distinct cells run
-    /// in one scheduler pass. Each plan's results equal that plan run
+    /// Execute every plan's grid as one batch across `workers` threads
+    /// and return each plan's results in order, every one carrying the
+    /// batch's [`SweepStats`]. A cell several plans hold (equal
+    /// [`Job::cache_key`], so equal config *and* name) runs once; each
+    /// trace a replay cell needs is recorded once before any cell is
+    /// scheduled; the distinct cells run in one scheduler pass. Each plan's results equal that plan run
     /// alone, and `progress`, which counts the distinct cells as they
     /// finish, never touches them. Cell failures land in their cells.
     ///
@@ -160,7 +151,6 @@ impl SweepPlan {
     pub fn run_all(
         plans: &[SweepPlan],
         workers: usize,
-        cache: Option<&ResultCache>,
         progress: Option<&SweepProgress>,
     ) -> Result<Vec<SweepResults>, SimError> {
         let empty = plans
@@ -182,24 +172,23 @@ impl SweepPlan {
             .iter()
             .map(|plan| plan.jobs().into_iter().map(&mut cell_of).collect())
             .collect();
-        // Only replay cells the cache cannot serve need their traces.
-        let misses: Vec<Job> = distinct
+        let replayed: Vec<Job> = distinct
             .iter()
             .filter(|job| job.backend == BackendKind::Replay)
-            .filter(|job| cache.is_none_or(|cache| cache.lookup(&job.cache_key()).is_none()))
             .cloned()
             .collect();
-        let traces = (!misses.is_empty()).then(TraceStore::new);
+        let traces = (!replayed.is_empty()).then(TraceStore::new);
         let recording_seconds = traces.as_ref().map_or(0.0, |store| {
             let recording = Instant::now();
-            store.record_all(&misses);
+            store.record_all(&replayed);
             recording.elapsed().as_secs_f64()
         });
         let (outcomes, scheduler) =
-            execute_jobs_traced(&distinct, workers, cache, progress, traces.as_ref());
+            execute_jobs_traced(&distinct, workers, None, progress, traces.as_ref());
         let (traces_recorded, traces_reused) = traces.map_or((0, 0), |store| store.counts());
         let mut stats = SweepStats {
             cells: outcomes.len(),
+            failed: failures(&outcomes),
             workers: scheduler.workers,
             steals: scheduler.steals,
             traces_recorded,
@@ -207,14 +196,6 @@ impl SweepPlan {
             recording_seconds,
             ..SweepStats::default()
         };
-        for outcome in &outcomes {
-            match (&outcome.document, outcome.cache) {
-                (Err(_), _) => stats.failed += 1,
-                (Ok(_), CacheStatus::Hit) => stats.hits += 1,
-                (Ok(_), CacheStatus::Miss) => stats.misses += 1,
-                (Ok(_), CacheStatus::Bypass) => stats.bypassed += 1,
-            }
-        }
 
         // A distinct outcome is cloned into each grid cell that holds it
         // but the last, which takes it: no document is held twice.
@@ -257,19 +238,20 @@ impl SweepPlan {
     }
 }
 
-/// What a sweep cost and how the cache served it. Under
-/// [`SweepPlan::run_all`] these are the whole batch's, shared by each
-/// plan's results.
+/// Cells whose document is a failure.
+fn failures(outcomes: &[JobOutcome]) -> usize {
+    outcomes
+        .iter()
+        .filter(|outcome| outcome.document.is_err())
+        .count()
+}
+
+/// What a sweep cost. Under [`SweepPlan::run_all`] these are the whole
+/// batch's, shared by each plan's results.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SweepStats {
     /// Cells executed: each distinct cell of the batch once.
     pub cells: usize,
-    /// Cells served from the cache.
-    pub hits: usize,
-    /// Cells computed and stored.
-    pub misses: usize,
-    /// Cells computed with no cache attached.
-    pub bypassed: usize,
     /// Cells that failed (`FAILED(<kind>)` in the table).
     pub failed: usize,
     /// Wall seconds for the whole sweep.
@@ -286,33 +268,12 @@ pub struct SweepStats {
     pub recording_seconds: f64,
 }
 
-impl SweepStats {
-    /// Cache hit rate over the cells that went through the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let through_cache = self.hits + self.misses;
-        if through_cache == 0 {
-            0.0
-        } else {
-            self.hits as f64 / through_cache as f64
-        }
-    }
-}
-
 impl fmt::Display for SweepStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} cells in {:.2}s across {} worker(s), {} steal(s): \
-             {} hit(s), {} miss(es), {} uncached, {} failed — hit rate {:.1}%",
-            self.cells,
-            self.wall_seconds,
-            self.workers,
-            self.steals,
-            self.hits,
-            self.misses,
-            self.bypassed,
-            self.failed,
-            self.hit_rate() * 100.0
+            "{} cells in {:.2}s across {} worker(s), {} steal(s): {} failed",
+            self.cells, self.wall_seconds, self.workers, self.steals, self.failed
         )?;
         if self.traces_recorded + self.traces_reused > 0 {
             write!(
@@ -341,17 +302,13 @@ struct CellAggregate {
 
 impl CellAggregate {
     /// Parse one cell document and keep only what the aggregates read.
-    /// The members go through the same `parse` → `member` → `render`
+    /// The members go through the same `parse` → `get` → `render`
     /// pipeline an aggregate built from the whole tree would use, so the
     /// output bytes are the same by construction.
     fn extract(document: &str) -> Result<CellAggregate, SimError> {
         let tree = parse_json(document).map_err(|message| SimError::Trace { index: 0, message })?;
-        let summary = member(&tree, "summary");
-        let fragment = match (
-            summary,
-            member(&tree, "distributions"),
-            member(&tree, "cpi_stack"),
-        ) {
+        let summary = tree.get("summary");
+        let fragment = match (summary, tree.get("distributions"), tree.get("cpi_stack")) {
             (Some(summary), Some(distributions), Some(cpi_stack)) => format!(
                 ",\"summary\":{},\"distributions\":{},\"cpi_stack\":{}}}",
                 render(summary),
@@ -374,16 +331,16 @@ pub struct SweepResults {
     plan: SweepPlan,
     outcomes: Vec<JobOutcome>,
     cells: Vec<Result<CellAggregate, SimError>>,
-    /// Cost and cache accounting for the run (the batch, under
+    /// Cost accounting for the run (the batch, under
     /// [`SweepPlan::run_all`]).
     pub stats: SweepStats,
 }
 
 impl SweepResults {
     /// Assemble results from already-executed outcomes in workload-major
-    /// grid order. Fresh and cached documents alike go through the same
-    /// parse → render pipeline here, which is what makes the aggregates
-    /// byte-identical across cache states and worker counts.
+    /// grid order. Every document, however it was obtained, goes through
+    /// the same parse → render pipeline here, which is what makes the
+    /// aggregates byte-identical across worker counts and backends.
     ///
     /// `outcomes` must be one per grid cell, in submission order.
     pub fn assemble(
@@ -405,21 +362,14 @@ impl SweepResults {
                 Err(error) => Err(error.clone()),
             })
             .collect();
-        let mut stats = SweepStats {
+        let stats = SweepStats {
             cells: outcomes.len(),
+            failed: failures(&outcomes),
             workers,
             steals,
             wall_seconds,
             ..SweepStats::default()
         };
-        for outcome in &outcomes {
-            match (&outcome.document, outcome.cache) {
-                (Err(_), _) => stats.failed += 1,
-                (Ok(_), CacheStatus::Hit) => stats.hits += 1,
-                (Ok(_), CacheStatus::Miss) => stats.misses += 1,
-                (Ok(_), CacheStatus::Bypass) => stats.bypassed += 1,
-            }
-        }
         SweepResults {
             plan,
             outcomes,
@@ -455,7 +405,7 @@ impl SweepResults {
         field: &str,
     ) -> Option<f64> {
         let cell = self.cell(workload_index, config_index).as_ref().ok()?;
-        number_at(cell.summary.as_ref()?, &[field])
+        cell.summary.as_ref()?.number_at(&[field])
     }
 
     /// The number at `path` in one completed cell's document, such as
@@ -475,7 +425,7 @@ impl SweepResults {
         self.cell(workload_index, config_index).as_ref().ok()?;
         let index = workload_index * self.plan.configs.len() + config_index;
         let document = self.outcomes[index].document.as_ref().ok()?;
-        number_at(&parse_json(document).ok()?, path)
+        parse_json(document).ok()?.number_at(path)
     }
 
     /// One cell's IPC relative to the reference configuration's on the
@@ -570,7 +520,7 @@ impl SweepResults {
     /// The aggregate sweep document: grid shape plus each cell's
     /// deterministic `summary`, `distributions` and `cpi_stack` objects
     /// (never the self-profile or wall times, which vary run to run).
-    /// Byte-identical across worker counts and cache states.
+    /// Byte-identical across worker counts and backends.
     pub fn aggregate_json(&self) -> String {
         let configs: Vec<String> = self
             .plan
@@ -617,8 +567,8 @@ impl SweepResults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::run_job;
-    use crate::render::member_path;
+    use crate::cache::ResultCache;
+    use crate::job::{run_job, CacheStatus};
     use proptest::prelude::*;
     use std::sync::OnceLock;
 
@@ -650,15 +600,15 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_grid_and_aggregates_parse() {
-        let results = tiny_plan().run(2, None).expect("grid is valid");
+        let results = tiny_plan().run(2).expect("grid is valid");
         assert_eq!(results.outcomes().len(), 4);
         assert_eq!(results.stats.cells, 4);
-        assert_eq!(results.stats.bypassed, 4);
+        assert_eq!(results.stats.failed, 0);
         let table = results.ipc_table();
         assert_eq!(table.len(), 3, "two workloads + geomean");
         let doc = results.aggregate_json();
         let parsed = parse_json(&doc).expect("aggregate parses");
-        assert_eq!(number_at(&parsed, &["schema"]), Some(3.0));
+        assert_eq!(parsed.number_at(&["schema"]), Some(3.0));
         assert!(doc.contains("\"kind\":\"sweep\""));
         assert!(doc.contains("\"summary\":{"));
         assert!(doc.contains("\"distributions\":{"));
@@ -681,12 +631,12 @@ mod tests {
             backend: BackendKind::Direct,
         };
         assert!(empty.validate().is_err());
-        assert!(empty.run(1, None).is_err());
+        assert!(empty.run(1).is_err());
     }
 
     #[test]
     fn sweep_covers_the_grid() {
-        let results = tiny_plan().run(1, None).expect("grid is valid");
+        let results = tiny_plan().run(1).expect("grid is valid");
         assert_eq!(results.outcomes().len(), 4);
         for (index, outcome) in results.outcomes().iter().enumerate() {
             assert_eq!(outcome.index, index, "outcomes come back in grid order");
@@ -703,8 +653,8 @@ mod tests {
 
     #[test]
     fn parallel_run_matches_serial_exactly() {
-        let serial = tiny_plan().run(1, None).expect("grid is valid");
-        let parallel = tiny_plan().run(3, None).expect("grid is valid");
+        let serial = tiny_plan().run(1).expect("grid is valid");
+        let parallel = tiny_plan().run(3).expect("grid is valid");
         assert_eq!(serial.outcomes().len(), parallel.outcomes().len());
         for w in 0..2 {
             for c in 0..2 {
@@ -736,7 +686,7 @@ mod tests {
                 ..tiny_plan()
             },
         ] {
-            let error = empty.run(1, None).expect_err("nothing to sweep");
+            let error = empty.run(1).expect_err("nothing to sweep");
             assert_eq!(error.kind(), "config");
             assert!(
                 error.to_string().contains("at least one configuration"),
@@ -747,35 +697,30 @@ mod tests {
 
     #[test]
     fn invalid_configs_never_reach_a_runner() {
-        // Validation is hoisted: an invalid config's cells fail up front,
-        // never compute and never touch the cache — serially and with two
-        // workers — while the healthy cells run and are stored.
+        // Validation is hoisted: an invalid config's cells fail up front
+        // and never compute — serially and with two workers — while the
+        // healthy cells run.
         let mut plan = tiny_plan();
         plan.configs[1] = SimConfig::dual_port().with_ports(0).named("broken");
         for workers in [1, 2] {
-            let dir = tempdir(&format!("invalid-{workers}"));
-            let cache = ResultCache::new(&dir);
-            let results = plan.run(workers, Some(&cache)).expect("grid is non-empty");
+            let results = plan.run(workers).expect("grid is non-empty");
             assert_eq!(results.stats.failed, 2);
             for w in 0..2 {
                 let broken = &results.outcomes()[w * 2 + 1];
                 assert_eq!(broken.document.as_ref().unwrap_err().kind(), "config");
-                assert_eq!(broken.cache, CacheStatus::Bypass, "cache never consulted");
                 assert_eq!(broken.wall_seconds, 0.0, "cell never ran");
-                assert_eq!(results.outcomes()[w * 2].cache, CacheStatus::Miss);
+                assert!(results.outcomes()[w * 2].wall_seconds > 0.0);
                 assert!(results.summary_number(w, 0, "ipc").is_some());
             }
-            assert_eq!(cache.stats().entries, 2, "one entry per healthy cell");
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
     #[test]
     fn replay_sweep_records_once_per_workload_and_matches_direct() {
-        let direct = tiny_plan().run(2, None).expect("direct sweep runs");
+        let direct = tiny_plan().run(2).expect("direct sweep runs");
         let replay = tiny_plan()
             .with_backend(BackendKind::Replay)
-            .run(2, None)
+            .run(2)
             .expect("replay sweep runs");
         assert_eq!(
             direct.ipc_table().to_string(),
@@ -807,7 +752,7 @@ mod tests {
             .push(SimConfig::naive_single_port().with_ports(0).named("bad"));
         // validate() would reject it; run the grid anyway to check cell
         // isolation when a caller skips validation.
-        let results = plan.run(2, None).expect("grid is non-empty");
+        let results = plan.run(2).expect("grid is non-empty");
         assert_eq!(results.stats.failed, 2);
         let table = results.ipc_table().to_string();
         assert!(table.contains("FAILED(config)"), "{table}");
@@ -816,7 +761,7 @@ mod tests {
 
     #[test]
     fn tables_have_the_right_shape() {
-        let results = tiny_plan().run(2, None).expect("grid is valid");
+        let results = tiny_plan().run(2).expect("grid is valid");
         let relative = results.relative_table(1);
         assert_eq!(relative.len(), 3, "two workloads + geomean");
         // The reference column normalises to 1.000 on every row.
@@ -842,7 +787,7 @@ mod tests {
 
     #[test]
     fn geomeans_are_positive_and_ordered_sanely() {
-        let results = tiny_plan().run(2, None).expect("grid is valid");
+        let results = tiny_plan().run(2).expect("grid is valid");
         let (naive, dual) = (results.geomean_ipc(0), results.geomean_ipc(1));
         assert!(naive > 0.0 && dual > 0.0);
         assert!(
@@ -868,7 +813,7 @@ mod tests {
         // One inconsistent configuration marks its own cells FAILED while
         // every healthy cell matches a clean sweep bit for bit, serially
         // and with two workers.
-        let clean = tiny_plan().run(1, None).expect("grid is valid");
+        let clean = tiny_plan().run(1).expect("grid is valid");
         let mut plan = tiny_plan();
         plan.configs.insert(
             1,
@@ -877,7 +822,7 @@ mod tests {
                 .named("poisoned"),
         );
         for workers in [1, 2] {
-            let poisoned = plan.run(workers, None).expect("grid is non-empty");
+            let poisoned = plan.run(workers).expect("grid is non-empty");
             assert_eq!(poisoned.stats.failed, 2);
             for w in 0..2 {
                 for (c, clean_c) in [(0, 0), (2, 1)] {
@@ -903,8 +848,8 @@ mod tests {
     #[test]
     fn watchdog_cells_fail_in_table_and_aggregate_and_rerun_as_misses() {
         // A watchdog far below the pipeline fill latency aborts the cell.
-        // The failure is typed, shown in both outputs, never cached, and
-        // never retried at a smaller window.
+        // The failure is typed, shown in both outputs, never cached by the
+        // job-level cache, and never retried at a smaller window.
         let mut livelocked = SimConfig::naive_single_port().named("livelocked");
         livelocked.cpu.watchdog_cycles = 4;
         let plan = SweepPlan {
@@ -915,7 +860,8 @@ mod tests {
         let dir = tempdir("watchdog");
         let cache = ResultCache::new(&dir);
         for run in 0..2 {
-            let results = plan.run(2, Some(&cache)).expect("grid is valid");
+            let (outcomes, _) = execute_jobs_traced(&plan.jobs(), 2, Some(&cache), None, None);
+            let results = SweepResults::assemble(plan.clone(), outcomes, 2, 0, 0.0);
             let outcome = &results.outcomes()[0];
             assert_eq!(outcome.document.as_ref().unwrap_err().kind(), "watchdog");
             assert_eq!(
@@ -934,7 +880,11 @@ mod tests {
             };
             assert_eq!(results.outcomes()[1].cache, expected);
         }
-        assert_eq!(cache.stats().entries, 1, "only the healthy cell is stored");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "only the healthy cell is stored"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -945,7 +895,7 @@ mod tests {
             workloads: vec![Workload::Compress],
             ..tiny_plan()
         };
-        let results = plan.run(1, None).expect("grid is valid");
+        let results = plan.run(1).expect("grid is valid");
         let raw = cpe_core::Simulator::try_new(SimConfig::combined_single_port())
             .expect("the config validates")
             .try_run(Workload::Compress, plan.scale, plan.max_insts)
@@ -953,8 +903,7 @@ mod tests {
             .raw;
         for (half, counters) in [("cpu", raw.cpu.counters()), ("mem", raw.mem.counters())] {
             let document = parse_json(results.outcomes()[0].document.as_ref().unwrap()).unwrap();
-            let Some(JsonValue::Object(members)) = member_path(&document, &["counters", half])
-            else {
+            let Some(JsonValue::Object(members)) = document.at(&["counters", half]) else {
                 panic!("no counters.{half} object");
             };
             assert_eq!(members.len(), counters.len(), "counters.{half}");
@@ -1017,9 +966,9 @@ mod tests {
                 );
                 let cell = match &trees[workload_index * plan.configs.len() + config_index] {
                     Ok(document) => {
-                        let summary = member(document, "summary").map(render);
-                        let distributions = member(document, "distributions").map(render);
-                        let cpi_stack = member(document, "cpi_stack").map(render);
+                        let summary = document.get("summary").map(render);
+                        let distributions = document.get("distributions").map(render);
+                        let cpi_stack = document.get("cpi_stack").map(render);
                         match (summary, distributions, cpi_stack) {
                             (Some(summary), Some(distributions), Some(cpi_stack)) => format!(
                                 "{head},\"summary\":{summary},\"distributions\":{distributions},\
@@ -1056,7 +1005,7 @@ mod tests {
                 .as_ref()
                 .ok()
                 .and_then(|d| parse_json(d).ok());
-            let summary = tree.as_ref().and_then(|tree| member(tree, "summary"));
+            let summary = tree.as_ref().and_then(|tree| tree.get("summary"));
             let mut fields = vec!["ipc".to_string(), "no_such_field".to_string()];
             if let Some(JsonValue::Object(members)) = summary {
                 fields.extend(members.iter().map(|(key, _)| key.clone()));
@@ -1065,7 +1014,7 @@ mod tests {
                 assert_eq!(
                     results.summary_number(workload_index, config_index, field),
                     tree.as_ref()
-                        .and_then(|tree| number_at(tree, &["summary", field])),
+                        .and_then(|tree| tree.number_at(&["summary", field])),
                     "cell {index}, summary field {field}"
                 );
             }
@@ -1080,14 +1029,19 @@ mod tests {
 
     #[test]
     fn streamed_assembly_matches_the_tree_oracle_fresh_and_cached() {
+        // Cached documents come from the job-level cache; a sweep itself
+        // never reads one.
         let dir = tempdir("oracle");
         let cache = ResultCache::new(&dir);
         let plan = tiny_plan().with_backend(BackendKind::Replay);
-        let fresh = plan.run(2, Some(&cache)).expect("grid is valid");
-        assert_eq!(fresh.stats.misses, 4);
+        let assemble = |status| {
+            let (outcomes, _) = execute_jobs_traced(&plan.jobs(), 2, Some(&cache), None, None);
+            assert!(outcomes.iter().all(|outcome| outcome.cache == status));
+            SweepResults::assemble(plan.clone(), outcomes, 2, 0, 0.0)
+        };
+        let fresh = assemble(CacheStatus::Miss);
         assert_matches_oracle(&fresh);
-        let cached = plan.run(2, Some(&cache)).expect("grid is valid");
-        assert_eq!(cached.stats.hits, 4, "the re-run is served from the cache");
+        let cached = assemble(CacheStatus::Hit);
         assert_matches_oracle(&cached);
         assert_eq!(fresh.aggregate_json(), cached.aggregate_json());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1095,7 +1049,7 @@ mod tests {
 
     #[test]
     fn damaged_and_failed_cells_match_the_tree_oracle() {
-        let fresh = tiny_plan().run(2, None).expect("grid is valid");
+        let fresh = tiny_plan().run(2).expect("grid is valid");
         let mut outcomes = fresh.outcomes().to_vec();
         // Cell 0: a well-formed document that lacks `cpi_stack`.
         let document = outcomes[0].document.clone().expect("cell 0 ran");
@@ -1147,22 +1101,19 @@ mod tests {
             max_insts: Some(2_000),
             backend: BackendKind::Direct,
         };
-        let results = plan.run(1, None).expect("grid is valid");
+        let results = plan.run(1).expect("grid is valid");
         let doc = results.aggregate_json();
         let parsed = parse_json(&doc).expect("the aggregate is valid JSON");
         assert_eq!(
-            member(&parsed, "configs"),
+            parsed.get("configs"),
             Some(&JsonValue::Array(vec![JsonValue::Text(name.to_string())]))
         );
-        let Some(JsonValue::Array(cells)) = member(&parsed, "cells") else {
+        let Some(JsonValue::Array(cells)) = parsed.get("cells") else {
             panic!("cells is an array: {doc}");
         };
         let name_value = JsonValue::Text(name.to_string());
-        assert_eq!(member_path(&cells[0], &["config"]), Some(&name_value));
-        assert_eq!(
-            member_path(&cells[0], &["summary", "config"]),
-            Some(&name_value)
-        );
+        assert_eq!(cells[0].get("config"), Some(&name_value));
+        assert_eq!(cells[0].at(&["summary", "config"]), Some(&name_value));
         assert_matches_oracle(&results);
     }
 

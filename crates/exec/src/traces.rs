@@ -138,9 +138,7 @@ mod tests {
 
         // The default grid, recorded in parallel, holds the bytes a
         // direct serial recording of each workload makes.
-        let grid = SweepPlan::standard(Scale::Test, Some(2_000))
-            .with_backend(cpe_core::BackendKind::Replay)
-            .jobs();
+        let grid = SweepPlan::standard(Scale::Test, Some(2_000)).jobs();
         let store = TraceStore::new();
         let workloads = Workload::ALL.len() as u64;
         assert_eq!(store.record_all(&grid), workloads);

@@ -1,20 +1,34 @@
-//! Contention tests for the on-disk result cache: many writers racing
-//! on one key, torn entries recovering through the job path, and
-//! `cache clear` racing an active sweep. The cache's contract under all
-//! of this is simple — readers see a complete document or a miss, never
-//! a torn one, and a concurrent clear can only cause recomputation,
-//! never a wrong result.
+//! Contention tests for the job-level on-disk result cache: many writers
+//! racing on one key, torn entries recovering through the job path, and
+//! entries deleted under an active batch of jobs. The cache's contract
+//! under all of this is simple — readers see a complete document or a
+//! miss, never a torn one, and a concurrent clear can only cause
+//! recomputation, never a wrong result.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use cpe_core::{BackendKind, SimConfig};
-use cpe_exec::{run_job, CacheKey, CacheStatus, Job, ResultCache, SweepPlan};
+use cpe_exec::job::execute_jobs_traced;
+use cpe_exec::{run_job, CacheKey, CacheStatus, Job, ResultCache, SweepPlan, SweepResults};
 use cpe_workloads::{Scale, Workload};
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("cpe-contention-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The `*.json` entries in a cache directory.
+fn entries(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .flatten()
+                .map(|entry| entry.path())
+                .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+                .collect()
+        })
+        .unwrap_or_default()
 }
 
 fn tiny_job() -> Job {
@@ -49,7 +63,7 @@ fn concurrent_writers_to_one_key_never_expose_a_torn_entry() {
         }
     });
     assert_eq!(cache.lookup(&key).as_deref(), Some(document.as_str()));
-    assert_eq!(cache.stats().entries, 1, "one key, one entry");
+    assert_eq!(entries(&dir).len(), 1, "one key, one entry");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -95,22 +109,25 @@ fn cache_clear_racing_an_active_sweep_costs_only_recomputation() {
         max_insts: Some(2_000),
         backend: BackendKind::Direct,
     };
-    let reference = plan.run(1, None).expect("uncached reference");
+    let reference = plan.run(1).expect("uncached reference");
 
     let stop = AtomicBool::new(false);
     let results = std::thread::scope(|scope| {
         let clearer = scope.spawn(|| {
-            let mut cleared = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                cleared += cache.clear().expect("clear tolerates races");
+                for entry in entries(&dir) {
+                    // Another pass may have removed it first.
+                    let _ = std::fs::remove_file(entry);
+                }
                 std::thread::yield_now();
             }
-            cleared
         });
-        // Sweep repeatedly while the clearer deletes entries under it.
+        // Run the grid repeatedly while the clearer deletes entries
+        // under it.
         let mut last = None;
         for _ in 0..3 {
-            last = Some(plan.run(3, Some(&cache)).expect("sweep survives clears"));
+            let (outcomes, _) = execute_jobs_traced(&plan.jobs(), 3, Some(&cache), None, None);
+            last = Some(SweepResults::assemble(plan.clone(), outcomes, 3, 0, 0.0));
         }
         stop.store(true, Ordering::Relaxed);
         clearer.join().expect("clearer exits");

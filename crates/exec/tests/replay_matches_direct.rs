@@ -4,12 +4,14 @@
 //! metrics document, same per-cell schema-3 documents outside the
 //! host-timing self-profile — while recording each workload exactly
 //! once. The grid covers every preset, the large-window cell and a
-//! machine that fetches down mispredicted paths. Also pins the cache-key
-//! separation: entries written by one backend never serve the other.
+//! machine that fetches down mispredicted paths. Also pins the job-level
+//! cache's key separation: entries written by one backend never serve
+//! the other.
 
 use cpe_core::{parse_json, BackendKind, SimConfig};
-use cpe_exec::render::{member, render};
-use cpe_exec::{preset_configs, ResultCache, SweepPlan};
+use cpe_exec::job::execute_jobs_traced;
+use cpe_exec::render::render;
+use cpe_exec::{preset_configs, CacheStatus, ResultCache, SweepPlan, SweepResults};
 use cpe_workloads::{Scale, Workload};
 
 fn plan(backend: BackendKind) -> SweepPlan {
@@ -36,15 +38,15 @@ fn deterministic_part(document: &str) -> String {
     members
         .iter()
         .filter(|(key, _)| key != "self_profile")
-        .map(|(key, _)| render(member(&parsed, key).unwrap()))
+        .map(|(_, member)| render(member))
         .collect::<Vec<_>>()
         .join(",")
 }
 
 #[test]
 fn replay_sweep_is_byte_identical_to_direct_and_records_once() {
-    let direct = plan(BackendKind::Direct).run(2, None).expect("direct runs");
-    let replay = plan(BackendKind::Replay).run(2, None).expect("replay runs");
+    let direct = plan(BackendKind::Direct).run(2).expect("direct runs");
+    let replay = plan(BackendKind::Replay).run(2).expect("replay runs");
 
     assert_eq!(
         direct.ipc_table().to_string(),
@@ -80,42 +82,36 @@ fn replay_sweep_is_byte_identical_to_direct_and_records_once() {
     assert_eq!(direct.stats.traces_reused, 0);
 }
 
-/// Cells in the grid.
-fn grid_cells() -> usize {
-    let plan = plan(BackendKind::Direct);
-    plan.configs.len() * plan.workloads.len()
-}
-
 #[test]
 fn backends_never_serve_each_other_from_the_cache() {
     let dir = std::env::temp_dir().join(format!("cpe-replay-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = ResultCache::new(&dir);
-    let cells = grid_cells();
+    // The grid's cells through the cache, assembled as a sweep, with the
+    // cache status of every cell.
+    let run = |backend| {
+        let plan = plan(backend);
+        let (outcomes, _) = execute_jobs_traced(&plan.jobs(), 2, Some(&cache), None, None);
+        let statuses: Vec<CacheStatus> = outcomes.iter().map(|outcome| outcome.cache).collect();
+        (SweepResults::assemble(plan, outcomes, 2, 0, 0.0), statuses)
+    };
+    let all = |statuses: &[CacheStatus], status| statuses.iter().all(|&s| s == status);
 
-    let direct = plan(BackendKind::Direct)
-        .run(2, Some(&cache))
-        .expect("direct warms the cache");
-    assert_eq!(direct.stats.misses, cells, "cold cache computes every cell");
+    let (direct, statuses) = run(BackendKind::Direct);
+    assert!(
+        all(&statuses, CacheStatus::Miss),
+        "cold cache computes every cell"
+    );
 
     // Same grid through replay: all misses — the direct entries must not
     // serve it, or the byte-identity would be unfalsifiable from cache.
-    let replay = plan(BackendKind::Replay)
-        .run(2, Some(&cache))
-        .expect("replay runs against the direct-warmed cache");
-    assert_eq!(replay.stats.hits, 0, "no cross-backend hits");
-    assert_eq!(replay.stats.misses, cells);
+    let (replay, statuses) = run(BackendKind::Replay);
+    assert!(all(&statuses, CacheStatus::Miss), "no cross-backend hits");
     assert_eq!(direct.aggregate_json(), replay.aggregate_json());
 
     // And each backend hits its own entries on a re-run.
-    let warm = plan(BackendKind::Replay)
-        .run(2, Some(&cache))
-        .expect("warm replay sweep runs");
-    assert_eq!(warm.stats.hits, cells);
-    assert_eq!(
-        warm.stats.traces_recorded, 0,
-        "a grid the cache serves whole records nothing"
-    );
+    let (warm, statuses) = run(BackendKind::Replay);
+    assert!(all(&statuses, CacheStatus::Hit));
     assert_eq!(warm.aggregate_json(), replay.aggregate_json());
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -59,8 +59,6 @@ pub struct Tlb {
     config: TlbConfig,
     /// The mapped page numbers.
     pages: LruTable<()>,
-    hits: u64,
-    misses: u64,
 }
 
 impl Tlb {
@@ -77,8 +75,6 @@ impl Tlb {
         Tlb {
             config,
             pages: LruTable::new(config.entries),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -91,22 +87,10 @@ impl Tlb {
         }
         let page = addr.get() / self.config.page_bytes;
         if self.pages.touch(page).is_some() {
-            self.hits += 1;
             return 0;
         }
-        self.misses += 1;
         self.pages.insert(page, ());
         self.config.miss_penalty
-    }
-
-    /// Lifetime hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime misses.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// The configuration.
@@ -133,7 +117,6 @@ mod tests {
         for page in 0..100u64 {
             assert_eq!(t.access(Addr::new(page * 4096)), 0);
         }
-        assert_eq!(t.misses(), 0);
     }
 
     #[test]
@@ -142,8 +125,11 @@ mod tests {
         assert_eq!(t.access(Addr::new(0x5000)), 25);
         assert_eq!(t.access(Addr::new(0x5fff)), 0);
         assert_eq!(t.access(Addr::new(0x6000)), 25, "next page misses");
-        assert_eq!(t.hits(), 1);
-        assert_eq!(t.misses(), 2);
+        assert_eq!(
+            t.access(Addr::new(0x5008)),
+            0,
+            "the first page stays mapped"
+        );
     }
 
     #[test]

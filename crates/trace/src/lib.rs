@@ -11,9 +11,9 @@
 //! * events land in a fixed-size [`Tracer`] ring (oldest overwritten,
 //!   loss counted — see [`RingStats`]);
 //! * the retained window renders as Chrome `trace_event` JSON
-//!   ([`chrome_trace_json`]) for visual timelines, as JSON lines
-//!   ([`jsonl_record`]) for scripting, or as per-instruction Konata
-//!   lifecycles ([`konata_text`]) for a pipeline viewer.
+//!   ([`chrome_trace_json`]) for visual timelines and scripting, or as
+//!   per-instruction Konata lifecycles ([`konata_text`]) for a pipeline
+//!   viewer.
 //!
 //! Capture is feature-gated: without the `capture` feature the handle is
 //! a zero-sized no-op and the simulator's emission sites compile away
@@ -36,4 +36,4 @@ pub use pipeview::{
     build_records, konata_text, validate_konata, InstRecord, KonataSummary, KONATA_HEADER,
 };
 pub use ring::{RingStats, Tracer};
-pub use sink::{chrome_trace_json, jsonl_record};
+pub use sink::chrome_trace_json;

@@ -1,12 +1,11 @@
-//! Event exports.
+//! Event export.
 //!
-//! Two renderers turn the retained [`TraceEvent`] window into text:
-//!
-//! * [`chrome_trace_json`] — the Chrome `trace_event` JSON object format,
-//!   loadable in `chrome://tracing` and [Perfetto](https://ui.perfetto.dev)
-//!   (one simulated cycle maps to one microsecond of timeline);
-//! * [`jsonl_record`] — one JSON object per event, one per line, for
-//!   `jq`/scripting.
+//! [`chrome_trace_json`] turns the retained [`TraceEvent`] window into
+//! the Chrome `trace_event` JSON object format, loadable in
+//! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) (one
+//! simulated cycle maps to one microsecond of timeline). Every event
+//! carries its cycle (`ts`), name, category and `args.addr`/`args.arg`,
+//! so scripts read it with `jq '.traceEvents[]'`.
 //!
 //! All JSON is hand-assembled: the event vocabulary is a closed set of
 //! static names and integers, so no serialization dependency is needed.
@@ -47,18 +46,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     }
     out.push_str("]}");
     out
-}
-
-/// Render one event as a single-line JSON object.
-pub fn jsonl_record(event: &TraceEvent) -> String {
-    format!(
-        "{{\"cycle\":{},\"event\":\"{}\",\"cat\":\"{}\",\"addr\":\"{:#x}\",\"arg\":{}}}",
-        event.cycle,
-        event.kind.name(),
-        event.kind.category(),
-        event.addr,
-        event.arg
-    )
 }
 
 #[cfg(test)]
@@ -128,17 +115,5 @@ mod tests {
         let text = chrome_trace_json(&[]);
         assert_balanced(&text);
         assert!(text.contains("traceEvents"));
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_line() {
-        let lines: Vec<String> = sample().iter().map(jsonl_record).collect();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            assert_balanced(line);
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(!line.contains('\n'), "{line}");
-        }
-        assert!(lines[2].contains("\"event\":\"line_buffer_hit\""));
     }
 }

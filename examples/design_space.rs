@@ -47,7 +47,7 @@ fn main() {
         max_insts: window,
         backend: BackendKind::Replay,
     }
-    .run(0, None)
+    .run(0)
     .expect("the grid is not empty");
 
     // Render the grid: rows = width, columns = store-buffer depth, cells =

@@ -35,7 +35,7 @@ fn main() {
         max_insts: window,
         backend: BackendKind::Replay,
     }
-    .run(0, None)
+    .run(0)
     .expect("the grid is not empty");
 
     println!("\nIPC:");

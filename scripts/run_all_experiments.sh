@@ -46,12 +46,9 @@ done
 echo "wrote $metrics_dir/{compress,mpeg,db,fft,sort,pmake}.json" >&2
 
 # The full configuration × workload grid through the parallel scheduler
-# and the content-addressed result cache (docs/EXECUTION.md). Re-runs of
-# this script hit the cache for every cell whose config/workload/window
-# is unchanged, so iterating on one experiment no longer pays for the
-# whole grid.
+# (docs/EXECUTION.md): each workload is recorded once and replayed
+# through every configuration.
 echo "sweeping config x workload grid" >&2
 ./target/release/cpe sweep --jobs 0 --max "$profile_max" \
-    --cache-dir "$metrics_dir/.cpe-cache" \
     --metrics-json "$metrics_dir/sweep.json" > /dev/null
 echo "wrote $metrics_dir/sweep.json" >&2

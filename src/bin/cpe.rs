@@ -9,7 +9,7 @@
 //! cpe trace info <file.cper>        describe a recorded replay trace
 //! cpe run SOURCE [--config NAME] [--max N] [--detail] [--metrics-json FILE]
 //!         [--interval N] [--ring N] [--trace-out FILE]
-//!         [--trace-format chrome|jsonl|konata]
+//!         [--trace-format chrome|konata]
 //!                                   run the timing model over one stream and
 //!                                   print its metrics; --detail and every
 //!                                   flag after it profile the run: interval
@@ -20,18 +20,16 @@
 //!                                   run both configs and rank the per-cause
 //!                                   CPI deltas: where do the cycles go?
 //! cpe sweep [--jobs N] [--scale S] [--max N] [--configs a,b] [--workloads x,y]
-//!           [--backend direct|replay] [--no-cache] [--cache-dir DIR]
 //!           [--metrics-json FILE] [--no-progress]
-//!                                   run the config × workload grid through the
-//!                                   parallel scheduler and result cache
-//! cpe validate <file>... [--jsonl] [--cpi]
+//!                                   record each workload once and replay it
+//!                                   through every config on the parallel
+//!                                   scheduler
+//! cpe validate <file>... [--cpi]
 //!                                   parse observability artifacts (JSON,
-//!                                   JSONL, Konata pipeviews, or CPER
-//!                                   replay traces) and check CPI-stack
+//!                                   Konata pipeviews, or CPER replay
+//!                                   traces) and check CPI-stack
 //!                                   conservation at zero tolerance; exit 2
 //!                                   on any malformed or slot-leaking input
-//! cpe cache stats|clear [--cache-dir DIR]
-//!                                   inspect or empty the result cache
 //! cpe diff <a.json> <b.json> [--tolerance PCT]
 //!                                   compare two exported JSON documents
 //!                                   field by field; exit 1 on regression
@@ -53,15 +51,15 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cpe::exec::{preset_configs, ResultCache, SweepPlan, SweepProgress, DEFAULT_CACHE_DIR};
+use cpe::exec::{preset_configs, SweepPlan, SweepProgress};
 use cpe::isa::replay::{parse_recorded, write_recorded, RecordedTrace, ReplayError, REPLAY_MAGIC};
 use cpe::isa::{asm::assemble, DynInst, Emulator, Program};
 use cpe::stats::Table;
-use cpe::trace::{build_records, chrome_trace_json, jsonl_record, konata_text, TraceHandle};
+use cpe::trace::{build_records, chrome_trace_json, konata_text, TraceHandle};
 use cpe::workloads::{Scale, Workload};
 use cpe::{
-    check_replayable, diff_json, parse_json, profile_json, BackendKind, ProfileOptions,
-    ProfiledRun, SimConfig, SimError, Simulator, RECORD_HEADROOM,
+    check_replayable, diff_json, parse_json, profile_json, ProfileOptions, ProfiledRun, SimConfig,
+    SimError, Simulator, RECORD_HEADROOM,
 };
 
 /// Every verb's stdout goes through this one writer: `println!` with
@@ -339,9 +337,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     let trace_out = parse_flag(args, "--trace-out");
     let trace_format = parse_flag(args, "--trace-format").unwrap_or_else(|| "chrome".to_string());
-    if !["chrome", "jsonl", "konata"].contains(&trace_format.as_str()) {
+    if !["chrome", "konata"].contains(&trace_format.as_str()) {
         return Err(format!(
-            "unknown trace format `{trace_format}` (chrome, jsonl, konata)"
+            "unknown trace format `{trace_format}` (chrome, konata)"
         ));
     }
     // An export reads the event ring, so it attaches one by default.
@@ -381,8 +379,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 /// Write a profiled run's retained event window to `path`: as a Chrome
-/// `trace_event` document, as JSONL, or as per-instruction lifecycles in
-/// the Konata pipeline-viewer format.
+/// `trace_event` document or as per-instruction lifecycles in the Konata
+/// pipeline-viewer format.
 fn export_events(run: &ProfiledRun, path: &str, format: &str) -> Result<(), String> {
     let (rendered, count, what) = match format {
         "chrome" => (
@@ -390,11 +388,6 @@ fn export_events(run: &ProfiledRun, path: &str, format: &str) -> Result<(), Stri
             run.events.len(),
             "trace events",
         ),
-        "jsonl" => {
-            let mut lines: Vec<String> = run.events.iter().map(jsonl_record).collect();
-            lines.push(String::new()); // trailing newline
-            (lines.join("\n"), run.events.len(), "trace events")
-        }
         _ => {
             let records = build_records(&run.events);
             let text = konata_text(&records);
@@ -600,15 +593,6 @@ fn parse_names<T>(
         .collect()
 }
 
-fn open_cache(args: &[String]) -> Option<ResultCache> {
-    if args.iter().any(|arg| arg == "--no-cache") {
-        None
-    } else {
-        let dir = parse_flag(args, "--cache-dir").unwrap_or_else(|| DEFAULT_CACHE_DIR.to_string());
-        Some(ResultCache::new(dir))
-    }
-}
-
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let jobs: usize = parse_number(args, "--jobs")?.unwrap_or(0);
     let scale = parse_scale(args)?;
@@ -620,17 +604,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     if let Some(text) = parse_flag(args, "--workloads") {
         plan.workloads = parse_names(&text, workload_by_name)?;
     }
-    if let Some(name) = parse_flag(args, "--backend") {
-        plan.backend = BackendKind::from_name(&name)
-            .ok_or_else(|| format!("unknown backend `{name}` (direct, replay)"))?;
-    }
     // The whole grid is validated here, before any cell is scheduled: a
     // bad configuration is a usage error (exit 2), not N failed cells.
     plan.validate().map_err(|error| error.to_string())?;
-    let cache = open_cache(args);
     let progress = (!args.iter().any(|arg| arg == "--no-progress"))
         .then(|| SweepProgress::auto(plan.jobs().len()));
-    let results = SweepPlan::run_all(&[plan], jobs, cache.as_ref(), progress.as_ref())
+    let results = SweepPlan::run_all(&[plan], jobs, progress.as_ref())
         .map_err(|error| error.to_string())?
         .remove(0);
     outln!("{}", results.ipc_table());
@@ -638,8 +617,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         write_file(&out, &results.aggregate_json())?;
         eprintln!("wrote sweep metrics to {out}");
     }
-    // The cache/timing footer is observability, not output: it goes to
-    // stderr so stdout stays byte-identical across cache states.
+    // The timing footer is observability, not output: it goes to stderr
+    // so stdout stays byte-identical across worker counts.
     eprintln!("{}", results.stats);
     if results.stats.failed > 0 {
         return Err(format!("{} cell(s) failed", results.stats.failed));
@@ -647,15 +626,13 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `cpe validate FILE...`: parse observability artifacts — JSONL event
-/// traces (by `--jsonl` or a `.jsonl` suffix) line by line, Konata
+/// `cpe validate FILE...`: parse observability artifacts — Konata
 /// pipeviews (by their `Kanata` header or a `.kanata` suffix)
 /// structurally, anything else as one JSON document. Any malformed input
 /// is a hard error; JSON documents that embed `cpi_stack` objects are
 /// additionally checked for exact commit-slot conservation, and `--cpi`
 /// makes the *absence* of a stack an error too.
 fn cmd_validate(args: &[String]) -> Result<(), String> {
-    let jsonl_flag = args.iter().any(|arg| arg == "--jsonl");
     let cpi_flag = args.iter().any(|arg| arg == "--cpi");
     let paths: Vec<&String> = args.iter().filter(|arg| !arg.starts_with('-')).collect();
     if paths.is_empty() {
@@ -679,17 +656,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         }
         let contents =
             String::from_utf8(bytes).map_err(|error| format!("{path}: not UTF-8 text: {error}"))?;
-        if jsonl_flag || path.ends_with(".jsonl") {
-            let mut lines = 0usize;
-            for (index, line) in contents.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                parse_json(line).map_err(|error| format!("{path}:{}: {error}", index + 1))?;
-                lines += 1;
-            }
-            outln!("{path}: ok ({lines} event line(s))");
-        } else if contents.starts_with("Kanata\t") || path.ends_with(".kanata") {
+        if contents.starts_with("Kanata\t") || path.ends_with(".kanata") {
             let summary = cpe::trace::validate_konata(&contents)
                 .map_err(|error| format!("{path}: {error}"))?;
             outln!(
@@ -715,28 +682,6 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn cmd_cache(args: &[String]) -> Result<(), String> {
-    let dir = parse_flag(args, "--cache-dir").unwrap_or_else(|| DEFAULT_CACHE_DIR.to_string());
-    let cache = ResultCache::new(&dir);
-    match args.first().map(String::as_str) {
-        Some("stats") => {
-            outln!("{} ({})", cache.stats(), dir);
-            Ok(())
-        }
-        Some("clear") => {
-            let removed = cache
-                .clear()
-                .map_err(|error| format!("cannot clear `{dir}`: {error}"))?;
-            outln!("removed {removed} cached result(s) from {dir}");
-            Ok(())
-        }
-        _ => Err(format!(
-            "cache needs a subcommand: stats, clear\n\n{}",
-            usage()
-        )),
-    }
 }
 
 /// Compare two exported JSON documents. `Ok(true)` means clean (exit 0);
@@ -787,14 +732,12 @@ fn usage() -> &'static str {
     "usage:\n  cpe asm <file.s>\n  cpe trace <file.s> [-n N]\n  \
      cpe trace record SOURCE [--max N] [-o FILE]\n  cpe trace info <file.cper>\n  \
      cpe run SOURCE [--config NAME] [--max N] [--detail] [--metrics-json FILE]\n          \
-     [--interval N] [--ring N] [--trace-out FILE] [--trace-format chrome|jsonl|konata]\n  \
+     [--interval N] [--ring N] [--trace-out FILE] [--trace-format chrome|konata]\n  \
      cpe compare SOURCE [--max N] [--metrics-json FILE]\n  \
      cpe explain <CONFIG_A> <CONFIG_B> [--workload NAME] [--scale S] [--max N]\n  \
      cpe sweep [--jobs N] [--scale test|small|full] [--max N] [--configs a,b]\n            \
-     [--workloads x,y] [--backend direct|replay] [--no-cache] [--cache-dir DIR]\n            \
-     [--metrics-json FILE] [--no-progress]\n  \
-     cpe validate <file.json|file.jsonl|file.kanata|file.cper>... [--jsonl] [--cpi]\n  \
-     cpe cache stats|clear [--cache-dir DIR]\n  \
+     [--workloads x,y] [--metrics-json FILE] [--no-progress]\n  \
+     cpe validate <file.json|file.kanata|file.cper>... [--cpi]\n  \
      cpe diff <a.json> <b.json> [--tolerance PCT]\n  cpe workloads\n  cpe configs\n  \
      cpe --version\n\
      SOURCE = <file.s> | <file.cper> | --workload NAME [--scale test|small|full]"
@@ -862,21 +805,15 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                     "--max",
                     "--configs",
                     "--workloads",
-                    "--backend",
-                    "--cache-dir",
                     "--metrics-json",
                 ],
-                &["--no-cache", "--no-progress"],
+                &["--no-progress"],
             )?;
             done(cmd_sweep(rest))
         }
         Some("validate") if args.len() >= 2 => {
-            reject_unknown_flags(rest, &[], &["--jsonl", "--cpi"])?;
+            reject_unknown_flags(rest, &[], &["--cpi"])?;
             done(cmd_validate(rest))
-        }
-        Some("cache") => {
-            reject_unknown_flags(rest, &["--cache-dir"], &[])?;
-            done(cmd_cache(rest))
         }
         Some("diff") => {
             reject_unknown_flags(rest, &["--tolerance"], &[])?;

@@ -15,8 +15,8 @@
 //! | [`cpu`] | `cpe-cpu` | the dynamic superscalar out-of-order core |
 //! | [`workloads`] | `cpe-workloads` | the six applications + OS-activity injection |
 //! | [`stats`] | `cpe-stats` | counters, histograms, tables, time series |
-//! | [`trace`] | `cpe-trace` | event tracing: ring buffer, Chrome/JSONL sinks |
-//! | [`exec`] | `cpe-exec` | `SweepPlan` grids, parallel scheduler, result cache |
+//! | [`trace`] | `cpe-trace` | event tracing: ring buffer, Chrome and Konata exports |
+//! | [`exec`] | `cpe-exec` | `SweepPlan` grids, parallel scheduler, trace store |
 //! | top level | `cpe-core` | [`SimConfig`], [`Simulator`], [`RunSummary`], [`ProfiledRun`] |
 //!
 //! # Quickstart
@@ -73,13 +73,13 @@ pub mod stats {
 }
 
 /// Observability substrate: compact trace events, the capture ring, and
-/// the Chrome/JSONL/null sinks. See `docs/OBSERVABILITY.md`.
+/// the Chrome and Konata exports. See `docs/OBSERVABILITY.md`.
 pub mod trace {
     pub use cpe_trace::*;
 }
 
-/// Execution layer: work-stealing scheduler, content-addressed result
-/// cache, and the `cpe sweep` grid. See `docs/EXECUTION.md`.
+/// Execution layer: work-stealing scheduler, record-once trace store,
+/// and the `cpe sweep` grid. See `docs/EXECUTION.md`.
 pub mod exec {
     pub use cpe_exec::*;
 }

@@ -55,7 +55,6 @@ fn usage_covers_every_subcommand() {
         "explain",
         "sweep",
         "validate",
-        "cache",
         "diff",
         "workloads",
         "configs",
@@ -90,8 +89,9 @@ fn removed_verbs_and_sweep_flags_are_unknown() {
         "bench",
         "profile",
         "pipeview",
+        "cache",
     ] {
-        let output = cpe().args([verb, "--no-cache"]).output().unwrap();
+        let output = cpe().args([verb, "stats"]).output().unwrap();
         assert_eq!(output.status.code(), Some(2), "{verb}");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(stderr.starts_with("usage:"), "{verb}: {stderr}");
@@ -104,9 +104,12 @@ fn removed_verbs_and_sweep_flags_are_unknown() {
         "--fabric-log",
         "--fabric-trace",
         "--fabric-metrics",
+        "--backend",
+        "--no-cache",
+        "--cache-dir",
     ] {
         let output = cpe()
-            .args(["sweep", "--no-cache", "--max", "100", flag, "1"])
+            .args(["sweep", "--max", "100", flag, "1"])
             .output()
             .unwrap();
         assert_eq!(output.status.code(), Some(2), "{flag}");
@@ -121,6 +124,33 @@ fn removed_verbs_and_sweep_flags_are_unknown() {
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown flag `--jobs`"), "{stderr}");
+
+    // JSONL is gone: the Chrome export carries the same fields per event.
+    let dir = tempdir();
+    let events = dir.join("events.jsonl");
+    let output = cpe()
+        .args(["run", "--workload", "sort", "--max", "100"])
+        .args(["--trace-format", "jsonl", "--trace-out"])
+        .arg(&events)
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("unknown trace format `jsonl` (chrome, konata)"),
+        "{stderr}"
+    );
+    assert!(!events.exists(), "nothing was exported");
+    let document = dir.join("doc.json");
+    std::fs::write(&document, "{\"x\":1}").unwrap();
+    let output = cpe()
+        .args(["validate", "--jsonl"])
+        .arg(&document)
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown flag `--jsonl`"), "{stderr}");
 }
 
 #[test]
@@ -281,11 +311,7 @@ fn a_workload_and_its_recording_give_the_same_metrics() {
     );
     let member = |path: &std::path::Path, key: &str| {
         let doc = cpe::parse_json(&std::fs::read_to_string(path).unwrap()).unwrap();
-        let cpe::JsonValue::Object(members) = doc else {
-            panic!("{}: not an object", path.display())
-        };
-        let (_, value) = members.into_iter().find(|(name, _)| name == key).unwrap();
-        match value {
+        match doc.get(key).cloned().unwrap() {
             cpe::JsonValue::Object(fields) => cpe::JsonValue::Object(
                 fields
                     .into_iter()
@@ -641,84 +667,89 @@ fn diff_rejects_malformed_tolerance_and_missing_files() {
 }
 
 #[test]
-fn sweep_reruns_from_cache_with_byte_identical_output() {
-    let dir = tempdir().join("sweep-cache");
-    std::fs::create_dir_all(&dir).unwrap();
-    let cache_dir = dir.join("cache");
+fn sweep_output_is_byte_identical_across_worker_counts() {
+    let dir = tempdir();
     let sweep = |jobs: &str, out: &std::path::Path| {
         cpe()
             .args(["sweep", "--jobs", jobs, "--max", "2000"])
             .args(["--configs", "1-port,2-port", "--workloads", "compress,sort"])
-            .args(["--cache-dir"])
-            .arg(&cache_dir)
             .args(["--metrics-json"])
             .arg(out)
             .output()
             .unwrap()
     };
 
-    let first_json = dir.join("sweep1.json");
-    let first = sweep("2", &first_json);
+    let serial_json = dir.join("serial.json");
+    let serial = sweep("1", &serial_json);
     assert!(
-        first.status.success(),
+        serial.status.success(),
         "{}",
-        String::from_utf8_lossy(&first.stderr)
+        String::from_utf8_lossy(&serial.stderr)
     );
-    let stdout = String::from_utf8_lossy(&first.stdout);
+    let stdout = String::from_utf8_lossy(&serial.stdout);
     assert!(stdout.contains("workload (IPC)"), "{stdout}");
     assert!(stdout.contains("geomean"), "{stdout}");
-    let stderr = String::from_utf8_lossy(&first.stderr);
-    assert!(stderr.contains("4 miss(es)"), "{stderr}");
+    // The footer: each workload recorded once, every cell replays.
+    let stderr = String::from_utf8_lossy(&serial.stderr);
+    assert!(stderr.contains("4 cells in "), "{stderr}");
+    assert!(
+        stderr.contains("0 failed, trace: 2 recorded, 4 reused"),
+        "{stderr}"
+    );
 
-    // Second run at a different worker count: pure cache hits, and both
-    // stdout and the metrics document are byte-identical.
-    let second_json = dir.join("sweep2.json");
-    let second = sweep("4", &second_json);
-    assert!(second.status.success());
-    assert_eq!(first.stdout, second.stdout, "stdout must not vary");
-    let stderr = String::from_utf8_lossy(&second.stderr);
-    assert!(stderr.contains("hit rate 100.0%"), "{stderr}");
+    let parallel_json = dir.join("parallel.json");
+    let parallel = sweep("4", &parallel_json);
+    assert!(parallel.status.success());
+    assert_eq!(serial.stdout, parallel.stdout, "stdout must not vary");
     assert_eq!(
-        std::fs::read(&first_json).unwrap(),
-        std::fs::read(&second_json).unwrap(),
+        std::fs::read(&serial_json).unwrap(),
+        std::fs::read(&parallel_json).unwrap(),
         "sweep metrics must not vary"
     );
-    let doc = std::fs::read_to_string(&first_json).unwrap();
+    let doc = std::fs::read_to_string(&serial_json).unwrap();
     assert!(doc.contains("\"kind\":\"sweep\""), "{doc}");
     assert!(doc.contains("\"summary\""), "{doc}");
+}
 
-    // The cache subcommands see and clear the same directory.
-    let stats = cpe()
-        .args(["cache", "stats", "--cache-dir"])
-        .arg(&cache_dir)
+#[test]
+fn sweep_matches_a_direct_library_sweep_byte_for_byte() {
+    use cpe::exec::SweepPlan;
+    use cpe::workloads::{Scale, Workload};
+
+    let dir = tempdir();
+    let out = dir.join("sweep.json");
+    let output = cpe()
+        .args(["sweep", "--max", "2000", "--workloads", "compress,sort"])
+        .args(["--metrics-json"])
+        .arg(&out)
         .output()
         .unwrap();
-    assert!(stats.status.success());
-    let stdout = String::from_utf8_lossy(&stats.stdout);
-    assert!(stdout.contains("4 entries"), "{stdout}");
-
-    let clear = cpe()
-        .args(["cache", "clear", "--cache-dir"])
-        .arg(&cache_dir)
-        .output()
-        .unwrap();
-    assert!(clear.status.success());
-    let stdout = String::from_utf8_lossy(&clear.stdout);
-    assert!(stdout.contains("removed 4"), "{stdout}");
-
-    let stats = cpe()
-        .args(["cache", "stats", "--cache-dir"])
-        .arg(&cache_dir)
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&stats.stdout);
-    assert!(stdout.contains("0 entries"), "{stdout}");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let direct = SweepPlan {
+        workloads: vec![Workload::Compress, Workload::Sort],
+        backend: cpe::BackendKind::Direct,
+        ..SweepPlan::standard(Scale::Test, Some(2_000))
+    }
+    .run(1)
+    .expect("the grid is valid");
+    assert_eq!(
+        std::fs::read_to_string(&out).unwrap(),
+        direct.aggregate_json()
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&output.stdout),
+        format!("{}\n", direct.ipc_table())
+    );
 }
 
 #[test]
 fn sweep_rejects_a_bad_grid_before_running() {
     let output = cpe()
-        .args(["sweep", "--configs", "no-such-config", "--no-cache"])
+        .args(["sweep", "--configs", "no-such-config"])
         .output()
         .unwrap();
     assert_eq!(output.status.code(), Some(2));

@@ -6,8 +6,7 @@ use cpe::isa::{asm::assemble, Emulator, Mode};
 use cpe::stats::Histogram;
 use cpe::workloads::{Scale, Workload};
 use cpe::{
-    parse_json, profile_json, validate_cpi_stacks, BackendKind, ProfileOptions, RunSummary,
-    SimConfig, Simulator,
+    parse_json, profile_json, validate_cpi_stacks, ProfileOptions, RunSummary, SimConfig, Simulator,
 };
 
 /// One Test-scale run of `workload` on `config`.
@@ -225,8 +224,7 @@ fn load_latency_count_equals_the_sum_over_load_paths() {
     let golden = parse_json(include_str!("../GOLDEN_metrics.json")).expect("GOLDEN parses");
     assert_eq!(validate_cpi_stacks(&golden), Ok(12));
     let fresh = SweepPlan::standard(Scale::Test, Some(20_000))
-        .with_backend(BackendKind::Replay)
-        .run(0, None)
+        .run(0)
         .expect("the preset grid is valid");
     assert_eq!(fresh.stats.failed, 0);
     let fresh = parse_json(&fresh.aggregate_json()).expect("the aggregate parses");

@@ -1,6 +1,6 @@
 //! Robustness of the readers of outside bytes behind `cpe diff` and
-//! `cpe validate`: the JSON reader (`parse_json`, for whole documents and
-//! for JSONL lines) and the Konata pipeview validator.
+//! `cpe validate`: the JSON reader (`parse_json`) and the Konata pipeview
+//! validator.
 //!
 //! Every input gives `Ok` or a diagnosis naming where it went wrong,
 //! never a panic. Every JSON value the reader accepts holds only finite
