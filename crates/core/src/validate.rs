@@ -23,9 +23,10 @@ fn integer(value: &JsonValue) -> Option<u64> {
     }
 }
 
-fn require_integer(object: &JsonValue, key: &str, path: &str) -> Result<u64, String> {
-    let value = object
-        .get(key)
+fn require_integer(members: &[(String, JsonValue)], key: &str, path: &str) -> Result<u64, String> {
+    let value = members
+        .iter()
+        .find_map(|(name, value)| (name == key).then_some(value))
         .ok_or_else(|| format!("{path}: missing \"{key}\""))?;
     integer(value).ok_or_else(|| format!("{path}: \"{key}\" is not a non-negative integer"))
 }
@@ -34,16 +35,16 @@ fn require_integer(object: &JsonValue, key: &str, path: &str) -> Result<u64, Str
 /// cycles it covers, so sibling epochs and distributions can be checked
 /// against them.
 fn check_stack(stack: &JsonValue, path: &str) -> Result<(u64, u64), String> {
-    let stack = object(Some(stack), path)?;
-    let commit_width = require_integer(stack, "commit_width", path)?;
+    let members = object(Some(stack), path)?;
+    let commit_width = require_integer(members, "commit_width", path)?;
     if commit_width == 0 {
         return Err(format!("{path}: commit_width is zero"));
     }
-    let commit_slots = require_integer(stack, "commit_slots", path)?;
-    let total = require_integer(stack, "total", path)?;
+    let commit_slots = require_integer(members, "commit_slots", path)?;
+    let total = require_integer(members, "total", path)?;
     let causes = object(stack.get("causes"), &format!("{path}.causes"))?;
     let mut sum: u64 = 0;
-    for (name, slots) in members(causes) {
+    for (name, slots) in causes {
         let slots = integer(slots)
             .ok_or_else(|| format!("{path}: cause \"{name}\" is not a non-negative integer"))?;
         sum = sum
@@ -64,19 +65,14 @@ fn check_stack(stack: &JsonValue, path: &str) -> Result<(u64, u64), String> {
     Ok((commit_width, commit_slots / commit_width))
 }
 
-/// `value`, which must be an object.
-fn object<'a>(value: Option<&'a JsonValue>, path: &str) -> Result<&'a JsonValue, String> {
+/// The members of `value`, which must be an object.
+fn object<'a>(
+    value: Option<&'a JsonValue>,
+    path: &str,
+) -> Result<&'a [(String, JsonValue)], String> {
     match value {
-        Some(object @ JsonValue::Object(_)) => Ok(object),
+        Some(JsonValue::Object(members)) => Ok(members),
         _ => Err(format!("{path}: missing or not an object")),
-    }
-}
-
-/// The members of an object (none for any other value).
-fn members(object: &JsonValue) -> &[(String, JsonValue)] {
-    match object {
-        JsonValue::Object(members) => members,
-        _ => &[],
     }
 }
 
@@ -86,9 +82,9 @@ fn members(object: &JsonValue) -> &[(String, JsonValue)] {
 /// `store_buffer`) never overflow, and `load_latency` counts exactly the
 /// loads its per-path histograms count.
 fn check_distributions(distributions: &JsonValue, cycles: u64, path: &str) -> Result<(), String> {
-    let distributions = object(Some(distributions), path)?;
+    object(Some(distributions), path)?;
     let occupancy = format!("{path}.occupancy");
-    for (name, histogram) in members(object(distributions.get("occupancy"), &occupancy)?) {
+    for (name, histogram) in object(distributions.get("occupancy"), &occupancy)? {
         let at = format!("{occupancy}.{name}");
         let histogram = object(Some(histogram), &at)?;
         let count = require_integer(histogram, "count", &at)?;
@@ -108,7 +104,7 @@ fn check_distributions(distributions: &JsonValue, cycles: u64, path: &str) -> Re
     )?;
     let paths = format!("{path}.load_latency_paths");
     let mut by_path = 0;
-    for (name, histogram) in members(object(distributions.get("load_latency_paths"), &paths)?) {
+    for (name, histogram) in object(distributions.get("load_latency_paths"), &paths)? {
         let at = format!("{paths}.{name}");
         by_path += require_integer(object(Some(histogram), &at)?, "count", &at)?;
     }
@@ -122,14 +118,14 @@ fn check_distributions(distributions: &JsonValue, cycles: u64, path: &str) -> Re
 
 /// Check one epoch's `cpi_slots` against the document's commit width.
 fn check_epoch(epoch: &JsonValue, commit_width: u64, path: &str) -> Result<(), String> {
-    if !matches!(epoch, JsonValue::Object(_)) {
+    let JsonValue::Object(members) = epoch else {
         return Ok(());
-    }
+    };
     let slots = object(epoch.get("cpi_slots"), &format!("{path}.cpi_slots"))?;
-    let start = require_integer(epoch, "start_cycle", path)?;
-    let end = require_integer(epoch, "end_cycle", path)?;
+    let start = require_integer(members, "start_cycle", path)?;
+    let end = require_integer(members, "end_cycle", path)?;
     let mut sum: u64 = 0;
-    for (name, value) in members(slots) {
+    for (name, value) in slots {
         sum += integer(value)
             .ok_or_else(|| format!("{path}: cause \"{name}\" is not a non-negative integer"))?;
     }

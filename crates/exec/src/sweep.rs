@@ -697,9 +697,9 @@ mod tests {
 
     #[test]
     fn invalid_configs_never_reach_a_runner() {
-        // Validation is hoisted: an invalid config's cells fail up front
-        // and never compute — serially and with two workers — while the
-        // healthy cells run.
+        // Validation is hoisted: an invalid config's cells fail up front,
+        // never compute and never touch the job-level cache — serially and
+        // with two workers — while the healthy cells run and are stored.
         let mut plan = tiny_plan();
         plan.configs[1] = SimConfig::dual_port().with_ports(0).named("broken");
         for workers in [1, 2] {
@@ -712,6 +712,27 @@ mod tests {
                 assert!(results.outcomes()[w * 2].wall_seconds > 0.0);
                 assert!(results.summary_number(w, 0, "ipc").is_some());
             }
+
+            let dir = tempdir(&format!("invalid-{workers}"));
+            let cache = ResultCache::new(&dir);
+            let (outcomes, _) =
+                execute_jobs_traced(&plan.jobs(), workers, Some(&cache), None, None);
+            let results = SweepResults::assemble(plan.clone(), outcomes, workers, 0, 0.0);
+            assert_eq!(results.stats.failed, 2);
+            for w in 0..2 {
+                let broken = &results.outcomes()[w * 2 + 1];
+                assert_eq!(broken.document.as_ref().unwrap_err().kind(), "config");
+                assert_eq!(broken.cache, CacheStatus::Bypass, "cache never consulted");
+                assert_eq!(broken.wall_seconds, 0.0, "cell never ran");
+                assert_eq!(results.outcomes()[w * 2].cache, CacheStatus::Miss);
+                assert!(results.summary_number(w, 0, "ipc").is_some());
+            }
+            assert_eq!(
+                std::fs::read_dir(&dir).unwrap().count(),
+                2,
+                "one entry per healthy cell"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

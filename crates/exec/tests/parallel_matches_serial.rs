@@ -168,4 +168,24 @@ fn a_batch_equals_each_plan_run_alone() {
     );
     assert_eq!(stats.traces_reused, distinct as u64);
     assert_eq!(stats.failed, 0);
+
+    // The job-level cache addresses cells by the identity the batch
+    // dedups by: the plans' repeated cells hit, the renamed config
+    // misses, and the cache ends with one entry per distinct cell.
+    let dir = scratch_dir("batch");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = ResultCache::new(&dir);
+    let mut hits = 0;
+    for (plan, batched) in plans.iter().zip(&batch) {
+        let (cached, plan_hits) = cached_run(plan, 2, &cache);
+        hits += plan_hits;
+        assert_eq!(batched.aggregate_json(), cached.aggregate_json());
+    }
+    assert_eq!(hits, 10 - distinct, "only the repeated cells hit");
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        distinct,
+        "one entry per distinct cell"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
